@@ -10,6 +10,7 @@ Stdout carries only the declared output format; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -30,9 +31,11 @@ from .scanner import (
     Applicability,
     InsufficientPrecision,
     ScanReport,
+    ScanVerdict,
     scan,
     sturm_bound,
     theorem_applies,
+    witness,
 )
 from .transform import (
     DEFAULT_SEED,
@@ -100,14 +103,21 @@ def _load_cached(cache_dir: str, key: dict) -> QSeries | None:
 
 
 def _store_cached(cache_dir: str, key: dict, series: QSeries) -> None:
+    """Write the entry to a temporary file in the cache directory and
+    rename it into place, so a reader sees either no entry or a whole one."""
+    path = _cache_path(cache_dir, key)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(cache_dir, exist_ok=True)
         payload = _series_payload(series, key["series"], key.get("modulus"))
         payload["key"] = key
-        with open(_cache_path(cache_dir, key), "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
+        os.replace(tmp, path)
     except OSError as exc:
         print(f"cache write failed: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def _series_payload(series: QSeries, name: str, modulus: int | None) -> dict:
@@ -209,6 +219,9 @@ def _cmd_scan(args) -> int:
         print("error: need --m-max or --progression", file=sys.stderr)
         return 2
     m_max = single.m if single else args.m_max
+    if m_max < 1:
+        print(f"error: m_max must be positive, got {m_max}", file=sys.stderr)
+        return 2
     if args.budget < m_max:
         print(
             f"error: budget {args.budget} cannot cover m_max {m_max}",
@@ -217,21 +230,34 @@ def _cmd_scan(args) -> int:
         return 4
     try:
         series = _get_series(spec, args.spec, args.budget, args.mod, args.cache_dir)
-        report = scan(series, args.mod, m_max, series_name=args.spec)
-    except (InsufficientPrecision, ValueError) as exc:
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        if single:
+            report = _scan_one(series, args.mod, single, args.spec)
+        else:
+            report = scan(series, args.mod, m_max, series_name=args.spec)
+    except InsufficientPrecision as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    if single:
-        verdicts = tuple(
-            v for v in report.verdicts if v.m == single.m and v.t == single.t
-        )
-        report = ScanReport(
-            report.series_name, report.modulus, single.m, report.coeff_budget, verdicts
-        )
     print(report.to_json() if args.format == "json" else report.to_csv(), end="")
     if args.format == "json":
         print()
     return 0
+
+
+def _scan_one(series: QSeries, ell: int, prog: Progression, name: str) -> ScanReport:
+    """The report ``scan`` would give for progression ``prog`` alone: a
+    witness search to the edge of the series precision."""
+    n_max = (series.prec - 1 - prog.t) // prog.m
+    n = witness(series, ell, prog, n_max)
+    if n is None:
+        verdict = ScanVerdict(prog.m, prog.t, "candidate", checked=n_max)
+    else:
+        value = series.coeffs[prog.m * n + prog.t] % ell
+        verdict = ScanVerdict(prog.m, prog.t, "witness", n=n, value=value)
+    return ScanReport(name, ell, prog.m, series.prec, (verdict,))
 
 
 def _cmd_identities(args) -> int:

@@ -1,11 +1,15 @@
 """Generating functions: eta-quotients, the mock theta functions f and omega,
 the weight-3/2 theta series, and brute-force combinatorial oracles.
 
-Construction loops exploit the sparse pentagonal structure of the eta factors
-(multiplying or dividing a dense prefix by a polynomial with O(sqrt(P))
-terms), so building P coefficients costs O(P^(3/2)) instead of going through
-generic dense products.  The mock theta accumulators divide by the sparse
-squared binomials (1 +- q^j)^2 directly for the same reason.
+Eta-quotients are built factor by factor from the sparse pentagonal structure
+of the eta factors: a dense prefix is multiplied by, or divided by, a
+polynomial with O(sqrt(P)) terms, so building P coefficients costs
+O(P^(3/2)) per factor instead of going through generic dense products.
+
+The mock theta functions come from Watson's Appell-Lerch forms: each is a
+numerator of sparse geometric fills, costing O(P log P), over one Euler
+product, and the single series division picks its kernel by predicted cost
+(see ``QSeries.__truediv__``).
 
 Every generator accepts an optional coefficient ring; constructing directly
 in Z/m agrees with constructing over Z and reducing (all loops use only ring
@@ -23,6 +27,7 @@ from .qseries import (
     RATIONAL,
     CoefficientRing,
     QSeries,
+    _div_sparse,
     integer_mod,
 )
 
@@ -138,33 +143,20 @@ def _mul_pass(coeffs: list, pairs, ring: CoefficientRing) -> list:
     return out
 
 
-def _div_pass(coeffs: list, pairs, ring: CoefficientRing) -> list:
-    """Divide a dense prefix by a sparse polynomial with constant term 1."""
-    assert pairs[0] == (0, 1)
-    tail = pairs[1:]
-    p = len(coeffs)
-    out = list(coeffs)
-    mod = ring.modulus if ring.kind == "mod" else None
-    for i in range(p):
-        v = out[i]
-        for e, s in tail:
-            if e > i:
-                break
-            h = out[i - e]
-            if h:
-                v -= s * h
-        out[i] = v % mod if mod is not None else v
-    return out
+def _euler_product(prec: int, delta: int, ring: CoefficientRing) -> QSeries:
+    """prod(1 - q^(delta*n)) to ``prec`` slots: pentagonal-number support."""
+    coeffs = [0] * prec
+    for e, s in _pentagonal_pairs(prec, delta):
+        coeffs[e] = s
+    return QSeries(Fraction(0), coeffs, ring)
 
 
 def eta_series(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
     """q^(1/24) * prod(1 - q^n): offset 1/24, pentagonal-number support."""
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    coeffs = [0] * prec
-    for e, s in _pentagonal_pairs(prec):
-        coeffs[e] = s
-    return QSeries(Fraction(1, 24), tuple(coeffs), ring)
+    euler = _euler_product(prec, 1, ring)
+    return QSeries(Fraction(1, 24), euler.coeffs, ring)
 
 
 def eta_quotient(
@@ -181,61 +173,69 @@ def eta_quotient(
             if r > 0:
                 coeffs = _mul_pass(coeffs, pairs, ring)
             else:
-                coeffs = _div_pass(coeffs, pairs, ring)
+                coeffs = _div_sparse(coeffs, pairs[1:], 1, prec, ring)
     return QSeries(Fraction(spec.B, 24), tuple(coeffs), ring)
+
+
+def _add_every(coeffs: list, start: int, step: int, value: int) -> None:
+    """Add ``value`` to the slots start, start + step, ... in place."""
+    coeffs[start::step] = [c + value for c in coeffs[start::step]]
+
+
+def _mock_f_numerator(prec: int, ring: CoefficientRing) -> QSeries:
+    """1 + 4 sum_{k>=1} (-1)^k q^(k(3k+1)/2) / (1 + q^k), expanding
+    1/(1 + q^k) = 1 - q^k + q^(2k) - ..."""
+    num = [0] * prec
+    num[0] = 1
+    k = 1
+    while k * (3 * k + 1) // 2 < prec:
+        base = k * (3 * k + 1) // 2
+        sign = 4 if k % 2 == 0 else -4
+        _add_every(num, base, 2 * k, sign)
+        _add_every(num, base + k, 2 * k, -sign)
+        k += 1
+    return QSeries(Fraction(0), num, ring)
+
+
+def _mock_omega_numerator(prec: int, ring: CoefficientRing) -> QSeries:
+    """sum_{n>=0} (-1)^n q^(3n(n+1)) (1 + q^(2n+1)) / (1 - q^(2n+1)), expanding
+    (1 + x)/(1 - x) = 1 + 2x + 2x^2 + ..."""
+    num = [0] * prec
+    n = 0
+    while 3 * n * (n + 1) < prec:
+        base = 3 * n * (n + 1)
+        sign = -1 if n % 2 else 1
+        step = 2 * n + 1
+        num[base] += sign
+        _add_every(num, base + step, step, 2 * sign)
+        n += 1
+    return QSeries(Fraction(0), num, ring)
 
 
 def mock_f(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
     """The mock theta function f(q) = 1 + sum(q^(n^2) / ((1+q)...(1+q^n))^2).
 
-    The running product of (1+q^j)^(-2) factors is updated by dividing by the
-    three-term polynomial (1+q^j)^2, and the term loop stops at the first n
-    with n^2 >= prec.
+    Built from Watson's Appell-Lerch form
+    f(q) (q;q)_inf = 1 + 4 sum_{k>=1} (-1)^k q^(k(3k+1)/2) / (1 + q^k)
+    (the k and -k terms of his sum over Z coincide): a numerator of
+    geometric fills, then one series division.
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    acc = [0] * prec
-    acc[0] = 1
-    running = [0] * prec
-    running[0] = 1
-    n = 1
-    while n * n < prec:
-        need = prec - n * n
-        running = _div_pass(running[:need], [(0, 1), (n, 2), (2 * n, 1)], ring)
-        base = n * n
-        for i, v in enumerate(running):
-            if v:
-                acc[base + i] += v
-        n += 1
-    return QSeries(Fraction(0), tuple(acc), ring)
+    return _mock_f_numerator(prec, ring) / _euler_product(prec, 1, ring)
 
 
 def mock_omega(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
     """The mock theta function omega(q) = sum(q^(2n^2+2n) / ((q; q^2)_{n+1})^2).
 
-    The running odd-Pochhammer inverse square gains a (1 - q^(2n+1))^(-2)
-    factor per term; loop stops once 2n^2+2n >= prec.  Expansion starts
-    1 + 2q + 3q^2 + 4q^3 + 6q^4 + ...
+    Built from Watson's Appell-Lerch form
+    omega(q) (q^2;q^2)_inf = sum_{n>=0} (-1)^n q^(3n(n+1)) (1 + q^(2n+1)) / (1 - q^(2n+1)):
+    a numerator of geometric fills, then one series division.  Expansion
+    starts 1 + 2q + 3q^2 + 4q^3 + 6q^4 + ...
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    acc = [0] * prec
-    running = [0] * prec
-    running[0] = 1
-    n = 0
-    while True:
-        base = 2 * n * n + 2 * n
-        if base >= prec:
-            break
-        odd = 2 * n + 1
-        running = _div_pass(
-            running[: prec - base], [(0, 1), (odd, -2), (2 * odd, 1)], ring
-        )
-        for i, v in enumerate(running):
-            if v:
-                acc[base + i] += v
-        n += 1
-    return QSeries(Fraction(0), tuple(acc), ring)
+    return _mock_omega_numerator(prec, ring) / _euler_product(prec, 2, ring)
 
 
 def theta_g(index: int, prec: int) -> QSeries:

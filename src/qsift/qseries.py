@@ -16,8 +16,10 @@ may be shared freely between threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 __all__ = [
@@ -33,7 +35,6 @@ __all__ = [
     "integer_mod",
     "QSeries",
     "monomial",
-    "FAST_MUL_MIN_PREC",
 ]
 
 
@@ -116,71 +117,155 @@ def integer_mod(m: int) -> CoefficientRing:
     return CoefficientRing("mod", m)
 
 
-# Products whose output precision reaches this size are routed through the
-# exact Kronecker-substitution convolution (big-integer multiply, subquadratic
-# in CPython); below it the schoolbook loop wins.  Semantics are identical.
-FAST_MUL_MIN_PREC = 1 << 14
+# ------------------------------------------------------------------ kernels
+#
+# The kernels work on plain coefficient sequences and read only the first
+# ``n_out`` entries of each operand: longer inputs are neither sliced nor
+# copied.  Results are reduced into the ring as they are produced.
 
 
-def _pack(values, width: int) -> int:
-    buf = bytearray(width * len(values))
-    for i, v in enumerate(values):
-        if v:
-            buf[i * width : (i + 1) * width] = v.to_bytes(width, "little")
+def _prefix_nonzeros(values, n: int) -> int:
+    if len(values) <= n:
+        return len(values) - values.count(0)
+    return sum(1 for v in islice(values, n) if v)
+
+
+def _kronecker_width(xs, ys, n_out: int, ring: CoefficientRing) -> int:
+    """Bytes per packed slot: room for every product slot (and a sign bit
+    over Z), from an a-priori bound, so no carry can bleed between slots.
+    0 when a factor vanishes."""
+    n_min = min(len(xs), len(ys), n_out)
+    if ring.kind == "mod":
+        bound = n_min * (ring.modulus - 1) ** 2
+        return (bound.bit_length() + 7) // 8
+    max_x = max(map(abs, islice(xs, n_out)), default=0)
+    max_y = max(map(abs, islice(ys, n_out)), default=0)
+    if not max_x or not max_y:
+        return 0
+    return (n_min * max_x * max_y).bit_length() // 8 + 1
+
+
+# Predicted costs, in units of one schoolbook multiply-add on small slots
+# (about 35 ns on CPython 3.11).  Only their ratios matter, and only near a
+# crossover.  Schoolbook costs n_out * nnz(sparser factor) * _slot_cost.
+
+
+def _slot_cost(width: int) -> float:
+    """One multiply-add on slots of ``width`` bytes: big integers cost more."""
+    return 1 + width / 4
+
+
+def _kronecker_cost(n_out: int, width: int) -> float:
+    """A fixed ~500 for the calls, about three per slot to pack and unpack,
+    and a Karatsuba product of two n_out * width-byte integers."""
+    return 500 + 3 * n_out + 1.4e-3 * (8 * width * n_out) ** 1.585
+
+
+_ITEMSIZES = (("B", 1), ("H", 2), ("I", 4), ("Q", 8))
+
+
+def _array_code(width: int) -> str | None:
+    """Typecode of the smallest unsigned machine item holding ``width``
+    bytes.  None past eight bytes, or on a big-endian host: the packing
+    kernels then convert slot by slot."""
+    if sys.byteorder == "little":
+        for code, size in _ITEMSIZES:
+            if size >= width:
+                return code
+    return None
+
+
+def _pack(values, count: int, width: int) -> int:
+    """The first ``count`` values (nonnegative, below 256**width) as the
+    digits of one integer in base 256**width."""
+    code = _array_code(width)
+    buf = bytearray(width * count)
+    if code is None:
+        for i, v in enumerate(islice(values, count)):
+            if v:
+                buf[i * width : (i + 1) * width] = v.to_bytes(width, "little")
+        return int.from_bytes(buf, "little")
+    from array import array  # deferred: only the product kernels need it
+
+    items = array(code, islice(values, count))
+    raw = memoryview(items).cast("B")
+    for b in range(width):  # keep the low ``width`` bytes of every item
+        buf[b::width] = raw[b :: items.itemsize]
+    del raw, items
     return int.from_bytes(buf, "little")
 
 
-def _unpack(number: int, width: int, count: int) -> list[int]:
-    nbytes = max(width * count, (number.bit_length() + 7) // 8)
-    data = number.to_bytes(nbytes, "little")
-    return [
-        int.from_bytes(data[i * width : (i + 1) * width], "little")
-        for i in range(count)
-    ]
+def _unpack(data: bytes, width: int, lo: int, hi: int):
+    """Digits lo..hi-1 of the little-endian number ``data`` in base
+    256**width."""
+    code = _array_code(width)
+    if code is None:
+        return [
+            int.from_bytes(data[i * width : (i + 1) * width], "little")
+            for i in range(lo, hi)
+        ]
+    size = dict(_ITEMSIZES)[code]
+    buf = bytearray(size * (hi - lo))
+    for b in range(width):  # widen every digit to a whole item
+        buf[b::size] = data[width * lo + b : width * hi : width]
+    return memoryview(buf).cast(code)
 
 
-def _conv_kronecker(xs, ys, n_out: int, ring: CoefficientRing) -> list:
-    """Exact convolution via big-integer multiplication.
+def _conv_kronecker(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> list:
+    """Slots lo..n_out-1 of the product, exactly, via one big-integer
+    multiplication.
 
-    Integer coefficients are split into positive/negative parts so every
-    packed value is nonnegative; slot widths are sized from an a-priori bound
-    on the convolution terms, so no carries can bleed between slots.
+    Over Z/m the residues pack as they are, and each slot is reduced as it
+    is unpacked.  Over Z each factor packs as (positive part) - (negative
+    part), and the product's slots, each below half a digit in magnitude,
+    are read back from its two's complement bytes with a running borrow.
     """
-    n_min = min(len(xs), len(ys))
+    width = _kronecker_width(xs, ys, n_out, ring)
+    if not width:
+        return [0] * (n_out - lo)
+    nx, ny = min(len(xs), n_out), min(len(ys), n_out)
+    nbytes = width * max(n_out, nx + ny)
     if ring.kind == "mod":
         m = ring.modulus
-        bound = n_min * (m - 1) * (m - 1)
-        width = bound.bit_length() // 8 + 1
-        prod = _pack(xs, width) * _pack(ys, width)
-        return [v % m for v in _unpack(prod, width, n_out)]
+        x = _pack(xs, nx, width)
+        x *= x if ys is xs else _pack(ys, ny, width)  # a square packs once
+        data = x.to_bytes(nbytes, "little")
+        del x  # each big temporary goes as soon as the next is built
+        digits = _unpack(data, width, lo, n_out)
+        del data
+        return [v % m for v in digits]
 
-    max_x = max((abs(v) for v in xs), default=0)
-    max_y = max((abs(v) for v in ys), default=0)
-    if max_x == 0 or max_y == 0:
-        return [0] * n_out
-    bound = 2 * n_min * max_x * max_y
-    width = bound.bit_length() // 8 + 1
-    xp = _pack([v if v > 0 else 0 for v in xs], width)
-    xn = _pack([-v if v < 0 else 0 for v in xs], width)
-    yp = _pack([v if v > 0 else 0 for v in ys], width)
-    yn = _pack([-v if v < 0 else 0 for v in ys], width)
-    plus = _unpack(xp * yp + xn * yn, width, n_out)
-    minus = _unpack(xp * yn + xn * yp, width, n_out)
-    return [u - v for u, v in zip(plus, minus)]
+    def signed(values, count):
+        pos = _pack((v if v > 0 else 0 for v in values), count, width)
+        neg = _pack((-v if v < 0 else 0 for v in values), count, width)
+        return pos - neg
+
+    x = signed(xs, nx)
+    x *= x if ys is xs else signed(ys, ny)
+    data = x.to_bytes(nbytes, "little", signed=True)
+    del x
+    full, half = 1 << (8 * width), 1 << (8 * width - 1)
+    out, borrow = [], 0
+    for i in range(n_out):
+        v = int.from_bytes(data[i * width : (i + 1) * width], "little") + borrow
+        borrow = v >= half
+        if i >= lo:
+            out.append(v - full if borrow else v)
+    return out
 
 
 def _conv_schoolbook(xs, ys, n_out: int, ring: CoefficientRing) -> list:
     """Schoolbook convolution; iterates the factor with fewer nonzero slots,
     so sparse factors cost O(prec * nnz)."""
-    if sum(1 for v in xs if v) > sum(1 for v in ys if v):
+    if _prefix_nonzeros(xs, n_out) > _prefix_nonzeros(ys, n_out):
         xs, ys = ys, xs
     out = [0] * n_out
     len_y = len(ys)
     for i, x in enumerate(xs):
-        if not x:
-            continue
         if i >= n_out:
             break
+        if not x:
+            continue
         lim = min(len_y, n_out - i)
         for j in range(lim):
             y = ys[j]
@@ -190,6 +275,120 @@ def _conv_schoolbook(xs, ys, n_out: int, ring: CoefficientRing) -> list:
         m = ring.modulus
         out = [v % m for v in out]
     return out
+
+
+def _convolve(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> list:
+    """Slots lo..n_out-1 of the product, by the kernel predicted cheaper."""
+    if ring.kind != "rat":
+        nnz = min(_prefix_nonzeros(xs, n_out), _prefix_nonzeros(ys, n_out))
+        width = _kronecker_width(xs, ys, n_out, ring)
+        if n_out * nnz * _slot_cost(width) > _kronecker_cost(n_out, width):
+            return _conv_kronecker(xs, ys, n_out, ring, lo)
+    out = _conv_schoolbook(xs, ys, n_out, ring)
+    return out[lo:] if lo else out
+
+
+def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
+    """Slots 0..n_out-1 of num / b, where b has constant slot 1/inv0 and its
+    other nonzero slots are the ascending (k, b_k) pairs of ``support``.
+
+    Both sides are first scaled by inv0, so that b has constant slot 1; the
+    recurrence out[i] = num[i] - sum b_k out[i-k] then costs
+    n_out * len(support) and is exact in every ring.
+    """
+    mod = ring.modulus if ring.kind == "mod" else None
+    if inv0 == 1:
+        out = list(islice(num, n_out))
+    else:
+        support = [(k, ring.normalize(inv0 * bk)) for k, bk in support]
+        out = [ring.normalize(inv0 * a) for a in islice(num, n_out)]
+    for i in range(n_out):
+        v = out[i]
+        for k, bk in support:
+            if k > i:
+                break
+            h = out[i - k]
+            if h:
+                v -= bk * h
+        out[i] = v % mod if mod is not None else v
+    return out
+
+
+def _inverse_newton(den, n_out: int, ring: CoefficientRing) -> list:
+    """Slots 0..n_out-1 of 1/den by Newton iteration.
+
+    With g = 1/den to k slots, den * g = 1 + q^k e, and g - q^k g e is 1/den
+    to k2 <= 2k slots; each step computes only e and the k2 - k new slots.
+    The precisions are n_out halved (rounding up) back to 1, so no step
+    computes slots past what the next one needs.
+    """
+    m = ring.modulus
+    precs = []
+    while n_out > 1:
+        precs.append(n_out)
+        n_out = (n_out + 1) // 2
+    g = [ring.inverse(den[0])]
+    k = 1
+    for k2 in reversed(precs):
+        e = _convolve(den, g, k2, ring, lo=k)
+        new = _convolve(g, e, k2 - k, ring)
+        del e
+        if m:
+            g.extend(-v % m for v in new)
+        else:
+            g.extend(-v for v in new)
+        k = k2
+    return g
+
+
+def _divide_newton(num, den, n_out: int, ring: CoefficientRing) -> list:
+    """Slots 0..n_out-1 of num / den: invert den to h = ceil(n/2) slots,
+    take y = num * g to h slots, and finish with one Newton step that folds
+    num in (Karp-Markstein): y + q^h g (num - den y) / q^h.  A constant
+    num is just a multiple of the inverse."""
+    m = ring.modulus
+    if not any(islice(num, 1, n_out)):
+        g = _inverse_newton(den, n_out, ring)
+        c = num[0]
+        return g if c == 1 else [ring.normalize(c * v) for v in g]
+    h = (n_out + 1) // 2
+    g = _inverse_newton(den, h, ring)
+    y = _convolve(num, g, h, ring)
+    rest = _convolve(den, y, n_out, ring, lo=h)
+    for i, a in enumerate(islice(num, h, n_out)):  # in place: num - den y
+        rest[i] = (a - rest[i]) % m if m else a - rest[i]
+    y.extend(_convolve(g, rest, n_out - h, ring))
+    return y
+
+
+def _divide(num, den, n_out: int, ring: CoefficientRing) -> list:
+    """Slots 0..n_out-1 of num / den, by the kernel predicted cheaper.
+
+    A divisor in q^d (d > 1) is divided into each residue class of num
+    separately, at 1/d of the precision.  Otherwise the sparse recurrence
+    costs about two multiply-adds per slot and divisor term, and Newton
+    division about one and a half Kronecker products plus ~1500 per
+    doubling step.  Newton runs only over Z/m: over Z and Q the
+    coefficients grow, and the recurrence never forms the (larger) inverse.
+    """
+    inv0 = ring.inverse(den[0])
+    if not any(islice(num, n_out)):  # e.g. most residue classes of 1 / b(q^d)
+        return [0] * n_out
+    support = [(k, c) for k, c in enumerate(islice(den, n_out)) if c and k]
+    d = gcd(*(k for k, _ in support))
+    if d > 1:
+        out = [0] * n_out
+        den_d = den[:n_out:d]
+        for r in range(d):
+            out[r::d] = _divide(num[r:n_out:d], den_d, len(range(r, n_out, d)), ring)
+        return out
+    if ring.kind == "mod":
+        width = _kronecker_width(den, den, n_out, ring)
+        recurrence = 2 * n_out * len(support) * _slot_cost(width)
+        newton = 1.5 * _kronecker_cost(n_out, width) + 1500 * n_out.bit_length()
+        if recurrence > newton:
+            return _divide_newton(num, den, n_out, ring)
+    return _div_sparse(num, support, inv0, n_out, ring)
 
 
 @dataclass(frozen=True)
@@ -221,8 +420,7 @@ class QSeries:
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
+        self._check_ring(other)
         shift = self.offset - other.offset
         if shift.denominator != 1:
             raise OffsetMismatch(f"offsets differ by {shift}, not an integer")
@@ -247,44 +445,38 @@ class QSeries:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
+    def _check_ring(self, other: "QSeries") -> None:
         if self.ring != other.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
+
+    def __mul__(self, other: "QSeries") -> "QSeries":
+        """Product to the smaller precision, by schoolbook or Kronecker
+        substitution, whichever is predicted cheaper."""
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        self._check_ring(other)
         n_out = min(self.prec, other.prec)
-        if self.ring.kind != "rat" and n_out >= FAST_MUL_MIN_PREC:
-            out = _conv_kronecker(self.coeffs, other.coeffs, n_out, self.ring)
-        else:
-            out = _conv_schoolbook(self.coeffs, other.coeffs, n_out, self.ring)
-        return QSeries(self.offset + other.offset, tuple(out), self.ring)
+        out = _convolve(self.coeffs, other.coeffs, n_out, self.ring)
+        return QSeries(self.offset + other.offset, out, self.ring)
+
+    def __truediv__(self, other: "QSeries") -> "QSeries":
+        """Quotient to the smaller precision; the offsets subtract.
+
+        Requires a unit constant slot in the divisor.  Runs the sparse
+        recurrence (cost prec * nnz of the divisor) or, over Z/m, Newton
+        inversion and one product, whichever is predicted cheaper.
+        """
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        self._check_ring(other)
+        n_out = min(self.prec, other.prec)
+        out = _divide(self.coeffs, other.coeffs, n_out, self.ring)
+        return QSeries(self.offset - other.offset, out, self.ring)
 
     def invert(self) -> "QSeries":
-        """Multiplicative inverse up to precision; the offset negates.
-
-        Requires a unit constant slot.  The recurrence walks the nonzero
-        slots of ``self`` only, so inverting a sparse series (eta-style) is
-        O(prec * nnz).
-        """
-        ring = self.ring
-        inv0 = ring.inverse(self.coeffs[0])
-        p = self.prec
-        support = [(k, self.coeffs[k]) for k in range(1, p) if self.coeffs[k]]
-        out = [0] * p
-        out[0] = inv0
-        mod = ring.modulus if ring.kind == "mod" else None
-        for n in range(1, p):
-            acc = 0
-            for k, ak in support:
-                if k > n:
-                    break
-                h = out[n - k]
-                if h:
-                    acc += ak * h
-            if acc:
-                v = -inv0 * acc
-                out[n] = v % mod if mod is not None else v
-        return QSeries(-self.offset, tuple(out), ring)
+        """Multiplicative inverse up to precision, ``1 / self``; the offset
+        negates.  Requires a unit constant slot."""
+        return monomial(0, self.ring, self.prec) / self
 
     def __pow__(self, e: int) -> "QSeries":
         if not isinstance(e, int):

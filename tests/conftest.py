@@ -1,9 +1,10 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the package's construction paths: partition counts
-come from the bounded-part DP recurrence, and product prefixes from naive
-dense polynomial multiplication, so they can serve as ground truth for the
-pentagonal/eta machinery.
+come from the bounded-part DP recurrence, product prefixes from naive dense
+polynomial multiplication, and the mock theta functions from their
+q-hypergeometric definitions, term by term, so they can serve as ground
+truth for the eta machinery and for the Appell-Lerch builders.
 """
 
 from __future__ import annotations
@@ -29,6 +30,65 @@ def _euler_product_prefix(prec: int) -> list[int]:
         for i in range(prec - 1, n - 1, -1):
             coeffs[i] -= coeffs[i - n]
     return coeffs
+
+
+def _divide_by_sparse(coeffs: list, tail, modulus: int | None) -> list:
+    """Divide a dense prefix by 1 + sum(c * q^e for e, c in tail), tail
+    ascending in e."""
+    out = list(coeffs)
+    for i in range(len(out)):
+        v = out[i]
+        for e, c in tail:
+            if e > i:
+                break
+            v -= c * out[i - e]
+        out[i] = v if modulus is None else v % modulus
+    return out
+
+
+def _mock_f_hypergeometric(prec: int, modulus: int | None = None) -> list[int]:
+    """f(q) = 1 + sum_{n>=1} q^(n^2) / ((1+q)...(1+q^n))^2: the running
+    product gains a factor (1+q^n)^(-2) per term."""
+    acc = [0] * prec
+    acc[0] = 1
+    running = [1] + [0] * (prec - 1)
+    n = 1
+    while n * n < prec:
+        running = _divide_by_sparse(
+            running[: prec - n * n], [(n, 2), (2 * n, 1)], modulus
+        )
+        for i, v in enumerate(running):
+            acc[n * n + i] += v
+        n += 1
+    return acc if modulus is None else [v % modulus for v in acc]
+
+
+def _mock_omega_hypergeometric(prec: int, modulus: int | None = None) -> list[int]:
+    """omega(q) = sum_{n>=0} q^(2n^2+2n) / ((q;q^2)_{n+1})^2: the running
+    product gains a factor (1-q^(2n+1))^(-2) per term."""
+    acc = [0] * prec
+    running = [1] + [0] * (prec - 1)
+    n = 0
+    while 2 * n * n + 2 * n < prec:
+        base = 2 * n * n + 2 * n
+        odd = 2 * n + 1
+        running = _divide_by_sparse(
+            running[: prec - base], [(odd, -2), (2 * odd, 1)], modulus
+        )
+        for i, v in enumerate(running):
+            acc[base + i] += v
+        n += 1
+    return acc if modulus is None else [v % modulus for v in acc]
+
+
+@pytest.fixture(scope="session")
+def mock_f_oracle():
+    return _mock_f_hypergeometric
+
+
+@pytest.fixture(scope="session")
+def mock_omega_oracle():
+    return _mock_omega_hypergeometric
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import pytest
 
 from qsift.cli import _series_from_payload, main, parse_series_spec
 from qsift.generators import EtaQuotientSpec, build_series
+from qsift.scanner import ScanReport, scan
 
 
 def run(capsys, *argv):
@@ -141,6 +142,49 @@ def test_scan_needs_range_or_progression(capsys):
     code, _, err = run(capsys, "scan", "partition", "--mod", "5")
     assert code == 2
     assert "--m-max" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta_g1", "--mod", "3", "--m-max", "3"),
+        ("partition", "--mod", "1", "--m-max", "3"),
+        ("partition", "--mod", "5", "--m-max", "0"),
+    ],
+    ids=["rational-series", "modulus-1", "m-max-0"],
+)
+def test_scan_usage_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, "scan", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "spec, ell, prog, budget",
+    [
+        ("partition", 5, "5:4", 600),
+        ("partition", 5, "7:3", 600),
+        ("partition", 5, "5:9", 600),  # t is normalized into [0, m)
+        ("mock_f", 3, "30:29", 2000),
+        ("cubic", 3, "3:2", 300),
+    ],
+)
+def test_scan_single_progression_matches_filtered_scan(
+    capsys, spec, ell, prog, budget, fmt
+):
+    code, out, _ = run(
+        capsys, "scan", spec, "--mod", str(ell), "--progression", prog,
+        "--budget", str(budget), "--format", fmt,
+    )
+    assert code == 0
+    m, t = (int(x) for x in prog.split(":"))
+    full = scan(build_series(spec, budget, ell), ell, m, series_name=spec)
+    kept = tuple(v for v in full.verdicts if (v.m, v.t) == (m, t % m))
+    filtered = ScanReport(spec, ell, m, full.coeff_budget, kept)
+    expected = filtered.to_json() + "\n" if fmt == "json" else filtered.to_csv()
+    assert out == expected
 
 
 def test_scan_csv_format(capsys):
@@ -295,6 +339,39 @@ def test_corrupt_cache_entry_recomputed(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["coefficients"] == [1, 1, 2, 3, 5, 7]
+
+
+def test_truncated_cache_entry_rebuilt(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    args = ["--cache-dir", str(cache_dir), "expand", "partition", "--limit", "40"]
+    _, whole, _ = run(capsys, *args)
+    (entry,) = cache_dir.iterdir()
+    text = entry.read_text()
+    entry.write_text(text[: len(text) // 2])
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == whole
+    assert [p.name for p in cache_dir.iterdir()] == [entry.name]
+    assert entry.read_text() == text  # rewritten whole, no temp file left
+
+
+def test_interrupted_cache_write_leaves_no_entry(tmp_path, capsys, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    args = ["--cache-dir", str(cache_dir), "expand", "partition", "--limit", "20"]
+
+    def torn_dump(payload, fh):
+        fh.write('{"series": "partition", "coeff')
+        raise OSError("disk full")
+
+    monkeypatch.setattr("qsift.cli.json.dump", torn_dump)
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    assert "cache write failed" in err
+    assert list(cache_dir.iterdir()) == []
+    monkeypatch.undo()
+    code, again, _ = run(capsys, *args)
+    assert code == 0
+    assert again == out
 
 
 # ---------------------------------------------------------------- parser

@@ -191,6 +191,21 @@ def test_mock_omega_mod_ring_matches_reduction():
     assert mock_omega(200, integer_mod(3)) == mock_omega(200).reduce_mod(3)
 
 
+@pytest.mark.parametrize("prec", [1, 2, 3, 4, 17, 100, 3000])
+def test_mock_builders_match_hypergeometric_over_z(
+    prec, mock_f_oracle, mock_omega_oracle
+):
+    assert list(mock_f(prec).coeffs) == mock_f_oracle(prec)
+    assert list(mock_omega(prec).coeffs) == mock_omega_oracle(prec)
+
+
+@pytest.mark.parametrize("m", [2, 3, 9])
+def test_mock_builders_match_hypergeometric_mod_m(m, mock_f_oracle, mock_omega_oracle):
+    prec = 20000
+    assert list(mock_f(prec, integer_mod(m)).coeffs) == mock_f_oracle(prec, m)
+    assert list(mock_omega(prec, integer_mod(m)).coeffs) == mock_omega_oracle(prec, m)
+
+
 # ------------------------------------------------------------------ theta
 
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsift.qseries import (
     INTEGER,
@@ -18,6 +21,8 @@ from qsift.qseries import (
     RingMismatch,
     _conv_kronecker,
     _conv_schoolbook,
+    _div_sparse,
+    _divide_newton,
     integer_mod,
     monomial,
 )
@@ -147,6 +152,21 @@ def test_fast_path_dispatch_at_large_precision():
     assert list(fast) == slow
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_dispatched_product_matches_schoolbook(data):
+    # a modulus near 2^61 needs slots wider than a machine word
+    ring = data.draw(st.sampled_from(KERNEL_RINGS + (integer_mod(2**61 - 1),)))
+    a = data.draw(coefficients(ring, data.draw(st.integers(1, 300))))
+    b = data.draw(coefficients(ring, data.draw(st.integers(1, 300))))
+    n_out = min(len(a), len(b))
+    product = series(0, a, ring) * series(0, b, ring)
+    assert list(product.coeffs) == _conv_schoolbook(a, b, n_out, ring)
+    lo = data.draw(st.integers(0, n_out))
+    expected = _conv_schoolbook(a, b, n_out, ring)[lo:]
+    assert list(_conv_kronecker(a, b, n_out, ring, lo)) == expected
+
+
 # ------------------------------------------------------------------ invert
 
 
@@ -183,6 +203,104 @@ def test_invert_two_sided(ring):
         s = QSeries(Fraction(0), tuple(coeffs), ring)
         assert (s * s.invert()) == monomial(0, ring, s.prec)
         assert (s.invert() * s) == monomial(0, ring, s.prec)
+
+
+# Division kernels: the sparse recurrence and Newton iteration on the
+# dispatched product, against each other and against schoolbook.
+
+KERNEL_RINGS = (
+    INTEGER,
+    integer_mod(2),
+    integer_mod(3),
+    integer_mod(9),
+    integer_mod(355),
+)
+EDGE_PRECS = sorted({1, 2, 3} | {2**k + d for k in range(1, 8) for d in (-1, 1)})
+BIG = 2**80
+
+
+def coefficients(ring, n):
+    """n coefficients of ring, signed and up to 80 bits before reduction.
+    Hypothesis picks the density of zeros, the magnitude and a seed; the
+    values come from the seeded generator, which keeps long lists cheap."""
+
+    @st.composite
+    def build(draw):
+        p_zero = draw(st.sampled_from((0, 0.5, 0.95)))
+        bound = draw(st.sampled_from((1, 2**8, BIG)))
+        rng = random.Random(draw(st.integers(0, 2**64)))
+        return [
+            0 if rng.random() < p_zero else ring.normalize(rng.randint(-bound, bound))
+            for _ in range(n)
+        ]
+
+    return build()
+
+
+def unit(ring):
+    if ring.kind == "int":
+        return st.sampled_from((1, -1))
+    return st.integers(1, ring.modulus - 1).filter(lambda u: gcd(u, ring.modulus) == 1)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+@pytest.mark.parametrize("n", EDGE_PRECS)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_division_kernels_agree(ring, n, data):
+    num = data.draw(coefficients(ring, n))
+    den = data.draw(coefficients(ring, n))
+    den[0] = data.draw(unit(ring))
+    support = [(k, c) for k, c in enumerate(den) if c and k]
+    by_recurrence = _div_sparse(num, support, ring.inverse(den[0]), n, ring)
+    by_newton = _divide_newton(num, den, n, ring)
+    assert by_recurrence == by_newton
+    constant = [num[0]] + [0] * (n - 1)  # Newton's inverse-only path
+    assert _divide_newton(constant, den, n, ring) == _div_sparse(
+        constant, support, ring.inverse(den[0]), n, ring
+    )
+    assert _conv_schoolbook(den, by_recurrence, n, ring) == [
+        ring.normalize(v) for v in num
+    ]
+    quotient = series(0, num, ring) / series(Fraction(1, 24), den, ring)
+    assert quotient.offset == Fraction(-1, 24)
+    assert list(quotient.coeffs) == by_recurrence
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_times_inverse_is_one(data):
+    ring = data.draw(st.sampled_from(KERNEL_RINGS + (RATIONAL,)))
+    coeffs = data.draw(coefficients(ring, data.draw(st.integers(1, 40))))
+    coeffs[0] = data.draw(unit(ring)) if ring.kind != "rat" else Fraction(-3, 7)
+    s = series(Fraction(5, 24), coeffs, ring)
+    assert s * s.invert() == monomial(0, ring, s.prec)
+    assert s**-2 == s.invert() * s.invert()
+
+
+def test_division_by_series_in_q_power():
+    # the divisor lives in q^3, so each residue class divides separately
+    ring = integer_mod(3)
+    num = random_series(random.Random(8), ring, 5000)
+    eta = QSeries(Fraction(0), tuple(eta_coeffs(1667)), ring)
+    den = eta.substitute_power(3)
+    quotient = num / den
+    assert quotient * den == num
+    assert den.invert() == eta.invert().substitute_power(3)
+
+
+def test_division_ring_mismatch():
+    with pytest.raises(RingMismatch):
+        series(0, (1,)) / series(0, (1,), integer_mod(5))
+
+
+def eta_coeffs(prec):
+    coeffs = [0] * prec
+    for k in range(-prec, prec):
+        e = k * (3 * k + 1) // 2
+        if 0 <= e < prec:
+            coeffs[e] = -1 if k % 2 else 1
+    return coeffs
 
 
 # --------------------------------------------------------------------- pow
