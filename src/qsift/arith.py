@@ -23,6 +23,7 @@ __all__ = [
     "jacobi",
     "crt",
     "prime_factors",
+    "is_prime",
     "ExactScalar",
     "epsilon_d",
 ]
@@ -102,6 +103,11 @@ def prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    """True when n is a prime: n >= 2 and its own only prime factor."""
+    return n >= 2 and prime_factors(n) == {n: 1}
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:

@@ -25,6 +25,7 @@ from .generators import (
     UnknownSeries,
     build_series,
     catalog_entry,
+    series_ring,
 )
 from .qseries import INTEGER, RATIONAL, QSeries, integer_mod
 from .scanner import (
@@ -42,11 +43,15 @@ from .transform import (
     Progression,
     cusp_half_leading,
     cusp_one_leading,
+    good_residues,
     identity_suites,
-    is_good,
 )
 
 CACHE_ENV = "QSIFT_CACHE_DIR"
+
+# Part of every cache key: raise it whenever the entry layout or the way a
+# series is built changes, so entries written before are misses.
+_CACHE_VERSION = 2
 
 _GRAMMAR = re.compile(r"^\d+\^-?\d+(,\d+\^-?\d+)*$")
 
@@ -83,11 +88,18 @@ def _cache_path(cache_dir: str, key: dict) -> str:
     return os.path.join(cache_dir, f"qsift-{digest}.json")
 
 
-def _series_key(spec_text: str, limit: int, modulus: int | None) -> dict:
-    ring = "Q" if spec_text.startswith("theta_") else (
-        "Z" if modulus is None else f"Z/{modulus}"
-    )
-    return {"series": spec_text, "ring": ring, "limit": limit}
+def _series_key(
+    spec: EtaQuotientSpec | str, spec_text: str, limit: int, modulus: int | None
+) -> dict:
+    """The cache key of a build: the ring is the one ``build_series`` gives
+    the spec (ValueError where it refuses the modulus)."""
+    return {
+        "version": _CACHE_VERSION,
+        "series": spec_text,
+        "ring": str(series_ring(spec, modulus)),
+        "limit": limit,
+        "modulus": modulus,
+    }
 
 
 def _load_cached(cache_dir: str, key: dict) -> QSeries | None:
@@ -157,8 +169,7 @@ def _get_series(
     modulus: int | None,
     cache_dir: str | None,
 ) -> QSeries:
-    key = _series_key(spec_text, limit, modulus)
-    key["modulus"] = modulus
+    key = _series_key(spec, spec_text, limit, modulus)
     if cache_dir:
         cached = _load_cached(cache_dir, key)
         if cached is not None:
@@ -276,24 +287,18 @@ def _cmd_identities(args) -> int:
     return 5 if failed else 0
 
 
-def _good_ts_mod(Q: int, kind: str) -> list[int]:
-    if Q == 1:
-        return [0]
-    return [t for t in range(Q) if is_good(Progression(Q, t), kind)]
-
-
 def _cmd_cusp_check(args, parser) -> int:
     Q = args.Q
     if args.kind == "f":
         if Q < 1 or gcd(Q, 6) != 1:
             parser.error(f"--Q must be coprime to 6 for kind f (got {Q})")
-        ts = [args.t] if args.t is not None else _good_ts_mod(Q, "f")
+        ts = [args.t] if args.t is not None else good_residues(Q, "f")
         expected = ExactScalar(Fraction(1, Q) ** (12 * Q))
         leading = cusp_half_leading
     else:
         if Q < 1 or Q % 3 == 0:
             parser.error(f"--Q must be coprime to 3 for kind omega (got {Q})")
-        ts = [args.t] if args.t is not None else _good_ts_mod(Q, "omega")
+        ts = [args.t] if args.t is not None else good_residues(Q, "omega")
         sign = Fraction(1, 2) if Q % 2 else Fraction(0)
         expected = ExactScalar(Fraction(1, 2 * Q) ** (12 * Q), 1, sign)
         leading = cusp_one_leading

@@ -1,10 +1,17 @@
 """Generating functions: eta-quotients, the mock theta functions f and omega,
 the weight-3/2 theta series, and brute-force combinatorial oracles.
 
-Eta-quotients are built factor by factor from the sparse pentagonal structure
-of the eta factors: a dense prefix is multiplied by, or divided by, a
-polynomial with O(sqrt(P)) terms, so building P coefficients costs
-O(P^(3/2)) per factor instead of going through generic dense products.
+An eta-quotient prod eta(q^delta)^r is q^(B/24) times a product of powers of
+Euler products E_delta = prod(1 - q^(delta*n)), each with pentagonal-number
+support.  It is built from the shared series operations alone: the positive
+factors as ``E_delta ** r`` multiplied together, divided by the negative
+ones.  Over Z/m the negative factors are multiplied into one denominator and
+divided once, so ``/`` may pick Newton division; over Z and Q (where ``/``
+only runs the sparse recurrence) the quotient divides by each sparse
+E_delta in turn.  Over Z/ell with ell prime, f(q)^ell = f(q^ell) first turns
+a factor (delta, ell^s r') into (ell^s delta, r'), so fewer and sparser
+factors remain; over Z, Q, Z/ell^k (k >= 2) and composite moduli the
+factors are used as given.
 
 The mock theta functions come from Watson's Appell-Lerch forms: each is a
 numerator of sparse geometric fills, costing O(P log P), over one Euler
@@ -12,23 +19,26 @@ product, and the single series division picks its kernel by predicted cost
 (see ``QSeries.__truediv__``).
 
 Every generator accepts an optional coefficient ring; constructing directly
-in Z/m agrees with constructing over Z and reducing (all loops use only ring
-operations), which the test suite checks.
+in Z/m agrees with constructing over Z and reducing, which the test suite
+checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import mul
 
+from .arith import is_prime
 from .qseries import (
     INTEGER,
     RATIONAL,
     CoefficientRing,
     QSeries,
-    _div_sparse,
     integer_mod,
+    monomial,
 )
 
 __all__ = [
@@ -46,6 +56,7 @@ __all__ = [
     "catalog",
     "catalog_entry",
     "build_series",
+    "series_ring",
     "BUILTIN_NAMES",
 ]
 
@@ -126,23 +137,6 @@ def _pentagonal_pairs(limit: int, delta: int = 1) -> list[tuple[int, int]]:
     return pairs
 
 
-def _mul_pass(coeffs: list, pairs, ring: CoefficientRing) -> list:
-    """Multiply a dense prefix by a sparse polynomial (list of (exp, coef))."""
-    p = len(coeffs)
-    out = [0] * p
-    for e, s in pairs:
-        if e >= p:
-            break
-        for i in range(p - e):
-            c = coeffs[i]
-            if c:
-                out[i + e] += s * c
-    if ring.kind == "mod":
-        m = ring.modulus
-        out = [v % m for v in out]
-    return out
-
-
 def _euler_product(prec: int, delta: int, ring: CoefficientRing) -> QSeries:
     """prod(1 - q^(delta*n)) to ``prec`` slots: pentagonal-number support."""
     coeffs = [0] * prec
@@ -159,22 +153,57 @@ def eta_series(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
     return QSeries(Fraction(1, 24), euler.coeffs, ring)
 
 
+def _frobenius_factors(
+    spec: EtaQuotientSpec, ring: CoefficientRing
+) -> tuple[tuple[int, int], ...]:
+    """The (delta, r) factors to build ``spec`` from over ``ring``.
+
+    Over Z/ell with ell prime, f(q)^ell = f(q^ell) rewrites each factor
+    (delta, ell^s r') as (ell^s delta, r'), which leaves B unchanged; equal
+    deltas then merge and zero exponents drop, possibly leaving no factor at
+    all.  In every other ring the factors are returned as they are: the
+    identity fails mod ell^k for k >= 2 and mod composite numbers.
+    """
+    if ring.kind != "mod" or not is_prime(ring.modulus):
+        return spec.factors
+    ell = ring.modulus
+    merged: dict[int, int] = {}
+    for delta, r in spec.factors:
+        while r % ell == 0:
+            delta, r = delta * ell, r // ell
+        merged[delta] = merged.get(delta, 0) + r
+    return tuple(sorted((d, r) for d, r in merged.items() if r))
+
+
 def eta_quotient(
     spec: EtaQuotientSpec, prec: int, ring: CoefficientRing = INTEGER
 ) -> QSeries:
-    """The q-expansion of the eta-quotient: offset B/24, leading coefficient 1."""
+    """The q-expansion of prod eta(q^delta)^r: offset B/24, leading
+    coefficient 1.
+
+    The Euler products E_delta of the positive factors are raised to their
+    exponents and multiplied together.  Over Z/m the negative factors are
+    multiplied into one denominator and divided out once; over Z and Q the
+    quotient divides by each sparse E_delta in turn, because there ``/``
+    only runs the recurrence, whose cost grows with the divisor's support.
+    Over Z/ell, ell prime, the factors are first rewritten by
+    f(q)^ell = f(q^ell) (see ``_frobenius_factors``).
+    """
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    coeffs = [0] * prec
-    coeffs[0] = 1
-    for delta, r in spec.factors:
-        pairs = _pentagonal_pairs(prec, delta)
-        for _ in range(abs(r)):
-            if r > 0:
-                coeffs = _mul_pass(coeffs, pairs, ring)
-            else:
-                coeffs = _div_sparse(coeffs, pairs[1:], 1, prec, ring)
-    return QSeries(Fraction(spec.B, 24), tuple(coeffs), ring)
+    factors = _frobenius_factors(spec, ring)
+    euler = {delta: _euler_product(prec, delta, ring) for delta, _ in factors}
+    positive = [euler[d] ** r for d, r in factors if r > 0]
+    out = reduce(mul, positive) if positive else monomial(0, ring, prec)
+    if ring.kind == "mod":
+        negative = [euler[d] ** -r for d, r in factors if r < 0]
+        if negative:
+            out = out / reduce(mul, negative)
+    else:
+        for d, r in factors:
+            for _ in range(-r):
+                out = out / euler[d]
+    return QSeries(Fraction(spec.B, 24), out.coeffs, ring)
 
 
 def _add_every(coeffs: list, start: int, step: int, value: int) -> None:
@@ -338,7 +367,8 @@ def omega_partition_oracle(n: int, bound: int = DEFAULT_ORACLE_BOUND) -> int:
     return total
 
 
-BUILTIN_NAMES = ("mock_f", "mock_omega", "theta_g0", "theta_g1", "theta_g2")
+_THETA_TAGS = ("theta_g0", "theta_g1", "theta_g2")
+BUILTIN_NAMES = ("mock_f", "mock_omega", *_THETA_TAGS)
 
 _CATALOG = (
     SeriesCatalogEntry(
@@ -392,12 +422,26 @@ def catalog_entry(name: str) -> SeriesCatalogEntry:
     raise UnknownSeries(name)
 
 
+def series_ring(
+    spec: EtaQuotientSpec | str, modulus: int | None = None
+) -> CoefficientRing:
+    """The coefficient ring of ``build_series(spec, prec, modulus)``: Q for
+    the catalog's theta series, which admit no reduction (a modulus raises
+    ValueError), and Z or Z/modulus for everything else."""
+    entry = None if isinstance(spec, EtaQuotientSpec) else catalog_entry(spec)
+    if entry is not None and entry.spec in _THETA_TAGS:
+        if modulus is not None:
+            raise ValueError("theta series have rational coefficients; no reduction")
+        return RATIONAL
+    return INTEGER if modulus is None else integer_mod(modulus)
+
+
 def build_series(
     spec: EtaQuotientSpec | str, prec: int, modulus: int | None = None
 ) -> QSeries:
     """Build a catalog series or an explicit eta-quotient, optionally
     directly over Z/modulus."""
-    ring = INTEGER if modulus is None else integer_mod(modulus)
+    ring = series_ring(spec, modulus)
     if isinstance(spec, EtaQuotientSpec):
         return eta_quotient(spec, prec, ring)
     entry = catalog_entry(spec)
@@ -407,7 +451,4 @@ def build_series(
         return mock_f(prec, ring)
     if entry.spec == "mock_omega":
         return mock_omega(prec, ring)
-    index = int(entry.spec[-1])
-    if modulus is not None:
-        raise ValueError("theta series have rational coefficients; no reduction")
-    return theta_g(index, prec)
+    return theta_g(int(entry.spec[-1]), prec)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import ExactScalar, crt, dedekind_sum, jacobi, prime_factors
+from .arith import ExactScalar, crt, dedekind_sum, is_prime, jacobi, prime_factors
 
 __all__ = [
     "BadMatrix",
@@ -45,6 +45,7 @@ __all__ = [
     "level_constant_eta",
     "q_divisor",
     "is_good",
+    "good_residues",
     "refine_to_good",
     "decompose_upper",
     "t_image",
@@ -212,15 +213,13 @@ def is_good(p: Progression, kind: str) -> bool:
     )
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
+def good_residues(m: int, kind: str) -> list[int]:
+    """The residues t with t (mod m) good, ascending.  For m = 1 this is
+    [0]: the one progression is the whole function, which callers checking
+    every good residue (the cusp identities) check too."""
+    if m == 1:
+        return [0]
+    return [t for t in range(m) if is_good(Progression(m, t), kind)]
 
 
 def refine_to_good(p: Progression, kind: str) -> Progression:
@@ -237,7 +236,7 @@ def refine_to_good(p: Progression, kind: str) -> Progression:
     _kind_symbol_argument(p, kind)  # validates the kind
     q = 5
     while q < 1000:
-        if _is_prime(q) and p.m % q != 0:
+        if is_prime(q) and p.m % q != 0:
             for x in range(2, q):
                 if jacobi(x, q) != -1:
                     continue
@@ -653,10 +652,6 @@ DEFAULT_SEED = 1729
 _GOOD_CAPABLE_M = (5, 7, 10, 11, 13, 14, 35)
 
 
-def _good_ts(m: int, kind: str) -> list[int]:
-    return [t for t in range(m) if is_good(Progression(m, t), kind)]
-
-
 def _trial_dedekind_integrality(rng: random.Random) -> tuple[bool, str]:
     A = random_unimodular(rng, 1, 40)
     value = 12 * dedekind_sum(-A.d, A.c) + Fraction(A.a + A.d, A.c)
@@ -692,7 +687,7 @@ def _trial_corrupted_cancellation(rng: random.Random) -> tuple[bool, str]:
 
 def _trial_constancy_f(rng: random.Random) -> tuple[bool, str]:
     m = rng.choice(_GOOD_CAPABLE_M)
-    p = Progression(m, rng.choice(_good_ts(m, "f")))
+    p = Progression(m, rng.choice(good_residues(m, "f")))
     A = random_unimodular(rng, level_constant(m), 1, unit="prime6")
     values = constancy_check(A, p, "f")
     ok = len(values) == 1 and next(iter(values)) ** (24 * m) == ExactScalar.one()
@@ -700,7 +695,7 @@ def _trial_constancy_f(rng: random.Random) -> tuple[bool, str]:
 
 def _trial_constancy_omega(rng: random.Random) -> tuple[bool, str]:
     m = rng.choice(_GOOD_CAPABLE_M)
-    p = Progression(m, rng.choice(_good_ts(m, "omega")))
+    p = Progression(m, rng.choice(good_residues(m, "omega")))
     A = random_unimodular(rng, 2 * level_constant(m), 1, unit="prime3")
     values = constancy_check(A, p, "omega")
     ok = len(values) == 1 and next(iter(values)) ** (24 * m) == ExactScalar.one()
@@ -717,7 +712,7 @@ def _trial_orbit_coverage(rng: random.Random) -> tuple[bool, str]:
 def _trial_good_support(rng: random.Random) -> tuple[bool, str]:
     kind = rng.choice(("f", "omega"))
     m = rng.choice(_GOOD_CAPABLE_M)
-    p = Progression(m, rng.choice(_good_ts(m, kind)))
+    p = Progression(m, rng.choice(good_residues(m, kind)))
     return good_progression_support_vanishes(p, kind), f"kind={kind} p={p}"
 
 def _trial_eta_numeric(rng: random.Random) -> tuple[bool, str]:

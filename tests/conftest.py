@@ -2,9 +2,11 @@
 
 These deliberately avoid the package's construction paths: partition counts
 come from the bounded-part DP recurrence, product prefixes from naive dense
-polynomial multiplication, and the mock theta functions from their
-q-hypergeometric definitions, term by term, so they can serve as ground
-truth for the eta machinery and for the Appell-Lerch builders.
+polynomial multiplication, eta-quotients from one sparse pentagonal
+multiply or divide pass per unit of exponent (no rewrite, no series
+operations), and the mock theta functions from their q-hypergeometric
+definitions, term by term, so they can serve as ground truth for the eta
+machinery and for the Appell-Lerch builders.
 """
 
 from __future__ import annotations
@@ -46,6 +48,42 @@ def _divide_by_sparse(coeffs: list, tail, modulus: int | None) -> list:
     return out
 
 
+def _pentagonal_support(prec: int, delta: int) -> list[tuple[int, int]]:
+    """(exponent, sign) of prod(1 - q^(delta*n)) below ``prec``, from
+    Euler's pentagonal theorem, ascending; the constant term is included."""
+    terms = []
+    for k in range(-prec, prec + 1):
+        e = delta * k * (3 * k - 1) // 2
+        if e < prec:
+            terms.append((e, -1 if k % 2 else 1))
+    return sorted(terms)
+
+
+def _multiply_by_sparse(coeffs: list, terms, modulus: int | None) -> list:
+    """Multiply a dense prefix by sum(c * q^e for e, c in terms)."""
+    out = [0] * len(coeffs)
+    for e, c in terms:
+        for i in range(len(coeffs) - e):
+            out[i + e] += c * coeffs[i]
+    return out if modulus is None else [v % modulus for v in out]
+
+
+def _eta_quotient_passes(factors, prec: int, modulus: int | None = None) -> list[int]:
+    """Coefficients of prod prod(1 - q^(delta*n))^r over (delta, r) in
+    ``factors`` (the eta-quotient without its q^(B/24)), by one sparse pass
+    per unit of exponent: a multiply pass for r > 0, a divide pass for
+    r < 0."""
+    coeffs = [1] + [0] * (prec - 1)
+    for delta, r in factors:
+        terms = _pentagonal_support(prec, delta)
+        for _ in range(abs(r)):
+            if r > 0:
+                coeffs = _multiply_by_sparse(coeffs, terms, modulus)
+            else:
+                coeffs = _divide_by_sparse(coeffs, terms[1:], modulus)
+    return coeffs if modulus is None else [v % modulus for v in coeffs]
+
+
 def _mock_f_hypergeometric(prec: int, modulus: int | None = None) -> list[int]:
     """f(q) = 1 + sum_{n>=1} q^(n^2) / ((1+q)...(1+q^n))^2: the running
     product gains a factor (1+q^n)^(-2) per term."""
@@ -79,6 +117,11 @@ def _mock_omega_hypergeometric(prec: int, modulus: int | None = None) -> list[in
             acc[base + i] += v
         n += 1
     return acc if modulus is None else [v % modulus for v in acc]
+
+
+@pytest.fixture(scope="session")
+def eta_quotient_oracle():
+    return _eta_quotient_passes
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ from qsift.arith import (
     dedekind_sum,
     epsilon_d,
     jacobi,
+    is_prime,
     prime_factors,
 )
 
@@ -129,6 +130,17 @@ def test_crt_rejects_common_factor():
 def test_prime_factors():
     assert prime_factors(1) == {}
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
+
+
+def test_is_prime_by_sieve():
+    sieve = [False, False] + [True] * 1999
+    for p in range(2, 2001):
+        if sieve[p]:
+            for k in range(p * p, 2001, p):
+                sieve[k] = False
+    assert [n for n in range(-3, 2001) if is_prime(n)] == [
+        n for n in range(2001) if sieve[n]
+    ]
 
 
 # ----------------------------------------------------------- ExactScalar

@@ -4,10 +4,19 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qsift.cli import _series_from_payload, main, parse_series_spec
+from qsift.cli import (
+    _cache_path,
+    _series_from_payload,
+    _series_key,
+    main,
+    parse_series_spec,
+)
 from qsift.generators import EtaQuotientSpec, build_series
 from qsift.scanner import ScanReport, scan
 
@@ -374,6 +383,44 @@ def test_interrupted_cache_write_leaves_no_entry(tmp_path, capsys, monkeypatch):
     assert again == out
 
 
+def test_cache_entry_under_old_key_shape_is_a_miss(tmp_path, capsys):
+    # the key before it carried a version: same fields, no "version"
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    old_key = {"series": "partition", "ring": "Z", "limit": 6, "modulus": None}
+    wrong = {
+        "series": "partition",
+        "offset": "-1/24",
+        "ring": "Z",
+        "modulus": None,
+        "coefficients": [9, 9, 9, 9, 9, 9],
+        "key": old_key,
+    }
+    Path(_cache_path(str(cache_dir), old_key)).write_text(json.dumps(wrong))
+    args = ["--cache-dir", str(cache_dir), "expand", "partition", "--limit", "6"]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert json.loads(out)["coefficients"] == [1, 1, 2, 3, 5, 7]
+    # an old-shape key inside an entry at the current path is refused too
+    new_key = _series_key("partition", "partition", 6, None)
+    assert new_key != old_key and new_key["version"] >= 2
+    new_path = Path(_cache_path(str(cache_dir), new_key))
+    assert new_path.exists()
+    new_path.write_text(json.dumps(wrong))
+    code, again, _ = run(capsys, *args)
+    assert code == 0
+    assert again == out
+
+
+def test_cache_key_ring_comes_from_the_catalog_entry():
+    assert _series_key("theta_g1", "theta_g1", 5, None)["ring"] == "Q"
+    assert _series_key("mock_f", "mock_f", 5, 3)["ring"] == "Z/3"
+    spec = parse_series_spec("1^-1")
+    assert _series_key(spec, "1^-1", 5, None)["ring"] == "Z"
+    with pytest.raises(ValueError):
+        _series_key("theta_g0", "theta_g0", 5, 3)
+
+
 # ---------------------------------------------------------------- parser
 
 
@@ -388,3 +435,21 @@ def test_stdout_is_pure_json(capsys):
     code, out, _ = run(capsys, "info", "eta5inv", "--ell", "2", "--m", "5")
     assert code == 0
     json.loads(out)  # must parse cleanly
+
+
+def test_python_dash_m_matches_main(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.pop("QSIFT_CACHE_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsift", "expand", "partition", "--limit", "6"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    code, out, _ = run(capsys, "expand", "partition", "--limit", "6")
+    assert code == 0
+    assert proc.stdout == out

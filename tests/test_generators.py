@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsift.generators import (
     EtaQuotientSpec,
@@ -22,6 +24,7 @@ from qsift.generators import (
     rank_diff_oracle,
     theta_g,
 )
+from qsift.generators import _frobenius_factors
 from qsift.qseries import INTEGER, monomial, integer_mod
 
 
@@ -123,6 +126,85 @@ def test_eta_quotient_mod_ring_matches_reduction():
         direct = eta_quotient(spec, 40, integer_mod(m))
         reduced = eta_quotient(spec, 40).reduce_mod(m)
         assert direct == reduced
+
+
+# Z/ell with ell prime, where the Frobenius rewrite fires, and prime powers
+# and a composite, where it must not.
+PRIME_RINGS = tuple(integer_mod(m) for m in (2, 3, 5, 7))
+NON_PRIME_RINGS = tuple(integer_mod(m) for m in (4, 9, 25, 6))
+
+# 1-3 slots, and either side of the schoolbook/Kronecker product and the
+# sparse/Newton division crossovers (near 50 and 150-300 slots here).
+EDGE_PRECS = (1, 2, 3, 20, 60, 150, 300, 600)
+
+
+@st.composite
+def eta_specs(draw):
+    deltas = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True))
+    exponents = [draw(st.integers(-6, 6).filter(bool)) for _ in deltas]
+    return EtaQuotientSpec(tuple(zip(deltas, exponents)))
+
+
+@pytest.mark.parametrize("ring", PRIME_RINGS + NON_PRIME_RINGS, ids=str)
+@given(
+    spec=eta_specs(),
+    prec=st.one_of(st.sampled_from(EDGE_PRECS), st.integers(1, 600)),
+)
+@settings(max_examples=25, deadline=None)
+def test_eta_quotient_matches_pass_oracle_mod_m(ring, spec, prec, eta_quotient_oracle):
+    series = eta_quotient(spec, prec, ring)
+    assert series.offset == Fraction(spec.B, 24)
+    assert list(series.coeffs) == eta_quotient_oracle(spec.factors, prec, ring.modulus)
+
+
+@given(
+    spec=eta_specs(),
+    prec=st.one_of(st.sampled_from(EDGE_PRECS[:5]), st.integers(1, 500)),
+)
+@settings(max_examples=40, deadline=None)
+def test_eta_quotient_matches_pass_oracle_over_z(spec, prec, eta_quotient_oracle):
+    series = eta_quotient(spec, prec)
+    assert series.offset == Fraction(spec.B, 24)
+    assert list(series.coeffs) == eta_quotient_oracle(spec.factors, prec)
+
+
+def test_frobenius_rewrite_examples():
+    cphi2, core4 = catalog_entry("cphi2").spec, catalog_entry("core4").spec
+    assert _frobenius_factors(cphi2, integer_mod(5)) == ((1, -4), (4, -2), (10, 1))
+    assert _frobenius_factors(core4, integer_mod(2)) == ((1, -1), (16, 1))
+    # mod 2 the odd exponent 5 stays; 1^-4 and 4^-2 become (4, -1), (8, -1)
+    assert _frobenius_factors(cphi2, integer_mod(2)) == ((2, 5), (4, -1), (8, -1))
+
+
+@pytest.mark.parametrize("ring", (INTEGER,) + NON_PRIME_RINGS, ids=str)
+def test_frobenius_rewrite_needs_a_prime_modulus(ring):
+    for name in ("cphi2", "core4", "multipartition_3", "crank_diff"):
+        spec = catalog_entry(name).spec
+        assert _frobenius_factors(spec, ring) == spec.factors
+
+
+@pytest.mark.parametrize("ring", PRIME_RINGS, ids=str)
+def test_frobenius_rewrite_changes_nothing_mod_ell(ring, eta_quotient_oracle):
+    ell, prec = ring.modulus, 200
+    for factors in (((1, ell),), ((1, -2 * ell), (3, ell)), ((2, ell * ell), (5, -1))):
+        spec = EtaQuotientSpec(factors)
+        rewritten = _frobenius_factors(spec, ring)
+        assert rewritten != spec.factors
+        assert sum(d * r for d, r in rewritten) == spec.B
+        assert eta_quotient_oracle(rewritten, prec, ell) == eta_quotient_oracle(
+            factors, prec, ell
+        )
+
+
+def test_frobenius_rewrite_can_cancel_every_factor():
+    # eta(q)^7 / eta(q^7) = 1 mod 7, and eta(q)^2 / eta(q^2) = 1 mod 2
+    for factors, m in ((((1, 7), (7, -1)), 7), (((1, 2), (2, -1)), 2)):
+        spec = EtaQuotientSpec(factors)
+        assert _frobenius_factors(spec, integer_mod(m)) == ()
+        series = eta_quotient(spec, 50, integer_mod(m))
+        assert series.offset == 0
+        assert series == monomial(0, integer_mod(m), 50)
+        assert series == eta_quotient(spec, 50).reduce_mod(m)
 
 
 # ------------------------------------------------------------- mock theta

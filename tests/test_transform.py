@@ -29,6 +29,7 @@ from qsift.transform import (
     eta_numeric,
     eta_transform_defect,
     good_progression_support_vanishes,
+    good_residues,
     identity_suites,
     is_good,
     level_constant,
@@ -91,6 +92,13 @@ def test_is_good_examples():
 def test_good_set_mod5():
     assert good_ts(5, "f") == [1, 2]
     assert good_ts(5, "omega") == [0, 2]
+
+
+def test_good_residues():
+    assert good_residues(1, "f") == good_residues(1, "omega") == [0]
+    for m in range(2, 40):
+        for kind in ("f", "omega"):
+            assert good_residues(m, kind) == good_ts(m, kind)
 
 
 def test_refine_to_good_from_trivial():
