@@ -147,6 +147,10 @@ def _series_payload(series: QSeries, name: str, modulus: int | None) -> dict:
 
 
 def _series_from_payload(payload: dict) -> QSeries:
+    """The series of a payload written by ``_series_payload``.  Raises
+    ValueError unless every coefficient is what that writes: a fraction
+    string over Q, a JSON integer over Z (not a bool, a float or a string),
+    and over Z/m an integer in [0, m)."""
     ring_text = payload["ring"]
     if ring_text == "Z":
         ring = INTEGER
@@ -155,11 +159,20 @@ def _series_from_payload(payload: dict) -> QSeries:
     else:
         ring = integer_mod(int(ring_text.split("/")[1]))
     offset = Fraction(payload["offset"])
+    coeffs = payload["coefficients"]
+    if type(coeffs) is not list:
+        raise ValueError("coefficients are not a list")
     if ring.kind == "rat":
-        coeffs = tuple(Fraction(c) for c in payload["coefficients"])
-    else:
-        coeffs = tuple(int(c) for c in payload["coefficients"])
-    return QSeries(offset, coeffs, ring)
+        if not all(type(c) is str for c in coeffs):
+            raise ValueError("a coefficient over Q is not a fraction string")
+        coeffs = [Fraction(c) for c in coeffs]
+    elif ring.kind == "mod":
+        m = ring.modulus
+        if not all(type(c) is int and 0 <= c < m for c in coeffs):
+            raise ValueError(f"a coefficient is not an integer in [0, {m})")
+    elif not all(type(c) is int for c in coeffs):
+        raise ValueError("a coefficient is not an integer")
+    return QSeries(offset, tuple(coeffs), ring)
 
 
 def _get_series(

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, log2
 
 __all__ = [
     "QSeriesError",
@@ -119,9 +119,14 @@ def integer_mod(m: int) -> CoefficientRing:
 
 # ------------------------------------------------------------------ kernels
 #
-# The kernels work on plain coefficient sequences and read only the first
-# ``n_out`` entries of each operand: longer inputs are neither sliced nor
-# copied.  Results are reduced into the ring as they are produced.
+# Three product kernels: schoolbook (cheapest for sparse or short factors),
+# Kronecker substitution into one big-integer product, and over Z/m a
+# decimal packing into one libmpdec product, whose number-theoretic
+# transform wins on long dense factors.  ``_convolve`` runs the one with the
+# least predicted cost.  The kernels work on plain coefficient sequences
+# and read only the first ``n_out`` entries of each operand: longer inputs
+# are neither sliced nor copied.  Results are reduced into the ring as they
+# are produced.
 
 
 def _prefix_nonzeros(values, n: int) -> int:
@@ -145,6 +150,16 @@ def _kronecker_width(xs, ys, n_out: int, ring: CoefficientRing) -> int:
     return (n_min * max_x * max_y).bit_length() // 8 + 1
 
 
+def _decimal_digits(n_min: int, ring: CoefficientRing) -> int | None:
+    """Decimal digits of the a-priori slot bound n_min * (m-1)^2 over Z/m,
+    or None where the interpreter's int/str conversion limit refuses a
+    number that long (the decimal kernel writes residues as strings)."""
+    try:
+        return len(str(n_min * (ring.modulus - 1) ** 2))
+    except ValueError:
+        return None
+
+
 # Predicted costs, in units of one schoolbook multiply-add on small slots
 # (about 35 ns on CPython 3.11).  Only their ratios matter, and only near a
 # crossover.  Schoolbook costs n_out * nnz(sparser factor) * _slot_cost.
@@ -159,6 +174,18 @@ def _kronecker_cost(n_out: int, width: int) -> float:
     """A fixed ~500 for the calls, about three per slot to pack and unpack,
     and a Karatsuba product of two n_out * width-byte integers."""
     return 500 + 3 * n_out + 1.4e-3 * (8 * width * n_out) ** 1.585
+
+
+def _decimal_cost(n_out: int, digits: int) -> float:
+    """A fixed ~1000 for the calls and the context, about one per slot to
+    reduce it, and a libmpdec transform product of two n_out * digits digit
+    numbers, which with building and reading the digit strings costs about
+    0.23 per digit and doubling.  Fitted to timings of ``_conv_decimal`` at
+    128 to 131072 slots over Z/m for m from 2 to 2^61 - 1 (CPython 3.11.7,
+    libmpdec 2.5.1, x86-64); near the crossover with ``_kronecker_cost``
+    its wrong picks cost 0.5% of the two kernels' total time."""
+    d = n_out * digits
+    return 1000 + n_out + 0.23 * d * log2(d)
 
 
 _ITEMSIZES = (("B", 1), ("H", 2), ("I", 4), ("Q", 8))
@@ -254,6 +281,76 @@ def _conv_kronecker(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> l
     return out
 
 
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _decimal_slots(digits: bytes, w: int, lo: int, hi: int):
+    """Slots lo..hi-1 of the ASCII digits ``digits``, which hold slot k at
+    w*k..w*k+w-1.  Where a slot fits a machine item, Horner's rule runs on
+    whole numbers instead of parsing each slot: digit j of every slot is
+    spread into one number in base 256**width, and the w such numbers
+    combine as 10 * total + next."""
+    width = ((10**w - 1).bit_length() + 7) // 8
+    if _array_code(width) is None:
+        return [int(digits[i : i + w]) for i in range(w * lo, w * hi, w)]
+    count = hi - lo
+    total = 0
+    for j in range(w):
+        column = bytearray(width * count)
+        column[::width] = digits[w * lo + j : w * hi : w].translate(_DIGIT_VALUES)
+        total = 10 * total + int.from_bytes(column, "little")
+    return _unpack(total.to_bytes(width * count, "little"), width, 0, count)
+
+
+def _has_libmpdec() -> bool:
+    """Whether libmpdec's C module ``_decimal`` imports.  ``decimal`` falls
+    back silently to the pure-Python ``_pydecimal``, whose multiply is
+    quadratic, so only the C module may back the decimal kernel.  Imported
+    on first use, like ``array``, so the kernel adds nothing to ``import
+    qsift`` (where ``fractions`` loads ``decimal`` anyway)."""
+    try:
+        import _decimal  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
+def _conv_decimal(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> list:
+    """Slots lo..n_out-1 of the product over Z/m, exactly, via one libmpdec
+    multiplication (a number-theoretic transform at large sizes).
+
+    Each residue packs as a zero-padded group of w decimal digits, w the
+    digits of the slot bound, with slot 0 most significant; the product's
+    digit string then holds slot k at digits w*k..w*k+w-1.  The context
+    traps Inexact, so a product that would round raises instead.
+    """
+    from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact
+
+    m = ring.modulus
+    nx, ny = min(len(xs), n_out), min(len(ys), n_out)
+    if not nx or not ny:
+        return [0] * (n_out - lo)
+    w = _decimal_digits(min(nx, ny), ring)
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    if m <= nx + ny:  # a table of the m padded residues is the cheaper way
+        pad = [str(v).zfill(w) for v in range(m)].__getitem__
+    else:
+        pad = f"{{:0{w}d}}".format
+
+    def pack(values, count):
+        return ctx.create_decimal("".join(map(pad, islice(values, count))))
+
+    x = pack(xs, nx)
+    x = ctx.multiply(x, x if ys is xs else pack(ys, ny))  # a square packs once
+    digits = format(x, "f").encode().rjust(w * (nx + ny - 1), b"0")
+    del x  # each big temporary goes as soon as the next is built
+    hi = max(lo, min(n_out, nx + ny - 1))  # slots from nx + ny - 1 on are 0
+    out = [v % m for v in _decimal_slots(digits, w, lo, hi)]
+    del digits
+    out.extend([0] * (n_out - hi))
+    return out
+
+
 def _conv_schoolbook(xs, ys, n_out: int, ring: CoefficientRing) -> list:
     """Schoolbook convolution; iterates the factor with fewer nonzero slots,
     so sparse factors cost O(prec * nnz)."""
@@ -277,13 +374,28 @@ def _conv_schoolbook(xs, ys, n_out: int, ring: CoefficientRing) -> list:
     return out
 
 
+def _transform_product(n_out: int, n_min: int, width: int, ring: CoefficientRing):
+    """(predicted cost, kernel) of the cheaper exact transform product:
+    Kronecker, or over Z/m the decimal kernel where libmpdec is present.
+    ``n_min`` is the shorter operand prefix, which bounds the slots."""
+    cost = _kronecker_cost(n_out, width)
+    digits = _decimal_digits(n_min, ring) if ring.kind == "mod" else None
+    if digits is not None:
+        decimal_cost = _decimal_cost(n_out, digits)
+        if decimal_cost < cost and _has_libmpdec():
+            return decimal_cost, _conv_decimal
+    return cost, _conv_kronecker
+
+
 def _convolve(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> list:
     """Slots lo..n_out-1 of the product, by the kernel predicted cheaper."""
     if ring.kind != "rat":
         nnz = min(_prefix_nonzeros(xs, n_out), _prefix_nonzeros(ys, n_out))
         width = _kronecker_width(xs, ys, n_out, ring)
-        if n_out * nnz * _slot_cost(width) > _kronecker_cost(n_out, width):
-            return _conv_kronecker(xs, ys, n_out, ring, lo)
+        n_min = min(len(xs), len(ys), n_out)
+        cost, kernel = _transform_product(n_out, n_min, width, ring)
+        if n_out * nnz * _slot_cost(width) > cost:
+            return kernel(xs, ys, n_out, ring, lo)
     out = _conv_schoolbook(xs, ys, n_out, ring)
     return out[lo:] if lo else out
 
@@ -367,8 +479,9 @@ def _divide(num, den, n_out: int, ring: CoefficientRing) -> list:
     A divisor in q^d (d > 1) is divided into each residue class of num
     separately, at 1/d of the precision.  Otherwise the sparse recurrence
     costs about two multiply-adds per slot and divisor term, and Newton
-    division about one and a half Kronecker products plus ~1500 per
-    doubling step.  Newton runs only over Z/m: over Z and Q the
+    division about one and a half products by the cheaper transform kernel
+    (Kronecker or the decimal kernel on libmpdec) plus ~1500 per doubling
+    step.  Newton runs only over Z/m: over Z and Q the
     coefficients grow, and the recurrence never forms the (larger) inverse.
     """
     inv0 = ring.inverse(den[0])
@@ -385,7 +498,8 @@ def _divide(num, den, n_out: int, ring: CoefficientRing) -> list:
     if ring.kind == "mod":
         width = _kronecker_width(den, den, n_out, ring)
         recurrence = 2 * n_out * len(support) * _slot_cost(width)
-        newton = 1.5 * _kronecker_cost(n_out, width) + 1500 * n_out.bit_length()
+        product, _ = _transform_product(n_out, n_out, width, ring)
+        newton = 1.5 * product + 1500 * n_out.bit_length()
         if recurrence > newton:
             return _divide_newton(num, den, n_out, ring)
     return _div_sparse(num, support, inv0, n_out, ring)
@@ -405,9 +519,17 @@ class QSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "offset", Fraction(self.offset))
-        object.__setattr__(
-            self, "coeffs", tuple(self.ring.normalize(c) for c in self.coeffs)
-        )
+        # ring.normalize, one comprehension per ring kind instead of one
+        # method call per slot
+        coeffs = self.coeffs
+        if self.ring.kind == "mod":
+            m = self.ring.modulus
+            coeffs = [int(c) % m for c in coeffs]
+        elif self.ring.kind == "rat":
+            coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        else:
+            coeffs = [int(c) for c in coeffs]
+        object.__setattr__(self, "coeffs", tuple(coeffs))
         if len(self.coeffs) < 1:
             raise ValueError("a series needs at least one coefficient slot")
 
@@ -450,8 +572,9 @@ class QSeries:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        """Product to the smaller precision, by schoolbook or Kronecker
-        substitution, whichever is predicted cheaper."""
+        """Product to the smaller precision, by schoolbook, Kronecker
+        substitution or, over Z/m, one libmpdec product of decimal-packed
+        residues, whichever is predicted cheapest."""
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_ring(other)

@@ -412,6 +412,41 @@ def test_cache_entry_under_old_key_shape_is_a_miss(tmp_path, capsys):
     assert again == out
 
 
+def test_cache_entry_with_coerced_coefficients_is_rebuilt(tmp_path, capsys):
+    # int() would serve [1.9, 8, "3", true, 5] as the wrong [1, 1, 3, 1, 5]
+    cache_dir = tmp_path / "cache"
+    args = ["--cache-dir", str(cache_dir), "expand", "partition", "--limit", "5",
+            "--mod", "7"]
+    code, whole, _ = run(capsys, *args)
+    assert code == 0
+    assert json.loads(whole)["coefficients"] == [1, 1, 2, 3, 5]
+    (entry,) = cache_dir.iterdir()
+    payload = json.loads(entry.read_text())
+    payload["coefficients"] = [1.9, 8, "3", True, 5]
+    entry.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == whole
+    assert json.loads(entry.read_text())["coefficients"] == [1, 1, 2, 3, 5]
+
+
+@pytest.mark.parametrize(
+    "ring, coefficients",
+    [
+        ("Z/7", [1, 1, 2, 3, 7]),  # out of [0, m)
+        ("Z/7", [1, 1, 2, 3, -2]),
+        ("Z/7", [1, 1, 2.0, 3, 5]),
+        ("Z", [1, 1, 2, 3, False]),
+        ("Z", "11235"),
+        ("Q", [1, "1", "2", "3", "5"]),
+    ],
+)
+def test_payload_rejects_what_the_writer_never_stores(ring, coefficients):
+    payload = {"offset": "0", "ring": ring, "coefficients": coefficients}
+    with pytest.raises(ValueError):
+        _series_from_payload(payload)
+
+
 def test_cache_key_ring_comes_from_the_catalog_entry():
     assert _series_key("theta_g1", "theta_g1", 5, None)["ring"] == "Q"
     assert _series_key("mock_f", "mock_f", 5, 3)["ring"] == "Z/3"

@@ -288,6 +288,32 @@ def test_mock_builders_match_hypergeometric_mod_m(m, mock_f_oracle, mock_omega_o
     assert list(mock_omega(prec, integer_mod(m)).coeffs) == mock_omega_oracle(prec, m)
 
 
+def test_mock_builders_over_z9_reduce_to_z3(monkeypatch):
+    # at P = 10^5 the Newton division's long products run on the decimal kernel
+    import qsift.qseries
+
+    prec = 100000
+    kernel = qsift.qseries._conv_decimal
+    seen = set()
+
+    def spy(xs, ys, n_out, ring, lo=0):
+        if n_out >= prec // 2:
+            seen.add(ring.modulus)
+        return kernel(xs, ys, n_out, ring, lo)
+
+    monkeypatch.setattr(qsift.qseries, "_conv_decimal", spy)
+    for build in (mock_f, mock_omega):
+        seen.clear()
+        assert build(prec, integer_mod(9)).reduce_mod(3) == build(prec, integer_mod(3))
+        assert seen == {3, 9}
+
+
+def test_mock_builders_over_z_reduce_to_z3():
+    prec = 4000
+    for build in (mock_f, mock_omega):
+        assert build(prec).reduce_mod(3) == build(prec, integer_mod(3))
+
+
 # ------------------------------------------------------------------ theta
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -19,10 +20,14 @@ from qsift.qseries import (
     OffsetMismatch,
     QSeries,
     RingMismatch,
+    _conv_decimal,
     _conv_kronecker,
     _conv_schoolbook,
+    _decimal_digits,
     _div_sparse,
     _divide_newton,
+    _kronecker_width,
+    _transform_product,
     integer_mod,
     monomial,
 )
@@ -64,6 +69,14 @@ def test_monomial_rejects_empty():
 def test_mod_ring_normalizes():
     s = series(0, (5, -1, 3), integer_mod(3))
     assert s.coeffs == (2, 2, 0)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_constructor_normalizes_like_the_ring(ring):
+    raw = (5, -1, True, 7.9, Fraction(7, 2), 2**70 + 1)
+    s = QSeries(Fraction(0), raw, ring)
+    assert s.coeffs == tuple(ring.normalize(c) for c in raw)
+    assert all(type(c) is (Fraction if ring.kind == "rat" else int) for c in s.coeffs)
 
 
 # --------------------------------------------------------------------- add
@@ -292,6 +305,106 @@ def test_division_by_series_in_q_power():
 def test_division_ring_mismatch():
     with pytest.raises(RingMismatch):
         series(0, (1,)) / series(0, (1,), integer_mod(5))
+
+
+# The decimal kernel (libmpdec) against schoolbook and Kronecker.
+
+DECIMAL_MODULI = (2, 3, 9, 355, 2**61 - 1)
+
+
+def residues(m, n, rng, fill):
+    """n residues mod m: all m - 1 (every slot then meets the a-priori
+    bound), all 0, or seeded random."""
+    if fill == "top":
+        return [m - 1] * n
+    if fill == "zero":
+        return [0] * n
+    return [rng.randrange(m) for _ in range(n)]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_decimal_kernel_agrees(data):
+    m = data.draw(st.sampled_from(DECIMAL_MODULI))
+    ring = integer_mod(m)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    fills = st.sampled_from(("top", "random", "zero"))
+    xs = residues(m, data.draw(st.integers(1, 200)), rng, data.draw(fills))
+    if data.draw(st.booleans()):
+        ys = xs  # a square packs once
+    else:
+        ys = residues(m, data.draw(st.integers(1, 200)), rng, data.draw(fills))
+    n_out = data.draw(st.integers(1, len(xs) + len(ys) + 5))
+    lo = data.draw(st.integers(0, n_out))
+    expected = _conv_schoolbook(xs, ys, n_out, ring)[lo:]
+    assert _conv_decimal(xs, ys, n_out, ring, lo) == expected
+    assert _conv_kronecker(xs, ys, n_out, ring, lo) == expected
+
+
+@pytest.mark.parametrize("m", DECIMAL_MODULI)
+@pytest.mark.parametrize(
+    "nx, ny, n_out, lo, square",
+    [
+        (1, 1, 1, 0, False),
+        (100, 100, 199, 0, True),  # the middle slot is the bound itself
+        (100, 100, 250, 0, False),  # n_out > nx + ny
+        (37, 80, 100, 13, False),
+        (80, 37, 60, 59, False),
+        (64, 64, 127, 126, True),
+        (30, 30, 30, 30, False),  # an empty window
+    ],
+)
+def test_decimal_kernel_at_the_slot_bound(m, nx, ny, n_out, lo, square):
+    ring = integer_mod(m)
+    xs = [m - 1] * nx
+    ys = xs if square else [m - 1] * ny
+    expected = _conv_schoolbook(xs, ys, n_out, ring)[lo:]
+    assert _conv_decimal(xs, ys, n_out, ring, lo) == expected
+    assert _conv_kronecker(xs, ys, n_out, ring, lo) == expected
+    zeros = [0] * nx
+    assert _conv_decimal(zeros, ys, n_out, ring, lo) == [0] * (n_out - lo)
+
+
+def test_decimal_kernel_past_the_crossover():
+    ring = integer_mod(3)
+    rng = random.Random(2024)
+    n = 20000
+    xs = [rng.randrange(3) for _ in range(n)]
+    ys = [rng.randrange(3) for _ in range(n + 500)]  # read as a prefix
+    width = _kronecker_width(xs, ys, n, ring)
+    assert _transform_product(n, n, width, ring)[1] is _conv_decimal
+    assert _conv_decimal(xs, ys, n, ring) == list(_conv_kronecker(xs, ys, n, ring))
+    product = series(0, xs, ring) * series(0, ys, ring)
+    assert list(product.coeffs) == _conv_kronecker(xs, ys, n, ring)
+
+
+def test_products_without_libmpdec_match_schoolbook(monkeypatch):
+    # decimal would fall back to the quadratic _pydecimal: use Kronecker
+    ring = integer_mod(2**61 - 1)
+    rng = random.Random(61)
+    n = 1500
+    a = [rng.randrange(ring.modulus) for _ in range(n)]
+    b = [rng.randrange(ring.modulus) for _ in range(n)]
+    width = _kronecker_width(a, b, n, ring)
+    assert _transform_product(n, n, width, ring)[1] is _conv_decimal
+    monkeypatch.setitem(sys.modules, "_decimal", None)  # import now fails
+    assert _transform_product(n, n, width, ring)[1] is _conv_kronecker
+    product = series(0, a, ring) * series(0, b, ring)
+    assert list(product.coeffs) == _conv_schoolbook(a, b, n, ring)
+
+
+def test_no_decimal_kernel_past_the_int_str_limit():
+    # slots too long for str() cannot be packed as decimal digit groups
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts ints of any length")
+    m = 10 ** (limit // 2) + 1  # (m-1)^2 has one digit more than the limit
+    ring = integer_mod(m)
+    assert _decimal_digits(1, ring) is None
+    width = _kronecker_width([1], [1], 1, ring)
+    assert _transform_product(10**6, 1, width, ring)[1] is _conv_kronecker
+    a = series(0, [m - 1, 2, 3], ring)
+    assert list((a * a).coeffs) == _conv_schoolbook(a.coeffs, a.coeffs, 3, ring)
 
 
 def eta_coeffs(prec):
