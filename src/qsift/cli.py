@@ -31,12 +31,10 @@ from .qseries import INTEGER, RATIONAL, QSeries, integer_mod
 from .scanner import (
     Applicability,
     InsufficientPrecision,
-    ScanReport,
-    ScanVerdict,
     scan,
+    scan_progression,
     sturm_bound,
     theorem_applies,
-    witness,
 )
 from .transform import (
     DEFAULT_SEED,
@@ -107,11 +105,13 @@ def _load_cached(cache_dir: str, key: dict) -> QSeries | None:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("key") != key:
+        if type(payload) is not dict or payload.get("key") != key:
+            return None
+        if payload.get("ring") != key["ring"]:  # e.g. Z/5 residues for Z/7
             return None
         return _series_from_payload(payload)
-    except (OSError, ValueError, KeyError):
-        return None
+    except (OSError, ValueError, KeyError, ZeroDivisionError, RecursionError):
+        return None  # e.g. an offset "1/0", or JSON nested too deep to read
 
 
 def _store_cached(cache_dir: str, key: dict, series: QSeries) -> None:
@@ -148,17 +148,20 @@ def _series_payload(series: QSeries, name: str, modulus: int | None) -> dict:
 
 def _series_from_payload(payload: dict) -> QSeries:
     """The series of a payload written by ``_series_payload``.  Raises
-    ValueError unless every coefficient is what that writes: a fraction
-    string over Q, a JSON integer over Z (not a bool, a float or a string),
-    and over Z/m an integer in [0, m)."""
-    ring_text = payload["ring"]
-    if ring_text == "Z":
-        ring = INTEGER
-    elif ring_text == "Q":
-        ring = RATIONAL
+    ValueError unless the ring and the offset are strings as that writes
+    them and every coefficient is what it writes: a fraction string over Q,
+    a JSON integer over Z (not a bool, a float or a string), and over Z/m an
+    integer in [0, m)."""
+    ring_text, offset = payload["ring"], payload["offset"]
+    if type(ring_text) is not str or type(offset) is not str:
+        raise ValueError("the ring or the offset is not a string")
+    if ring_text in ("Z", "Q"):
+        ring = INTEGER if ring_text == "Z" else RATIONAL
+    elif ring_text.startswith("Z/"):
+        ring = integer_mod(int(ring_text[2:]))
     else:
-        ring = integer_mod(int(ring_text.split("/")[1]))
-    offset = Fraction(payload["offset"])
+        raise ValueError(f"unknown ring {ring_text!r}")
+    offset = Fraction(offset)
     coeffs = payload["coefficients"]
     if type(coeffs) is not list:
         raise ValueError("coefficients are not a list")
@@ -196,15 +199,7 @@ def _get_series(
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_expand(args) -> int:
-    try:
-        spec = parse_series_spec(args.spec)
-    except GrammarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownSeries:
-        print(f"error: unknown series {args.spec!r}", file=sys.stderr)
-        return 3
+def _cmd_expand(args, spec) -> int:
     try:
         series = _get_series(spec, args.spec, args.limit, args.mod, args.cache_dir)
     except ValueError as exc:
@@ -219,15 +214,7 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _cmd_scan(args) -> int:
-    try:
-        spec = parse_series_spec(args.spec)
-    except GrammarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownSeries:
-        print(f"error: unknown series {args.spec!r}", file=sys.stderr)
-        return 3
+def _cmd_scan(args, spec) -> int:
     single = None
     if args.progression:
         try:
@@ -259,7 +246,7 @@ def _cmd_scan(args) -> int:
         return 2
     try:
         if single:
-            report = _scan_one(series, args.mod, single, args.spec)
+            report = scan_progression(series, args.mod, single, args.spec)
         else:
             report = scan(series, args.mod, m_max, series_name=args.spec)
     except InsufficientPrecision as exc:
@@ -269,19 +256,6 @@ def _cmd_scan(args) -> int:
     if args.format == "json":
         print()
     return 0
-
-
-def _scan_one(series: QSeries, ell: int, prog: Progression, name: str) -> ScanReport:
-    """The report ``scan`` would give for progression ``prog`` alone: a
-    witness search to the edge of the series precision."""
-    n_max = (series.prec - 1 - prog.t) // prog.m
-    n = witness(series, ell, prog, n_max)
-    if n is None:
-        verdict = ScanVerdict(prog.m, prog.t, "candidate", checked=n_max)
-    else:
-        value = series.coeffs[prog.m * n + prog.t] % ell
-        verdict = ScanVerdict(prog.m, prog.t, "witness", n=n, value=value)
-    return ScanReport(name, ell, prog.m, series.prec, (verdict,))
 
 
 def _cmd_identities(args) -> int:
@@ -326,15 +300,7 @@ def _cmd_cusp_check(args, parser) -> int:
     return 6 if bad else 0
 
 
-def _cmd_info(args) -> int:
-    try:
-        spec = parse_series_spec(args.spec)
-    except GrammarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownSeries:
-        print(f"error: unknown series {args.spec!r}", file=sys.stderr)
-        return 3
+def _cmd_info(args, spec) -> int:
     if isinstance(spec, str):
         entry = catalog_entry(spec)
         if not isinstance(entry.spec, EtaQuotientSpec):
@@ -427,18 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "expand":
-        return _cmd_expand(args)
-    if args.command == "scan":
-        return _cmd_scan(args)
     if args.command == "identities":
         return _cmd_identities(args)
     if args.command == "cusp-check":
         return _cmd_cusp_check(args, parser)
-    if args.command == "info":
-        return _cmd_info(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    try:  # every other command takes a series spec
+        spec = parse_series_spec(args.spec)
+    except GrammarError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnknownSeries:
+        print(f"error: unknown series {args.spec!r}", file=sys.stderr)
+        return 3
+    command = {"expand": _cmd_expand, "scan": _cmd_scan, "info": _cmd_info}
+    return command[args.command](args, spec)
 
 
 if __name__ == "__main__":

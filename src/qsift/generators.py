@@ -118,30 +118,31 @@ class SeriesCatalogEntry:
     description: str
 
 
-def _pentagonal_pairs(limit: int, delta: int = 1) -> list[tuple[int, int]]:
-    """Sparse coefficients of prod(1 - q^(delta*n)): pairs (exponent, sign)
-    with exponent = delta*k(3k+1)/2 < limit, k over Z, sorted by exponent."""
-    pairs = [(0, 1)]
-    k = 1
+def _terms_over_z(exponent, limit: int) -> list[tuple[int, int]]:
+    """The (exponent(k), k) pairs with exponent(k) < limit, k over Z: the
+    terms of a sparse sum over k in Z whose exponent, a quadratic in k,
+    grows with |k| (k = 0, +-1, +-2, ... until both k and -k reach the
+    limit)."""
+    terms = []
+    k = 0
     while True:
         hit = False
-        for kk in (k, -k):
-            e = delta * kk * (3 * kk + 1) // 2
+        for kk in {k, -k}:
+            e = exponent(kk)
             if e < limit:
-                pairs.append((e, 1 if k % 2 == 0 else -1))
+                terms.append((e, kk))
                 hit = True
         if not hit:
-            break
+            return terms
         k += 1
-    pairs.sort()
-    return pairs
 
 
 def _euler_product(prec: int, delta: int, ring: CoefficientRing) -> QSeries:
-    """prod(1 - q^(delta*n)) to ``prec`` slots: pentagonal-number support."""
+    """prod(1 - q^(delta*n)) = sum (-1)^k q^(delta k(3k+1)/2) over k in Z,
+    to ``prec`` slots: pentagonal-number support."""
     coeffs = [0] * prec
-    for e, s in _pentagonal_pairs(prec, delta):
-        coeffs[e] = s
+    for e, k in _terms_over_z(lambda k: delta * k * (3 * k + 1) // 2, prec):
+        coeffs[e] = -1 if k % 2 else 1
     return QSeries(Fraction(0), coeffs, ring)
 
 
@@ -281,24 +282,13 @@ def theta_g(index: int, prec: int) -> QSeries:
     if prec < 1:
         raise ValueError("prec must be >= 1")
     coeffs = [Fraction(0)] * prec
-    n = 0
-    while True:
-        # the smaller of the two slots contributed by +-n
-        low = n * (3 * n - 1) // 2 if index == 1 else 3 * n * n - 2 * n
-        if n > 0 and low >= prec:
-            break
-        for nn in {n, -n}:
-            if index == 1:
-                slot = nn * (3 * nn + 1) // 2
-                coef = -Fraction(6 * nn + 1, 6)
-            else:
-                slot = 3 * nn * nn + 2 * nn
-                coef = Fraction(3 * nn + 1, 3)
-                if index == 0 and nn % 2:
-                    coef = -coef
-            if 0 <= slot < prec:
-                coeffs[slot] += coef
-        n += 1
+    if index == 1:
+        for slot, n in _terms_over_z(lambda n: n * (3 * n + 1) // 2, prec):
+            coeffs[slot] += -Fraction(6 * n + 1, 6)
+    else:
+        for slot, n in _terms_over_z(lambda n: 3 * n * n + 2 * n, prec):
+            coef = Fraction(3 * n + 1, 3)
+            coeffs[slot] += -coef if index == 0 and n % 2 else coef
     offset = Fraction(1, 24) if index == 1 else Fraction(1, 3)
     return QSeries(offset, tuple(coeffs), RATIONAL)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, log2
 
 __all__ = [
@@ -426,49 +426,32 @@ def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
     return out
 
 
-def _inverse_newton(den, n_out: int, ring: CoefficientRing) -> list:
-    """Slots 0..n_out-1 of 1/den by Newton iteration.
+def _divide_newton(num, den, n_out: int, ring: CoefficientRing) -> list:
+    """Slots 0..n_out-1 of num / den, or of 1 / den where num is None, by
+    Newton iteration.
 
-    With g = 1/den to k slots, den * g = 1 + q^k e, and g - q^k g e is 1/den
-    to k2 <= 2k slots; each step computes only e and the k2 - k new slots.
-    The precisions are n_out halved (rounding up) back to 1, so no step
+    The routine first calls itself for g = 1/den to h = ceil(n_out/2)
+    slots, and y = num * g to h slots (y = g for 1 / den).  One step then
+    folds num in (Karp-Markstein): num / den = y + q^h g (num - den y) / q^h,
+    which for 1 / den, with den * g = 1 + q^h e, is g - q^h g e.  Each step
+    computes only slots h..n_out-1 of den * y and the n_out - h new slots,
+    and the precisions are n_out halved (rounding up) down to 1, so no step
     computes slots past what the next one needs.
     """
-    m = ring.modulus
-    precs = []
-    while n_out > 1:
-        precs.append(n_out)
-        n_out = (n_out + 1) // 2
-    g = [ring.inverse(den[0])]
-    k = 1
-    for k2 in reversed(precs):
-        e = _convolve(den, g, k2, ring, lo=k)
-        new = _convolve(g, e, k2 - k, ring)
-        del e
-        if m:
-            g.extend(-v % m for v in new)
-        else:
-            g.extend(-v for v in new)
-        k = k2
-    return g
-
-
-def _divide_newton(num, den, n_out: int, ring: CoefficientRing) -> list:
-    """Slots 0..n_out-1 of num / den: invert den to h = ceil(n/2) slots,
-    take y = num * g to h slots, and finish with one Newton step that folds
-    num in (Karp-Markstein): y + q^h g (num - den y) / q^h.  A constant
-    num is just a multiple of the inverse."""
-    m = ring.modulus
-    if not any(islice(num, 1, n_out)):
-        g = _inverse_newton(den, n_out, ring)
-        c = num[0]
-        return g if c == 1 else [ring.normalize(c * v) for v in g]
+    if n_out == 1:
+        g = ring.inverse(den[0])
+        return [g if num is None else ring.normalize(num[0] * g)]
     h = (n_out + 1) // 2
-    g = _inverse_newton(den, h, ring)
-    y = _convolve(num, g, h, ring)
-    rest = _convolve(den, y, n_out, ring, lo=h)
-    for i, a in enumerate(islice(num, h, n_out)):  # in place: num - den y
-        rest[i] = (a - rest[i]) % m if m else a - rest[i]
+    g = _divide_newton(None, den, h, ring)
+    y = g if num is None else _convolve(num, g, h, ring)
+    high = _convolve(den, y, n_out, ring, lo=h)  # slots h.. of den * y
+    top = repeat(0) if num is None else islice(num, h, n_out)
+    m = ring.modulus
+    if m:
+        rest = [(a - b) % m for a, b in zip(top, high)]
+    else:
+        rest = [a - b for a, b in zip(top, high)]
+    del high
     y.extend(_convolve(g, rest, n_out - h, ring))
     return y
 
@@ -479,9 +462,10 @@ def _divide(num, den, n_out: int, ring: CoefficientRing) -> list:
     A divisor in q^d (d > 1) is divided into each residue class of num
     separately, at 1/d of the precision.  Otherwise the sparse recurrence
     costs about two multiply-adds per slot and divisor term, and Newton
-    division about one and a half products by the cheaper transform kernel
-    (Kronecker or the decimal kernel on libmpdec) plus ~1500 per doubling
-    step.  Newton runs only over Z/m: over Z and Q the
+    division (``_divide_newton``, one recursive routine for quotients and
+    inverses alike) about one and a half products by the cheaper transform
+    kernel (Kronecker or the decimal kernel on libmpdec) plus ~1500 per
+    halving step.  Newton runs only over Z/m: over Z and Q the
     coefficients grow, and the recurrence never forms the (larger) inverse.
     """
     inv0 = ring.inverse(den[0])
@@ -587,7 +571,8 @@ class QSeries:
 
         Requires a unit constant slot in the divisor.  Runs the sparse
         recurrence (cost prec * nnz of the divisor) or, over Z/m, Newton
-        inversion and one product, whichever is predicted cheaper.
+        division with a Karp-Markstein last step, whichever is predicted
+        cheaper.
         """
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -598,7 +583,8 @@ class QSeries:
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse up to precision, ``1 / self``; the offset
-        negates.  Requires a unit constant slot."""
+        negates.  Requires a unit constant slot.  The same division as
+        ``/``, with the constant numerator 1."""
         return monomial(0, self.ring, self.prec) / self
 
     def __pow__(self, e: int) -> "QSeries":

@@ -26,6 +26,7 @@ __all__ = [
     "ScanReport",
     "Applicability",
     "scan",
+    "scan_progression",
     "witness",
     "theorem_applies",
     "sturm_bound",
@@ -119,6 +120,17 @@ def _as_mod(series: QSeries, ell: int) -> QSeries:
     return series.reduce_mod(ell)
 
 
+def _verdict(coeffs, m: int, t: int, n_max: int) -> ScanVerdict:
+    """The verdict on slots m*n + t of ``coeffs`` (residues mod ell) for
+    n <= n_max: a witness at the first nonzero one, where the search stops,
+    or a candidate that checked all of them."""
+    for n in range(n_max + 1):
+        value = coeffs[m * n + t]
+        if value:
+            return ScanVerdict(m, t, "witness", n=n, value=value)
+    return ScanVerdict(m, t, "candidate", checked=n_max)
+
+
 def witness(series: QSeries, ell: int, prog: Progression, n_max: int) -> int | None:
     """Smallest n <= n_max with slot m*n + t nonzero mod ell, or None.
 
@@ -129,41 +141,42 @@ def witness(series: QSeries, ell: int, prog: Progression, n_max: int) -> int | N
         raise InsufficientPrecision(
             f"need {m * n_max + t + 1} coefficients, have {series.prec}"
         )
-    reduced = _as_mod(series, ell)
-    coeffs = reduced.coeffs
-    for n in range(n_max + 1):
-        if coeffs[m * n + t]:
-            return n
-    return None
+    return _verdict(_as_mod(series, ell).coeffs, m, t, n_max).n
 
 
-def scan(series: QSeries, ell: int, m_max: int, series_name: str = "") -> ScanReport:
-    """One verdict per progression (m, t), m <= m_max, 0 <= t < m, scanning
-    m ascending then t ascending.  Witness searches run to the edge of the
-    series precision."""
+def _check_m_max(series: QSeries, m_max: int) -> None:
     if m_max < 1:
         raise ValueError("m_max must be positive")
     if series.prec < m_max:
         raise InsufficientPrecision(
             f"need at least m_max={m_max} coefficients, have {series.prec}"
         )
-    reduced = _as_mod(series, ell)
-    coeffs = reduced.coeffs
-    prec = reduced.prec
-    verdicts = []
-    for m in range(1, m_max + 1):
-        for t in range(m):
-            n_max = (prec - 1 - t) // m
-            found = None
-            for n in range(n_max + 1):
-                value = coeffs[m * n + t]
-                if value:
-                    found = ScanVerdict(m, t, "witness", n=n, value=value)
-                    break
-            if found is None:
-                found = ScanVerdict(m, t, "candidate", checked=n_max)
-            verdicts.append(found)
-    return ScanReport(series_name, ell, m_max, prec, tuple(verdicts))
+
+
+def scan(series: QSeries, ell: int, m_max: int, series_name: str = "") -> ScanReport:
+    """One verdict per progression (m, t), m <= m_max, 0 <= t < m, scanning
+    m ascending then t ascending.  Witness searches run to the edge of the
+    series precision."""
+    _check_m_max(series, m_max)
+    coeffs, prec = _as_mod(series, ell).coeffs, series.prec
+    verdicts = tuple(
+        _verdict(coeffs, m, t, (prec - 1 - t) // m)
+        for m in range(1, m_max + 1)
+        for t in range(m)
+    )
+    return ScanReport(series_name, ell, m_max, prec, verdicts)
+
+
+def scan_progression(
+    series: QSeries, ell: int, prog: Progression, series_name: str = ""
+) -> ScanReport:
+    """The report ``scan`` with m_max = prog.m gives, kept to its verdict
+    on ``prog`` alone: a witness search to the edge of the series
+    precision."""
+    _check_m_max(series, prog.m)
+    n_max = (series.prec - 1 - prog.t) // prog.m
+    verdict = _verdict(_as_mod(series, ell).coeffs, prog.m, prog.t, n_max)
+    return ScanReport(series_name, ell, prog.m, series.prec, (verdict,))
 
 
 def _level_after_ell_rewrite(spec: EtaQuotientSpec, ell: int) -> int:
@@ -246,7 +259,7 @@ _CONGRUENCE_CLAIMS = (
 def verify_known(bounds: dict[str, int] | None = None) -> list[tuple[str, bool]]:
     """Re-verify the hard-coded known congruences and parity facts, each up
     to its configured coefficient bound; returns (claim id, passed) pairs."""
-    from .generators import build_series, mock_f, mock_omega
+    from .generators import _terms_over_z, build_series, mock_f, mock_omega
     from .qseries import integer_mod
 
     bounds = bounds or {}
@@ -272,18 +285,7 @@ def verify_known(bounds: dict[str, int] | None = None) -> list[tuple[str, bool]]
 
     bound = bounds.get("omega-parity-mod2", 2000)
     w2 = mock_omega(bound + 1, integer_mod(2))
-    odd_slots = set()
-    j = 0
-    while True:
-        hit = False
-        for jj in {j, -j}:
-            slot = 6 * jj * jj + 4 * jj
-            if 0 <= slot <= bound:
-                odd_slots.add(slot)
-                hit = True
-        if j > 0 and not hit:
-            break
-        j += 1
+    odd_slots = {e for e, _ in _terms_over_z(lambda j: 6 * j * j + 4 * j, bound + 1)}
     expected = tuple(1 if n in odd_slots else 0 for n in range(bound + 1))
     results.append(("omega-parity-mod2", w2.coeffs == expected))
 

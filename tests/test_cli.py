@@ -430,6 +430,44 @@ def test_cache_entry_with_coerced_coefficients_is_rebuilt(tmp_path, capsys):
     assert json.loads(entry.read_text())["coefficients"] == [1, 1, 2, 3, 5]
 
 
+def _set(field, value):
+    def corrupt(payload):
+        payload[field] = value
+        return payload
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _set("ring", "foo"),
+        lambda payload: [payload],
+        _set("ring", 7),
+        _set("offset", [1]),
+        _set("ring", "Z/6"),  # every stored residue is below 6 too
+        _set("offset", "1/0"),
+        lambda payload: "[" * 10**5 + "]" * 10**5,  # too deep for json.load
+    ],
+    ids=[
+        "ring-foo", "list", "ring-7", "offset-list", "ring-Z/6", "offset-1/0", "deep",
+    ],
+)
+def test_cache_entry_of_the_wrong_shape_is_rebuilt(tmp_path, capsys, corrupt):
+    cache_dir = tmp_path / "cache"
+    args = ["--cache-dir", str(cache_dir), "expand", "partition", "--limit", "5",
+            "--mod", "7"]
+    code, whole, _ = run(capsys, *args)
+    assert code == 0
+    (entry,) = cache_dir.iterdir()
+    corrupted = corrupt(json.loads(entry.read_text()))
+    entry.write_text(corrupted if type(corrupted) is str else json.dumps(corrupted))
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == whole
+    assert json.loads(entry.read_text())["ring"] == "Z/7"
+
+
 @pytest.mark.parametrize(
     "ring, coefficients",
     [

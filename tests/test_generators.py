@@ -354,6 +354,28 @@ def test_theta_g0_plus_g2_cancellation():
             assert c == 0
 
 
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_theta_g_matches_its_defining_sum(index):
+    # g_1 = sum -(n + 1/6) q^((6n+1)^2/24) and, in the variable q^(1/2),
+    # g_0, g_2 = sum (-1)^n (n + 1/3), resp. (n + 1/3), q^((3n+1)^2/3),
+    # each over n in Z; every term with |n| > 60 lies past slot 5000
+    prec = 2000
+    expected = {}
+    for n in range(-60, 61):
+        if index == 1:
+            exponent, coef = Fraction((6 * n + 1) ** 2, 24), -(n + Fraction(1, 6))
+        else:
+            exponent, coef = Fraction((3 * n + 1) ** 2, 3), n + Fraction(1, 3)
+            if index == 0 and n % 2:
+                coef = -coef
+        expected[exponent] = expected.get(exponent, 0) + coef
+    g = theta_g(index, prec)
+    assert g.offset == min(expected)
+    assert g.prec == prec
+    for slot, c in enumerate(g.coeffs):
+        assert c == expected.get(g.offset + slot, 0), slot
+
+
 # ---------------------------------------------------------------- oracles
 
 

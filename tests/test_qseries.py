@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsift import qseries
 from qsift.qseries import (
     INTEGER,
     RATIONAL,
@@ -268,7 +269,7 @@ def test_division_kernels_agree(ring, n, data):
     by_recurrence = _div_sparse(num, support, ring.inverse(den[0]), n, ring)
     by_newton = _divide_newton(num, den, n, ring)
     assert by_recurrence == by_newton
-    constant = [num[0]] + [0] * (n - 1)  # Newton's inverse-only path
+    constant = [num[0]] + [0] * (n - 1)  # runs the same Newton steps as num
     assert _divide_newton(constant, den, n, ring) == _div_sparse(
         constant, support, ring.inverse(den[0]), n, ring
     )
@@ -278,6 +279,55 @@ def test_division_kernels_agree(ring, n, data):
     quotient = series(0, num, ring) / series(Fraction(1, 24), den, ring)
     assert quotient.offset == Fraction(-1, 24)
     assert list(quotient.coeffs) == by_recurrence
+
+
+def newton_calls(n):
+    """The (n_out, lo) of every product Newton division makes to n slots:
+    two per step of the inverse's halving chain h, ceil(h/2), ..., 2 (where
+    h = ceil(n/2)), from the bottom up, then three for the step to n."""
+    h = k2 = (n + 1) // 2
+    chain = []
+    while k2 > 1:
+        chain.append(k2)
+        k2 = (k2 + 1) // 2
+    calls, k = [], 1
+    for k2 in reversed(chain):
+        calls += [(k2, k), (k2 - k, 0)]
+        k = k2
+    return calls + [(h, 0), (n, h), (n - h, 0)]
+
+
+NEWTON_CASES = [
+    (ring, n)
+    for ring in (INTEGER, integer_mod(3), integer_mod(355))
+    for n in (2, 3, 5, 100, 1000)
+] + [(integer_mod(3), 4097)]
+
+
+@pytest.mark.parametrize("ring, n", NEWTON_CASES, ids=str)
+def test_newton_division_makes_two_products_per_halving_then_three(
+    monkeypatch, ring, n
+):
+    calls = []
+    convolve = qseries._convolve
+
+    def spy(xs, ys, n_out, ring, lo=0):
+        calls.append((n_out, lo))
+        return convolve(xs, ys, n_out, ring, lo)
+
+    monkeypatch.setattr(qseries, "_convolve", spy)
+    rng = random.Random(n)
+    den = [1] + [ring.normalize(rng.randint(-1, 1)) for _ in range(n - 1)]
+    num = [ring.normalize(rng.randint(-9, 9)) for _ in range(n)]
+    quotient = _divide_newton(num, den, n, ring)
+    assert calls == newton_calls(n)
+    calls.clear()
+    constant = [2] + [0] * (n - 1)
+    scaled_inverse = _divide_newton(constant, den, n, ring)
+    assert calls == newton_calls(n)
+    support = [(k, c) for k, c in enumerate(den) if c and k]
+    assert quotient == _div_sparse(num, support, 1, n, ring)
+    assert scaled_inverse == _div_sparse(constant, support, 1, n, ring)
 
 
 @given(st.data())
