@@ -27,7 +27,13 @@ from .generators import (
     catalog_entry,
     series_ring,
 )
-from .qseries import INTEGER, RATIONAL, QSeries, integer_mod
+from .qseries import (
+    INTEGER,
+    RATIONAL,
+    CoefficientRing,
+    QSeries,
+    integer_mod,
+)
 from .scanner import (
     Applicability,
     InsufficientPrecision,
@@ -49,7 +55,7 @@ CACHE_ENV = "QSIFT_CACHE_DIR"
 
 # Part of every cache key: raise it whenever the entry layout or the way a
 # series is built changes, so entries written before are misses.
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 _GRAMMAR = re.compile(r"^\d+\^-?\d+(,\d+\^-?\d+)*$")
 
@@ -77,13 +83,18 @@ def parse_series_spec(text: str) -> EtaQuotientSpec | str:
 
 
 # ----------------------------------------------------------------- caching
+#
+# An entry is one line of JSON, the header, followed by the payload.  The
+# header holds the key, the ring, the offset, and the payload's length and
+# sha256 digest.  Over Z/m with m <= 256 the payload is the raw residue
+# bytes; over Z, Q and larger moduli it is the JSON list of coefficients.
 
 
 def _cache_path(cache_dir: str, key: dict) -> str:
     digest = hashlib.sha256(
         json.dumps(key, sort_keys=True).encode()
     ).hexdigest()[:24]
-    return os.path.join(cache_dir, f"qsift-{digest}.json")
+    return os.path.join(cache_dir, f"qsift-{digest}.bin")
 
 
 def _series_key(
@@ -101,15 +112,25 @@ def _series_key(
 
 
 def _load_cached(cache_dir: str, key: dict) -> QSeries | None:
+    """The entry's series, or None unless its header carries the key and
+    the key's ring, and the payload has the header's length and digest (and
+    passes the checks of ``_series_from_payload``)."""
     path = _cache_path(cache_dir, key)
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if type(payload) is not dict or payload.get("key") != key:
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+            payload = fh.read()
+        if type(header) is not dict or header.get("key") != key:
             return None
-        if payload.get("ring") != key["ring"]:  # e.g. Z/5 residues for Z/7
+        if header.get("ring") != key["ring"]:  # e.g. Z/5 residues for Z/7
             return None
-        return _series_from_payload(payload)
+        if header.get("length") != len(payload):  # e.g. a torn entry
+            return None
+        if header.get("sha256") != hashlib.sha256(payload).hexdigest():
+            return None
+        if not _parse_ring(header["ring"]).stores_bytes:
+            payload = json.loads(payload)
+        return _series_from_payload({**header, "coefficients": payload})
     except (OSError, ValueError, KeyError, ZeroDivisionError, RecursionError):
         return None  # e.g. an offset "1/0", or JSON nested too deep to read
 
@@ -119,12 +140,22 @@ def _store_cached(cache_dir: str, key: dict, series: QSeries) -> None:
     rename it into place, so a reader sees either no entry or a whole one."""
     path = _cache_path(cache_dir, key)
     tmp = f"{path}.{os.getpid()}.tmp"
+    if series.ring.stores_bytes:
+        payload = series.slots
+    else:
+        payload = json.dumps(_coefficient_list(series)).encode()
+    header = {
+        "key": key,
+        "ring": str(series.ring),
+        "offset": str(series.offset),
+        "length": len(payload),
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }
     try:
         os.makedirs(cache_dir, exist_ok=True)
-        payload = _series_payload(series, key["series"], key.get("modulus"))
-        payload["key"] = key
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n")
+            fh.write(payload)
         os.replace(tmp, path)
     except OSError as exc:
         print(f"cache write failed: {exc}", file=sys.stderr)
@@ -132,18 +163,30 @@ def _store_cached(cache_dir: str, key: dict, series: QSeries) -> None:
             os.remove(tmp)
 
 
-def _series_payload(series: QSeries, name: str, modulus: int | None) -> dict:
+def _coefficient_list(series: QSeries) -> list:
+    """The coefficients as JSON stores them: fraction strings over Q."""
     if series.ring.kind == "rat":
-        coeffs = [str(c) for c in series.coeffs]
-    else:
-        coeffs = list(series.coeffs)
+        return [str(c) for c in series.slots]
+    return list(series.slots)
+
+
+def _series_payload(series: QSeries, name: str, modulus: int | None) -> dict:
     return {
         "series": name,
         "offset": str(series.offset),
         "ring": str(series.ring),
         "modulus": series.ring.modulus,
-        "coefficients": coeffs,
+        "coefficients": _coefficient_list(series),
     }
+
+
+def _parse_ring(text: str) -> CoefficientRing:
+    """The ring whose ``str`` is ``text``; ValueError for anything else."""
+    if text in ("Z", "Q"):
+        return INTEGER if text == "Z" else RATIONAL
+    if text.startswith("Z/"):
+        return integer_mod(int(text[2:]))
+    raise ValueError(f"unknown ring {text!r}")
 
 
 def _series_from_payload(payload: dict) -> QSeries:
@@ -151,18 +194,18 @@ def _series_from_payload(payload: dict) -> QSeries:
     ValueError unless the ring and the offset are strings as that writes
     them and every coefficient is what it writes: a fraction string over Q,
     a JSON integer over Z (not a bool, a float or a string), and over Z/m an
-    integer in [0, m)."""
+    integer in [0, m).  Over Z/m with m <= 256 the coefficients may instead
+    be the residue bytes of a cache entry, each of which must be below m."""
     ring_text, offset = payload["ring"], payload["offset"]
     if type(ring_text) is not str or type(offset) is not str:
         raise ValueError("the ring or the offset is not a string")
-    if ring_text in ("Z", "Q"):
-        ring = INTEGER if ring_text == "Z" else RATIONAL
-    elif ring_text.startswith("Z/"):
-        ring = integer_mod(int(ring_text[2:]))
-    else:
-        raise ValueError(f"unknown ring {ring_text!r}")
+    ring = _parse_ring(ring_text)
     offset = Fraction(offset)
     coeffs = payload["coefficients"]
+    if type(coeffs) is bytes and ring.stores_bytes:
+        if max(coeffs) >= ring.modulus:
+            raise ValueError(f"a residue is not below {ring.modulus}")
+        return QSeries._trusted(offset, coeffs, ring)
     if type(coeffs) is not list:
         raise ValueError("coefficients are not a list")
     if ring.kind == "rat":
@@ -312,7 +355,11 @@ def _cmd_info(args, spec) -> int:
         eq = entry.spec
     else:
         eq = spec
-    report: Applicability = theorem_applies(eq, args.ell, args.m)
+    try:
+        report: Applicability = theorem_applies(eq, args.ell, args.m)
+    except ValueError as exc:  # m < 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     from .transform import BDivisibleBySix, q_divisor
 
     try:

@@ -137,12 +137,19 @@ def _terms_over_z(exponent, limit: int) -> list[tuple[int, int]]:
         k += 1
 
 
+def _zeros(prec: int, ring: CoefficientRing):
+    """``prec`` zero slots to fill in place: residue bytes where a series
+    over ``ring`` stores bytes (Z/m, m <= 256), else a list."""
+    return bytearray(prec) if ring.stores_bytes else [0] * prec
+
+
 def _euler_product(prec: int, delta: int, ring: CoefficientRing) -> QSeries:
     """prod(1 - q^(delta*n)) = sum (-1)^k q^(delta k(3k+1)/2) over k in Z,
     to ``prec`` slots: pentagonal-number support."""
-    coeffs = [0] * prec
+    coeffs = _zeros(prec, ring)
+    plus, minus = ring.normalize(1), ring.normalize(-1)
     for e, k in _terms_over_z(lambda k: delta * k * (3 * k + 1) // 2, prec):
-        coeffs[e] = -1 if k % 2 else 1
+        coeffs[e] = minus if k % 2 else plus
     return QSeries(Fraction(0), coeffs, ring)
 
 
@@ -151,7 +158,7 @@ def eta_series(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
     if prec < 1:
         raise ValueError("prec must be >= 1")
     euler = _euler_product(prec, 1, ring)
-    return QSeries(Fraction(1, 24), euler.coeffs, ring)
+    return QSeries(Fraction(1, 24), euler.slots, ring)
 
 
 def _frobenius_factors(
@@ -204,25 +211,42 @@ def eta_quotient(
         for d, r in factors:
             for _ in range(-r):
                 out = out / euler[d]
-    return QSeries(Fraction(spec.B, 24), out.coeffs, ring)
+    return QSeries(Fraction(spec.B, 24), out.slots, ring)
 
 
-def _add_every(coeffs: list, start: int, step: int, value: int) -> None:
-    """Add ``value`` to the slots start, start + step, ... in place."""
-    coeffs[start::step] = [c + value for c in coeffs[start::step]]
+def _adder(coeffs, ring: CoefficientRing):
+    """``add(start, step, value)``: add ``value`` to the slots start,
+    start + step, ... of ``coeffs`` in place.  Over residue bytes mod m
+    each slot takes one lookup in a table of v -> (v + value) % m
+    (``bytearray.translate``), so no slot becomes a Python int."""
+    if not isinstance(coeffs, bytearray):
+
+        def add(start, step, value):
+            coeffs[start::step] = [c + value for c in coeffs[start::step]]
+
+        return add
+    modulus, tables = ring.modulus, {}
+
+    def add(start, step, value):
+        if value not in tables:
+            tables[value] = bytes((v + value) % modulus for v in range(256))
+        coeffs[start::step] = coeffs[start::step].translate(tables[value])
+
+    return add
 
 
 def _mock_f_numerator(prec: int, ring: CoefficientRing) -> QSeries:
     """1 + 4 sum_{k>=1} (-1)^k q^(k(3k+1)/2) / (1 + q^k), expanding
     1/(1 + q^k) = 1 - q^k + q^(2k) - ..."""
-    num = [0] * prec
+    num = _zeros(prec, ring)
     num[0] = 1
+    add = _adder(num, ring)
     k = 1
     while k * (3 * k + 1) // 2 < prec:
         base = k * (3 * k + 1) // 2
         sign = 4 if k % 2 == 0 else -4
-        _add_every(num, base, 2 * k, sign)
-        _add_every(num, base + k, 2 * k, -sign)
+        add(base, 2 * k, sign)
+        add(base + k, 2 * k, -sign)
         k += 1
     return QSeries(Fraction(0), num, ring)
 
@@ -230,14 +254,15 @@ def _mock_f_numerator(prec: int, ring: CoefficientRing) -> QSeries:
 def _mock_omega_numerator(prec: int, ring: CoefficientRing) -> QSeries:
     """sum_{n>=0} (-1)^n q^(3n(n+1)) (1 + q^(2n+1)) / (1 - q^(2n+1)), expanding
     (1 + x)/(1 - x) = 1 + 2x + 2x^2 + ..."""
-    num = [0] * prec
+    num = _zeros(prec, ring)
+    add = _adder(num, ring)
     n = 0
     while 3 * n * (n + 1) < prec:
         base = 3 * n * (n + 1)
         sign = -1 if n % 2 else 1
         step = 2 * n + 1
-        num[base] += sign
-        _add_every(num, base + step, step, 2 * sign)
+        num[base] = ring.normalize(num[base] + sign)
+        add(base + step, step, 2 * sign)
         n += 1
     return QSeries(Fraction(0), num, ring)
 

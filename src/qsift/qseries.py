@@ -8,7 +8,9 @@ precision explicitly and never extend a series with assumed zeros.
 
 Exponent steps above the offset are always integral; the offset itself may be
 any rational (series such as the partition generating function carry offset
--1/24).  Storage is dense.
+-1/24).  Storage is dense: over Z/m with m <= 256 the residues are one
+immutable ``bytes`` that the kernels, the scanner and the CLI cache read
+directly; over Z, Q and larger moduli the coefficients are a tuple.
 
 Every value is immutable and every operation is a pure function, so series
 may be shared freely between threads.
@@ -103,6 +105,12 @@ class CoefficientRing:
             return 1 / Fraction(value)
         return value  # +-1 over the integers
 
+    @property
+    def stores_bytes(self) -> bool:
+        """Whether a series over this ring stores its residues as one
+        ``bytes``: over Z/m with m <= 256, where every residue fits a byte."""
+        return self.kind == "mod" and self.modulus <= 256
+
     def __str__(self) -> str:
         if self.kind == "mod":
             return f"Z/{self.modulus}"
@@ -125,11 +133,14 @@ def integer_mod(m: int) -> CoefficientRing:
 # transform wins on long dense factors.  ``_convolve`` runs the one with the
 # least predicted cost.  The kernels work on plain coefficient sequences
 # and read only the first ``n_out`` entries of each operand: longer inputs
-# are neither sliced nor copied.  Results are reduced into the ring as they
-# are produced.
+# are neither sliced nor copied.  An operand may be the ``bytes`` of a
+# series over Z/m, m <= 256, which the packing kernels read as a buffer.
+# Results are reduced into the ring as they are produced.
 
 
 def _prefix_nonzeros(values, n: int) -> int:
+    if isinstance(values, bytes):  # counted in C, without a copy
+        return min(len(values), n) - values.count(0, 0, n)
     if len(values) <= n:
         return len(values) - values.count(0)
     return sum(1 for v in islice(values, n) if v)
@@ -205,8 +216,11 @@ def _array_code(width: int) -> str | None:
 def _pack(values, count: int, width: int) -> int:
     """The first ``count`` values (nonnegative, below 256**width) as the
     digits of one integer in base 256**width."""
-    code = _array_code(width)
     buf = bytearray(width * count)
+    if isinstance(values, bytes):  # residues below 256: one byte per digit
+        buf[::width] = memoryview(values)[:count]
+        return int.from_bytes(buf, "little")
+    code = _array_code(width)
     if code is None:
         for i, v in enumerate(islice(values, count)):
             if v:
@@ -283,13 +297,17 @@ def _conv_kronecker(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> l
 
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
+# Digit j (units first) of every byte value, in ASCII: three tables cover
+# the residues of every modulus up to 256.
+_BYTE_DIGITS = tuple(bytes(48 + v // 10**j % 10 for v in range(256)) for j in range(3))
 
-def _decimal_slots(digits: bytes, w: int, lo: int, hi: int):
-    """Slots lo..hi-1 of the ASCII digits ``digits``, which hold slot k at
-    w*k..w*k+w-1.  Where a slot fits a machine item, Horner's rule runs on
-    whole numbers instead of parsing each slot: digit j of every slot is
-    spread into one number in base 256**width, and the w such numbers
-    combine as 10 * total + next."""
+
+def _decimal_slots(digits: str, w: int, lo: int, hi: int):
+    """Slots lo..hi-1 of the decimal digit string ``digits``, which holds
+    slot k at w*k..w*k+w-1.  Where a slot fits a machine item, Horner's
+    rule runs on whole numbers instead of parsing each slot: digit j of
+    every slot is spread into one number in base 256**width, and the w such
+    numbers combine as 10 * total + next."""
     width = ((10**w - 1).bit_length() + 7) // 8
     if _array_code(width) is None:
         return [int(digits[i : i + w]) for i in range(w * lo, w * hi, w)]
@@ -297,7 +315,8 @@ def _decimal_slots(digits: bytes, w: int, lo: int, hi: int):
     total = 0
     for j in range(w):
         column = bytearray(width * count)
-        column[::width] = digits[w * lo + j : w * hi : w].translate(_DIGIT_VALUES)
+        digit_j = digits[w * lo + j : w * hi : w].encode()
+        column[::width] = digit_j.translate(_DIGIT_VALUES)
         total = 10 * total + int.from_bytes(column, "little")
     return _unpack(total.to_bytes(width * count, "little"), width, 0, count)
 
@@ -321,8 +340,11 @@ def _conv_decimal(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> lis
 
     Each residue packs as a zero-padded group of w decimal digits, w the
     digits of the slot bound, with slot 0 most significant; the product's
-    digit string then holds slot k at digits w*k..w*k+w-1.  The context
-    traps Inexact, so a product that would round raises instead.
+    digit string then holds slot k at digits w*k..w*k+w-1.  Residues below
+    256 pack as bytes: each of their (at most three) digit columns is one
+    ``translate`` of the residue bytes, placed by one slice assignment into
+    a buffer of ASCII zeros.  The context traps Inexact, so a product that
+    would round raises instead.
     """
     from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact
 
@@ -332,17 +354,31 @@ def _conv_decimal(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> lis
         return [0] * (n_out - lo)
     w = _decimal_digits(min(nx, ny), ring)
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
-    if m <= nx + ny:  # a table of the m padded residues is the cheaper way
-        pad = [str(v).zfill(w) for v in range(m)].__getitem__
-    else:
-        pad = f"{{:0{w}d}}".format
+    if ring.stores_bytes:
+        tables = _BYTE_DIGITS[: len(str(m - 1))]
 
-    def pack(values, count):
-        return ctx.create_decimal("".join(map(pad, islice(values, count))))
+        def pack(values, count):
+            if isinstance(values, bytes):
+                residues = values[:count]
+            else:
+                residues = bytes(islice(values, count))
+            digits = bytearray(b"0") * (w * count)
+            for j, table in enumerate(tables):
+                digits[w - 1 - j :: w] = residues.translate(table)
+            return ctx.create_decimal(digits.decode())
+
+    else:
+        if m <= nx + ny:  # a table of the m padded residues is the cheaper way
+            pad = [str(v).zfill(w) for v in range(m)].__getitem__
+        else:
+            pad = f"{{:0{w}d}}".format
+
+        def pack(values, count):
+            return ctx.create_decimal("".join(map(pad, islice(values, count))))
 
     x = pack(xs, nx)
     x = ctx.multiply(x, x if ys is xs else pack(ys, ny))  # a square packs once
-    digits = format(x, "f").encode().rjust(w * (nx + ny - 1), b"0")
+    digits = format(x, f"0{w * (nx + ny - 1)}f")  # zero-padded to whole groups
     del x  # each big temporary goes as soon as the next is built
     hi = max(lo, min(n_out, nx + ny - 1))  # slots from nx + ny - 1 on are 0
     out = [v % m for v in _decimal_slots(digits, w, lo, hi)]
@@ -426,7 +462,7 @@ def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
     return out
 
 
-def _divide_newton(num, den, n_out: int, ring: CoefficientRing) -> list:
+def _divide_newton(num, den, n_out: int, ring: CoefficientRing, g=None) -> list:
     """Slots 0..n_out-1 of num / den, or of 1 / den where num is None, by
     Newton iteration.
 
@@ -436,13 +472,16 @@ def _divide_newton(num, den, n_out: int, ring: CoefficientRing) -> list:
     which for 1 / den, with den * g = 1 + q^h e, is g - q^h g e.  Each step
     computes only slots h..n_out-1 of den * y and the n_out - h new slots,
     and the precisions are n_out halved (rounding up) down to 1, so no step
-    computes slots past what the next one needs.
+    computes slots past what the next one needs.  A caller that divides
+    several numerators by one den may pass g (1/den to at least h slots)
+    instead, with a numerator other than None.
     """
     if n_out == 1:
         g = ring.inverse(den[0])
         return [g if num is None else ring.normalize(num[0] * g)]
     h = (n_out + 1) // 2
-    g = _divide_newton(None, den, h, ring)
+    if g is None:
+        g = _divide_newton(None, den, h, ring)
     y = g if num is None else _convolve(num, g, h, ring)
     high = _convolve(den, y, n_out, ring, lo=h)  # slots h.. of den * y
     top = repeat(0) if num is None else islice(num, h, n_out)
@@ -456,70 +495,154 @@ def _divide_newton(num, den, n_out: int, ring: CoefficientRing) -> list:
     return y
 
 
-def _divide(num, den, n_out: int, ring: CoefficientRing) -> list:
-    """Slots 0..n_out-1 of num / den, by the kernel predicted cheaper.
+def _support(den, n: int):
+    """The k in 1..n-1 with den[k] nonzero, ascending; over residue bytes
+    found by a regular expression, in C."""
+    if isinstance(den, bytes):
+        import re  # deferred: re is loaded anyway, by dataclasses
+
+        nonzero = re.compile(rb"[^\x00]")
+        return (match.start() for match in nonzero.finditer(den, 1, n))
+    return (k for k, c in enumerate(islice(den, 1, n), 1) if c)
+
+
+def _newton_is_cheaper(den, terms: int, n_out: int, ring: CoefficientRing) -> bool:
+    """Whether Newton division by ``den`` to n_out slots is predicted
+    cheaper than the sparse recurrence over its ``terms`` nonzero slots past
+    the constant one.  The recurrence costs about two multiply-adds per
+    slot and term, Newton about one and a half products by the cheaper
+    transform kernel (Kronecker or the decimal kernel on libmpdec) plus
+    ~1500 per halving step.  Newton runs only over Z/m: over Z and Q the
+    coefficients grow, and the recurrence never forms the (larger) inverse."""
+    if ring.kind != "mod":
+        return False
+    width = _kronecker_width(den, den, n_out, ring)
+    recurrence = 2 * n_out * terms * _slot_cost(width)
+    product, _ = _transform_product(n_out, n_out, width, ring)
+    return recurrence > 1.5 * product + 1500 * n_out.bit_length()
+
+
+def _divide(num, den, n_out: int, ring: CoefficientRing, g=None) -> list:
+    """Slots 0..n_out-1 of num / den, by the kernel predicted cheaper: the
+    sparse recurrence or Newton division (``_divide_newton``, one recursive
+    routine for quotients and inverses alike).
 
     A divisor in q^d (d > 1) is divided into each residue class of num
-    separately, at 1/d of the precision.  Otherwise the sparse recurrence
-    costs about two multiply-adds per slot and divisor term, and Newton
-    division (``_divide_newton``, one recursive routine for quotients and
-    inverses alike) about one and a half products by the cheaper transform
-    kernel (Kronecker or the decimal kernel on libmpdec) plus ~1500 per
-    halving step.  Newton runs only over Z/m: over Z and Q the
-    coefficients grow, and the recurrence never forms the (larger) inverse.
+    separately, at 1/d of the precision.  Where Newton is predicted cheaper
+    for the longest class, the inverse its first step needs is computed
+    once and passed to every class as g (see ``_divide_newton``).
     """
     inv0 = ring.inverse(den[0])
     if not any(islice(num, n_out)):  # e.g. most residue classes of 1 / b(q^d)
         return [0] * n_out
-    support = [(k, c) for k, c in enumerate(islice(den, n_out)) if c and k]
-    d = gcd(*(k for k, _ in support))
+    if g is not None:
+        return _divide_newton(num, den, n_out, ring, g)
+    terms = _prefix_nonzeros(den, n_out) - 1  # nonzero slots past den[0]
+    d = 0
+    for k in _support(den, n_out):
+        d = gcd(d, k)
+        if d == 1:
+            break
     if d > 1:
-        out = [0] * n_out
         den_d = den[:n_out:d]
+        n_class = len(den_d)  # the longest class: r = 0
+        if _newton_is_cheaper(den_d, terms, n_class, ring):
+            g = _divide_newton(None, den_d, (n_class + 1) // 2, ring)
+        out = [0] * n_out
         for r in range(d):
-            out[r::d] = _divide(num[r:n_out:d], den_d, len(range(r, n_out, d)), ring)
+            n_r = len(range(r, n_out, d))
+            out[r::d] = _divide(num[r:n_out:d], den_d, n_r, ring, g)
         return out
-    if ring.kind == "mod":
-        width = _kronecker_width(den, den, n_out, ring)
-        recurrence = 2 * n_out * len(support) * _slot_cost(width)
-        product, _ = _transform_product(n_out, n_out, width, ring)
-        newton = 1.5 * product + 1500 * n_out.bit_length()
-        if recurrence > newton:
-            return _divide_newton(num, den, n_out, ring)
+    if _newton_is_cheaper(den, terms, n_out, ring):
+        return _divide_newton(num, den, n_out, ring)
+    support = [(k, den[k]) for k in _support(den, n_out)]
     return _div_sparse(num, support, inv0, n_out, ring)
 
 
-@dataclass(frozen=True)
 class QSeries:
     """Truncated series ``q**offset * sum(coeffs[n] q**n, n < prec)``.
 
     ``prec == len(coeffs)``; coefficients are exact for all exponents below
-    ``offset + prec``.
+    ``offset + prec``.  ``QSeries(offset, coeffs, ring)`` normalizes any
+    sequence of coefficients into the ring.  ``slots`` holds them as
+    stored: one ``bytes`` of residues over Z/m with m <= 256, otherwise the
+    tuple.  ``coeffs`` is always a tuple of the same values, built from the
+    bytes on first access and then kept.  Values are immutable.
     """
 
-    offset: Fraction
-    coeffs: tuple
-    ring: CoefficientRing
+    __slots__ = ("offset", "ring", "slots", "_coeffs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        # ring.normalize, one comprehension per ring kind instead of one
-        # method call per slot
-        coeffs = self.coeffs
-        if self.ring.kind == "mod":
-            m = self.ring.modulus
-            coeffs = [int(c) % m for c in coeffs]
-        elif self.ring.kind == "rat":
-            coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    def __init__(self, offset, coeffs, ring: CoefficientRing) -> None:
+        if isinstance(coeffs, (bytes, bytearray)) and ring.kind == "mod":
+            # residues of another byte series: reduced by one table lookup each
+            values = coeffs.translate(bytes(v % ring.modulus for v in range(256)))
+        elif ring.kind == "mod":
+            m = ring.modulus
+            values = [int(c) % m for c in coeffs]
+        elif ring.kind == "rat":
+            values = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         else:
-            coeffs = [int(c) for c in coeffs]
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        if len(self.coeffs) < 1:
+            values = [int(c) for c in coeffs]
+        self._store(Fraction(offset), values, ring)
+
+    @classmethod
+    def _trusted(cls, offset: Fraction, values, ring: CoefficientRing) -> "QSeries":
+        """The series of coefficients already normalized into ``ring``
+        (kernel results, or cache entries checked to be residues below m),
+        stored without another pass.  Over Q, where a kernel may leave an
+        int 0 among the fractions, the values are normalized as usual."""
+        if ring.kind == "rat":
+            return cls(offset, values, ring)
+        self = object.__new__(cls)
+        self._store(offset, values, ring)
+        return self
+
+    def _store(self, offset: Fraction, values, ring: CoefficientRing) -> None:
+        slots = bytes(values) if ring.stores_bytes else tuple(values)
+        if not slots:
             raise ValueError("a series needs at least one coefficient slot")
+        set_slot = object.__setattr__
+        set_slot(self, "offset", offset)
+        set_slot(self, "ring", ring)
+        set_slot(self, "slots", slots)
+        set_slot(self, "_coeffs", None)  # the tuple, once ``coeffs`` builds it
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QSeries is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QSeries is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (QSeries, (self.offset, self.slots, self.ring))
+
+    @property
+    def coeffs(self) -> tuple:
+        slots = self.slots
+        if type(slots) is tuple:
+            return slots
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(slots))
+        return self._coeffs
 
     @property
     def prec(self) -> int:
-        return len(self.coeffs)
+        return len(self.slots)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = (self.offset, self.ring, self.slots)
+        return mine == (other.offset, other.ring, other.slots)
+
+    def __hash__(self) -> int:
+        return hash((self.offset, self.ring, self.slots))
+
+    def __repr__(self) -> str:
+        return (
+            f"QSeries(offset={self.offset!r}, coeffs={self.coeffs!r}, "
+            f"ring={self.ring!r})"
+        )
 
     # ------------------------------------------------------------------ ops
 
@@ -536,15 +659,15 @@ class QSeries:
         out = [0] * n_out
         for series in (self, other):
             start = int(series.offset - lo)
-            for i, c in enumerate(series.coeffs):
+            for i, c in enumerate(series.slots):
                 if start + i >= n_out:
                     break
                 if c:
                     out[start + i] += c
-        return QSeries(lo, tuple(out), self.ring)
+        return QSeries(lo, out, self.ring)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.offset, tuple(-c for c in self.coeffs), self.ring)
+        return QSeries(self.offset, [-c for c in self.slots], self.ring)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -563,8 +686,8 @@ class QSeries:
             return NotImplemented
         self._check_ring(other)
         n_out = min(self.prec, other.prec)
-        out = _convolve(self.coeffs, other.coeffs, n_out, self.ring)
-        return QSeries(self.offset + other.offset, out, self.ring)
+        out = _convolve(self.slots, other.slots, n_out, self.ring)
+        return QSeries._trusted(self.offset + other.offset, out, self.ring)
 
     def __truediv__(self, other: "QSeries") -> "QSeries":
         """Quotient to the smaller precision; the offsets subtract.
@@ -578,8 +701,8 @@ class QSeries:
             return NotImplemented
         self._check_ring(other)
         n_out = min(self.prec, other.prec)
-        out = _divide(self.coeffs, other.coeffs, n_out, self.ring)
-        return QSeries(self.offset - other.offset, out, self.ring)
+        out = _divide(self.slots, other.slots, n_out, self.ring)
+        return QSeries._trusted(self.offset - other.offset, out, self.ring)
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse up to precision, ``1 / self``; the offset
@@ -615,8 +738,7 @@ class QSeries:
             raise IncompatibleModulus(
                 f"cannot reduce Z/{self.ring.modulus} to Z/{m}"
             )
-        ring = integer_mod(m)
-        return QSeries(self.offset, tuple(c % m for c in self.coeffs), ring)
+        return QSeries(self.offset, self.slots, integer_mod(m))
 
     def extract_progression(self, m: int, t: int) -> "QSeries":
         """Keep the slots with index ``m*n + t``; slot n of the result is
@@ -629,16 +751,16 @@ class QSeries:
         if self.prec <= t:
             raise ValueError("precision does not reach the first selected slot")
         n_out = (self.prec - t + m - 1) // m
-        coeffs = self.coeffs[t::m][:n_out]
-        return QSeries((self.offset + t) / m, coeffs, self.ring)
+        slots = self.slots[t::m][:n_out]
+        return QSeries._trusted((self.offset + t) / m, slots, self.ring)
 
     def substitute_power(self, k: int) -> "QSeries":
         """Replace q by q**k: all exponents multiply by k."""
         if k < 1:
             raise ValueError("k must be a positive integer")
         out = [0] * (k * self.prec)
-        out[::k] = self.coeffs
-        return QSeries(self.offset * k, tuple(out), self.ring)
+        out[::k] = self.slots
+        return QSeries._trusted(self.offset * k, out, self.ring)
 
     def coefficient_at(self, exponent):
         """Exact coefficient of ``q**exponent``.
@@ -655,14 +777,14 @@ class QSeries:
             return None
         idx = delta.numerator
         if 0 <= idx < self.prec:
-            return self.coeffs[idx]
+            return self.slots[idx]
         return self.ring.normalize(0)
 
     # ------------------------------------------------------------- display
 
     def __str__(self) -> str:
         shown = []
-        for n, c in enumerate(self.coeffs):
+        for n, c in enumerate(self.slots):
             if c:
                 shown.append(f"{c}*q^{n}")
             if len(shown) >= 6:
@@ -680,4 +802,4 @@ def monomial(exponent, ring: CoefficientRing, prec: int) -> QSeries:
         raise ValueError("prec must be >= 1")
     coeffs = [0] * prec
     coeffs[0] = 1
-    return QSeries(Fraction(exponent), tuple(coeffs), ring)
+    return QSeries._trusted(Fraction(exponent), coeffs, ring)

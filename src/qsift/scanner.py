@@ -120,12 +120,12 @@ def _as_mod(series: QSeries, ell: int) -> QSeries:
     return series.reduce_mod(ell)
 
 
-def _verdict(coeffs, m: int, t: int, n_max: int) -> ScanVerdict:
-    """The verdict on slots m*n + t of ``coeffs`` (residues mod ell) for
-    n <= n_max: a witness at the first nonzero one, where the search stops,
-    or a candidate that checked all of them."""
+def _verdict(slots, m: int, t: int, n_max: int) -> ScanVerdict:
+    """The verdict on slots m*n + t of ``slots`` (residues mod ell, as a
+    series stores them) for n <= n_max: a witness at the first nonzero one,
+    where the search stops, or a candidate that checked all of them."""
     for n in range(n_max + 1):
-        value = coeffs[m * n + t]
+        value = slots[m * n + t]
         if value:
             return ScanVerdict(m, t, "witness", n=n, value=value)
     return ScanVerdict(m, t, "candidate", checked=n_max)
@@ -141,7 +141,7 @@ def witness(series: QSeries, ell: int, prog: Progression, n_max: int) -> int | N
         raise InsufficientPrecision(
             f"need {m * n_max + t + 1} coefficients, have {series.prec}"
         )
-    return _verdict(_as_mod(series, ell).coeffs, m, t, n_max).n
+    return _verdict(_as_mod(series, ell).slots, m, t, n_max).n
 
 
 def _check_m_max(series: QSeries, m_max: int) -> None:
@@ -158,9 +158,9 @@ def scan(series: QSeries, ell: int, m_max: int, series_name: str = "") -> ScanRe
     m ascending then t ascending.  Witness searches run to the edge of the
     series precision."""
     _check_m_max(series, m_max)
-    coeffs, prec = _as_mod(series, ell).coeffs, series.prec
+    slots, prec = _as_mod(series, ell).slots, series.prec
     verdicts = tuple(
-        _verdict(coeffs, m, t, (prec - 1 - t) // m)
+        _verdict(slots, m, t, (prec - 1 - t) // m)
         for m in range(1, m_max + 1)
         for t in range(m)
     )
@@ -175,7 +175,7 @@ def scan_progression(
     precision."""
     _check_m_max(series, prog.m)
     n_max = (series.prec - 1 - prog.t) // prog.m
-    verdict = _verdict(_as_mod(series, ell).coeffs, prog.m, prog.t, n_max)
+    verdict = _verdict(_as_mod(series, ell).slots, prog.m, prog.t, n_max)
     return ScanReport(series_name, ell, prog.m, series.prec, (verdict,))
 
 

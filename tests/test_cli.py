@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -297,6 +298,14 @@ def test_info_core4(capsys):
     assert "no-pole" in payload["reasons"]
 
 
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_info_rejects_a_nonpositive_m(capsys, m):
+    code, out, err = run(capsys, "info", "partition", "--ell", "3", "--m", m)
+    assert code == 2
+    assert out == ""
+    assert err == "error: m must be positive\n"
+
+
 def test_info_rejects_mock(capsys):
     code, _, err = run(capsys, "info", "mock_f", "--ell", "3", "--m", "5")
     assert code == 2
@@ -367,12 +376,27 @@ def test_truncated_cache_entry_rebuilt(tmp_path, capsys):
 def test_interrupted_cache_write_leaves_no_entry(tmp_path, capsys, monkeypatch):
     cache_dir = tmp_path / "cache"
     args = ["--cache-dir", str(cache_dir), "expand", "partition", "--limit", "20"]
+    real_open = open
 
-    def torn_dump(payload, fh):
-        fh.write('{"series": "partition", "coeff')
-        raise OSError("disk full")
+    class TornFile:  # writes half of the first chunk, then the disk is full
+        def __init__(self, fh):
+            self.fh = fh
 
-    monkeypatch.setattr("qsift.cli.json.dump", torn_dump)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+    def torn_open(path, mode="r", *rest, **kwargs):
+        fh = real_open(path, mode, *rest, **kwargs)
+        return TornFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr("qsift.cli.open", torn_open, raising=False)
     code, out, err = run(capsys, *args)
     assert code == 0
     assert "cache write failed" in err
@@ -412,8 +436,21 @@ def test_cache_entry_under_old_key_shape_is_a_miss(tmp_path, capsys):
     assert again == out
 
 
+def _read_entry(path):
+    """The (header, payload) of a cache entry."""
+    header, _, payload = path.read_bytes().partition(b"\n")
+    return json.loads(header), payload
+
+
+def _write_entry(path, header, payload):
+    """Write an entry whose header carries the digest of ``payload``."""
+    header = dict(header, sha256=hashlib.sha256(payload).hexdigest())
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
 def test_cache_entry_with_coerced_coefficients_is_rebuilt(tmp_path, capsys):
-    # int() would serve [1.9, 8, "3", true, 5] as the wrong [1, 1, 3, 1, 5]
+    # reducing mod 7 would serve the residue bytes [1, 8, 3, 1, 5] as the
+    # wrong [1, 1, 3, 1, 5]; length and digest match, so only "below m" refuses
     cache_dir = tmp_path / "cache"
     args = ["--cache-dir", str(cache_dir), "expand", "partition", "--limit", "5",
             "--mod", "7"]
@@ -421,19 +458,19 @@ def test_cache_entry_with_coerced_coefficients_is_rebuilt(tmp_path, capsys):
     assert code == 0
     assert json.loads(whole)["coefficients"] == [1, 1, 2, 3, 5]
     (entry,) = cache_dir.iterdir()
-    payload = json.loads(entry.read_text())
-    payload["coefficients"] = [1.9, 8, "3", True, 5]
-    entry.write_text(json.dumps(payload))
+    header, payload = _read_entry(entry)
+    assert payload == bytes([1, 1, 2, 3, 5])
+    _write_entry(entry, header, bytes([1, 8, 3, 1, 5]))
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert out == whole
-    assert json.loads(entry.read_text())["coefficients"] == [1, 1, 2, 3, 5]
+    assert _read_entry(entry)[1] == bytes([1, 1, 2, 3, 5])
 
 
 def _set(field, value):
-    def corrupt(payload):
-        payload[field] = value
-        return payload
+    def corrupt(header):
+        header[field] = value
+        return header
 
     return corrupt
 
@@ -442,12 +479,12 @@ def _set(field, value):
     "corrupt",
     [
         _set("ring", "foo"),
-        lambda payload: [payload],
+        lambda header: [header],
         _set("ring", 7),
         _set("offset", [1]),
         _set("ring", "Z/6"),  # every stored residue is below 6 too
         _set("offset", "1/0"),
-        lambda payload: "[" * 10**5 + "]" * 10**5,  # too deep for json.load
+        lambda header: "[" * 10**5 + "]" * 10**5,  # too deep for json.loads
     ],
     ids=[
         "ring-foo", "list", "ring-7", "offset-list", "ring-Z/6", "offset-1/0", "deep",
@@ -460,12 +497,55 @@ def test_cache_entry_of_the_wrong_shape_is_rebuilt(tmp_path, capsys, corrupt):
     code, whole, _ = run(capsys, *args)
     assert code == 0
     (entry,) = cache_dir.iterdir()
-    corrupted = corrupt(json.loads(entry.read_text()))
-    entry.write_text(corrupted if type(corrupted) is str else json.dumps(corrupted))
+    header, payload = _read_entry(entry)
+    corrupted = corrupt(header)
+    line = corrupted if type(corrupted) is str else json.dumps(corrupted)
+    entry.write_bytes(line.encode() + b"\n" + payload)
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert out == whole
-    assert json.loads(entry.read_text())["ring"] == "Z/7"
+    assert _read_entry(entry)[0]["ring"] == "Z/7"
+
+
+def _flip_a_byte(entry):  # a valid residue, so only the digest tells
+    header, payload = _read_entry(entry)
+    entry.write_bytes(json.dumps(header).encode() + b"\n" + payload[:-1] + b"\x04")
+
+
+def _truncate(entry):  # the digest is of the shorter payload: only the length tells
+    header, payload = _read_entry(entry)
+    _write_entry(entry, header, payload[:-1])
+
+
+def _version_2_entry(key_version):
+    def write(entry):
+        key = dict(_read_entry(entry)[0]["key"], version=key_version)
+        old = {"series": "partition", "offset": "-1/24", "ring": "Z/7",
+               "modulus": 7, "coefficients": [1, 1, 2, 3, 4], "key": key}
+        entry.write_text(json.dumps(old))
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_flip_a_byte, _truncate, _version_2_entry(2), _version_2_entry(3)],
+    ids=["flipped-byte", "truncated", "version-2", "version-2-layout-current-key"],
+)
+def test_cache_entry_with_a_bad_payload_is_rebuilt(tmp_path, capsys, corrupt):
+    cache_dir = tmp_path / "cache"
+    args = ["--cache-dir", str(cache_dir), "expand", "partition", "--limit", "5",
+            "--mod", "7"]
+    code, whole, _ = run(capsys, *args)
+    assert code == 0
+    (entry,) = cache_dir.iterdir()
+    written = entry.read_bytes()
+    corrupt(entry)
+    assert entry.read_bytes() != written
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == whole
+    assert entry.read_bytes() == written
 
 
 @pytest.mark.parametrize(

@@ -352,6 +352,30 @@ def test_division_by_series_in_q_power():
     assert den.invert() == eta.invert().substitute_power(3)
 
 
+@pytest.mark.parametrize("m", [3, 9])
+def test_residue_classes_share_one_inverse(monkeypatch, m):
+    # dividing by E(q^2) to P slots splits into two classes of P/2 slots;
+    # their Newton steps share one inverse of E(q) to P/4 slots
+    ring, P = integer_mod(m), 50000
+    num = random_series(random.Random(m), ring, P)
+    den = QSeries(Fraction(0), eta_coeffs(P // 2), ring).substitute_power(2)
+    inverses = []
+    newton = qseries._divide_newton
+
+    def spy(num, den, n_out, ring, g=None):
+        if num is None and n_out == P // 4:
+            inverses.append(n_out)
+        return newton(num, den, n_out, ring, g)
+
+    monkeypatch.setattr(qseries, "_divide_newton", spy)
+    quotient = num / den
+    assert inverses == [P // 4]
+    monkeypatch.undo()
+    for r in (0, 1):  # each class as its own Newton division gives
+        alone = newton(num.slots[r::2], den.slots[::2], P // 2, ring)
+        assert list(quotient.slots[r::2]) == alone
+
+
 def test_division_ring_mismatch():
     with pytest.raises(RingMismatch):
         series(0, (1,)) / series(0, (1,), integer_mod(5))
@@ -611,3 +635,81 @@ def test_reduce_mod_commutes(op):
             left = a.extract_progression(step, t).reduce_mod(m)
             right = a.reduce_mod(m).extract_progression(step, t)
         assert left == right
+
+
+# ------------------------------------------------------------ byte storage
+#
+# Over Z/m with m <= 256 a series stores its residues as bytes.  Every
+# operation on such a series must equal the same operation over Z/(k m),
+# a modulus past 256 that stores tuples, reduced to Z/m (reduction is a ring
+# homomorphism).  The sizes straddle the kernel crossovers for dense
+# factors: schoolbook and the recurrence (1-20), Kronecker with the
+# recurrence (40) and with Newton (300), the decimal kernel (5000).
+
+STORAGE_MODULI = (2, 3, 9, 255, 256, 257)
+STORAGE_SIZES = (1, 2, 20, 40, 300, 5000)
+
+
+@pytest.mark.parametrize("m", STORAGE_MODULI)
+@pytest.mark.parametrize("n", STORAGE_SIZES)
+def test_byte_storage_matches_tuple_storage(m, n):
+    ring, wide = integer_mod(m), integer_mod(m * (512 // m + 1))
+    rng = random.Random(f"storage:{m}:{n}")
+    raw_a = [rng.randrange(-wide.modulus, wide.modulus) for _ in range(n)]
+    raw_b = [1] + [rng.randrange(-wide.modulus, wide.modulus) for _ in range(n + 1)]
+    a, wa = (QSeries(Fraction(1, 24), raw_a, r) for r in (ring, wide))
+    b, wb = (QSeries(Fraction(-23, 24), raw_b, r) for r in (ring, wide))
+    assert type(a.slots) is (bytes if m <= 256 else tuple)
+    assert type(wa.slots) is tuple
+
+    def same(byte_result, tuple_result):
+        assert byte_result == tuple_result.reduce_mod(m)
+        assert byte_result.coeffs == tuple_result.reduce_mod(m).coeffs
+
+    same(a + b, wa + wb)
+    same(a - b, wa - wb)
+    same(-a, -wa)
+    same(a * b, wa * wb)
+    same(a * a, wa * wa)
+    same(a / b, wa / wb)
+    same(b.invert(), wb.invert())
+    same(a**3, wa**3)
+    same(b**-2, wb**-2)
+    same(a.substitute_power(3), wa.substitute_power(3))
+    if n > 1:
+        same(a.extract_progression(2, 1), wa.extract_progression(2, 1))
+    d = max(p for p in (2, 3, 5, 257) if m % p == 0)
+    assert a.reduce_mod(d) == wa.reduce_mod(d)
+    for k in range(n):
+        assert a.coefficient_at(Fraction(1, 24) + k) == wa.coefficient_at(
+            Fraction(1, 24) + k
+        ) % m
+
+
+@pytest.mark.parametrize("ring", [integer_mod(3), integer_mod(257), INTEGER, RATIONAL])
+def test_coeffs_is_one_tuple_kept_after_first_access(ring):
+    s = QSeries(Fraction(0), [1, 5, -2], ring) * QSeries(Fraction(0), [1, 1, 1], ring)
+    assert type(s.coeffs) is tuple
+    assert s.coeffs is s.coeffs
+    with pytest.raises(AttributeError):
+        s.slots = (0, 0, 0)
+
+
+def test_equal_series_hash_equal_whichever_path_built_them():
+    ring = integer_mod(3)
+    a = QSeries(Fraction(0), [1, 2, 0, 1, 1], ring)
+    product = a * a  # a kernel result, taken without normalizing
+    built = [
+        product,
+        QSeries(Fraction(0), product.coeffs, ring),
+        QSeries(Fraction(0), [c + 3 * k for k, c in enumerate(product.coeffs)], ring),
+        QSeries(Fraction(0), bytes(c + 3 for c in product.coeffs), ring),
+        QSeries(Fraction(0), product.coeffs, integer_mod(9)).reduce_mod(3),
+        (a.substitute_power(2) * a.substitute_power(2)).extract_progression(2, 0),
+    ]
+    for series_ in built:
+        assert type(series_.slots) is bytes
+        assert series_ == product
+        assert hash(series_) == hash(product)
+    assert len(set(built)) == 1
+    assert QSeries(Fraction(0), product.coeffs, integer_mod(257)) != product
