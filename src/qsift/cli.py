@@ -302,9 +302,13 @@ def _cmd_scan(args, spec) -> int:
 
 
 def _cmd_identities(args) -> int:
-    results = identity_suites(
-        seed=args.seed, trials=args.trials, negative_control=args.negative_control
-    )
+    try:
+        results = identity_suites(
+            seed=args.seed, trials=args.trials, negative_control=args.negative_control
+        )
+    except ValueError as exc:  # trials < 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     failed = False
     for result in results:
         status = "pass" if result.passed else "FAIL"

@@ -13,10 +13,12 @@ a factor (delta, ell^s r') into (ell^s delta, r'), so fewer and sparser
 factors remain; over Z, Q, Z/ell^k (k >= 2) and composite moduli the
 factors are used as given.
 
-The mock theta functions come from Watson's Appell-Lerch forms: each is a
-numerator of sparse geometric fills, costing O(P log P), over one Euler
-product, and the single series division picks its kernel by predicted cost
-(see ``QSeries.__truediv__``).
+The Euler products, the mock theta numerators and the theta series are
+sparse sums: ``(start, step, value)`` fills that one routine,
+``qseries._sparse_sum``, turns into a series.  The mock theta functions come
+from Watson's Appell-Lerch forms: each is a numerator of geometric fills,
+costing O(P log P), over one Euler product, and the single series division
+picks its kernel by predicted cost (see ``QSeries.__truediv__``).
 
 Every generator accepts an optional coefficient ring; constructing directly
 in Z/m agrees with constructing over Z and reducing, which the test suite
@@ -28,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from itertools import chain
+from math import isqrt, lcm
 from operator import mul
 
 from .arith import is_prime
@@ -37,6 +40,7 @@ from .qseries import (
     RATIONAL,
     CoefficientRing,
     QSeries,
+    _sparse_sum,
     integer_mod,
     monomial,
 )
@@ -137,28 +141,19 @@ def _terms_over_z(exponent, limit: int) -> list[tuple[int, int]]:
         k += 1
 
 
-def _zeros(prec: int, ring: CoefficientRing):
-    """``prec`` zero slots to fill in place: residue bytes where a series
-    over ``ring`` stores bytes (Z/m, m <= 256), else a list."""
-    return bytearray(prec) if ring.stores_bytes else [0] * prec
-
-
-def _euler_product(prec: int, delta: int, ring: CoefficientRing) -> QSeries:
-    """prod(1 - q^(delta*n)) = sum (-1)^k q^(delta k(3k+1)/2) over k in Z,
-    to ``prec`` slots: pentagonal-number support."""
-    coeffs = _zeros(prec, ring)
-    plus, minus = ring.normalize(1), ring.normalize(-1)
-    for e, k in _terms_over_z(lambda k: delta * k * (3 * k + 1) // 2, prec):
-        coeffs[e] = minus if k % 2 else plus
-    return QSeries(Fraction(0), coeffs, ring)
+def _euler_product(prec: int, delta: int, ring: CoefficientRing, offset=0) -> QSeries:
+    """q^offset * prod(1 - q^(delta*n)) = q^offset * sum (-1)^k q^(delta k(3k+1)/2)
+    over k in Z, to ``prec`` slots: one single-slot fill per pentagonal term."""
+    terms = _terms_over_z(lambda k: delta * k * (3 * k + 1) // 2, prec)
+    fills = [(e, prec, -1 if k % 2 else 1) for e, k in terms]
+    return _sparse_sum(prec, ring, fills, offset)
 
 
 def eta_series(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
     """q^(1/24) * prod(1 - q^n): offset 1/24, pentagonal-number support."""
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    euler = _euler_product(prec, 1, ring)
-    return QSeries(Fraction(1, 24), euler.slots, ring)
+    return _euler_product(prec, 1, ring, Fraction(1, 24))
 
 
 def _frobenius_factors(
@@ -214,70 +209,22 @@ def eta_quotient(
     return QSeries(Fraction(spec.B, 24), out.slots, ring)
 
 
-def _adder(coeffs, ring: CoefficientRing):
-    """``add(start, step, value)``: add ``value`` to the slots start,
-    start + step, ... of ``coeffs`` in place.  Over residue bytes mod m
-    each slot takes one lookup in a table of v -> (v + value) % m
-    (``bytearray.translate``), so no slot becomes a Python int."""
-    if not isinstance(coeffs, bytearray):
-
-        def add(start, step, value):
-            coeffs[start::step] = [c + value for c in coeffs[start::step]]
-
-        return add
-    modulus, tables = ring.modulus, {}
-
-    def add(start, step, value):
-        if value not in tables:
-            tables[value] = bytes((v + value) % modulus for v in range(256))
-        coeffs[start::step] = coeffs[start::step].translate(tables[value])
-
-    return add
-
-
-def _mock_f_numerator(prec: int, ring: CoefficientRing) -> QSeries:
-    """1 + 4 sum_{k>=1} (-1)^k q^(k(3k+1)/2) / (1 + q^k), expanding
-    1/(1 + q^k) = 1 - q^k + q^(2k) - ..."""
-    num = _zeros(prec, ring)
-    num[0] = 1
-    add = _adder(num, ring)
-    k = 1
-    while k * (3 * k + 1) // 2 < prec:
-        base = k * (3 * k + 1) // 2
-        sign = 4 if k % 2 == 0 else -4
-        add(base, 2 * k, sign)
-        add(base + k, 2 * k, -sign)
-        k += 1
-    return QSeries(Fraction(0), num, ring)
-
-
-def _mock_omega_numerator(prec: int, ring: CoefficientRing) -> QSeries:
-    """sum_{n>=0} (-1)^n q^(3n(n+1)) (1 + q^(2n+1)) / (1 - q^(2n+1)), expanding
-    (1 + x)/(1 - x) = 1 + 2x + 2x^2 + ..."""
-    num = _zeros(prec, ring)
-    add = _adder(num, ring)
-    n = 0
-    while 3 * n * (n + 1) < prec:
-        base = 3 * n * (n + 1)
-        sign = -1 if n % 2 else 1
-        step = 2 * n + 1
-        num[base] = ring.normalize(num[base] + sign)
-        add(base + step, step, 2 * sign)
-        n += 1
-    return QSeries(Fraction(0), num, ring)
-
-
 def mock_f(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
     """The mock theta function f(q) = 1 + sum(q^(n^2) / ((1+q)...(1+q^n))^2).
 
     Built from Watson's Appell-Lerch form
     f(q) (q;q)_inf = 1 + 4 sum_{k>=1} (-1)^k q^(k(3k+1)/2) / (1 + q^k)
     (the k and -k terms of his sum over Z coincide): a numerator of
-    geometric fills, then one series division.
+    geometric fills, expanding 1/(1 + q^k) = 1 - q^k + q^(2k) - ..., then
+    one series division.
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    return _mock_f_numerator(prec, ring) / _euler_product(prec, 1, ring)
+    ks = range(1, isqrt(prec) + 1)  # covers every k with k(3k+1)/2 < prec
+    heads = ((k * (3 * k + 1) // 2, 2 * k, 4 * (-1) ** k) for k in ks)
+    tails = ((k * (3 * k + 3) // 2, 2 * k, -4 * (-1) ** k) for k in ks)
+    numerator = _sparse_sum(prec, ring, chain([(0, prec, 1)], heads, tails))
+    return numerator / _euler_product(prec, 1, ring)
 
 
 def mock_omega(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
@@ -285,12 +232,17 @@ def mock_omega(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
 
     Built from Watson's Appell-Lerch form
     omega(q) (q^2;q^2)_inf = sum_{n>=0} (-1)^n q^(3n(n+1)) (1 + q^(2n+1)) / (1 - q^(2n+1)):
-    a numerator of geometric fills, then one series division.  Expansion
-    starts 1 + 2q + 3q^2 + 4q^3 + 6q^4 + ...
+    a numerator of geometric fills, expanding (1 + x)/(1 - x) = 1 + 2x +
+    2x^2 + ..., then one series division.  Expansion starts
+    1 + 2q + 3q^2 + 4q^3 + 6q^4 + ...
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    return _mock_omega_numerator(prec, ring) / _euler_product(prec, 2, ring)
+    ns = range(isqrt(prec) + 1)  # covers every n with 3n(n+1) < prec
+    heads = ((3 * n * (n + 1), prec, (-1) ** n) for n in ns)
+    tails = ((3 * n * (n + 1) + 2 * n + 1, 2 * n + 1, 2 * (-1) ** n) for n in ns)
+    numerator = _sparse_sum(prec, ring, chain(heads, tails))
+    return numerator / _euler_product(prec, 2, ring)
 
 
 def theta_g(index: int, prec: int) -> QSeries:
@@ -306,16 +258,14 @@ def theta_g(index: int, prec: int) -> QSeries:
         raise ValueError("index must be 0, 1 or 2")
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    coeffs = [Fraction(0)] * prec
     if index == 1:
-        for slot, n in _terms_over_z(lambda n: n * (3 * n + 1) // 2, prec):
-            coeffs[slot] += -Fraction(6 * n + 1, 6)
-    else:
-        for slot, n in _terms_over_z(lambda n: 3 * n * n + 2 * n, prec):
-            coef = Fraction(3 * n + 1, 3)
-            coeffs[slot] += -coef if index == 0 and n % 2 else coef
-    offset = Fraction(1, 24) if index == 1 else Fraction(1, 3)
-    return QSeries(offset, tuple(coeffs), RATIONAL)
+        terms = _terms_over_z(lambda n: n * (3 * n + 1) // 2, prec)
+        fills = [(e, prec, -Fraction(6 * n + 1, 6)) for e, n in terms]
+        return _sparse_sum(prec, RATIONAL, fills, Fraction(1, 24))
+    terms = _terms_over_z(lambda n: 3 * n * n + 2 * n, prec)
+    sign = -1 if index == 0 else 1
+    fills = [(e, prec, sign ** (n % 2) * Fraction(3 * n + 1, 3)) for e, n in terms]
+    return _sparse_sum(prec, RATIONAL, fills, Fraction(1, 3))
 
 
 def _iter_partition_shapes(n: int):

@@ -462,7 +462,7 @@ def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
     return out
 
 
-def _divide_newton(num, den, n_out: int, ring: CoefficientRing, g=None) -> list:
+def _divide_newton(num, den, n_out: int, ring: CoefficientRing) -> list:
     """Slots 0..n_out-1 of num / den, or of 1 / den where num is None, by
     Newton iteration.
 
@@ -472,16 +472,13 @@ def _divide_newton(num, den, n_out: int, ring: CoefficientRing, g=None) -> list:
     which for 1 / den, with den * g = 1 + q^h e, is g - q^h g e.  Each step
     computes only slots h..n_out-1 of den * y and the n_out - h new slots,
     and the precisions are n_out halved (rounding up) down to 1, so no step
-    computes slots past what the next one needs.  A caller that divides
-    several numerators by one den may pass g (1/den to at least h slots)
-    instead, with a numerator other than None.
+    computes slots past what the next one needs.
     """
     if n_out == 1:
         g = ring.inverse(den[0])
         return [g if num is None else ring.normalize(num[0] * g)]
     h = (n_out + 1) // 2
-    if g is None:
-        g = _divide_newton(None, den, h, ring)
+    g = _divide_newton(None, den, h, ring)
     y = g if num is None else _convolve(num, g, h, ring)
     high = _convolve(den, y, n_out, ring, lo=h)  # slots h.. of den * y
     top = repeat(0) if num is None else islice(num, h, n_out)
@@ -522,21 +519,15 @@ def _newton_is_cheaper(den, terms: int, n_out: int, ring: CoefficientRing) -> bo
     return recurrence > 1.5 * product + 1500 * n_out.bit_length()
 
 
-def _divide(num, den, n_out: int, ring: CoefficientRing, g=None) -> list:
+def _divide(num, den, n_out: int, ring: CoefficientRing) -> list:
     """Slots 0..n_out-1 of num / den, by the kernel predicted cheaper: the
     sparse recurrence or Newton division (``_divide_newton``, one recursive
     routine for quotients and inverses alike).
 
-    A divisor in q^d (d > 1) is divided into each residue class of num
-    separately, at 1/d of the precision.  Where Newton is predicted cheaper
-    for the longest class, the inverse its first step needs is computed
-    once and passed to every class as g (see ``_divide_newton``).
+    For a divisor b(q^d), d > 1, Newton's side uses 1/b(q^d) = (1/b)(q^d):
+    one inverse of b to ceil(n_out/d) slots, then one product of it with
+    each residue class of num mod d.  The recurrence runs on den as it is.
     """
-    inv0 = ring.inverse(den[0])
-    if not any(islice(num, n_out)):  # e.g. most residue classes of 1 / b(q^d)
-        return [0] * n_out
-    if g is not None:
-        return _divide_newton(num, den, n_out, ring, g)
     terms = _prefix_nonzeros(den, n_out) - 1  # nonzero slots past den[0]
     d = 0
     for k in _support(den, n_out):
@@ -545,18 +536,21 @@ def _divide(num, den, n_out: int, ring: CoefficientRing, g=None) -> list:
             break
     if d > 1:
         den_d = den[:n_out:d]
-        n_class = len(den_d)  # the longest class: r = 0
-        if _newton_is_cheaper(den_d, terms, n_class, ring):
-            g = _divide_newton(None, den_d, (n_class + 1) // 2, ring)
-        out = [0] * n_out
-        for r in range(d):
-            n_r = len(range(r, n_out, d))
-            out[r::d] = _divide(num[r:n_out:d], den_d, n_r, ring, g)
-        return out
-    if _newton_is_cheaper(den, terms, n_out, ring):
+        if _newton_is_cheaper(den_d, terms, len(den_d), ring):
+            g = _divide_newton(None, den_d, len(den_d), ring)
+            # classes first: the n_out-slot list stays out of the products' peak
+            classes = [
+                _convolve(num[r:n_out:d], g, len(range(r, n_out, d)), ring)
+                for r in range(d)
+            ]
+            out = [0] * n_out
+            for r in range(d):
+                out[r::d] = classes[r]
+            return out
+    elif _newton_is_cheaper(den, terms, n_out, ring):
         return _divide_newton(num, den, n_out, ring)
     support = [(k, den[k]) for k in _support(den, n_out)]
-    return _div_sparse(num, support, inv0, n_out, ring)
+    return _div_sparse(num, support, ring.inverse(den[0]), n_out, ring)
 
 
 class QSeries:
@@ -695,7 +689,8 @@ class QSeries:
         Requires a unit constant slot in the divisor.  Runs the sparse
         recurrence (cost prec * nnz of the divisor) or, over Z/m, Newton
         division with a Karp-Markstein last step, whichever is predicted
-        cheaper.
+        cheaper.  A divisor b(q^d), d > 1, is inverted in q to 1/d of the
+        precision; each residue class of the numerator is one product with 1/b.
         """
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -796,10 +791,27 @@ class QSeries:
         return f"{body} + O(q^{self.prec})"
 
 
+def _sparse_sum(prec: int, ring: CoefficientRing, fills, offset=0) -> QSeries:
+    """q**offset * sum(value * (q**start + q**(start+step) + ...)) over the
+    ``(start, step, value)`` fills, to ``prec`` slots; a step >= prec fills
+    one slot.  Over residue bytes mod m a fill is one ``translate`` of its
+    slots by a table of v -> (v + value) % m, so no slot becomes an int."""
+    if ring.stores_bytes:
+        slots = bytearray(prec)
+        m, tables = ring.modulus, {}
+        for start, step, value in fills:
+            if value not in tables:
+                tables[value] = bytes((v + value) % m for v in range(256))
+            slots[start::step] = slots[start::step].translate(tables[value])
+    else:
+        slots = [0] * prec
+        for start, step, value in fills:
+            slots[start::step] = [c + value for c in slots[start::step]]
+    return QSeries(offset, slots, ring)
+
+
 def monomial(exponent, ring: CoefficientRing, prec: int) -> QSeries:
     """The series ``q**exponent`` known to precision ``prec``."""
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    coeffs = [0] * prec
-    coeffs[0] = 1
-    return QSeries._trusted(Fraction(exponent), coeffs, ring)
+    return _sparse_sum(prec, ring, [(0, prec, 1)], exponent)

@@ -14,8 +14,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 
+from .arith import prime_factors
 from .generators import EtaQuotientSpec
 from .qseries import QSeries
 from .transform import Progression, q_divisor
@@ -223,7 +224,7 @@ def theorem_applies(spec: EtaQuotientSpec, ell: int, m: int) -> Applicability:
 def sturm_bound(k_twice: int, N: int) -> int:
     """Budget heuristic ceil((k/2) * index / 12) with the halved index
     convention index(N) = N^2 prod(1 - 1/p^2) for N >= 3, 1 for N = 1 and
-    3 for N = 2."""
+    3 for N = 2.  The ceiling is taken in integers, exact at every level."""
     if N < 1:
         raise ValueError("N must be positive")
     if N == 1:
@@ -232,17 +233,9 @@ def sturm_bound(k_twice: int, N: int) -> int:
         index = 3
     else:
         index = N * N
-        n = N
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                index = index // (p * p) * (p * p - 1)
-                while n % p == 0:
-                    n //= p
-            p += 1
-        if n > 1:
-            index = index // (n * n) * (n * n - 1)
-    return ceil(k_twice * index / 24)
+        for p in prime_factors(N):
+            index = index // (p * p) * (p * p - 1)
+    return -(-k_twice * index // 24)
 
 
 _CONGRUENCE_CLAIMS = (

@@ -743,7 +743,9 @@ def identity_suites(
 
     ``negative_control=True`` instead runs the deliberately corrupted
     cancellation check, which must produce failures (that the harness
-    detects them is the point)."""
+    detects them is the point).  ``trials`` must be positive."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     chosen = (
         (("corrupted-sign-cancellation", _trial_corrupted_cancellation),)
         if negative_control

@@ -230,6 +230,16 @@ def test_identities_negative_control(capsys):
     assert "failing instance" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["--trials", "-5"], ["--trials", "0", "--negative-control"]]
+)
+def test_identities_rejects_a_nonpositive_trial_count(capsys, argv):
+    code, out, err = run(capsys, "identities", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: trials must be positive\n"
+
+
 # ------------------------------------------------------------- cusp-check
 
 
@@ -304,6 +314,12 @@ def test_info_rejects_a_nonpositive_m(capsys, m):
     assert code == 2
     assert out == ""
     assert err == "error: m must be positive\n"
+
+
+def test_info_sturm_hint_is_exact_at_a_large_level(capsys):
+    code, out, _ = run(capsys, "info", "1000000007^-1", "--ell", "2", "--m", "5")
+    assert code == 0
+    assert json.loads(out)["sturm_budget_hint"] == 41666667250000002
 
 
 def test_info_rejects_mock(capsys):

@@ -26,8 +26,11 @@ from qsift.qseries import (
     _conv_schoolbook,
     _decimal_digits,
     _div_sparse,
+    _divide,
     _divide_newton,
     _kronecker_width,
+    _newton_is_cheaper,
+    _sparse_sum,
     _transform_product,
     integer_mod,
     monomial,
@@ -354,26 +357,87 @@ def test_division_by_series_in_q_power():
 
 @pytest.mark.parametrize("m", [3, 9])
 def test_residue_classes_share_one_inverse(monkeypatch, m):
-    # dividing by E(q^2) to P slots splits into two classes of P/2 slots;
-    # their Newton steps share one inverse of E(q) to P/4 slots
+    # dividing by E(q^2) to P slots makes one Newton inverse, of E(q) to
+    # P/2 slots, which the two classes of P/2 slots are multiplied by
     ring, P = integer_mod(m), 50000
     num = random_series(random.Random(m), ring, P)
     den = QSeries(Fraction(0), eta_coeffs(P // 2), ring).substitute_power(2)
-    inverses = []
+    calls, depth = [], 0
     newton = qseries._divide_newton
 
-    def spy(num, den, n_out, ring, g=None):
-        if num is None and n_out == P // 4:
-            inverses.append(n_out)
-        return newton(num, den, n_out, ring, g)
+    def spy(num, den, n_out, ring):
+        nonlocal depth
+        if not depth:  # the calls from outside Newton's own recursion
+            calls.append((num, den, n_out))
+        depth += 1
+        try:
+            return newton(num, den, n_out, ring)
+        finally:
+            depth -= 1
 
     monkeypatch.setattr(qseries, "_divide_newton", spy)
     quotient = num / den
-    assert inverses == [P // 4]
+    assert calls == [(None, den.slots[::2], P // 2)]
     monkeypatch.undo()
     for r in (0, 1):  # each class as its own Newton division gives
         alone = newton(num.slots[r::2], den.slots[::2], P // 2, ring)
         assert list(quotient.slots[r::2]) == alone
+
+
+DENSE_DIVISOR_RINGS = (
+    INTEGER,
+    integer_mod(2),
+    integer_mod(3),
+    integer_mod(9),
+    integer_mod(355),
+)
+
+
+@pytest.mark.parametrize("ring", DENSE_DIVISOR_RINGS, ids=str)
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", [61, 1201])  # below and above every crossover
+def test_division_by_dense_series_in_q_power_matches_recurrence(ring, d, n):
+    rng = random.Random(f"{ring}:{d}:{n}")
+    b = [ring.normalize(rng.randint(-1, 1)) for _ in range(-(-n // d))]
+    b[0], b[1] = ring.normalize(rng.choice((1, -1))), 1  # support gcd is d
+    den = [0] * n
+    den[::d] = b
+    num = [ring.normalize(rng.randint(-9, 9)) for _ in range(n)]
+    support = [(k, c) for k, c in enumerate(den) if c and k]
+    if ring.kind == "mod":
+        newton = _newton_is_cheaper(b, len(support), len(b), ring)
+        assert newton == (n > 1000)
+    expected = _div_sparse(num, support, ring.inverse(den[0]), n, ring)
+    assert _divide(num, den, n, ring) == expected
+    quotient = series(0, num, ring) / series(0, den, ring)  # on stored slots
+    assert list(quotient.coeffs) == expected
+
+
+SPARSE_FILLS = [
+    (0, 1, 5),  # every slot
+    (3, 40, -7),  # a single slot (step >= prec), then the same fill again
+    (3, 40, -7),
+    (39, 2, 300),  # the last slot only
+    (40, 1, 9),  # starts at prec: adds nothing
+    (57, 3, -1),  # starts past prec
+    (2, 3, 255),
+    (2, 3, -256),
+    (1, 7, 0),
+]
+
+
+@pytest.mark.parametrize("m", [2, 3, 9, 256, 257])
+@given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 60), st.integers(-600, 600))))
+@settings(max_examples=40, deadline=None)
+def test_sparse_sum_over_residues_is_the_integer_sum_reduced(m, drawn):
+    prec, fills = 40, SPARSE_FILLS + drawn
+    expected = [0] * prec
+    for start, step, value in fills:
+        for i in range(start, prec, step):
+            expected[i] += value
+    over_z = _sparse_sum(prec, INTEGER, fills, Fraction(1, 24))
+    assert over_z == QSeries(Fraction(1, 24), expected, INTEGER)
+    assert _sparse_sum(prec, integer_mod(m), fills, Fraction(1, 24)) == over_z.reduce_mod(m)
 
 
 def test_division_ring_mismatch():

@@ -197,6 +197,13 @@ def test_sturm_examples():
     assert sturm_bound(24, 5) == 24
 
 
+def test_sturm_exact_at_a_large_prime_level():
+    # (N^2 - 1)/24 exactly; a float division loses the last digits
+    N = 1000000007
+    assert sturm_bound(1, N) == (N * N - 1) // 24 == 41666667250000002
+    assert sturm_bound(2, 3 * N) == 2 * (N * N - 1) // 3  # index 8 (N^2 - 1)
+
+
 def test_sturm_small_levels():
     assert sturm_bound(24, 2) == 3
     assert sturm_bound(1, 1) == 1

@@ -503,6 +503,14 @@ def test_negative_control_detects():
     assert results[0].first_failure
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_identity_suites_reject_a_nonpositive_trial_count(trials):
+    with pytest.raises(ValueError, match="trials must be positive"):
+        identity_suites(trials=trials)
+    with pytest.raises(ValueError, match="trials must be positive"):
+        identity_suites(trials=trials, negative_control=True)
+
+
 # --------------------------------------------------------------- guards
 
 
