@@ -1,8 +1,9 @@
 """Exact number-theoretic primitives.
 
-Dedekind sums, Jacobi symbols and CRT over plain integers/fractions, plus
-:class:`ExactScalar`, a decidable algebra for the constants that appear in
-half-integral-weight transformation laws: every such constant is a product
+Dedekind sums (by reciprocity, in O(log c) integer steps), Jacobi symbols
+and CRT over plain integers/fractions, plus :class:`ExactScalar`, a
+decidable algebra for the constants that appear in half-integral-weight
+transformation laws: every such constant is a product
 ``r * sqrt(s) * e^(2*pi*i*u)`` with rational r > 0, squarefree integer s >= 1
 and rational phase u in [0, 1).  That monomial form is a normal form, so
 equality of represented complex numbers is componentwise equality.
@@ -38,20 +39,39 @@ class EvenInput(Exception):
 
 
 def dedekind_sum(d: int, c: int) -> Fraction:
-    """The Dedekind sum s(d, c) as an exact rational.
+    """The Dedekind sum s(d, c) = sum_{r=1}^{c-1} ((r/c)) ((d r/c)) as an
+    exact rational, for any integer d and c >= 1 (0 for c = 1).
 
-    Evaluates the defining sum of sawtooth products directly (empty for
-    c = 1); O(c) integer work.  The literal summand is used, so a term with
-    c | d*r contributes a factor -1/2 rather than the symmetrized 0 -- the
-    two conventions agree whenever gcd(d, c) = 1, which covers every use in
-    this package.
+    With g = gcd(d, c) the value equals s(d/g, c/g), so the arguments are
+    reduced to h = (d/g) mod k, k = c/g first.  Reciprocity,
+
+        s(h, k) = (h^2 + k^2 + 1 - 3hk) / (12hk) - s(k mod h, h),
+
+    then runs along the Euclidean remainders k = r_0 > h = r_1 > ... > r_n = 1
+    with quotients a_i.  Unrolled, the sawtooth terms telescope to
+
+        12 s(h, k) = (h + t)/k + sum_i (-1)^(i+1) a_i - 3 [n odd],
+
+    t being the Bezout coefficient with t h = 1 (mod k) that the same
+    Euclidean steps produce.  The work is O(log c) integer steps and one
+    Fraction at the end.
     """
     if c < 1:
         raise ValueError("c must be a positive integer")
-    total = 0
-    for r in range(1, c):
-        total += (2 * r - c) * (2 * ((d * r) % c) - c)
-    return Fraction(total, 4 * c * c)
+    g = gcd(d, c)
+    k = c // g
+    h = (d // g) % k
+    # r_{i-1}, r_i; t_{i-1}, t_i with r_i = t_i h (mod k); sign = (-1)^i
+    r0, r1, t0, t1 = k, h, 0, 1
+    alternating, sign = 0, 1
+    while r1:
+        a, r = divmod(r0, r1)
+        alternating += sign * a
+        sign = -sign
+        r0, r1, t0, t1 = r1, r, t1, t0 - a * t1
+    if sign < 0:
+        alternating -= 3
+    return Fraction(h + t0 + k * alternating, 12 * k)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -120,13 +140,23 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return g, s
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction; a float or complex, which would only approximate
+    the intended value, raises TypeError."""
+    if isinstance(x, (float, complex)):
+        raise TypeError(f"ExactScalar needs exact components, got {x!r}")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class ExactScalar:
     """A nonzero complex constant ``r * sqrt(s) * e^(2*pi*i*u)`` in normal
     form: r rational > 0, s squarefree integer >= 1, u rational in [0, 1).
 
-    The constructor normalizes arbitrary input: negative r folds into the
-    phase, square parts of s fold into r, u is reduced mod 1.
+    The constructor normalizes exact input: negative r folds into the
+    phase, square parts of s fold into r, u is reduced mod 1.  A float or
+    complex component raises TypeError, and a radicand that is not an
+    integer raises ValueError.
     """
 
     r: Fraction
@@ -134,9 +164,14 @@ class ExactScalar:
     u: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        r = Fraction(self.r)
-        u = Fraction(self.u)
-        s = int(self.s)
+        r = _exact(self.r)
+        u = _exact(self.u)
+        s = self.s
+        if type(s) is not int:
+            s = _exact(s)
+            if s.denominator != 1:
+                raise ValueError("radicand must be a positive integer")
+            s = s.numerator
         if r == 0:
             raise ValueError("ExactScalar cannot represent zero")
         if s < 1:
@@ -158,17 +193,17 @@ class ExactScalar:
     @classmethod
     def unit_phase(cls, u) -> "ExactScalar":
         """The root of unity e^(2*pi*i*u)."""
-        return cls(Fraction(1), 1, Fraction(u))
+        return cls(Fraction(1), 1, u)
 
     @classmethod
     def minus_one_pow(cls, x) -> "ExactScalar":
         """(-1)**x for rational x, read as e^(pi*i*x)."""
-        return cls.unit_phase(Fraction(x) / 2)
+        return cls.unit_phase(_exact(x) / 2)
 
     @classmethod
     def sqrt_of(cls, x) -> "ExactScalar":
         """The principal square root of a positive rational."""
-        x = Fraction(x)
+        x = _exact(x)
         if x <= 0:
             raise ValueError("sqrt_of needs a positive rational")
         # sqrt(p/q) = sqrt(p*q)/q

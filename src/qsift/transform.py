@@ -354,10 +354,15 @@ def mock_multiplier(A: UnimodularMatrix) -> ExactScalar:
 
     with i^(-1/2) = e^(-2 pi i / 8); the 24th power is always 1.
     """
+    return ExactScalar.unit_phase(_mock_phase(A))
+
+
+def _mock_phase(A: UnimodularMatrix) -> Fraction:
+    """The phase u, not reduced mod 1, with mock_multiplier(A) = e^(2 pi i u)."""
     a, b, c, d = A.entries()
     if c <= 0 or c % 2:
         raise BadMatrix("need c > 0 and c even")
-    phase = (
+    return (
         Fraction(-1, 8)
         - dedekind_sum(-d, c) / 2
         + Fraction(c + 1 + a * d, 2) * Fraction(1, 2)
@@ -365,7 +370,6 @@ def mock_multiplier(A: UnimodularMatrix) -> ExactScalar:
         - Fraction(a, 4)
         + Fraction(3 * d * c, 8)
     )
-    return ExactScalar.unit_phase(phase)
 
 
 def omega_multiplier_even_c(A: UnimodularMatrix) -> ExactScalar:
@@ -374,19 +378,24 @@ def omega_multiplier_even_c(A: UnimodularMatrix) -> ExactScalar:
         (-i)^(1/2) (-1)^((a-1)/2) e^(-pi i s(-d, c/2))
             e^(2 pi i (3ab/4 - (a+d)/12c))
     """
+    return ExactScalar.unit_phase(_omega_even_c_phase(A))
+
+
+def _omega_even_c_phase(A: UnimodularMatrix) -> Fraction:
+    """The phase u, not reduced mod 1, with omega_multiplier_even_c(A) =
+    e^(2 pi i u)."""
     a, b, c, d = A.entries()
     if c <= 0:
         raise BadMatrix("need c > 0")
     if c % 2:
         raise ParityMismatch("this variant needs c even")
-    phase = (
+    return (
         Fraction(-1, 8)
         + Fraction(a - 1, 2) * Fraction(1, 2)
         - dedekind_sum(-d, c // 2) / 2
         + Fraction(3 * a * b, 4)
         - Fraction(a + d, 12 * c)
     )
-    return ExactScalar.unit_phase(phase)
 
 
 def omega_multiplier_even_d(A: UnimodularMatrix) -> ExactScalar:
@@ -432,7 +441,9 @@ def constancy_check(A: UnimodularMatrix, p: Progression, kind: str) -> set[Exact
 
     for kind "f" (with the mock multiplier), or the analogue with t + 2/3
     and the even-c omega multiplier for kind "omega".  The transformation
-    theory predicts a singleton whose 24m-th power is 1.
+    theory predicts a singleton whose 24m-th power is 1.  Every factor is a
+    unit phase, so the phases are summed as rationals mod 1 and one scalar
+    is built per distinct phase.
 
     Requires A in the congruence subgroup for the kind (c a positive
     multiple of the level) and the matching unit condition on a.
@@ -444,24 +455,24 @@ def constancy_check(A: UnimodularMatrix, p: Progression, kind: str) -> set[Exact
             raise BadUnit(f"gcd({A.a}, 6) != 1")
         shift = Fraction(t) - Fraction(1, 24)
         shift_img = Fraction(t_image(A.a, p, "f")) - Fraction(1, 24)
-        multiplier = mock_multiplier
+        multiplier_phase = _mock_phase
     elif kind == "omega":
         level = 2 * level_constant(m)
         if A.a % 3 == 0:
             raise BadUnit(f"3 | a = {A.a}")
         shift = Fraction(t) + Fraction(2, 3)
         shift_img = Fraction(t_image(A.a, p, "omega")) + Fraction(2, 3)
-        multiplier = omega_multiplier_even_c
+        multiplier_phase = _omega_even_c_phase
     else:
         raise ValueError(f"unknown kind {kind!r}")
     if A.c <= 0 or A.c % level:
         raise BadMatrix(f"need c > 0 with {level} | c")
-    values = set()
+    phases = set()
     for lam in range(m):
         dec = decompose_upper(A, m, lam)
         phase = (-lam * shift + dec.lambda_prime * shift_img) / m
-        values.add(multiplier(dec.a_lambda) * ExactScalar.unit_phase(phase))
-    return values
+        phases.add((multiplier_phase(dec.a_lambda) + phase) % 1)
+    return {ExactScalar.unit_phase(u) for u in phases}
 
 
 def _cancellation_phase(

@@ -6,10 +6,13 @@ polynomial multiplication, eta-quotients from one sparse pentagonal
 multiply or divide pass per unit of exponent (no rewrite, no series
 operations), and the mock theta functions from their q-hypergeometric
 definitions, term by term, so they can serve as ground truth for the eta
-machinery and for the Appell-Lerch builders.
+machinery and for the Appell-Lerch builders.  Dedekind sums come from their
+defining sum, O(c) terms, against the reciprocity algorithm.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -117,6 +120,21 @@ def _mock_omega_hypergeometric(prec: int, modulus: int | None = None) -> list[in
             acc[base + i] += v
         n += 1
     return acc if modulus is None else [v % modulus for v in acc]
+
+
+def _dedekind_literal(d: int, c: int):
+    """s(d, c) term by term: sum over r = 1..c-1 of (r/c - 1/2)((dr mod c)/c
+    - 1/2).  A term with c | dr reads ((0)) as -1/2, not 0; those terms,
+    r = k c/g for k = 1..g-1 with g = gcd(d, c), add up to 0."""
+    total = 0
+    for r in range(1, c):
+        total += (2 * r - c) * (2 * ((d * r) % c) - c)
+    return Fraction(total, 4 * c * c)
+
+
+@pytest.fixture(scope="session")
+def dedekind_oracle():
+    return _dedekind_literal
 
 
 @pytest.fixture(scope="session")

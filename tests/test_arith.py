@@ -45,7 +45,9 @@ def test_dedekind_odd_in_first_argument():
 
 
 def test_dedekind_reciprocity_oracle():
-    # independent identity: s(d,c) + s(c,d) = -1/4 + (d/c + c/d + 1/(c d))/12
+    # s(d,c) + s(c,d) = -1/4 + (d/c + c/d + 1/(c d))/12.  dedekind_sum is now
+    # computed by this very law, so this is no longer an independent check;
+    # the literal-sum oracle (dedekind_oracle) plays that role.
     rng = random.Random(1)
     for _ in range(40):
         c = rng.randint(2, 80)
@@ -57,6 +59,47 @@ def test_dedekind_reciprocity_oracle():
             Fraction(d, c) + Fraction(c, d) + Fraction(1, c * d)
         ) / 12
         assert lhs == rhs
+
+
+def test_dedekind_matches_literal_sum_exhaustively(dedekind_oracle):
+    # every d in [-3c, 3c]: gcd(d, c) > 1, d = 0 (mod c) and negative d
+    for c in range(1, 151):
+        for d in range(-3 * c, 3 * c + 1):
+            assert dedekind_sum(d, c) == dedekind_oracle(d, c), (d, c)
+
+
+def test_dedekind_matches_literal_sum_at_random(dedekind_oracle):
+    rng = random.Random(9)
+    for _ in range(150):
+        c = rng.randint(1, 20000)
+        d = rng.randint(-10**6, 10**6)
+        assert dedekind_sum(d, c) == dedekind_oracle(d, c), (d, c)
+
+
+def test_dedekind_laws_at_sixty_digits():
+    rng = random.Random(10)
+    for _ in range(30):
+        c = rng.randrange(10**59, 10**60)
+        d = rng.randrange(1, c)
+        s = dedekind_sum(d, c)
+        assert dedekind_sum(-d, c) == -s
+        assert dedekind_sum(d + c, c) == s
+        assert dedekind_sum(d - 7 * c, c) == s
+        g = rng.randint(2, 10**6)
+        assert dedekind_sum(g * d, g * c) == s
+        if gcd(d, c) == 1:
+            lhs = s + dedekind_sum(c, d)
+            rhs = Fraction(-1, 4) + (
+                Fraction(d, c) + Fraction(c, d) + Fraction(1, c * d)
+            ) / 12
+            assert lhs == rhs
+
+
+def test_dedekind_returns_beyond_a_hundred_digits():
+    # the literal O(c) sum could never finish this
+    c = 10**101 + 267
+    value = dedekind_sum(3**200, c)
+    assert (6 * c * c) % value.denominator == 0
 
 
 def test_dedekind_denominator_bound():
@@ -216,6 +259,26 @@ def test_scalar_matches_complex_evaluation():
         direct = complex(x * y)
         floated = complex(x) * complex(y)
         assert abs(direct - floated) <= 1e-12 * abs(floated)
+
+
+def test_scalar_rejects_inexact_components():
+    # int(2.5) would truncate to sqrt(2); Fraction(0.1) is a binary fraction
+    for args in ((1, 2.5), (1, 1, 0.1), (0.5,), (1j,), (1, 2, 1j)):
+        with pytest.raises(TypeError):
+            ExactScalar(*args)
+    with pytest.raises(TypeError):
+        ExactScalar.unit_phase(0.25)
+    with pytest.raises(TypeError):
+        ExactScalar.minus_one_pow(0.5)
+    with pytest.raises(TypeError):
+        ExactScalar.sqrt_of(2.0)
+
+
+def test_scalar_rejects_a_radicand_that_is_not_an_integer():
+    for s in (Fraction(5, 2), Fraction(1, 3)):
+        with pytest.raises(ValueError):
+            ExactScalar(1, s)
+    assert ExactScalar(1, Fraction(8)) == ExactScalar(2, 2)
 
 
 def test_sqrt_of():

@@ -326,6 +326,31 @@ def test_constancy_singletons(kind):
         assert next(iter(values)) ** (24 * m) == ONE
 
 
+@pytest.mark.parametrize("kind", ["f", "omega"])
+@pytest.mark.parametrize("m", [5, 7, 10, 11, 13, 14, 35])
+def test_constancy_is_the_set_of_per_lambda_products(kind, m):
+    # the set built scalar by scalar from the public multiplier, on good
+    # and other residues alike
+    rng = random.Random(f"constancy-products:{kind}:{m}")
+    if kind == "f":
+        level, unit, shift = level_constant(m), "prime6", Fraction(-1, 24)
+        multiplier = mock_multiplier
+    else:
+        level, unit, shift = 2 * level_constant(m), "prime3", Fraction(2, 3)
+        multiplier = omega_multiplier_even_c
+    for _ in range(4):
+        A = random_unimodular(rng, level, 3, unit=unit)
+        for t in rng.sample(range(m), 3):
+            p = Progression(m, t)
+            t_a = t_image(A.a, p, kind)
+            expected = set()
+            for lam in range(m):
+                dec = decompose_upper(A, m, lam)
+                phase = (-lam * (t + shift) + dec.lambda_prime * (t_a + shift)) / m
+                expected.add(multiplier(dec.a_lambda) * ExactScalar.unit_phase(phase))
+            assert constancy_check(A, p, kind) == expected, (A, p)
+
+
 def test_constancy_trivial_m1():
     A = random_unimodular(random.Random(7), level_constant(1), 1, unit="prime6")
     values = constancy_check(A, Progression(1, 0), "f")
