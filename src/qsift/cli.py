@@ -336,6 +336,12 @@ def _cmd_cusp_check(args, parser) -> int:
         sign = Fraction(1, 2) if Q % 2 else Fraction(0)
         expected = ExactScalar(Fraction(1, 2 * Q) ** (12 * Q), 1, sign)
         leading = cusp_one_leading
+    if not ts:  # omega with Q a power of 2: no odd prime certifies goodness
+        print(
+            f"error: no good residue mod {Q} for kind {args.kind}; pass --t",
+            file=sys.stderr,
+        )
+        return 2
     bad = 0
     for t in ts:
         value = leading(Q, t) ** (24 * Q)

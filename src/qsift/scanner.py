@@ -135,9 +135,12 @@ def _verdict(slots, m: int, t: int, n_max: int) -> ScanVerdict:
 def witness(series: QSeries, ell: int, prog: Progression, n_max: int) -> int | None:
     """Smallest n <= n_max with slot m*n + t nonzero mod ell, or None.
 
-    The series must hold at least m*n_max + t + 1 coefficients.
+    The series must hold at least m*n_max + t + 1 coefficients, and n_max
+    must be nonnegative (a negative bound would read as "no witness").
     """
     m, t = prog.m, prog.t
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if series.prec < m * n_max + t + 1:
         raise InsufficientPrecision(
             f"need {m * n_max + t + 1} coefficients, have {series.prec}"

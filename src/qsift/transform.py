@@ -8,16 +8,18 @@ transformation laws write as zeta_m or (-1) raised to a rational exponent x
 are read as e^(2*pi*i*x/m) and e^(pi*i*x) respectively; the constancy and
 cusp identity suites validate that reading.
 
-Two families of progressions appear:
+Each kind of progression t (mod m) is one linear form alpha + beta*t, the
+argument of its quadratic symbol:
 
-* kind ``"f"`` -- progressions of the mock theta function f(q), where a
-  progression t (mod m) is *good* when some odd prime p | m has Legendre
-  symbol (1-24t | p) = -1, which kills the non-holomorphic support.
-* kind ``"omega"`` -- progressions of omega(q), good when (-3t-2 | p) = -1
-  for some odd prime p | m.
+* kind ``"f"`` -- the mock theta function f(q): 1 - 24t;
+* kind ``"omega"`` -- omega(q): -3t - 2;
+* kind ``"eta"`` -- an eta-quotient with weight data B: -B - 24t.
 
-Kind ``"eta"`` (with an explicit weight parameter B) shares the f-side unit
-action t -> t*a^2 - B(1-a^2)/24.
+The progression is *good* when some odd prime p | m has (alpha + beta*t | p)
+= -1, which kills the non-holomorphic support.  A unit a prime to beta
+multiplies the form by a^2, moving t to a^2 t + alpha(a^2 - 1)/beta; the
+goodness test, its refinement, the unit images, the orbits, their coverage
+and the shifts of the constancy check are all read off (alpha, beta).
 """
 
 from __future__ import annotations
@@ -171,33 +173,37 @@ def q_divisor(m: int, B: int) -> int:
     according to gcd(B, 6) = 1 / 2 / 3.  Requires 6 not dividing B."""
     if m < 1:
         raise ValueError("m must be positive")
-    if B % 6 == 0:
-        raise BDivisibleBySix(f"B={B}")
-    r = s = 0
-    mp = m
-    while mp % 2 == 0:
-        mp //= 2
-        r += 1
-    while mp % 3 == 0:
-        mp //= 3
-        s += 1
-    g = gcd(B, 6)
-    if g == 1:
-        return mp
-    if g == 2:
-        return 2**r * mp
-    return 3**s * mp
+    return _surviving_divisor(m, *_linear_form("eta", B))
 
 
 # ------------------------------------------------------- good progressions
 
 
-def _kind_symbol_argument(p: Progression, kind: str) -> int:
+def _linear_form(kind: str, B: int | None = None) -> tuple[int, int]:
+    """(alpha, beta) with alpha + beta*t the symbol argument of a progression
+    t of the kind, the argument that a unit a multiplies by a^2."""
     if kind == "f":
-        return 1 - 24 * p.t
+        return 1, -24
     if kind == "omega":
-        return -3 * p.t - 2
-    raise ValueError(f"kind must be 'f' or 'omega', got {kind!r}")
+        return -2, -3
+    if kind == "eta":
+        if B is None:
+            raise ValueError("kind 'eta' needs B")
+        return -B, -24
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def _surviving_divisor(m: int, alpha: int, beta: int) -> int:
+    """m stripped of each prime in {2, 3} that divides beta but not alpha:
+    the unit action moves t freely along those primes.  Raises
+    BDivisibleBySix when 6 | alpha, which only weight data B can give."""
+    if alpha % 6 == 0:
+        raise BDivisibleBySix(f"B={-alpha}")
+    for prime in (2, 3):
+        if beta % prime == 0 and alpha % prime:
+            while m % prime == 0:
+                m //= prime
+    return m
 
 
 def is_good(p: Progression, kind: str) -> bool:
@@ -207,7 +213,8 @@ def is_good(p: Progression, kind: str) -> bool:
     The even prime can never certify: the relevant square condition is
     always solvable mod 2, so only odd p | m are consulted.
     """
-    arg = _kind_symbol_argument(p, kind)
+    alpha, beta = _linear_form(kind)
+    arg = alpha + beta * p.t
     return any(
         jacobi(arg, q) == -1 for q in prime_factors(p.m) if q % 2 == 1
     )
@@ -226,24 +233,21 @@ def refine_to_good(p: Progression, kind: str) -> Progression:
     """Replace a non-good progression by a good sub-progression.
 
     Searches primes q >= 5 with q coprime to m, and non-residues x mod q in
-    increasing order; the candidate (mq, T) with T = t (mod m) and the
-    kind-specific residue condition mod q is verified with :func:`is_good`
-    before being returned (divisibility edge cases can void the construction,
-    so goodness is never assumed).  Good input is returned unchanged.
+    increasing order; the candidate (mq, T) with T = t (mod m) and
+    alpha + beta*T = x (mod q) is verified with :func:`is_good` before being
+    returned (divisibility edge cases can void the construction, so
+    goodness is never assumed).  Good input is returned unchanged.
     """
     if is_good(p, kind):
         return p
-    _kind_symbol_argument(p, kind)  # validates the kind
+    alpha, beta = _linear_form(kind)
     q = 5
     while q < 1000:
         if is_prime(q) and p.m % q != 0:
             for x in range(2, q):
                 if jacobi(x, q) != -1:
                     continue
-                if kind == "f":
-                    res = ((1 - x) * pow(24, -1, q)) % q
-                else:
-                    res = ((-2 - x) * pow(3, -1, q)) % q
+                res = ((x - alpha) * pow(beta, -1, q)) % q
                 t_new = crt([(p.t, p.m), (res, q)])
                 candidate = Progression(p.m * q, t_new)
                 if is_good(candidate, kind):
@@ -278,67 +282,48 @@ def decompose_upper(A: UnimodularMatrix, m: int, lam: int) -> UpperDecomposition
 
 
 def t_image(a: int, p: Progression, kind: str, B: int | None = None) -> int:
-    """Image of the progression residue t under the unit a:
+    """Image of the progression residue t under the unit a: the t' with
+    alpha + beta*t' = a^2 (alpha + beta*t), that is
 
-    * kind "f":      a^2 t + (1 - a^2)/24      (needs gcd(a, 6) = 1)
-    * kind "omega":  a^2 t + (2/3)(a^2 - 1)    (needs 3 not dividing a)
-    * kind "eta":    a^2 t - B(1 - a^2)/24     (needs gcd(a, 6) = 1)
+        t' = a^2 t + alpha (a^2 - 1)/beta    (mod m),
 
-    The coprimality makes the correction term an integer exactly.
+    which needs gcd(a, beta) = 1 (gcd(a, 6) = 1 for kinds "f" and "eta",
+    3 not dividing a for kind "omega").  That coprimality makes beta
+    divide a^2 - 1, so the correction term is an integer exactly.
     """
-    m, t = p.m, p.t
-    aa = a * a
-    if kind == "omega":
-        if a % 3 == 0:
-            raise BadUnit(f"3 | a = {a}")
-        corr = 2 * (aa - 1) // 3
-    elif kind == "f":
-        if gcd(a, 6) != 1:
-            raise BadUnit(f"gcd({a}, 6) != 1")
-        corr = (1 - aa) // 24
-    elif kind == "eta":
-        if gcd(a, 6) != 1:
-            raise BadUnit(f"gcd({a}, 6) != 1")
-        if B is None:
-            raise ValueError("kind 'eta' needs B")
-        corr = -B * (1 - aa) // 24
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return (t * aa + corr) % m
+    alpha, beta = _linear_form(kind, B)
+    if gcd(a, beta) != 1:
+        raise BadUnit(f"gcd({a}, {abs(beta)}) != 1")
+    return _image(alpha, beta, a * a, p)
+
+
+def _image(alpha: int, beta: int, aa: int, p: Progression) -> int:
+    """t_image for a unit with square aa (any aa = 1 mod beta)."""
+    return (aa * p.t + alpha * (aa - 1) // beta) % p.m
 
 
 def orbit(p: Progression, kind: str, B: int | None = None) -> set[int]:
-    """All residues t_image(a, ...) as a runs over the admissible units.
+    """All residues t_image(a, ...) as a runs over 1..|beta|*m with a prime
+    to beta*m (kinds "f" and "eta": a prime to 6m, the units mod 24m), or,
+    for kind "omega", over every a in 1..3m prime to 3, whether or not a is
+    a unit mod m.
 
-    t_image is well defined on a mod 24m (kinds "f"/"eta") resp. mod 3m
-    (kind "omega"), so one full pass over those windows exhausts the orbit.
+    The image depends on a only through a^2 mod |beta|*m, so that window
+    exhausts the orbit; each distinct square is mapped once.
     """
-    m = p.m
-    if kind == "omega":
-        return {t_image(a, p, kind) for a in range(1, 3 * m + 1) if a % 3}
-    return {
-        t_image(a, p, kind, B)
-        for a in range(1, 24 * m + 1)
-        if gcd(a, 6 * m) == 1
-    }
+    alpha, beta = _linear_form(kind, B)
+    window = abs(beta) * p.m
+    prime_to = beta if kind == "omega" else window
+    squares = {a * a % window for a in range(1, window + 1) if gcd(a, prime_to) == 1}
+    return {_image(alpha, beta, aa, p) for aa in squares}
 
 
 def coverage_target(p: Progression, kind: str, B: int | None = None) -> set[int]:
     """The residues {t + j*Q mod m} that the unit orbit is guaranteed to
-    cover, Q being the surviving divisor of m for the kind."""
+    cover, Q being m stripped of each prime in {2, 3} that divides beta but
+    not alpha (see :func:`q_divisor`; 6 | B raises BDivisibleBySix)."""
     m = p.m
-    if kind == "f":
-        q = q_divisor(m, -1)
-    elif kind == "omega":
-        q = m
-        while q % 3 == 0:
-            q //= 3
-    elif kind == "eta":
-        if B is None:
-            raise ValueError("kind 'eta' needs B")
-        q = q_divisor(m, B)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    q = _surviving_divisor(m, *_linear_form(kind, B))
     return {(p.t + j * q) % m for j in range(m // q)}
 
 
@@ -434,37 +419,33 @@ def eta_multiplier(A: UnimodularMatrix) -> ExactScalar:
 # ------------------------------------------------------------- identities
 
 
+# Per kind, the factor taking level_constant(m) to the level of the
+# constancy check, and the multiplier phase it uses.
+_CONSTANCY_MULTIPLIER = {"f": (1, _mock_phase), "omega": (2, _omega_even_c_phase)}
+
+
 def constancy_check(A: UnimodularMatrix, p: Progression, kind: str) -> set[ExactScalar]:
     """The set of combined scalars, over lam in [0, m), of
 
-        w(A_lam) zeta_m^(-lam (t - 1/24)) zeta_m^(lam' (t_A - 1/24))
+        w(A_lam) zeta_m^(-lam s) zeta_m^(lam' s_A),
 
-    for kind "f" (with the mock multiplier), or the analogue with t + 2/3
-    and the even-c omega multiplier for kind "omega".  The transformation
-    theory predicts a singleton whose 24m-th power is 1.  Every factor is a
-    unit phase, so the phases are summed as rationals mod 1 and one scalar
-    is built per distinct phase.
+    with the shifts s = (alpha + beta*t)/beta and s_A the same at t_A =
+    t_image(a, ...): t - 1/24 and the mock multiplier w for kind "f",
+    t + 2/3 and the even-c omega multiplier for kind "omega".  The
+    transformation theory predicts a singleton whose 24m-th power is 1.
+    Every factor is a unit phase, so the phases are summed as rationals
+    mod 1 and one scalar is built per distinct phase.
 
     Requires A in the congruence subgroup for the kind (c a positive
-    multiple of the level) and the matching unit condition on a.
+    multiple of the level: level_constant(m) for "f", twice that for
+    "omega") and gcd(a, beta) = 1.
     """
     m, t = p.m, p.t
-    if kind == "f":
-        level = level_constant(m)
-        if gcd(A.a, 6) != 1:
-            raise BadUnit(f"gcd({A.a}, 6) != 1")
-        shift = Fraction(t) - Fraction(1, 24)
-        shift_img = Fraction(t_image(A.a, p, "f")) - Fraction(1, 24)
-        multiplier_phase = _mock_phase
-    elif kind == "omega":
-        level = 2 * level_constant(m)
-        if A.a % 3 == 0:
-            raise BadUnit(f"3 | a = {A.a}")
-        shift = Fraction(t) + Fraction(2, 3)
-        shift_img = Fraction(t_image(A.a, p, "omega")) + Fraction(2, 3)
-        multiplier_phase = _omega_even_c_phase
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    alpha, beta = _linear_form(kind)
+    factor, multiplier_phase = _CONSTANCY_MULTIPLIER[kind]
+    level = factor * level_constant(m)
+    shift = Fraction(alpha + beta * t, beta)
+    shift_img = Fraction(alpha + beta * t_image(A.a, p, kind), beta)
     if A.c <= 0 or A.c % level:
         raise BadMatrix(f"need c > 0 with {level} | c")
     phases = set()
@@ -580,17 +561,14 @@ def cusp_one_leading(Q: int, t: int) -> ExactScalar:
 
 def good_progression_support_vanishes(p: Progression, kind: str) -> bool:
     """Whether the quadratic support of the non-holomorphic tail misses the
-    progression: no k with k(3k+1)/2 = -t (mod m) for kind "f", and no k
-    with 3k^2 + 2k = -t-1 (mod m) for kind "omega".  True on every good
-    progression."""
-    m, t = p.m, p.t
-    if kind == "f":
-        target = (-t) % m
-        return all(k * (3 * k + 1) // 2 % m != target for k in range(2 * m))
-    if kind == "omega":
-        target = (-t - 1) % m
-        return all((3 * k * k + 2 * k) % m != target for k in range(m))
-    raise ValueError(f"unknown kind {kind!r}")
+    progression: no x with x^2 = alpha + beta*t (mod |beta| m).  With x =
+    6k + 1 that is no k with k(3k+1)/2 = -t (mod m) for kind "f", and with
+    x = 3k + 1 no k with 3k^2 + 2k = -t-1 (mod m) for kind "omega".  True on
+    every good progression."""
+    alpha, beta = _linear_form(kind)
+    n = abs(beta) * p.m
+    target = (alpha + beta * p.t) % n
+    return target not in {x * x % n for x in range(n // 2 + 1)}
 
 
 # ------------------------------------------------------------ numeric eta
@@ -696,21 +674,22 @@ def _trial_corrupted_cancellation(rng: random.Random) -> tuple[bool, str]:
     phase = _cancellation_phase(A, m, lam, include_curvature=False)
     return phase == 0, f"m={m} lam={lam} A={A} phase={phase}"
 
-def _trial_constancy_f(rng: random.Random) -> tuple[bool, str]:
-    m = rng.choice(_GOOD_CAPABLE_M)
-    p = Progression(m, rng.choice(good_residues(m, "f")))
-    A = random_unimodular(rng, level_constant(m), 1, unit="prime6")
-    values = constancy_check(A, p, "f")
-    ok = len(values) == 1 and next(iter(values)) ** (24 * m) == ExactScalar.one()
-    return ok, f"p={p} A={A} values={len(values)}"
+def _constancy_trial(kind: str):
+    """The phase-constancy trial of kind "f" or "omega": a good progression
+    and a matrix of the kind's level with a prime to beta."""
+    # random_unimodular's name for "a prime to beta" (beta = -24 or -3)
+    unit = "prime6" if _linear_form(kind)[1] % 2 == 0 else "prime3"
+    factor = _CONSTANCY_MULTIPLIER[kind][0]
 
-def _trial_constancy_omega(rng: random.Random) -> tuple[bool, str]:
-    m = rng.choice(_GOOD_CAPABLE_M)
-    p = Progression(m, rng.choice(good_residues(m, "omega")))
-    A = random_unimodular(rng, 2 * level_constant(m), 1, unit="prime3")
-    values = constancy_check(A, p, "omega")
-    ok = len(values) == 1 and next(iter(values)) ** (24 * m) == ExactScalar.one()
-    return ok, f"p={p} A={A} values={len(values)}"
+    def trial(rng: random.Random) -> tuple[bool, str]:
+        m = rng.choice(_GOOD_CAPABLE_M)
+        p = Progression(m, rng.choice(good_residues(m, kind)))
+        A = random_unimodular(rng, factor * level_constant(m), 1, unit=unit)
+        values = constancy_check(A, p, kind)
+        ok = len(values) == 1 and next(iter(values)) ** (24 * m) == ExactScalar.one()
+        return ok, f"p={p} A={A} values={len(values)}"
+
+    return trial
 
 def _trial_orbit_coverage(rng: random.Random) -> tuple[bool, str]:
     kind = rng.choice(("f", "omega", "eta"))
@@ -739,8 +718,8 @@ _SUITES = (
     ("mock-multiplier-order-24", _trial_mock_multiplier_order),
     ("dedekind-shift-parity", _trial_shift_parity),
     ("sign-cancellation", _trial_sign_cancellation),
-    ("phase-constancy-f", _trial_constancy_f),
-    ("phase-constancy-omega", _trial_constancy_omega),
+    ("phase-constancy-f", _constancy_trial("f")),
+    ("phase-constancy-omega", _constancy_trial("omega")),
     ("orbit-coverage", _trial_orbit_coverage),
     ("good-progression-support", _trial_good_support),
     ("eta-transform-numeric", _trial_eta_numeric),

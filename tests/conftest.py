@@ -7,12 +7,17 @@ multiply or divide pass per unit of exponent (no rewrite, no series
 operations), and the mock theta functions from their q-hypergeometric
 definitions, term by term, so they can serve as ground truth for the eta
 machinery and for the Appell-Lerch builders.  Dedekind sums come from their
-defining sum, O(c) terms, against the reciprocity algorithm.
+defining sum, O(c) terms, against the reciprocity algorithm.  The
+progression rules of ``transform`` (goodness, refinement, unit images,
+orbits, coverage, support) come from their explicit per-kind formulas,
+against the one linear form alpha + beta*t they are derived from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -130,6 +135,115 @@ def _dedekind_literal(d: int, c: int):
     for r in range(1, c):
         total += (2 * r - c) * (2 * ((d * r) % c) - c)
     return Fraction(total, 4 * c * c)
+
+
+def _odd_prime_divisors(m: int) -> list[int]:
+    """The odd primes dividing m, by trial division."""
+    while m % 2 == 0:
+        m //= 2
+    primes, q = [], 3
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 2
+    return primes + [m] if m > 1 else primes
+
+
+def _legendre(a: int, q: int) -> int:
+    """(a | q) for an odd prime q, by Euler's criterion."""
+    r = pow(a, (q - 1) // 2, q)
+    return -1 if r == q - 1 else r
+
+
+def _oracle_is_good(m: int, t: int, kind: str) -> bool:
+    if kind == "f":
+        arg = 1 - 24 * t
+    elif kind == "omega":
+        arg = -3 * t - 2
+    else:
+        raise ValueError(kind)
+    return any(_legendre(arg, q) == -1 for q in _odd_prime_divisors(m))
+
+
+def _oracle_good_residues(m: int, kind: str) -> list[int]:
+    if m == 1:
+        return [0]
+    return [t for t in range(m) if _oracle_is_good(m, t, kind)]
+
+
+def _oracle_refine_to_good(m: int, t: int, kind: str) -> tuple[int, int]:
+    """(m', t') of the first good refinement: primes q >= 5 prime to m, then
+    non-residues x mod q, with 1 - 24T = x (f) or -3T - 2 = x (omega) mod q."""
+    if _oracle_is_good(m, t, kind):
+        return m, t
+    q = 5
+    while True:
+        if _odd_prime_divisors(q) == [q] and m % q:
+            for x in range(2, q):
+                if _legendre(x, q) != -1:
+                    continue
+                if kind == "f":
+                    res = (1 - x) * pow(24, -1, q) % q
+                else:
+                    res = (-2 - x) * pow(3, -1, q) % q
+                T = next(T for T in range(t, m * q, m) if T % q == res)
+                if _oracle_is_good(m * q, T, kind):
+                    return m * q, T
+        q += 2
+
+
+def _oracle_t_image(a: int, m: int, t: int, kind: str, B: int | None = None) -> int:
+    aa = a * a
+    if kind == "f":
+        corr = (1 - aa) // 24
+    elif kind == "omega":
+        corr = 2 * (aa - 1) // 3
+    else:
+        corr = -B * (1 - aa) // 24
+    return (t * aa + corr) % m
+
+
+def _oracle_orbit_units(m: int, kind: str) -> list[int]:
+    """The a that ``orbit`` scans: a in 1..3m prime to 3 for omega, the
+    units mod 24m otherwise."""
+    if kind == "omega":
+        return [a for a in range(1, 3 * m + 1) if a % 3]
+    return [a for a in range(1, 24 * m + 1) if gcd(a, 6 * m) == 1]
+
+
+def _oracle_coverage_target(m: int, t: int, kind: str, B: int | None = None) -> set[int]:
+    """{t + jQ mod m}: Q strips 2 and 3 from m for f, 3 for omega, and for
+    eta both, 3 or 2 according to gcd(B, 6) = 1, 2 or 3."""
+    strip = {"f": (2, 3), "omega": (3,)}.get(kind)
+    if strip is None:
+        strip = {1: (2, 3), 2: (3,), 3: (2,)}[gcd(B, 6)]
+    q = m
+    for prime in strip:
+        while q % prime == 0:
+            q //= prime
+    return {(t + j * q) % m for j in range(m // q)}
+
+
+def _oracle_support_vanishes(m: int, t: int, kind: str) -> bool:
+    """No k with k(3k+1)/2 = -t (f), or 3k^2 + 2k = -t-1 (omega), mod m."""
+    if kind == "f":
+        return all(k * (3 * k + 1) // 2 % m != (-t) % m for k in range(2 * m))
+    return all((3 * k * k + 2 * k) % m != (-t - 1) % m for k in range(m))
+
+
+@pytest.fixture(scope="session")
+def transform_oracle():
+    return SimpleNamespace(
+        is_good=_oracle_is_good,
+        good_residues=_oracle_good_residues,
+        refine_to_good=_oracle_refine_to_good,
+        t_image=_oracle_t_image,
+        orbit_units=_oracle_orbit_units,
+        coverage_target=_oracle_coverage_target,
+        support_vanishes=_oracle_support_vanishes,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -266,6 +266,22 @@ def test_cusp_check_explicit_t(capsys):
     assert "t=3 ok" in out
 
 
+@pytest.mark.parametrize("Q", ["2", "4", "8", "16"])
+def test_cusp_check_omega_without_good_residue(capsys, Q):
+    # Q a power of 2 has no odd prime to certify a good residue: checking
+    # nothing must not pass
+    code, out, err = run(capsys, "cusp-check", "omega", "--Q", Q)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: no good residue mod {Q} for kind omega; pass --t\n"
+
+
+def test_cusp_check_omega_power_of_two_with_explicit_t(capsys):
+    code, out, _ = run(capsys, "cusp-check", "omega", "--Q", "2", "--t", "1")
+    assert code == 0
+    assert out == "kind=omega Q=2 t=1 ok\n"
+
+
 def test_cusp_check_failure_exit_code(capsys, monkeypatch):
     from qsift.arith import ExactScalar
 

@@ -101,6 +101,14 @@ def test_witness_absent_for_known_congruences():
     assert witness(part, 5, Progression(5, 4), 200) is None
 
 
+def test_witness_rejects_a_negative_bound():
+    # a negative bound must not read as "no witness" (None)
+    part = build_series("partition", 100, modulus=5)
+    assert witness(part, 5, Progression(5, 0), 0) == 0
+    with pytest.raises(ValueError):
+        witness(part, 5, Progression(5, 0), -1)
+
+
 def test_witness_insufficient_precision():
     with pytest.raises(InsufficientPrecision):
         witness(mock_f(10), 3, Progression(3, 1), 5)

@@ -229,6 +229,84 @@ def test_orbit_coverage_exhaustive_small():
             assert coverage_target(p, "eta", -5) <= orbit(p, "eta", -5)
 
 
+# ------------------------------------------- one linear form vs the oracles
+
+# f, omega, and eta with B in each class gcd(B, 6) = 1, 2, 3, of both signs
+FORM_KINDS = [("f", None), ("omega", None)] + [
+    ("eta", B) for B in (-5, 7, -2, 4, -3, 9)
+]
+
+
+@pytest.mark.parametrize("kind,B", FORM_KINDS)
+def test_unit_action_matches_per_kind_formulas(transform_oracle, kind, B):
+    # every t mod m <= 40 and every a of the orbit window 1..|beta|m: the
+    # image of each a prime to beta, the orbit over the oracle's units and
+    # the coverage target equal the explicit per-kind formulas
+    beta = 3 if kind == "omega" else 24
+    for m in range(1, 41):
+        window = range(1, beta * m + 1)
+        admissible = [a for a in window if gcd(a, beta) == 1]
+        units = set(transform_oracle.orbit_units(m, kind))
+        for t in range(m):
+            p = Progression(m, t)
+            expected = [transform_oracle.t_image(a, m, t, kind, B) for a in admissible]
+            assert [t_image(a, p, kind, B) for a in admissible] == expected, p
+            images = {x for a, x in zip(admissible, expected) if a in units}
+            assert orbit(p, kind, B) == images, p
+            target = transform_oracle.coverage_target(m, t, kind, B)
+            assert coverage_target(p, kind, B) == target, p
+        for a in window:
+            if gcd(a, beta) != 1:
+                with pytest.raises(BadUnit):
+                    t_image(a, Progression(m, 0), kind, B)
+
+
+@pytest.mark.parametrize("kind", ["f", "omega"])
+def test_goodness_matches_per_kind_formulas(transform_oracle, kind):
+    for m in range(1, 41):
+        assert good_residues(m, kind) == transform_oracle.good_residues(m, kind)
+        for t in range(m):
+            p = Progression(m, t)
+            assert is_good(p, kind) == transform_oracle.is_good(m, t, kind), p
+            assert good_progression_support_vanishes(
+                p, kind
+            ) == transform_oracle.support_vanishes(m, t, kind), p
+    for m in range(1, 31):
+        for t in range(m):
+            refined = refine_to_good(Progression(m, t), kind)
+            assert (refined.m, refined.t) == transform_oracle.refine_to_good(m, t, kind)
+
+
+def test_linear_form_errors():
+    p = Progression(10, 3)
+    with pytest.raises(BadUnit):
+        t_image(4, p, "f")  # shares 2 with beta = -24
+    with pytest.raises(BadUnit):
+        t_image(3, p, "eta", B=-5)
+    with pytest.raises(BadUnit):
+        t_image(9, p, "omega")  # shares 3 with beta = -3
+    for B in (6, -12, 0):
+        with pytest.raises(BDivisibleBySix):
+            q_divisor(10, B)
+        with pytest.raises(BDivisibleBySix):
+            coverage_target(p, "eta", B)
+    for call in (
+        lambda: is_good(p, "eta"),
+        lambda: t_image(5, p, "eta"),
+        lambda: orbit(p, "eta"),
+        lambda: coverage_target(p, "eta"),
+        lambda: is_good(p, "g"),
+        lambda: refine_to_good(Progression(1, 0), "g"),
+        lambda: t_image(5, p, "g"),
+        lambda: orbit(p, "g"),
+        lambda: coverage_target(p, "g"),
+        lambda: good_progression_support_vanishes(p, "g"),
+        lambda: constancy_check(UnimodularMatrix(1, 0, 20, 1), p, "eta"),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
 # ------------------------------------------------------------ multipliers
 
 
