@@ -2,8 +2,13 @@
 identity suites, verify cusp leading-term identities, and report criterion
 applicability.
 
-Exit codes: 0 success, 2 usage/grammar error, 3 unknown catalog name,
-4 insufficient budget, 5 identity-suite failure, 6 cusp-identity failure.
+A command returns 0 on success, 5 when an identity suite fails and 6 when
+a cusp identity fails.  Every other failure it raises, and ``main`` alone
+maps the exception to an exit code and one ``error: ...`` line on stderr:
+UnknownSeries exits 3, InsufficientPrecision (a budget that cannot cover
+the request) 4, and ValueError (GrammarError among them) 2.  An option
+value out of its domain raises argparse.ArgumentError, which ``main``
+reports through the parser: the usage line and exit 2.
 Stdout carries only the declared output format; diagnostics go to stderr.
 """
 
@@ -242,12 +247,9 @@ def _get_series(
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_expand(args, spec) -> int:
-    try:
-        series = _get_series(spec, args.spec, args.limit, args.mod, args.cache_dir)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_expand(args) -> int:
+    spec = parse_series_spec(args.spec)
+    series = _get_series(spec, args.spec, args.limit, args.mod, args.cache_dir)
     if args.format == "json":
         print(json.dumps(_series_payload(series, args.spec, args.mod), indent=2))
     else:
@@ -257,44 +259,29 @@ def _cmd_expand(args, spec) -> int:
     return 0
 
 
-def _cmd_scan(args, spec) -> int:
+def _cmd_scan(args) -> int:
+    spec = parse_series_spec(args.spec)
     single = None
     if args.progression:
+        m_text, _, t_text = args.progression.partition(":")
         try:
-            m_text, _, t_text = args.progression.partition(":")
             single = Progression(int(m_text), int(t_text))
         except ValueError:
-            print(
-                f"error: --progression wants m:t, got {args.progression!r}",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(
+                f"--progression wants m:t, got {args.progression!r}"
+            ) from None
     if single is None and args.m_max is None:
-        print("error: need --m-max or --progression", file=sys.stderr)
-        return 2
+        raise ValueError("need --m-max or --progression")
     m_max = single.m if single else args.m_max
     if m_max < 1:
-        print(f"error: m_max must be positive, got {m_max}", file=sys.stderr)
-        return 2
+        raise ValueError(f"m_max must be positive, got {m_max}")
     if args.budget < m_max:
-        print(
-            f"error: budget {args.budget} cannot cover m_max {m_max}",
-            file=sys.stderr,
-        )
-        return 4
-    try:
-        series = _get_series(spec, args.spec, args.budget, args.mod, args.cache_dir)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if single:
-            report = scan_progression(series, args.mod, single, args.spec)
-        else:
-            report = scan(series, args.mod, m_max, series_name=args.spec)
-    except InsufficientPrecision as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        raise InsufficientPrecision(f"budget {args.budget} cannot cover m_max {m_max}")
+    series = _get_series(spec, args.spec, args.budget, args.mod, args.cache_dir)
+    if single:
+        report = scan_progression(series, args.mod, single, args.spec)
+    else:
+        report = scan(series, args.mod, m_max, series_name=args.spec)
     print(report.to_json() if args.format == "json" else report.to_csv(), end="")
     if args.format == "json":
         print()
@@ -302,13 +289,9 @@ def _cmd_scan(args, spec) -> int:
 
 
 def _cmd_identities(args) -> int:
-    try:
-        results = identity_suites(
-            seed=args.seed, trials=args.trials, negative_control=args.negative_control
-        )
-    except ValueError as exc:  # trials < 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = identity_suites(
+        seed=args.seed, trials=args.trials, negative_control=args.negative_control
+    )
     failed = False
     for result in results:
         status = "pass" if result.passed else "FAIL"
@@ -321,55 +304,43 @@ def _cmd_identities(args) -> int:
     return 5 if failed else 0
 
 
-def _cmd_cusp_check(args, parser) -> int:
-    Q = args.Q
-    if args.kind == "f":
-        if Q < 1 or gcd(Q, 6) != 1:
-            parser.error(f"--Q must be coprime to 6 for kind f (got {Q})")
-        ts = [args.t] if args.t is not None else good_residues(Q, "f")
+def _cmd_cusp_check(args) -> int:
+    Q, kind = args.Q, args.kind
+    coprime_to = 6 if kind == "f" else 3
+    if Q < 1 or gcd(Q, coprime_to) != 1:
+        raise argparse.ArgumentError(
+            None, f"--Q must be coprime to {coprime_to} for kind {kind} (got {Q})"
+        )
+    ts = [args.t] if args.t is not None else good_residues(Q, kind)
+    if not ts:  # omega with Q a power of 2: no odd prime certifies goodness
+        raise ValueError(f"no good residue mod {Q} for kind {kind}; pass --t")
+    if kind == "f":
         expected = ExactScalar(Fraction(1, Q) ** (12 * Q))
         leading = cusp_half_leading
     else:
-        if Q < 1 or Q % 3 == 0:
-            parser.error(f"--Q must be coprime to 3 for kind omega (got {Q})")
-        ts = [args.t] if args.t is not None else good_residues(Q, "omega")
         sign = Fraction(1, 2) if Q % 2 else Fraction(0)
         expected = ExactScalar(Fraction(1, 2 * Q) ** (12 * Q), 1, sign)
         leading = cusp_one_leading
-    if not ts:  # omega with Q a power of 2: no odd prime certifies goodness
-        print(
-            f"error: no good residue mod {Q} for kind {args.kind}; pass --t",
-            file=sys.stderr,
-        )
-        return 2
     bad = 0
     for t in ts:
         value = leading(Q, t) ** (24 * Q)
         ok = value == expected
-        print(f"kind={args.kind} Q={Q} t={t} {'ok' if ok else 'MISMATCH'}")
+        print(f"kind={kind} Q={Q} t={t} {'ok' if ok else 'MISMATCH'}")
         if not ok:
             bad += 1
             print(f"  got {value}, expected {expected}", file=sys.stderr)
     return 6 if bad else 0
 
 
-def _cmd_info(args, spec) -> int:
-    if isinstance(spec, str):
-        entry = catalog_entry(spec)
-        if not isinstance(entry.spec, EtaQuotientSpec):
-            print(
-                f"error: {spec!r} is not an eta-quotient; no applicability report",
-                file=sys.stderr,
+def _cmd_info(args) -> int:
+    eq = parse_series_spec(args.spec)
+    if isinstance(eq, str):
+        eq = catalog_entry(eq).spec
+        if not isinstance(eq, EtaQuotientSpec):
+            raise ValueError(
+                f"{args.spec!r} is not an eta-quotient; no applicability report"
             )
-            return 2
-        eq = entry.spec
-    else:
-        eq = spec
-    try:
-        report: Applicability = theorem_applies(eq, args.ell, args.m)
-    except ValueError as exc:  # m < 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report: Applicability = theorem_applies(eq, args.ell, args.m)
     from .transform import BDivisibleBySix, q_divisor
 
     try:
@@ -411,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--limit", type=int, default=10)
     p_expand.add_argument("--mod", type=int, default=None)
     p_expand.add_argument("--format", choices=("json", "csv"), default="json")
+    p_expand.set_defaults(run=_cmd_expand)
 
     p_scan = sub.add_parser("scan", help="scan progressions for congruences")
     p_scan.add_argument("spec")
@@ -424,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="m:t",
         help="report a single progression instead of all m <= m_max",
     )
+    p_scan.set_defaults(run=_cmd_scan)
 
     p_ident = sub.add_parser("identities", help="run the exact identity suites")
     p_ident.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -433,16 +406,19 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the deliberately corrupted suite (expected to fail)",
     )
+    p_ident.set_defaults(run=_cmd_identities)
 
     p_cusp = sub.add_parser("cusp-check", help="verify cusp leading-term identities")
     p_cusp.add_argument("kind", choices=("f", "omega"))
     p_cusp.add_argument("--Q", type=int, required=True)
     p_cusp.add_argument("--t", type=int, default=None)
+    p_cusp.set_defaults(run=_cmd_cusp_check)
 
     p_info = sub.add_parser("info", help="eta-quotient data and applicability")
     p_info.add_argument("spec")
     p_info.add_argument("--ell", type=int, required=True, choices=(2, 3))
     p_info.add_argument("--m", type=int, required=True)
+    p_info.set_defaults(run=_cmd_info)
 
     return parser
 
@@ -450,20 +426,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "identities":
-        return _cmd_identities(args)
-    if args.command == "cusp-check":
-        return _cmd_cusp_check(args, parser)
-    try:  # every other command takes a series spec
-        spec = parse_series_spec(args.spec)
-    except GrammarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownSeries:
-        print(f"error: unknown series {args.spec!r}", file=sys.stderr)
-        return 3
-    command = {"expand": _cmd_expand, "scan": _cmd_scan, "info": _cmd_info}
-    return command[args.command](args, spec)
+    try:
+        return args.run(args)
+    except argparse.ArgumentError as exc:  # an option value out of its domain
+        parser.error(str(exc))
+    except UnknownSeries as exc:
+        code, message = 3, f"unknown series {exc.args[0]!r}"
+    except InsufficientPrecision as exc:
+        code, message = 4, exc
+    except ValueError as exc:  # GrammarError among them
+        code, message = 2, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

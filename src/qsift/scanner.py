@@ -90,7 +90,7 @@ class ScanReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["m", "t", "status", "n", "value", "checked"])
         for v in self.verdicts:
             writer.writerow(

@@ -224,6 +224,9 @@ def good_residues(m: int, kind: str) -> list[int]:
     """The residues t with t (mod m) good, ascending.  For m = 1 this is
     [0]: the one progression is the whole function, which callers checking
     every good residue (the cusp identities) check too."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    _linear_form(kind)  # ValueError for an unknown kind, or "eta" without B
     if m == 1:
         return [0]
     return [t for t in range(m) if is_good(Progression(m, t), kind)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -99,6 +100,22 @@ def test_good_residues():
     for m in range(2, 40):
         for kind in ("f", "omega"):
             assert good_residues(m, kind) == good_ts(m, kind)
+
+
+@pytest.mark.parametrize(
+    "m, kind, message",
+    [
+        (1, "x", "unknown kind 'x'"),
+        (1, "eta", "kind 'eta' needs B"),
+        (0, "f", "m must be positive"),
+        (-3, "f", "m must be positive"),
+        (0, "x", "m must be positive"),
+    ],
+)
+def test_good_residues_validates_before_the_m_1_shortcut(m, kind, message):
+    # as at m = 5: a bad kind or a nonpositive m is an error, never [0] or []
+    with pytest.raises(ValueError, match=re.escape(message)):
+        good_residues(m, kind)
 
 
 def test_refine_to_good_from_trivial():
