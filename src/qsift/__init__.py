@@ -17,8 +17,6 @@ from .generators import (
     eta_series,
     mock_f,
     mock_omega,
-    omega_partition_oracle,
-    rank_diff_oracle,
     theta_g,
 )
 from .qseries import (

@@ -40,6 +40,7 @@ from .qseries import (
     integer_mod,
 )
 from .scanner import (
+    DEFAULT_BUDGET,
     Applicability,
     InsufficientPrecision,
     scan,
@@ -175,7 +176,7 @@ def _coefficient_list(series: QSeries) -> list:
     return list(series.slots)
 
 
-def _series_payload(series: QSeries, name: str, modulus: int | None) -> dict:
+def _series_payload(series: QSeries, name: str) -> dict:
     return {
         "series": name,
         "offset": str(series.offset),
@@ -249,9 +250,11 @@ def _get_series(
 
 def _cmd_expand(args) -> int:
     spec = parse_series_spec(args.spec)
+    if args.limit < 1:
+        raise ValueError(f"--limit must be positive, got {args.limit}")
     series = _get_series(spec, args.spec, args.limit, args.mod, args.cache_dir)
     if args.format == "json":
-        print(json.dumps(_series_payload(series, args.spec, args.mod), indent=2))
+        print(json.dumps(_series_payload(series, args.spec), indent=2))
     else:
         print("n,exponent,coefficient")
         for n, c in enumerate(series.coeffs):
@@ -265,11 +268,12 @@ def _cmd_scan(args) -> int:
     if args.progression:
         m_text, _, t_text = args.progression.partition(":")
         try:
-            single = Progression(int(m_text), int(t_text))
+            m, t = int(m_text), int(t_text)
         except ValueError:
             raise ValueError(
                 f"--progression wants m:t, got {args.progression!r}"
             ) from None
+        single = Progression(m, t)
     if single is None and args.m_max is None:
         raise ValueError("need --m-max or --progression")
     m_max = single.m if single else args.m_max
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("spec")
     p_scan.add_argument("--mod", type=int, required=True)
     p_scan.add_argument("--m-max", type=int, default=None)
-    p_scan.add_argument("--budget", type=int, default=20000)
+    p_scan.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
     p_scan.add_argument(
         "--progression",

@@ -1,5 +1,5 @@
 """Generating functions: eta-quotients, the mock theta functions f and omega,
-the weight-3/2 theta series, and brute-force combinatorial oracles.
+the weight-3/2 theta series, and the named series catalog.
 
 An eta-quotient prod eta(q^delta)^r is q^(B/24) times a product of powers of
 Euler products E_delta = prod(1 - q^(delta*n)), each with pentagonal-number
@@ -46,7 +46,6 @@ from .qseries import (
 )
 
 __all__ = [
-    "OracleBoundExceeded",
     "UnknownSeries",
     "EtaQuotientSpec",
     "SeriesCatalogEntry",
@@ -55,25 +54,15 @@ __all__ = [
     "mock_f",
     "mock_omega",
     "theta_g",
-    "rank_diff_oracle",
-    "omega_partition_oracle",
     "catalog",
     "catalog_entry",
     "build_series",
     "series_ring",
-    "BUILTIN_NAMES",
 ]
-
-
-class OracleBoundExceeded(Exception):
-    """Brute-force oracles refuse inputs past their configured bound."""
 
 
 class UnknownSeries(KeyError):
     """No catalog entry with that name."""
-
-
-DEFAULT_ORACLE_BOUND = 60
 
 
 @dataclass(frozen=True)
@@ -268,72 +257,7 @@ def theta_g(index: int, prec: int) -> QSeries:
     return _sparse_sum(prec, RATIONAL, fills, Fraction(1, 3))
 
 
-def _iter_partition_shapes(n: int):
-    """Yield (largest_part, number_of_parts) over all partitions of n."""
-    if n == 0:
-        yield (0, 0)
-        return
-
-    def rec(remaining: int, cap: int, largest: int, count: int):
-        if remaining == 0:
-            yield (largest, count)
-            return
-        top = min(remaining, cap)
-        for part in range(top, 0, -1):
-            yield from rec(remaining - part, part, largest or part, count + 1)
-
-    yield from rec(n, n, 0, 0)
-
-
-def rank_diff_oracle(n: int, bound: int = DEFAULT_ORACLE_BOUND) -> int:
-    """N_e(n) - N_o(n) by exhaustive enumeration: the signed count of
-    partitions by parity of rank = largest part - number of parts."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > bound:
-        raise OracleBoundExceeded(f"n={n} exceeds oracle bound {bound}")
-    total = 0
-    for largest, count in _iter_partition_shapes(n):
-        total += 1 if (largest - count) % 2 == 0 else -1
-    return total
-
-
-def omega_partition_oracle(n: int, bound: int = DEFAULT_ORACLE_BOUND) -> int:
-    """The count c(n) of partitions of n+1 in which every part except
-    possibly the largest occurs inside a consecutive pair (k+1) + k, k >= 0.
-
-    Concretely a configuration is one marked part L >= 1 plus a multiset of
-    pairs (k+1, k) with k+1 <= L (pair weight 2k+1); the six listed
-    partitions of 5 arise exactly this way, with the k = 0 pair written
-    (1 + 0).  Exhaustive recursive enumeration.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > bound:
-        raise OracleBoundExceeded(f"n={n} exceeds oracle bound {bound}")
-    target = n + 1
-
-    def count_pairs(remaining: int, max_weight: int) -> int:
-        # multisets of odd pair weights <= max_weight summing to remaining
-        if remaining == 0:
-            return 1
-        total = 0
-        w = min(max_weight, remaining)
-        if w % 2 == 0:
-            w -= 1
-        while w >= 1:
-            total += count_pairs(remaining - w, w)
-            w -= 2
-        return total
-
-    total = 0
-    for largest in range(1, target + 1):
-        total += count_pairs(target - largest, 2 * largest - 1)
-    return total
-
-
 _THETA_TAGS = ("theta_g0", "theta_g1", "theta_g2")
-BUILTIN_NAMES = ("mock_f", "mock_omega", *_THETA_TAGS)
 
 _CATALOG = (
     SeriesCatalogEntry(

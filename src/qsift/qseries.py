@@ -425,6 +425,8 @@ def _transform_product(n_out: int, n_min: int, width: int, ring: CoefficientRing
 
 def _convolve(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> list:
     """Slots lo..n_out-1 of the product, by the kernel predicted cheaper."""
+    if n_out == 0:
+        return []
     if ring.kind != "rat":
         nnz = min(_prefix_nonzeros(xs, n_out), _prefix_nonzeros(ys, n_out))
         width = _kronecker_width(xs, ys, n_out, ring)

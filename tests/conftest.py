@@ -6,7 +6,10 @@ polynomial multiplication, eta-quotients from one sparse pentagonal
 multiply or divide pass per unit of exponent (no rewrite, no series
 operations), and the mock theta functions from their q-hypergeometric
 definitions, term by term, so they can serve as ground truth for the eta
-machinery and for the Appell-Lerch builders.  Dedekind sums come from their
+machinery and for the Appell-Lerch builders.  Their combinatorial readings
+come from exhaustive enumeration of partitions: f's coefficient of q^n is
+N_e(n) - N_o(n), the partitions of n counted by rank parity, and omega's is
+the number of omega-partitions of n + 1.  Dedekind sums come from their
 defining sum, O(c) terms, against the reciprocity algorithm.  The
 progression rules of ``transform`` (goodness, refinement, unit images,
 orbits, coverage, support) come from their explicit per-kind formulas,
@@ -125,6 +128,66 @@ def _mock_omega_hypergeometric(prec: int, modulus: int | None = None) -> list[in
             acc[base + i] += v
         n += 1
     return acc if modulus is None else [v % modulus for v in acc]
+
+
+def _iter_partition_shapes(n: int):
+    """Yield (largest_part, number_of_parts) over all partitions of n."""
+    if n == 0:
+        yield (0, 0)
+        return
+
+    def rec(remaining: int, cap: int, largest: int, count: int):
+        if remaining == 0:
+            yield (largest, count)
+            return
+        top = min(remaining, cap)
+        for part in range(top, 0, -1):
+            yield from rec(remaining - part, part, largest or part, count + 1)
+
+    yield from rec(n, n, 0, 0)
+
+
+def _rank_diff(n: int) -> int:
+    """N_e(n) - N_o(n) by exhaustive enumeration: the signed count of
+    partitions by parity of rank = largest part - number of parts."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    total = 0
+    for largest, count in _iter_partition_shapes(n):
+        total += 1 if (largest - count) % 2 == 0 else -1
+    return total
+
+
+def _omega_partitions(n: int) -> int:
+    """The count c(n) of partitions of n+1 in which every part except
+    possibly the largest occurs inside a consecutive pair (k+1) + k, k >= 0.
+
+    Concretely a configuration is one marked part L >= 1 plus a multiset of
+    pairs (k+1, k) with k+1 <= L (pair weight 2k+1); the six listed
+    partitions of 5 arise exactly this way, with the k = 0 pair written
+    (1 + 0).  Exhaustive recursive enumeration.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    target = n + 1
+
+    def count_pairs(remaining: int, max_weight: int) -> int:
+        # multisets of odd pair weights <= max_weight summing to remaining
+        if remaining == 0:
+            return 1
+        total = 0
+        w = min(max_weight, remaining)
+        if w % 2 == 0:
+            w -= 1
+        while w >= 1:
+            total += count_pairs(remaining - w, w)
+            w -= 2
+        return total
+
+    total = 0
+    for largest in range(1, target + 1):
+        total += count_pairs(target - largest, 2 * largest - 1)
+    return total
 
 
 def _dedekind_literal(d: int, c: int):
@@ -264,6 +327,16 @@ def mock_f_oracle():
 @pytest.fixture(scope="session")
 def mock_omega_oracle():
     return _mock_omega_hypergeometric
+
+
+@pytest.fixture(scope="session")
+def rank_diff_oracle():
+    return _rank_diff
+
+
+@pytest.fixture(scope="session")
+def omega_partition_oracle():
+    return _omega_partitions
 
 
 @pytest.fixture(scope="session")

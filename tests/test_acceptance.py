@@ -18,8 +18,6 @@ from qsift.generators import (
     catalog_entry,
     mock_f,
     mock_omega,
-    omega_partition_oracle,
-    rank_diff_oracle,
 )
 from qsift.qseries import integer_mod
 from qsift.scanner import scan, theorem_applies, verify_known
@@ -198,7 +196,9 @@ def test_criterion_6_eta_transformation_numeric():
     _report("eta-transformation-numeric", failures)
 
 
-def test_criterion_7_oracle_equivalences(partition_oracle):
+def test_criterion_7_oracle_equivalences(
+    partition_oracle, rank_diff_oracle, omega_partition_oracle
+):
     """Series coefficients match the independent combinatorial oracles."""
     failures = []
     f = mock_f(31)

@@ -360,7 +360,7 @@ def test_info_rejects_mock(capsys):
         ("expand nosuch", 3, "unknown series 'nosuch'"),
         ("expand 1^0", 2, "exponents must be nonzero"),
         ("expand 2^", 2, "malformed eta-quotient spec '2^'"),
-        ("expand partition --limit 0", 2, "prec must be >= 1"),
+        ("expand partition --limit 0", 2, "--limit must be positive, got 0"),
         ("expand partition --mod 1", 2, "modulus must be an integer >= 2"),
         (
             "expand theta_g0 --mod 3",
@@ -392,7 +392,7 @@ def test_info_rejects_mock(capsys):
         (
             "scan partition --mod 5 --progression 0:1",
             2,
-            "--progression wants m:t, got '0:1'",
+            "m must be a positive integer",
         ),
         ("scan partition --mod 5", 2, "need --m-max or --progression"),
         ("scan partition --mod 5 --m-max 0", 2, "m_max must be positive, got 0"),

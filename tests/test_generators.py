@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from qsift.generators import (
     EtaQuotientSpec,
-    OracleBoundExceeded,
     UnknownSeries,
     build_series,
     catalog,
@@ -20,8 +19,6 @@ from qsift.generators import (
     eta_series,
     mock_f,
     mock_omega,
-    omega_partition_oracle,
-    rank_diff_oracle,
     theta_g,
 )
 from qsift.generators import _frobenius_factors
@@ -214,7 +211,7 @@ def test_mock_f_constant_term():
     assert mock_f(1).coeffs[0] == 1
 
 
-def test_mock_f_matches_rank_oracle():
+def test_mock_f_matches_rank_oracle(rank_diff_oracle):
     f = mock_f(31)
     assert f.coeffs[0] == 1
     for n in range(1, 31):
@@ -251,7 +248,7 @@ def test_mock_omega_values():
     assert w.coeffs == (1, 2, 3, 4, 6, 8, 10, 14, 18, 22, 29, 36, 44)
 
 
-def test_mock_omega_matches_oracle():
+def test_mock_omega_matches_oracle(omega_partition_oracle):
     w = mock_omega(31)
     for n in range(31):
         assert w.coeffs[n] == omega_partition_oracle(n)
@@ -312,6 +309,29 @@ def test_mock_builders_over_z_reduce_to_z3():
     prec = 4000
     for build in (mock_f, mock_omega):
         assert build(prec).reduce_mod(3) == build(prec, integer_mod(3))
+
+
+@pytest.mark.parametrize(
+    "ring, prec",
+    [(INTEGER, 2000)] + [(integer_mod(m), 20000) for m in (2, 3, 5, 7)],
+    ids=str,
+)
+def test_watson_relation_ties_mock_f_omega_and_eta_quotient(ring, prec):
+    # Watson (1936): f(q^8) + 2q omega(q) + 2q^3 omega(-q^4) is the
+    # eta-quotient 1^-2,2^1,4^6,8^-4 without its q^(-1/3)
+    f = mock_f(-(-prec // 8), ring).coeffs
+    omega = mock_omega(prec, ring).coeffs
+    lhs = [0] * prec
+    lhs[::8] = f
+    for n, w in enumerate(omega):
+        if n + 1 < prec:
+            lhs[n + 1] += 2 * w
+        if 4 * n + 3 < prec:
+            lhs[4 * n + 3] += 2 * (-1) ** n * w
+    spec = EtaQuotientSpec(((1, -2), (2, 1), (4, 6), (8, -4)))
+    rhs = eta_quotient(spec, prec, ring)
+    assert rhs.offset == Fraction(-1, 3)
+    assert rhs.coeffs == tuple(ring.normalize(v) for v in lhs)
 
 
 # ------------------------------------------------------------------ theta
@@ -379,24 +399,20 @@ def test_theta_g_matches_its_defining_sum(index):
 # ---------------------------------------------------------------- oracles
 
 
-def test_rank_oracle_small():
+def test_rank_oracle_small(rank_diff_oracle):
     assert rank_diff_oracle(0) == 1
     assert rank_diff_oracle(4) == -3  # ranks of the 5 partitions of 4
     assert rank_diff_oracle(5) == mock_f(6).coeffs[5]
 
 
-def test_rank_oracle_bound():
-    with pytest.raises(OracleBoundExceeded):
-        rank_diff_oracle(61)
-    assert rank_diff_oracle(35, bound=40) == mock_f(36).coeffs[35]
+def test_rank_oracle_bound(rank_diff_oracle):
+    assert rank_diff_oracle(35) == mock_f(36).coeffs[35]
 
 
-def test_omega_oracle_examples():
+def test_omega_oracle_examples(omega_partition_oracle):
     assert omega_partition_oracle(0) == 1
     assert omega_partition_oracle(4) == 6  # the six decorated partitions of 5
     assert omega_partition_oracle(10) == mock_omega(11).coeffs[10]
-    with pytest.raises(OracleBoundExceeded):
-        omega_partition_oracle(61)
 
 
 # ---------------------------------------------------------------- catalog

@@ -184,6 +184,15 @@ def test_dispatched_product_matches_schoolbook(data):
     assert list(_conv_kronecker(a, b, n_out, ring, lo)) == expected
 
 
+@pytest.mark.parametrize(
+    "ring", [INTEGER, RATIONAL, integer_mod(3), integer_mod(1000)], ids=str
+)
+def test_zero_length_product_is_empty(ring):
+    xs = [ring.normalize(c) for c in (1, 2, 3, 4)]
+    assert qseries._convolve(xs, xs, 0, ring) == []
+    assert qseries._convolve([], [], 0, ring) == []
+
+
 # ------------------------------------------------------------------ invert
 
 
