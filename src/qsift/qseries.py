@@ -21,8 +21,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import gcd, log2
+from operator import mul
 
 __all__ = [
     "QSeriesError",
@@ -128,14 +129,17 @@ def integer_mod(m: int) -> CoefficientRing:
 # ------------------------------------------------------------------ kernels
 #
 # Three product kernels: schoolbook (cheapest for sparse or short factors),
-# Kronecker substitution into one big-integer product, and over Z/m a
-# decimal packing into one libmpdec product, whose number-theoretic
-# transform wins on long dense factors.  ``_convolve`` runs the one with the
-# least predicted cost.  The kernels work on plain coefficient sequences
-# and read only the first ``n_out`` entries of each operand: longer inputs
-# are neither sliced nor copied.  An operand may be the ``bytes`` of a
-# series over Z/m, m <= 256, which the packing kernels read as a buffer.
-# Results are reduced into the ring as they are produced.
+# Kronecker substitution into one big-integer product, and a decimal
+# packing into one libmpdec product, whose number-theoretic transform wins
+# on long dense factors over Z/m and Z alike.  ``_convolve`` runs the one
+# with the least predicted cost, and computes the slot bound that sizes
+# the packed slots once for both the pricing and the kernel.  The kernels
+# work on plain coefficient sequences and read only the first ``n_out``
+# entries of each operand: longer inputs are neither sliced nor copied,
+# except that the decimal kernel over Z reverses its operand prefixes.  An
+# operand may be the ``bytes`` of a series over Z/m, m <= 256, which the
+# packing kernels read as a buffer.  Results are reduced into the ring as
+# they are produced.
 
 
 def _prefix_nonzeros(values, n: int) -> int:
@@ -146,27 +150,48 @@ def _prefix_nonzeros(values, n: int) -> int:
     return sum(1 for v in islice(values, n) if v)
 
 
-def _kronecker_width(xs, ys, n_out: int, ring: CoefficientRing) -> int:
-    """Bytes per packed slot: room for every product slot (and a sign bit
-    over Z), from an a-priori bound, so no carry can bleed between slots.
-    0 when a factor vanishes."""
-    n_min = min(len(xs), len(ys), n_out)
+def _slot_bound(xs, ys, n_out: int, ring: CoefficientRing) -> int:
+    """An a-priori bound on the magnitudes of product slots 0..n_out-1 and
+    of the operand slots that the kernels pack.
+
+    Over Z/m it is n_min * (m-1)^2, n_min the shorter operand prefix.  Over
+    Z it is n_min * max |x_i| * |y_j| over the pairs with i + j < n_out,
+    from the running maxima of |x_i| and |y_j|, one pass over each operand
+    (a square's one); for coefficients that grow along the series it has
+    about 1/sqrt(2) of the digits of n_min * max |x| * max |y|.  An operand
+    slot that pairs only with zeros below n_out can exceed it, so the bound
+    also covers max |x| and max |y|.  0 when a factor vanishes."""
+    nx, ny = min(len(xs), n_out), min(len(ys), n_out)
+    n_min = min(nx, ny)
     if ring.kind == "mod":
-        bound = n_min * (ring.modulus - 1) ** 2
-        return (bound.bit_length() + 7) // 8
-    max_x = max(map(abs, islice(xs, n_out)), default=0)
-    max_y = max(map(abs, islice(ys, n_out)), default=0)
-    if not max_x or not max_y:
+        return n_min * (ring.modulus - 1) ** 2
+    if not n_min:
         return 0
-    return (n_min * max_x * max_y).bit_length() // 8 + 1
+    reach_x = list(accumulate(map(abs, islice(xs, nx)), max))  # max |x_0..x_i|
+    reach_y = reach_x if ys is xs else list(accumulate(map(abs, islice(ys, ny)), max))
+    # x_0..x_i pair with y_0..y_j, j = min(ny - 1, n_out - 1 - i)
+    widest = n_out - ny + 1
+    partners = chain(repeat(reach_y[-1], widest), islice(reversed(reach_y), 1, None))
+    pairs = max(map(mul, reach_x, partners))
+    return max(n_min * pairs, reach_x[-1], reach_y[-1])
 
 
-def _decimal_digits(n_min: int, ring: CoefficientRing) -> int | None:
-    """Decimal digits of the a-priori slot bound n_min * (m-1)^2 over Z/m,
-    or None where the interpreter's int/str conversion limit refuses a
-    number that long (the decimal kernel writes residues as strings)."""
+def _kronecker_width(bound: int, ring: CoefficientRing) -> int:
+    """Bytes per packed slot: room for every product slot up to ``bound``
+    (and a sign bit over Z), so no carry can bleed between slots.  0 over Z
+    when a factor vanishes."""
+    if ring.kind == "mod":
+        return (bound.bit_length() + 7) // 8
+    return bound.bit_length() // 8 + 1 if bound else 0
+
+
+def _decimal_digits(bound: int, ring: CoefficientRing) -> int | None:
+    """Decimal digits per packed slot: those of ``bound`` over Z/m, and
+    over Z those of 2 * bound, so that every |slot| < 10^w / 2.  None where
+    the interpreter's int/str conversion limit refuses a number that long
+    (the decimal kernel reads slots back from strings)."""
     try:
-        return len(str(n_min * (ring.modulus - 1) ** 2))
+        return len(str(bound if ring.kind == "mod" else 2 * bound))
     except ValueError:
         return None
 
@@ -189,12 +214,16 @@ def _kronecker_cost(n_out: int, width: int) -> float:
 
 def _decimal_cost(n_out: int, digits: int) -> float:
     """A fixed ~1000 for the calls and the context, about one per slot to
-    reduce it, and a libmpdec transform product of two n_out * digits digit
-    numbers, which with building and reading the digit strings costs about
-    0.23 per digit and doubling.  Fitted to timings of ``_conv_decimal`` at
-    128 to 131072 slots over Z/m for m from 2 to 2^61 - 1 (CPython 3.11.7,
-    libmpdec 2.5.1, x86-64); near the crossover with ``_kronecker_cost``
-    its wrong picks cost 0.5% of the two kernels' total time."""
+    reduce it (over Z, to carry its borrow), and a libmpdec transform
+    product of two n_out * digits digit numbers, which with building and
+    reading the digit strings costs about 0.23 per digit and doubling.
+    Fitted to timings of ``_conv_decimal`` at 128 to 131072 slots over Z/m
+    for m from 2 to 2^61 - 1 (CPython 3.11.7, libmpdec 2.5.1, x86-64); near
+    the crossover with ``_kronecker_cost`` its wrong picks cost 0.5% of the
+    two kernels' total time.  Over Z, on the products of powers of 1/eta
+    at 48 to 8192 slots (9 to 195 digits a slot), the measured times are
+    0.6 to 2.2 times the prediction, and the wrong picks, all at 512 to
+    1024 slots, cost 0.1% of the two kernels' total time."""
     d = n_out * digits
     return 1000 + n_out + 0.23 * d * log2(d)
 
@@ -252,16 +281,23 @@ def _unpack(data: bytes, width: int, lo: int, hi: int):
     return memoryview(buf).cast(code)
 
 
-def _conv_kronecker(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> list:
+def _conv_kronecker(
+    xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0, bound: int | None = None
+) -> list:
     """Slots lo..n_out-1 of the product, exactly, via one big-integer
-    multiplication.
+    multiplication.  ``bound`` is ``_slot_bound`` of the operands, if the
+    caller has it already.
 
     Over Z/m the residues pack as they are, and each slot is reduced as it
     is unpacked.  Over Z each factor packs as (positive part) - (negative
-    part), and the product's slots, each below half a digit in magnitude,
-    are read back from its two's complement bytes with a running borrow.
+    part), and the product's slots below n_out, each below half a digit in
+    magnitude, are read back from its two's complement bytes with a running
+    borrow; the slots past them, which the bound need not cover, change only
+    the bytes above.
     """
-    width = _kronecker_width(xs, ys, n_out, ring)
+    if bound is None:
+        bound = _slot_bound(xs, ys, n_out, ring)
+    width = _kronecker_width(bound, ring)
     if not width:
         return [0] * (n_out - lo)
     nx, ny = min(len(xs), n_out), min(len(ys), n_out)
@@ -334,26 +370,41 @@ def _has_libmpdec() -> bool:
     return True
 
 
-def _conv_decimal(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> list:
-    """Slots lo..n_out-1 of the product over Z/m, exactly, via one libmpdec
-    multiplication (a number-theoretic transform at large sizes).
+def _conv_decimal(
+    xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0, bound: int | None = None
+) -> list:
+    """Slots lo..n_out-1 of the product over Z/m or Z, exactly, via one
+    libmpdec multiplication (a number-theoretic transform at large sizes).
+    ``bound`` is ``_slot_bound`` of the operands, if the caller has it
+    already.
 
-    Each residue packs as a zero-padded group of w decimal digits, w the
-    digits of the slot bound, with slot 0 most significant; the product's
-    digit string then holds slot k at digits w*k..w*k+w-1.  Residues below
-    256 pack as bytes: each of their (at most three) digit columns is one
-    ``translate`` of the residue bytes, placed by one slice assignment into
-    a buffer of ASCII zeros.  The context traps Inexact, so a product that
-    would round raises instead.
+    Each slot packs as a zero-padded group of w decimal digits, w from
+    ``_decimal_digits``.  Over Z/m slot 0 is the most significant group, so
+    the product's digit string holds slot k at digits w*k..w*k+w-1.
+    Residues below 256 pack as bytes: each of their (at most three) digit
+    columns is one ``translate`` of the residue bytes, placed by one slice
+    assignment into a buffer of ASCII zeros.
+
+    Over Z slot 0 is the least significant group, and a factor packs as
+    (positive part) - (negative part), each part one digit string.  Only
+    the slots below hi = min(n_out, nx + ny - 1) are bounded, each below
+    10^w / 2 in magnitude; the slots past them add a multiple of
+    10^(w*hi), which is cut off, and the w*hi digits left are read from
+    slot 0 up with a running borrow, as ``_conv_kronecker`` reads its
+    bytes.  The context traps Inexact, so a product that would round
+    raises instead.
     """
-    from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact
+    from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context, Inexact
 
-    m = ring.modulus
     nx, ny = min(len(xs), n_out), min(len(ys), n_out)
-    if not nx or not ny:
+    if bound is None:
+        bound = _slot_bound(xs, ys, n_out, ring)
+    hi = max(lo, min(n_out, nx + ny - 1))  # slots from nx + ny - 1 on are 0
+    if not bound or hi == lo:  # over Z a factor vanishes, or no slot is asked
         return [0] * (n_out - lo)
-    w = _decimal_digits(min(nx, ny), ring)
+    w = _decimal_digits(bound, ring)
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    m = ring.modulus
     if ring.stores_bytes:
         tables = _BYTE_DIGITS[: len(str(m - 1))]
 
@@ -367,7 +418,7 @@ def _conv_decimal(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> lis
                 digits[w - 1 - j :: w] = residues.translate(table)
             return ctx.create_decimal(digits.decode())
 
-    else:
+    elif m:
         if m <= nx + ny:  # a table of the m padded residues is the cheaper way
             pad = [str(v).zfill(w) for v in range(m)].__getitem__
         else:
@@ -376,13 +427,41 @@ def _conv_decimal(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> lis
         def pack(values, count):
             return ctx.create_decimal("".join(map(pad, islice(values, count))))
 
+    else:
+        zeros = "0" * w
+
+        def pack(values, count):
+            values = values[count - 1 :: -1]  # slot 0 last: least significant
+            # each part's string goes as soon as its Decimal exists
+            pos = ctx.create_decimal(
+                "".join([str(v).zfill(w) if v > 0 else zeros for v in values])
+            )
+            neg = ctx.create_decimal(
+                "".join([str(-v).zfill(w) if v < 0 else zeros for v in values])
+            )
+            return ctx.subtract(pos, neg)
+
     x = pack(xs, nx)
     x = ctx.multiply(x, x if ys is xs else pack(ys, ny))  # a square packs once
-    digits = format(x, f"0{w * (nx + ny - 1)}f")  # zero-padded to whole groups
-    del x  # each big temporary goes as soon as the next is built
-    hi = max(lo, min(n_out, nx + ny - 1))  # slots from nx + ny - 1 on are 0
-    out = [v % m for v in _decimal_slots(digits, w, lo, hi)]
-    del digits
+    if m:
+        digits = format(x, f"0{w * (nx + ny - 1)}f")  # zero-padded to whole groups
+        del x  # each big temporary goes as soon as the next is built
+        out = [v % m for v in _decimal_slots(digits, w, lo, hi)]
+        del digits
+    else:
+        sign = -1 if x.is_signed() else 1
+        top = x.scaleb(-w * hi, ctx).to_integral_value(ROUND_DOWN, ctx)
+        x = ctx.subtract(x, top.scaleb(w * hi, ctx)).copy_abs()  # slots 0..hi-1
+        del top
+        groups = _decimal_slots(format(x, f"0{w * hi}f"), w, 0, hi)  # slot hi-1 first
+        del x
+        full, half = 10**w, 10**w // 2
+        out, borrow = [], 0
+        for k, v in enumerate(reversed(groups)):
+            v += borrow
+            borrow = v >= half
+            if k >= lo:
+                out.append(sign * (v - full if borrow else v))
     out.extend([0] * (n_out - hi))
     return out
 
@@ -410,12 +489,12 @@ def _conv_schoolbook(xs, ys, n_out: int, ring: CoefficientRing) -> list:
     return out
 
 
-def _transform_product(n_out: int, n_min: int, width: int, ring: CoefficientRing):
-    """(predicted cost, kernel) of the cheaper exact transform product:
-    Kronecker, or over Z/m the decimal kernel where libmpdec is present.
-    ``n_min`` is the shorter operand prefix, which bounds the slots."""
-    cost = _kronecker_cost(n_out, width)
-    digits = _decimal_digits(n_min, ring) if ring.kind == "mod" else None
+def _transform_product(n_out: int, bound: int, ring: CoefficientRing):
+    """(predicted cost, kernel) of the cheaper exact transform product to
+    n_out slots whose magnitudes are at most ``bound``: Kronecker, or the
+    decimal kernel where libmpdec is present."""
+    cost = _kronecker_cost(n_out, _kronecker_width(bound, ring))
+    digits = _decimal_digits(bound, ring)
     if digits is not None:
         decimal_cost = _decimal_cost(n_out, digits)
         if decimal_cost < cost and _has_libmpdec():
@@ -429,11 +508,10 @@ def _convolve(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> list:
         return []
     if ring.kind != "rat":
         nnz = min(_prefix_nonzeros(xs, n_out), _prefix_nonzeros(ys, n_out))
-        width = _kronecker_width(xs, ys, n_out, ring)
-        n_min = min(len(xs), len(ys), n_out)
-        cost, kernel = _transform_product(n_out, n_min, width, ring)
-        if n_out * nnz * _slot_cost(width) > cost:
-            return kernel(xs, ys, n_out, ring, lo)
+        bound = _slot_bound(xs, ys, n_out, ring)
+        cost, kernel = _transform_product(n_out, bound, ring)
+        if n_out * nnz * _slot_cost(_kronecker_width(bound, ring)) > cost:
+            return kernel(xs, ys, n_out, ring, lo, bound)
     out = _conv_schoolbook(xs, ys, n_out, ring)
     return out[lo:] if lo else out
 
@@ -512,12 +590,15 @@ def _newton_is_cheaper(den, terms: int, n_out: int, ring: CoefficientRing) -> bo
     slot and term, Newton about one and a half products by the cheaper
     transform kernel (Kronecker or the decimal kernel on libmpdec) plus
     ~1500 per halving step.  Newton runs only over Z/m: over Z and Q the
-    coefficients grow, and the recurrence never forms the (larger) inverse."""
+    coefficients grow, and the recurrence never forms the (larger) inverse.
+    Measured over Z with the decimal kernel, Newton loses: 1/eta to 20480
+    slots takes 0.90 s against the recurrence's 0.73 s (CPython 3.11.7,
+    x86-64)."""
     if ring.kind != "mod":
         return False
-    width = _kronecker_width(den, den, n_out, ring)
-    recurrence = 2 * n_out * terms * _slot_cost(width)
-    product, _ = _transform_product(n_out, n_out, width, ring)
+    bound = _slot_bound(den, den, n_out, ring)
+    recurrence = 2 * n_out * terms * _slot_cost(_kronecker_width(bound, ring))
+    product, _ = _transform_product(n_out, bound, ring)
     return recurrence > 1.5 * product + 1500 * n_out.bit_length()
 
 
@@ -676,8 +757,8 @@ class QSeries:
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Product to the smaller precision, by schoolbook, Kronecker
-        substitution or, over Z/m, one libmpdec product of decimal-packed
-        residues, whichever is predicted cheapest."""
+        substitution or one libmpdec product of decimal-packed slots (over
+        Z/m and over Z), whichever is predicted cheapest."""
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_ring(other)

@@ -293,10 +293,10 @@ def test_mock_builders_over_z9_reduce_to_z3(monkeypatch):
     kernel = qsift.qseries._conv_decimal
     seen = set()
 
-    def spy(xs, ys, n_out, ring, lo=0):
+    def spy(xs, ys, n_out, ring, lo=0, bound=None):
         if n_out >= prec // 2:
             seen.add(ring.modulus)
-        return kernel(xs, ys, n_out, ring, lo)
+        return kernel(xs, ys, n_out, ring, lo, bound)
 
     monkeypatch.setattr(qsift.qseries, "_conv_decimal", spy)
     for build in (mock_f, mock_omega):

@@ -28,8 +28,8 @@ from qsift.qseries import (
     _div_sparse,
     _divide,
     _divide_newton,
-    _kronecker_width,
     _newton_is_cheaper,
+    _slot_bound,
     _sparse_sum,
     _transform_product,
     integer_mod,
@@ -488,19 +488,19 @@ def test_decimal_kernel_agrees(data):
     assert _conv_kronecker(xs, ys, n_out, ring, lo) == expected
 
 
+SLOT_BOUND_SHAPES = [
+    (1, 1, 1, 0, False),
+    (100, 100, 199, 0, True),  # the middle slot is the bound itself
+    (100, 100, 250, 0, False),  # n_out > nx + ny
+    (37, 80, 100, 13, False),
+    (80, 37, 60, 59, False),
+    (64, 64, 127, 126, True),
+    (30, 30, 30, 30, False),  # an empty window
+]
+
+
 @pytest.mark.parametrize("m", DECIMAL_MODULI)
-@pytest.mark.parametrize(
-    "nx, ny, n_out, lo, square",
-    [
-        (1, 1, 1, 0, False),
-        (100, 100, 199, 0, True),  # the middle slot is the bound itself
-        (100, 100, 250, 0, False),  # n_out > nx + ny
-        (37, 80, 100, 13, False),
-        (80, 37, 60, 59, False),
-        (64, 64, 127, 126, True),
-        (30, 30, 30, 30, False),  # an empty window
-    ],
-)
+@pytest.mark.parametrize("nx, ny, n_out, lo, square", SLOT_BOUND_SHAPES)
 def test_decimal_kernel_at_the_slot_bound(m, nx, ny, n_out, lo, square):
     ring = integer_mod(m)
     xs = [m - 1] * nx
@@ -518,8 +518,8 @@ def test_decimal_kernel_past_the_crossover():
     n = 20000
     xs = [rng.randrange(3) for _ in range(n)]
     ys = [rng.randrange(3) for _ in range(n + 500)]  # read as a prefix
-    width = _kronecker_width(xs, ys, n, ring)
-    assert _transform_product(n, n, width, ring)[1] is _conv_decimal
+    bound = _slot_bound(xs, ys, n, ring)
+    assert _transform_product(n, bound, ring)[1] is _conv_decimal
     assert _conv_decimal(xs, ys, n, ring) == list(_conv_kronecker(xs, ys, n, ring))
     product = series(0, xs, ring) * series(0, ys, ring)
     assert list(product.coeffs) == _conv_kronecker(xs, ys, n, ring)
@@ -532,10 +532,10 @@ def test_products_without_libmpdec_match_schoolbook(monkeypatch):
     n = 1500
     a = [rng.randrange(ring.modulus) for _ in range(n)]
     b = [rng.randrange(ring.modulus) for _ in range(n)]
-    width = _kronecker_width(a, b, n, ring)
-    assert _transform_product(n, n, width, ring)[1] is _conv_decimal
+    bound = _slot_bound(a, b, n, ring)
+    assert _transform_product(n, bound, ring)[1] is _conv_decimal
     monkeypatch.setitem(sys.modules, "_decimal", None)  # import now fails
-    assert _transform_product(n, n, width, ring)[1] is _conv_kronecker
+    assert _transform_product(n, bound, ring)[1] is _conv_kronecker
     product = series(0, a, ring) * series(0, b, ring)
     assert list(product.coeffs) == _conv_schoolbook(a, b, n, ring)
 
@@ -547,12 +547,157 @@ def test_no_decimal_kernel_past_the_int_str_limit():
         pytest.skip("this interpreter converts ints of any length")
     m = 10 ** (limit // 2) + 1  # (m-1)^2 has one digit more than the limit
     ring = integer_mod(m)
-    assert _decimal_digits(1, ring) is None
-    width = _kronecker_width([1], [1], 1, ring)
-    assert _transform_product(10**6, 1, width, ring)[1] is _conv_kronecker
+    bound = _slot_bound([1], [1], 1, ring)
+    assert _decimal_digits(bound, ring) is None
+    assert _transform_product(10**6, bound, ring)[1] is _conv_kronecker
     a = series(0, [m - 1, 2, 3], ring)
     assert list((a * a).coeffs) == _conv_schoolbook(a.coeffs, a.coeffs, 3, ring)
 
+
+
+# The decimal kernel over Z: signed slots, against schoolbook.
+
+SIGNED_FILLS = ("top", "bottom", "alternating", "growing", "spike", "random", "zero")
+
+
+def signed_slots(magnitude, n, rng, fill):
+    """n integers of at most ``magnitude``: all +magnitude, all -magnitude,
+    alternating in sign (products of two such factors reach +-bound),
+    magnitude * (-2)^i (whose square, truncated to n slots, reaches the
+    bound of ``_slot_bound`` over pairs i + j < n), a spike (slot 1 is 1
+    and the last slot -10^6 * magnitude, so product slots past n dwarf the
+    bound of the slots below), all 0, or seeded random."""
+    if fill == "top":
+        return [magnitude] * n
+    if fill == "bottom":
+        return [-magnitude] * n
+    if fill == "alternating":
+        return [magnitude * (-1) ** i for i in range(n)]
+    if fill == "growing":
+        return [magnitude * (-2) ** i for i in range(n)]
+    if fill == "spike":
+        values = [0] * n
+        values[min(1, n - 1)] = 1
+        if n > 2:
+            values[-1] = -(10**6) * magnitude
+        return values
+    if fill == "zero":
+        return [0] * n
+    return [rng.randint(-magnitude, magnitude) for _ in range(n)]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_signed_decimal_kernel_agrees(data):
+    magnitude = data.draw(st.sampled_from((1, 9, 10**6, 2**61 - 1, 10**40)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    fills = st.sampled_from(SIGNED_FILLS)
+    xs = signed_slots(magnitude, data.draw(st.integers(1, 200)), rng, data.draw(fills))
+    if data.draw(st.booleans()):
+        ys = xs  # a square packs once
+    else:
+        ys = signed_slots(magnitude, data.draw(st.integers(1, 200)), rng, data.draw(fills))
+    n_out = data.draw(st.integers(1, len(xs) + len(ys) + 5))
+    lo = data.draw(st.integers(0, n_out))
+    expected = _conv_schoolbook(xs, ys, n_out, INTEGER)[lo:]
+    assert _conv_decimal(xs, ys, n_out, INTEGER, lo) == expected
+    assert _conv_kronecker(xs, ys, n_out, INTEGER, lo) == expected
+
+
+@pytest.mark.parametrize("magnitude", (1, 2**61 - 1, 10**40))
+@pytest.mark.parametrize(
+    "fills", [("top", "top"), ("bottom", "top"), ("alternating", "bottom"), ("growing", "growing")]
+)
+@pytest.mark.parametrize(
+    # truncated to 100 slots, the last slot of a growing square is +-bound
+    "nx, ny, n_out, lo, square", SLOT_BOUND_SHAPES + [(100, 100, 100, 0, True)]
+)
+def test_signed_decimal_kernel_at_the_slot_bound(magnitude, fills, nx, ny, n_out, lo, square):
+    rng = random.Random(0)
+    xs = signed_slots(magnitude, nx, rng, fills[0])
+    ys = xs if square else signed_slots(magnitude, ny, rng, fills[1])
+    full = _conv_schoolbook(xs, ys, n_out, INTEGER)
+    if square and (fills[0] != "growing" or n_out <= nx):  # a slot meets the bound
+        assert max(map(abs, full)) == _slot_bound(xs, ys, n_out, INTEGER)
+    assert _conv_decimal(xs, ys, n_out, INTEGER, lo) == full[lo:]
+    assert _conv_kronecker(xs, ys, n_out, INTEGER, lo) == full[lo:]
+    zeros = [0] * nx  # a zero operand
+    assert _conv_decimal(zeros, ys, n_out, INTEGER, lo) == [0] * (n_out - lo)
+    assert _conv_decimal(xs, zeros, n_out, INTEGER, lo) == [0] * (n_out - lo)
+
+
+@pytest.mark.parametrize("n_out, lo", [(5, 0), (5, 3), (6, 0), (9, 2)])
+def test_integer_kernels_cut_off_the_slots_past_n_out(n_out, lo):
+    # slots 0..4 are at most 1, slot 8 is -10^30: only the slots asked
+    # for are bounded, and the rest must not carry into them
+    xs = [0, 1, 0, 0, -(10**15)]
+    ys = [0, 1, 2, 0, -(10**15)]
+    for a, b in ((xs, xs), (xs, ys), (ys, xs)):
+        expected = _conv_schoolbook(a, b, n_out, INTEGER)[lo:]
+        assert _conv_decimal(a, b, n_out, INTEGER, lo) == expected
+        assert _conv_kronecker(a, b, n_out, INTEGER, lo) == expected
+
+
+def kernel_spies(monkeypatch):
+    """Record the name of every product kernel ``_convolve`` runs."""
+    ran = []
+    for name in ("_conv_schoolbook", "_conv_kronecker", "_conv_decimal"):
+        kernel = getattr(qseries, name)
+
+        def spy(*args, _kernel=kernel, _name=name):
+            ran.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(qseries, name, spy)
+    return ran
+
+
+def test_integer_kernel_at_the_benchmark_shape(monkeypatch):
+    # 1/eta to 4096 slots over Z, and its square: products of the
+    # Ramanujan identity's right side
+    inv = QSeries(0, eta_coeffs(4096), INTEGER).invert()
+    square = inv * inv
+    for a, b in ((inv, inv), (square, square), (inv, square)):
+        bound = _slot_bound(a.slots, b.slots, 4096, INTEGER)
+        assert _transform_product(4096, bound, INTEGER)[1] is _conv_decimal
+    slow = _conv_kronecker(inv.slots, square.slots, 4096, INTEGER)
+    ran = kernel_spies(monkeypatch)
+    assert list((inv * square).coeffs) == slow
+    assert ran == ["_conv_decimal"]
+
+
+@pytest.mark.parametrize("n, kernel", [(8, "_conv_schoolbook"), (128, "_conv_kronecker")])
+def test_integer_kernel_at_small_sizes(monkeypatch, n, kernel):
+    inv = QSeries(0, eta_coeffs(n), INTEGER).invert()
+    expected = _conv_schoolbook(inv.slots, inv.slots, n, INTEGER)
+    ran = kernel_spies(monkeypatch)
+    assert list((inv * inv).coeffs) == expected
+    assert ran == [kernel]
+
+
+def test_integer_products_without_libmpdec_use_kronecker(monkeypatch):
+    inv = QSeries(0, eta_coeffs(1500), INTEGER).invert()
+    bound = _slot_bound(inv.slots, inv.slots, 1500, INTEGER)
+    assert _transform_product(1500, bound, INTEGER)[1] is _conv_decimal
+    with_decimal = (inv * inv).coeffs
+    monkeypatch.setitem(sys.modules, "_decimal", None)  # import now fails
+    assert _transform_product(1500, bound, INTEGER)[1] is _conv_kronecker
+    ran = kernel_spies(monkeypatch)
+    assert (inv * inv).coeffs == with_decimal
+    assert ran == ["_conv_kronecker"]
+
+
+def test_no_integer_decimal_kernel_past_the_int_str_limit():
+    # over Z the digit groups hold 2 * bound: past the limit, Kronecker runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts ints of any length")
+    big = 10 ** (limit // 2)  # 2 * big^2 has one digit more than the limit
+    bound = _slot_bound([big], [-big], 1, INTEGER)
+    assert _decimal_digits(bound, INTEGER) is None
+    assert _transform_product(10**6, bound, INTEGER)[1] is _conv_kronecker
+    a = series(0, [big, -2, 3])
+    assert list((a * a).coeffs) == _conv_schoolbook(a.coeffs, a.coeffs, 3, INTEGER)
 
 def eta_coeffs(prec):
     coeffs = [0] * prec
