@@ -195,7 +195,7 @@ def eta_quotient(
         for d, r in factors:
             for _ in range(-r):
                 out = out / euler[d]
-    return QSeries(Fraction(spec.B, 24), out.slots, ring)
+    return QSeries._trusted(Fraction(spec.B, 24), out.slots, ring)
 
 
 def mock_f(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:

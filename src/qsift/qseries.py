@@ -21,6 +21,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from math import gcd, log2
 from operator import mul
@@ -136,10 +137,18 @@ def integer_mod(m: int) -> CoefficientRing:
 # the packed slots once for both the pricing and the kernel.  The kernels
 # work on plain coefficient sequences and read only the first ``n_out``
 # entries of each operand: longer inputs are neither sliced nor copied,
-# except that the decimal kernel over Z reverses its operand prefixes.  An
+# except that the decimal kernel writes its operand prefixes reversed.  An
 # operand may be the ``bytes`` of a series over Z/m, m <= 256, which the
 # packing kernels read as a buffer.  Results are reduced into the ring as
 # they are produced.
+#
+# The two packing kernels share one layout.  Slot k is digit k of one
+# number, slot 0 least significant; over Z a factor packs as (positive
+# part) - (negative part).  Only the product slots below
+# hi = min(n_out, nx + ny - 1) are bounded (the slots from nx + ny - 1 on
+# are 0), so the product is cut mod base**hi with floor semantics, which
+# leaves a two's or ten's complement over Z, and ``_read_slots`` reads
+# the digits back.
 
 
 def _prefix_nonzeros(values, n: int) -> int:
@@ -281,54 +290,57 @@ def _unpack(data: bytes, width: int, lo: int, hi: int):
     return memoryview(buf).cast(code)
 
 
+def _read_slots(
+    digits, base: int, lo: int, hi: int, n_out: int, ring: CoefficientRing
+) -> list:
+    """Slots lo..n_out-1 of a packed product cut to its slots 0..hi-1: a
+    nonnegative number whose digits a..b-1 in ``base`` are ``digits(a, b)``.
+    Over Z/m digit k is slot k, reduced mod m.  Over Z the number is the
+    two's or ten's complement of the signed slots, each below base / 2 in
+    magnitude, read from slot 0 up with a running borrow."""
+    if ring.kind == "mod":
+        m = ring.modulus
+        out = [v % m for v in digits(lo, hi)]
+    else:
+        half, out, borrow = base // 2, [], 0
+        for k, v in enumerate(digits(0, hi)):
+            v += borrow
+            borrow = v >= half
+            if k >= lo:
+                out.append(v - base if borrow else v)
+    out.extend([0] * (n_out - hi))
+    return out
+
+
 def _conv_kronecker(
     xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0, bound: int | None = None
 ) -> list:
     """Slots lo..n_out-1 of the product, exactly, via one big-integer
-    multiplication.  ``bound`` is ``_slot_bound`` of the operands, if the
-    caller has it already.
-
-    Over Z/m the residues pack as they are, and each slot is reduced as it
-    is unpacked.  Over Z each factor packs as (positive part) - (negative
-    part), and the product's slots below n_out, each below half a digit in
-    magnitude, are read back from its two's complement bytes with a running
-    borrow; the slots past them, which the bound need not cover, change only
-    the bytes above.
-    """
+    multiplication in the packed layout above, each digit ``width`` bytes
+    from ``_kronecker_width``; ``&`` cuts the product mod 256**(width*hi).
+    ``bound`` is ``_slot_bound`` of the operands, if the caller has it
+    already."""
     if bound is None:
         bound = _slot_bound(xs, ys, n_out, ring)
-    width = _kronecker_width(bound, ring)
-    if not width:
-        return [0] * (n_out - lo)
     nx, ny = min(len(xs), n_out), min(len(ys), n_out)
-    nbytes = width * max(n_out, nx + ny)
-    if ring.kind == "mod":
-        m = ring.modulus
-        x = _pack(xs, nx, width)
-        x *= x if ys is xs else _pack(ys, ny, width)  # a square packs once
-        data = x.to_bytes(nbytes, "little")
-        del x  # each big temporary goes as soon as the next is built
-        digits = _unpack(data, width, lo, n_out)
-        del data
-        return [v % m for v in digits]
+    hi = max(lo, min(n_out, nx + ny - 1))  # slots from nx + ny - 1 on are 0
+    if not bound or hi == lo:  # over Z a factor vanishes, or no slot is asked
+        return [0] * (n_out - lo)
+    width = _kronecker_width(bound, ring)
 
-    def signed(values, count):
+    def pack(values, count):
+        if ring.kind == "mod":
+            return _pack(values, count, width)
         pos = _pack((v if v > 0 else 0 for v in values), count, width)
         neg = _pack((-v if v < 0 else 0 for v in values), count, width)
         return pos - neg
 
-    x = signed(xs, nx)
-    x *= x if ys is xs else signed(ys, ny)
-    data = x.to_bytes(nbytes, "little", signed=True)
-    del x
-    full, half = 1 << (8 * width), 1 << (8 * width - 1)
-    out, borrow = [], 0
-    for i in range(n_out):
-        v = int.from_bytes(data[i * width : (i + 1) * width], "little") + borrow
-        borrow = v >= half
-        if i >= lo:
-            out.append(v - full if borrow else v)
-    return out
+    x = pack(xs, nx)
+    x *= x if ys is xs else pack(ys, ny)  # a square packs once
+    x &= (1 << 8 * width * hi) - 1
+    data = x.to_bytes(width * hi, "little")
+    del x  # each big temporary goes as soon as the next is built
+    return _read_slots(partial(_unpack, data, width), 256**width, lo, hi, n_out, ring)
 
 
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
@@ -339,21 +351,23 @@ _BYTE_DIGITS = tuple(bytes(48 + v // 10**j % 10 for v in range(256)) for j in ra
 
 
 def _decimal_slots(digits: str, w: int, lo: int, hi: int):
-    """Slots lo..hi-1 of the decimal digit string ``digits``, which holds
-    slot k at w*k..w*k+w-1.  Where a slot fits a machine item, Horner's
-    rule runs on whole numbers instead of parsing each slot: digit j of
-    every slot is spread into one number in base 256**width, and the w such
-    numbers combine as 10 * total + next."""
+    """Digits lo..hi-1 in base 10^w of the number whose decimal string,
+    zero-padded to whole groups of w, is ``digits``.  Where a digit fits a
+    machine item, Horner's rule runs on whole numbers instead of parsing
+    each group: column j of the groups is spread into one number in base
+    256**width, and the w such numbers combine as 10 * total + next."""
     width = ((10**w - 1).bit_length() + 7) // 8
+    end = len(digits)
     if _array_code(width) is None:
-        return [int(digits[i : i + w]) for i in range(w * lo, w * hi, w)]
+        starts = range(end - w * lo, end - w * hi, -w)
+        return [int(digits[i - w : i]) for i in starts]
     count = hi - lo
     total = 0
     for j in range(w):
         column = bytearray(width * count)
-        digit_j = digits[w * lo + j : w * hi : w].encode()
-        column[::width] = digit_j.translate(_DIGIT_VALUES)
-        total = 10 * total + int.from_bytes(column, "little")
+        digit_j = digits[end - w * hi + j : end - w * lo : w].encode()
+        column[width - 1 :: width] = digit_j.translate(_DIGIT_VALUES)  # hi-1 first
+        total = 10 * total + int.from_bytes(column, "big")
     return _unpack(total.to_bytes(width * count, "little"), width, 0, count)
 
 
@@ -374,31 +388,22 @@ def _conv_decimal(
     xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0, bound: int | None = None
 ) -> list:
     """Slots lo..n_out-1 of the product over Z/m or Z, exactly, via one
-    libmpdec multiplication (a number-theoretic transform at large sizes).
-    ``bound`` is ``_slot_bound`` of the operands, if the caller has it
-    already.
+    libmpdec multiplication (a number-theoretic transform at large sizes)
+    in the packed layout above, each digit w decimal digits from
+    ``_decimal_digits``; rounding toward minus infinity cuts the product
+    mod 10**(w*hi).  ``bound`` is as for ``_conv_kronecker``.
 
-    Each slot packs as a zero-padded group of w decimal digits, w from
-    ``_decimal_digits``.  Over Z/m slot 0 is the most significant group, so
-    the product's digit string holds slot k at digits w*k..w*k+w-1.
-    Residues below 256 pack as bytes: each of their (at most three) digit
-    columns is one ``translate`` of the residue bytes, placed by one slice
-    assignment into a buffer of ASCII zeros.
-
-    Over Z slot 0 is the least significant group, and a factor packs as
-    (positive part) - (negative part), each part one digit string.  Only
-    the slots below hi = min(n_out, nx + ny - 1) are bounded, each below
-    10^w / 2 in magnitude; the slots past them add a multiple of
-    10^(w*hi), which is cut off, and the w*hi digits left are read from
-    slot 0 up with a running borrow, as ``_conv_kronecker`` reads its
-    bytes.  The context traps Inexact, so a product that would round
-    raises instead.
+    Each operand prefix is written reversed, as zero-padded groups of w
+    digits.  Residues below 256 pack as bytes: each of their (at most
+    three) digit columns is one ``translate`` of the residue bytes, placed
+    by one slice assignment into a buffer of ASCII zeros.  The context
+    traps Inexact, so a product that would round raises instead.
     """
-    from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context, Inexact
+    from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_FLOOR, Context, Inexact
 
-    nx, ny = min(len(xs), n_out), min(len(ys), n_out)
     if bound is None:
         bound = _slot_bound(xs, ys, n_out, ring)
+    nx, ny = min(len(xs), n_out), min(len(ys), n_out)
     hi = max(lo, min(n_out, nx + ny - 1))  # slots from nx + ny - 1 on are 0
     if not bound or hi == lo:  # over Z a factor vanishes, or no slot is asked
         return [0] * (n_out - lo)
@@ -408,12 +413,8 @@ def _conv_decimal(
     if ring.stores_bytes:
         tables = _BYTE_DIGITS[: len(str(m - 1))]
 
-        def pack(values, count):
-            if isinstance(values, bytes):
-                residues = values[:count]
-            else:
-                residues = bytes(islice(values, count))
-            digits = bytearray(b"0") * (w * count)
+        def number(residues):
+            digits = bytearray(b"0") * (w * len(residues))
             for j, table in enumerate(tables):
                 digits[w - 1 - j :: w] = residues.translate(table)
             return ctx.create_decimal(digits.decode())
@@ -424,14 +425,13 @@ def _conv_decimal(
         else:
             pad = f"{{:0{w}d}}".format
 
-        def pack(values, count):
-            return ctx.create_decimal("".join(map(pad, islice(values, count))))
+        def number(values):
+            return ctx.create_decimal("".join(map(pad, values)))
 
     else:
         zeros = "0" * w
 
-        def pack(values, count):
-            values = values[count - 1 :: -1]  # slot 0 last: least significant
+        def number(values):
             # each part's string goes as soon as its Decimal exists
             pos = ctx.create_decimal(
                 "".join([str(v).zfill(w) if v > 0 else zeros for v in values])
@@ -441,29 +441,19 @@ def _conv_decimal(
             )
             return ctx.subtract(pos, neg)
 
+    def pack(values, count):  # slot 0 last: least significant
+        if ring.stores_bytes and not isinstance(values, bytes):
+            values = bytes(islice(values, count))  # reversed as bytes, not as a list
+        return number(values[count - 1 :: -1])
+
     x = pack(xs, nx)
     x = ctx.multiply(x, x if ys is xs else pack(ys, ny))  # a square packs once
-    if m:
-        digits = format(x, f"0{w * (nx + ny - 1)}f")  # zero-padded to whole groups
-        del x  # each big temporary goes as soon as the next is built
-        out = [v % m for v in _decimal_slots(digits, w, lo, hi)]
-        del digits
-    else:
-        sign = -1 if x.is_signed() else 1
-        top = x.scaleb(-w * hi, ctx).to_integral_value(ROUND_DOWN, ctx)
-        x = ctx.subtract(x, top.scaleb(w * hi, ctx)).copy_abs()  # slots 0..hi-1
-        del top
-        groups = _decimal_slots(format(x, f"0{w * hi}f"), w, 0, hi)  # slot hi-1 first
-        del x
-        full, half = 10**w, 10**w // 2
-        out, borrow = [], 0
-        for k, v in enumerate(reversed(groups)):
-            v += borrow
-            borrow = v >= half
-            if k >= lo:
-                out.append(sign * (v - full if borrow else v))
-    out.extend([0] * (n_out - hi))
-    return out
+    top = x.scaleb(-w * hi, ctx).to_integral_value(ROUND_FLOOR, ctx)
+    x = ctx.subtract(x, top.scaleb(w * hi, ctx))
+    del top  # each big temporary goes as soon as the next is built
+    digits = format(x, f"0{w * hi}f")
+    del x
+    return _read_slots(partial(_decimal_slots, digits, w), 10**w, lo, hi, n_out, ring)
 
 
 def _conv_schoolbook(xs, ys, n_out: int, ring: CoefficientRing) -> list:

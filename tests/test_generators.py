@@ -22,7 +22,7 @@ from qsift.generators import (
     theta_g,
 )
 from qsift.generators import _frobenius_factors
-from qsift.qseries import INTEGER, monomial, integer_mod
+from qsift.qseries import INTEGER, QSeries, monomial, integer_mod
 
 
 # ---------------------------------------------------------------- eta
@@ -103,6 +103,25 @@ def test_multipartition_is_eta_power():
         prec = 25
         quotient = eta_quotient(EtaQuotientSpec(((1, -k),)), prec)
         assert quotient == eta_series(prec) ** -k
+
+
+def test_eta_quotient_stores_the_kernel_result(monkeypatch):
+    # the last product's slots are already in the ring: the only normalizing
+    # constructions are the fills of the three Euler products
+    built = []
+    init = QSeries.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(QSeries, "__init__", spy)
+    spec = EtaQuotientSpec(((1, 3), (2, -1), (3, 2)))
+    for ring in (INTEGER, integer_mod(5), integer_mod(355)):
+        built.clear()
+        series = eta_quotient(spec, 300, ring)
+        assert len(built) == 3
+        assert QSeries(series.offset, series.slots, ring) == series
 
 
 def test_eta_quotient_mod_ring_matches_reduction():

@@ -638,6 +638,35 @@ def test_integer_kernels_cut_off_the_slots_past_n_out(n_out, lo):
         assert _conv_kronecker(a, b, n_out, INTEGER, lo) == expected
 
 
+@pytest.mark.parametrize(
+    "ring", [INTEGER, integer_mod(3), integer_mod(355), integer_mod(2**61 - 1)], ids=str
+)
+@pytest.mark.parametrize(
+    "kernel", [_conv_kronecker, _conv_decimal], ids=lambda k: k.__name__
+)
+def test_packed_kernels_convert_slot_by_slot(monkeypatch, ring, kernel):
+    # with no machine item for a slot (a big-endian host, or slots past
+    # eight bytes) _pack, _unpack and _decimal_slots convert slot by slot
+    asked = []
+    monkeypatch.setattr(qseries, "_array_code", lambda width: asked.append(width))
+    rng = random.Random(355)
+
+    def operand(n, fill):
+        if ring.kind == "int":
+            return signed_slots(10**6, n, rng, fill)
+        values = residues(ring.modulus, n, rng, "random" if fill == "growing" else fill)
+        return bytes(values) if ring.stores_bytes else values
+
+    shapes = SLOT_BOUND_SHAPES + [(150, 90, 400, 7, False), (120, 120, 120, 60, True)]
+    for fill in ("top", "random", "growing"):
+        for nx, ny, n_out, lo, square in shapes:
+            xs = operand(nx, fill)
+            ys = xs if square else operand(ny, "random")
+            expected = _conv_schoolbook(xs, ys, n_out, ring)[lo:]
+            assert kernel(xs, ys, n_out, ring, lo) == expected
+    assert asked
+
+
 def kernel_spies(monkeypatch):
     """Record the name of every product kernel ``_convolve`` runs."""
     ran = []
