@@ -1,7 +1,8 @@
 """Exact number-theoretic primitives.
 
-Dedekind sums (by reciprocity, in O(log c) integer steps), Jacobi symbols
-and CRT over plain integers/fractions, plus :class:`ExactScalar`, a
+Dedekind sums (by reciprocity, in O(log c) integer steps, as the integer
+12c*s(d, c) with one Fraction built only for the public value), Jacobi
+symbols and CRT over plain integers/fractions, plus :class:`ExactScalar`, a
 decidable algebra for the constants that appear in half-integral-weight
 transformation laws: every such constant is a product
 ``r * sqrt(s) * e^(2*pi*i*u)`` with rational r > 0, squarefree integer s >= 1
@@ -40,9 +41,19 @@ class EvenInput(Exception):
 
 def dedekind_sum(d: int, c: int) -> Fraction:
     """The Dedekind sum s(d, c) = sum_{r=1}^{c-1} ((r/c)) ((d r/c)) as an
-    exact rational, for any integer d and c >= 1 (0 for c = 1).
+    exact rational, for any integer d and c >= 1 (0 for c = 1): the integer
+    12c*s(d, c) of :func:`_dedekind_12c` over 12c."""
+    if c < 1:
+        raise ValueError("c must be a positive integer")
+    return Fraction(_dedekind_12c(d, c), 12 * c)
 
-    With g = gcd(d, c) the value equals s(d/g, c/g), so the arguments are
+
+def _dedekind_12c(d: int, c: int) -> int:
+    """12c*s(d, c), an integer for every integer d and c >= 1 (Rademacher
+    and Grosswald, *Dedekind Sums*, 1972); c is not checked.  Multiplier
+    phases use it as a numerator over a multiple of 12c.
+
+    With g = gcd(d, c) the sum equals s(d/g, c/g), so the arguments are
     reduced to h = (d/g) mod k, k = c/g first.  Reciprocity,
 
         s(h, k) = (h^2 + k^2 + 1 - 3hk) / (12hk) - s(k mod h, h),
@@ -50,14 +61,12 @@ def dedekind_sum(d: int, c: int) -> Fraction:
     then runs along the Euclidean remainders k = r_0 > h = r_1 > ... > r_n = 1
     with quotients a_i.  Unrolled, the sawtooth terms telescope to
 
-        12 s(h, k) = (h + t)/k + sum_i (-1)^(i+1) a_i - 3 [n odd],
+        12k s(h, k) = h + t + k (sum_i (-1)^(i+1) a_i - 3 [n odd]),
 
     t being the Bezout coefficient with t h = 1 (mod k) that the same
-    Euclidean steps produce.  The work is O(log c) integer steps and one
-    Fraction at the end.
+    Euclidean steps produce, and 12c s(d, c) is g times that.  The work is
+    O(log c) integer steps.
     """
-    if c < 1:
-        raise ValueError("c must be a positive integer")
     g = gcd(d, c)
     k = c // g
     h = (d // g) % k
@@ -71,7 +80,7 @@ def dedekind_sum(d: int, c: int) -> Fraction:
         r0, r1, t0, t1 = r1, r, t1, t0 - a * t1
     if sign < 0:
         alternating -= 3
-    return Fraction(h + t0 + k * alternating, 12 * k)
+    return g * (h + t0 + k * alternating)
 
 
 def jacobi(a: int, n: int) -> int:

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd, lcm
 
 from .arith import prime_factors
@@ -56,6 +57,10 @@ class ScanVerdict:
     checked: int | None = None
 
 
+def _json_int(x: int | None) -> str:
+    return "null" if x is None else str(x)
+
+
 @dataclass(frozen=True)
 class ScanReport:
     series_name: str
@@ -86,7 +91,30 @@ class ScanReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """The text of ``json.dumps(self.to_json_dict(), indent=2)``, byte
+        for byte.  The header goes through ``json.dumps``; the verdict
+        lines, which hold only integers and the status, are written
+        directly, since the indenting encoder is pure Python."""
+        header = {
+            "series": self.series_name,
+            "modulus": self.modulus,
+            "m_max": self.m_max,
+            "budget": self.coeff_budget,
+        }
+        head = json.dumps(header, indent=2)[:-2]  # without the closing "\n}"
+        if not self.verdicts:
+            return head + ',\n  "verdicts": []\n}'
+        blocks = []
+        for v in self.verdicts:
+            if v.status == "witness":
+                tail = f'"n": {_json_int(v.n)},\n      "value": {_json_int(v.value)}'
+            else:
+                tail = f'"checked": {_json_int(v.checked)}'
+            blocks.append(
+                f'\n    {{\n      "m": {v.m},\n      "t": {v.t},\n'
+                f'      "status": {_json_str(v.status)},\n      {tail}\n    }}'
+            )
+        return head + ',\n  "verdicts": [' + ",".join(blocks) + "\n  ]\n}"
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -6,7 +6,9 @@ Everything here is exact scalar algebra over :class:`~qsift.arith.ExactScalar`
 and plain integers; no series arithmetic is involved.  Phases that the
 transformation laws write as zeta_m or (-1) raised to a rational exponent x
 are read as e^(2*pi*i*x/m) and e^(pi*i*x) respectively; the constancy and
-cusp identity suites validate that reading.
+cusp identity suites validate that reading.  Every multiplier phase is an
+integer numerator over 24c (48c for omega with d even), since 12c*s(d, c)
+is an integer; a Fraction or ExactScalar is built only for a result.
 
 Each kind of progression t (mod m) is one linear form alpha + beta*t, the
 argument of its quadratic symbol:
@@ -30,7 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import ExactScalar, crt, dedekind_sum, is_prime, jacobi, prime_factors
+from .arith import (
+    ExactScalar,
+    _dedekind_12c,
+    crt,
+    dedekind_sum,
+    is_prime,
+    jacobi,
+    prime_factors,
+)
 
 __all__ = [
     "BadMatrix",
@@ -272,16 +282,28 @@ def decompose_upper(A: UnimodularMatrix, m: int, lam: int) -> UpperDecomposition
     """
     if not 0 <= lam < m:
         raise ValueError("need 0 <= lam < m")
-    if gcd(A.a, m) != 1:
-        raise NonInvertibleA(f"gcd({A.a}, {m}) != 1")
-    lam_p = (pow(A.a, -1, m) * (A.b + A.d * lam)) % m
-    num = -lam_p * A.c * lam - lam_p * A.a + A.b + A.d * lam
+    lam_p, *a_lam = _pass_upper(*A.entries(), m, lam, _inverse_of_a(A.a, m))
+    return UpperDecomposition(UnimodularMatrix(*a_lam), lam_p)
+
+
+def _inverse_of_a(a: int, m: int) -> int:
+    """a^(-1) mod m, which decompose_upper needs to solve for lam'."""
+    if gcd(a, m) != 1:
+        raise NonInvertibleA(f"gcd({a}, {m}) != 1")
+    return pow(a, -1, m)
+
+
+def _pass_upper(
+    a: int, b: int, c: int, d: int, m: int, lam: int, a_inv: int
+) -> tuple[int, int, int, int, int]:
+    """(lam', a', b', c', d') with (1 lam; 0 m)(a b; c d) = (a' b'; c' d')
+    (1 lam'; 0 m), a_inv being a^(-1) mod m; the determinant of the new
+    matrix is left to the caller."""
+    lam_p = a_inv * (b + d * lam) % m
+    num = -lam_p * c * lam - lam_p * a + b + d * lam
     if num % m:
         raise BadMatrix("entries do not divide through; need m | c")
-    a_lam = UnimodularMatrix(
-        A.a + A.c * lam, num // m, m * A.c, A.d - A.c * lam_p
-    )
-    return UpperDecomposition(a_lam, lam_p)
+    return lam_p, a + c * lam, num // m, m * c, d - c * lam_p
 
 
 def t_image(a: int, p: Progression, kind: str, B: int | None = None) -> int:
@@ -342,21 +364,21 @@ def mock_multiplier(A: UnimodularMatrix) -> ExactScalar:
 
     with i^(-1/2) = e^(-2 pi i / 8); the 24th power is always 1.
     """
-    return ExactScalar.unit_phase(_mock_phase(A))
+    return ExactScalar.unit_phase(Fraction(_mock_phase(*A.entries()), 24 * A.c))
 
 
-def _mock_phase(A: UnimodularMatrix) -> Fraction:
-    """The phase u, not reduced mod 1, with mock_multiplier(A) = e^(2 pi i u)."""
-    a, b, c, d = A.entries()
+def _mock_phase(a: int, b: int, c: int, d: int) -> int:
+    """The integer N with mock_multiplier((a b; c d)) = e^(2 pi i N/24c)."""
     if c <= 0 or c % 2:
         raise BadMatrix("need c > 0 and c even")
+    # 24c (-1/8 - s(-d,c)/2 + (c+1+ad)/4 - (a+d)/24c - a/4 + 3dc/8)
     return (
-        Fraction(-1, 8)
-        - dedekind_sum(-d, c) / 2
-        + Fraction(c + 1 + a * d, 2) * Fraction(1, 2)
-        - Fraction(a + d, 24 * c)
-        - Fraction(a, 4)
-        + Fraction(3 * d * c, 8)
+        -3 * c
+        - _dedekind_12c(-d, c)
+        + 6 * c * (c + 1 + a * d)
+        - (a + d)
+        - 6 * c * a
+        + 9 * d * c * c
     )
 
 
@@ -366,23 +388,26 @@ def omega_multiplier_even_c(A: UnimodularMatrix) -> ExactScalar:
         (-i)^(1/2) (-1)^((a-1)/2) e^(-pi i s(-d, c/2))
             e^(2 pi i (3ab/4 - (a+d)/12c))
     """
-    return ExactScalar.unit_phase(_omega_even_c_phase(A))
+    return ExactScalar.unit_phase(
+        Fraction(_omega_even_c_phase(*A.entries()), 24 * A.c)
+    )
 
 
-def _omega_even_c_phase(A: UnimodularMatrix) -> Fraction:
-    """The phase u, not reduced mod 1, with omega_multiplier_even_c(A) =
-    e^(2 pi i u)."""
-    a, b, c, d = A.entries()
+def _omega_even_c_phase(a: int, b: int, c: int, d: int) -> int:
+    """The integer N with omega_multiplier_even_c((a b; c d)) =
+    e^(2 pi i N/24c)."""
     if c <= 0:
         raise BadMatrix("need c > 0")
     if c % 2:
         raise ParityMismatch("this variant needs c even")
+    # 24c (-1/8 + (a-1)/4 - s(-d,c/2)/2 + 3ab/4 - (a+d)/12c), with
+    # 24c s(-d,c/2)/2 = 2 * 12(c/2) s(-d,c/2)
     return (
-        Fraction(-1, 8)
-        + Fraction(a - 1, 2) * Fraction(1, 2)
-        - dedekind_sum(-d, c // 2) / 2
-        + Fraction(3 * a * b, 4)
-        - Fraction(a + d, 12 * c)
+        -3 * c
+        + 6 * c * (a - 1)
+        - 2 * _dedekind_12c(-d, c // 2)
+        + 18 * a * b * c
+        - 2 * (a + d)
     )
 
 
@@ -399,13 +424,16 @@ def omega_multiplier_even_d(A: UnimodularMatrix) -> ExactScalar:
         raise BadMatrix("need c > 0")
     if d % 2:
         raise ParityMismatch("this variant needs d even")
-    phase = (
-        Fraction(1, 8)
-        + Fraction(32 * a - d, 24 * c) / 2
-        - dedekind_sum(-(d // 2), c) / 2
-        - (Fraction(2 * a + b - 3 - 3 * a * b) + Fraction(3 * a, c)) / 4
+    # 48c (1/8 + (32a-d)/48c - s(-d/2,c)/2 - (2a+b-3-3ab)/4 - 3a/4c)
+    numerator = (
+        6 * c
+        + 32 * a
+        - d
+        - 2 * _dedekind_12c(-(d // 2), c)
+        - 12 * c * (2 * a + b - 3 - 3 * a * b)
+        - 36 * a
     )
-    return ExactScalar.unit_phase(phase)
+    return ExactScalar.unit_phase(Fraction(numerator, 48 * c))
 
 
 def eta_multiplier(A: UnimodularMatrix) -> ExactScalar:
@@ -415,15 +443,15 @@ def eta_multiplier(A: UnimodularMatrix) -> ExactScalar:
     a, _, c, d = A.entries()
     if c <= 0:
         raise BadMatrix("need c > 0")
-    phase = (Fraction(a + d, c) - 12 * dedekind_sum(d, c)) / 24
-    return ExactScalar.unit_phase(phase)
+    # 24c ((a+d)/24c - s(d,c)/2)
+    return ExactScalar.unit_phase(Fraction(a + d - _dedekind_12c(d, c), 24 * c))
 
 
 # ------------------------------------------------------------- identities
 
 
 # Per kind, the factor taking level_constant(m) to the level of the
-# constancy check, and the multiplier phase it uses.
+# constancy check, and the multiplier whose phase numerator (over 24c) it uses.
 _CONSTANCY_MULTIPLIER = {"f": (1, _mock_phase), "omega": (2, _omega_even_c_phase)}
 
 
@@ -436,8 +464,9 @@ def constancy_check(A: UnimodularMatrix, p: Progression, kind: str) -> set[Exact
     t_image(a, ...): t - 1/24 and the mock multiplier w for kind "f",
     t + 2/3 and the even-c omega multiplier for kind "omega".  The
     transformation theory predicts a singleton whose 24m-th power is 1.
-    Every factor is a unit phase, so the phases are summed as rationals
-    mod 1 and one scalar is built per distinct phase.
+    Every factor is a unit phase with an integer numerator over
+    D = 24c(A_lam) = 24mc, so the numerators are summed mod D and one
+    scalar is built per distinct sum.
 
     Requires A in the congruence subgroup for the kind (c a positive
     multiple of the level: level_constant(m) for "f", twice that for
@@ -447,16 +476,23 @@ def constancy_check(A: UnimodularMatrix, p: Progression, kind: str) -> set[Exact
     alpha, beta = _linear_form(kind)
     factor, multiplier_phase = _CONSTANCY_MULTIPLIER[kind]
     level = factor * level_constant(m)
-    shift = Fraction(alpha + beta * t, beta)
-    shift_img = Fraction(alpha + beta * t_image(A.a, p, kind), beta)
+    t_a = t_image(A.a, p, kind)
     if A.c <= 0 or A.c % level:
         raise BadMatrix(f"need c > 0 with {level} | c")
-    phases = set()
+    a, b, c, d = A.entries()
+    a_inv = _inverse_of_a(a, m)
+    denominator = 24 * m * c
+    # s/m and s_A/m over D; beta divides 24
+    shift = (alpha + beta * t) * (24 * c // beta)
+    shift_img = (alpha + beta * t_a) * (24 * c // beta)
+    numerators = set()
     for lam in range(m):
-        dec = decompose_upper(A, m, lam)
-        phase = (-lam * shift + dec.lambda_prime * shift_img) / m
-        phases.add((multiplier_phase(dec.a_lambda) + phase) % 1)
-    return {ExactScalar.unit_phase(u) for u in phases}
+        lam_p, a2, b2, c2, d2 = _pass_upper(a, b, c, d, m, lam, a_inv)
+        if a2 * d2 - b2 * c2 != 1:
+            raise BadMatrix(f"determinant of A_{lam} is not 1")
+        u = multiplier_phase(a2, b2, c2, d2) - lam * shift + lam_p * shift_img
+        numerators.add(u % denominator)
+    return {ExactScalar.unit_phase(Fraction(u, denominator)) for u in numerators}
 
 
 def _cancellation_phase(
@@ -580,12 +616,28 @@ def good_progression_support_vanishes(p: Progression, kind: str) -> bool:
 def eta_numeric(z: complex, terms: int = 200) -> complex:
     """Numerical eta via the expanded (pentagonal) form of the product,
     summing indices |k| <= terms; far smaller truncation error than cutting
-    the raw product at the same term count."""
-    total = 0j
-    for k in range(-terms, terms + 1):
-        e = k * (3 * k + 1) // 2
-        total += (-1) ** k * cmath.exp(2j * cmath.pi * z * (e + 1 / 24))
-    return total
+    the raw product at the same term count.
+
+    With q = e^(2 pi i z), eta(z) = e^(2 pi i z/24) sum_k (-1)^k q^(k(3k+1)/2).
+    One exponential gives q.  For j >= 1 the exponent grows by 3j - 1 from
+    k = j - 1 to k = j and by 3j - 2 from k = 1 - j to k = -j, so both
+    tails are running products whose steps advance by q^3."""
+    if terms < 0:
+        raise ValueError("terms must be nonnegative")
+    q = cmath.exp(2j * cmath.pi * z)
+    q3 = q * q * q
+    total = 1 + 0j
+    up, up_step = 1 + 0j, q * q  # q^(k(3k+1)/2), q^(3k-1)
+    down, down_step = 1 + 0j, q  # q^(k(3k-1)/2), q^(3k-2)
+    sign = -1
+    for _ in range(terms):
+        up *= up_step
+        down *= down_step
+        total += sign * (up + down)
+        up_step *= q3
+        down_step *= q3
+        sign = -sign
+    return cmath.exp(2j * cmath.pi * z / 24) * total
 
 
 def eta_transform_defect(A: UnimodularMatrix, z: complex, terms: int = 200) -> float:

@@ -13,16 +13,25 @@ the number of omega-partitions of n + 1.  Dedekind sums come from their
 defining sum, O(c) terms, against the reciprocity algorithm.  The
 progression rules of ``transform`` (goodness, refinement, unit images,
 orbits, coverage, support) come from their explicit per-kind formulas,
-against the one linear form alpha + beta*t they are derived from.
+against the one linear form alpha + beta*t they are derived from.  The
+four multiplier phases come from their transformation laws written term by
+term in Fractions (with the public ``dedekind_sum``), against the integer
+numerators of ``transform``, and numerical eta from one exponential per
+term of the pentagonal sum, against the running products of
+``eta_numeric``.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
 import pytest
+
+from qsift.arith import dedekind_sum
+from qsift.transform import BadMatrix, ParityMismatch
 
 
 def _partition_counts(n_max: int) -> list[int]:
@@ -294,6 +303,87 @@ def _oracle_support_vanishes(m: int, t: int, kind: str) -> bool:
     if kind == "f":
         return all(k * (3 * k + 1) // 2 % m != (-t) % m for k in range(2 * m))
     return all((3 * k * k + 2 * k) % m != (-t - 1) % m for k in range(m))
+
+
+def _mock_phase_literal(a: int, b: int, c: int, d: int) -> Fraction:
+    """u with mock_multiplier((a b; c d)) = e(u): i^(-1/2) e^(-pi i s(-d,c))
+    (-1)^((c+1+ad)/2) e^(2 pi i (-(a+d)/24c - a/4 + 3dc/8))."""
+    if c <= 0 or c % 2:
+        raise BadMatrix("need c > 0 and c even")
+    return (
+        Fraction(-1, 8)
+        - dedekind_sum(-d, c) / 2
+        + Fraction(c + 1 + a * d, 2) * Fraction(1, 2)
+        - Fraction(a + d, 24 * c)
+        - Fraction(a, 4)
+        + Fraction(3 * d * c, 8)
+    )
+
+
+def _omega_even_c_phase_literal(a: int, b: int, c: int, d: int) -> Fraction:
+    """u with omega_multiplier_even_c((a b; c d)) = e(u): (-i)^(1/2)
+    (-1)^((a-1)/2) e^(-pi i s(-d, c/2)) e^(2 pi i (3ab/4 - (a+d)/12c))."""
+    if c <= 0:
+        raise BadMatrix("need c > 0")
+    if c % 2:
+        raise ParityMismatch("this variant needs c even")
+    return (
+        Fraction(-1, 8)
+        + Fraction(a - 1, 2) * Fraction(1, 2)
+        - dedekind_sum(-d, c // 2) / 2
+        + Fraction(3 * a * b, 4)
+        - Fraction(a + d, 12 * c)
+    )
+
+
+def _omega_even_d_phase_literal(a: int, b: int, c: int, d: int) -> Fraction:
+    """u with omega_multiplier_even_d((a b; c d)) = e(u): i^(1/2)
+    (-1)^((32a-d)/24c) e^(-pi i s(-d/2, c)) e^(-(pi i/2)(2a + b - 3 - 3ab
+    + 3a/c))."""
+    if c <= 0:
+        raise BadMatrix("need c > 0")
+    if d % 2:
+        raise ParityMismatch("this variant needs d even")
+    return (
+        Fraction(1, 8)
+        + Fraction(32 * a - d, 24 * c) / 2
+        - dedekind_sum(-(d // 2), c) / 2
+        - (Fraction(2 * a + b - 3 - 3 * a * b) + Fraction(3 * a, c)) / 4
+    )
+
+
+def _eta_phase_literal(a: int, b: int, c: int, d: int) -> Fraction:
+    """u with eta_multiplier((a b; c d)) = e(u): exp((pi i/12)((a+d)/c -
+    12 s(d,c)))."""
+    if c <= 0:
+        raise BadMatrix("need c > 0")
+    return (Fraction(a + d, c) - 12 * dedekind_sum(d, c)) / 24
+
+
+def _eta_per_term(z: complex, terms: int = 200) -> complex:
+    """sum_{|k| <= terms} (-1)^k e^(2 pi i z (k(3k+1)/2 + 1/24)), one
+    exponential per term."""
+    total = 0j
+    for k in range(-terms, terms + 1):
+        e = k * (3 * k + 1) // 2
+        total += (-1) ** k * cmath.exp(2j * cmath.pi * z * (e + 1 / 24))
+    return total
+
+
+@pytest.fixture(scope="session")
+def multiplier_oracle():
+    """Phase oracles by the name of the public multiplier they check."""
+    return {
+        "mock_multiplier": _mock_phase_literal,
+        "omega_multiplier_even_c": _omega_even_c_phase_literal,
+        "omega_multiplier_even_d": _omega_even_d_phase_literal,
+        "eta_multiplier": _eta_phase_literal,
+    }
+
+
+@pytest.fixture(scope="session")
+def eta_numeric_oracle():
+    return _eta_per_term
 
 
 @pytest.fixture(scope="session")

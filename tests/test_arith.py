@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 
 from qsift.arith import (
+    _dedekind_12c,
     EvenInput,
     ExactScalar,
     NonCoprimeModuli,
@@ -74,6 +75,18 @@ def test_dedekind_matches_literal_sum_at_random(dedekind_oracle):
         c = rng.randint(1, 20000)
         d = rng.randint(-10**6, 10**6)
         assert dedekind_sum(d, c) == dedekind_oracle(d, c), (d, c)
+
+
+def test_dedekind_12c_is_the_integer_numerator(dedekind_oracle):
+    # 12c s(d, c) is an integer, and dedekind_sum is it over 12c
+    for c in range(1, 61):
+        for d in range(-3 * c, 3 * c + 1):
+            assert _dedekind_12c(d, c) == 12 * c * dedekind_oracle(d, c), (d, c)
+    rng = random.Random(11)
+    for _ in range(200):
+        c = rng.randrange(1, 10**40)
+        d = rng.randrange(-(10**40), 10**40)
+        assert Fraction(_dedekind_12c(d, c), 12 * c) == dedekind_sum(d, c)
 
 
 def test_dedekind_laws_at_sixty_digits():

@@ -7,6 +7,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsift.generators import (
     build_series,
@@ -17,7 +19,10 @@ from qsift.generators import (
 from qsift.qseries import integer_mod
 from qsift.scanner import (
     InsufficientPrecision,
+    ScanReport,
+    ScanVerdict,
     scan,
+    scan_progression,
     sturm_bound,
     theorem_applies,
     verify_known,
@@ -260,6 +265,40 @@ def test_report_json_contract():
             assert set(entry) == {"m", "t", "status", "n", "value"}
         else:
             assert set(entry) == {"m", "t", "status", "checked"}
+
+
+# names that need escapes in JSON, or are not ASCII, beside arbitrary text
+NAMES = st.text() | st.sampled_from(
+    ['a"b', "back\\slash", "tab\tline\n", "\x00\x1f\x7f", "ω/π", "\U0001d4bb", "\u2028"]
+)
+# values and bounds far beyond any residue, of either sign
+BIG = st.integers() | st.integers(min_value=-(10**80), max_value=10**80)
+WITNESSES = st.builds(
+    lambda m, t, n, value: ScanVerdict(m, t, "witness", n=n, value=value),
+    BIG, BIG, st.none() | BIG, st.none() | BIG,
+)
+CANDIDATES = st.builds(
+    lambda m, t, checked: ScanVerdict(m, t, "candidate", checked=checked),
+    BIG, BIG, st.none() | BIG,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(NAMES, BIG, BIG, BIG, st.lists(WITNESSES | CANDIDATES, max_size=6))
+def test_report_json_is_the_indenting_encoder_byte_for_byte(name, ell, m_max, budget, verdicts):
+    report = ScanReport(name, ell, m_max, budget, tuple(verdicts))
+    assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(NAMES, st.integers(1, 30), st.integers(0, 29), st.sampled_from([2, 3, 5]))
+def test_scanned_report_json_is_the_indenting_encoder_byte_for_byte(name, m, t, ell):
+    series = build_series("partition", 300, modulus=ell)
+    for report in (
+        scan(series, ell, m, series_name=name),
+        scan_progression(series, ell, Progression(m, t), name),
+    ):
+        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
 
 
 def test_report_csv_contract():

@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+import qsift.transform
 from qsift.arith import ExactScalar, dedekind_sum
 from qsift.transform import (
     BadMatrix,
@@ -383,6 +384,69 @@ def test_eta_multiplier_order_24():
         assert eta_multiplier(A) ** 24 == ONE
 
 
+MULTIPLIERS = {
+    f.__name__: f
+    for f in (mock_multiplier, omega_multiplier_even_c, omega_multiplier_even_d, eta_multiplier)
+}
+
+
+def _random_matrix(rng: random.Random, c_max: int) -> UnimodularMatrix:
+    """A determinant-1 matrix with 1 <= c <= c_max, d in [-4c, 4c] (d = 0
+    only at c = 1) and a of either sign."""
+    while True:
+        c = rng.randint(1, c_max)
+        d = rng.randint(-4 * c, 4 * c)
+        if gcd(d, c) == 1:
+            a = pow(d, -1, c) + c * rng.randint(-3, 3)
+            return UnimodularMatrix(a, (a * d - 1) // c, c, d)
+
+
+@pytest.mark.parametrize("name", sorted(MULTIPLIERS))
+def test_multiplier_matches_its_fraction_oracle(multiplier_oracle, name):
+    # 2,000 seeded matrices in the variant's domain, c up to 10^3, d of
+    # both signs and, where the variant allows it, of both parities
+    oracle, multiplier = multiplier_oracle[name], MULTIPLIERS[name]
+    rng = random.Random(f"multiplier-oracle:{name}")
+    seen = set()
+    checked = 0
+    while checked < 2000:
+        A = _random_matrix(rng, 1000)
+        try:
+            phase = oracle(*A.entries())
+        except (BadMatrix, ParityMismatch):
+            continue
+        assert multiplier(A) == ExactScalar.unit_phase(phase), A
+        seen.add((A.c % 2, A.d % 2, A.d < 0))
+        checked += 1
+    assert {negative for *_, negative in seen} == {True, False}
+    if name == "eta_multiplier":
+        assert {(c, d) for c, d, _ in seen} == {(0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(MULTIPLIERS))
+def test_multiplier_raises_as_its_oracle_off_its_domain(multiplier_oracle, name):
+    # c < 0, c = 0 and the wrong parity raise the oracle's exception type
+    oracle, multiplier = multiplier_oracle[name], MULTIPLIERS[name]
+    rng = random.Random(f"multiplier-domain:{name}")
+    raised = 0
+    for _ in range(300):
+        A = _random_matrix(rng, 1000)
+        sign = rng.choice((1, -1))
+        for B in (
+            A,
+            UnimodularMatrix(-A.a, -A.b, -A.c, -A.d),
+            UnimodularMatrix(sign, rng.randint(-9, 9), 0, sign),
+        ):
+            try:
+                oracle(*B.entries())
+            except (BadMatrix, ParityMismatch) as exc:
+                with pytest.raises(Exception) as info:
+                    multiplier(B)
+                assert info.type is type(exc), B
+                raised += 1
+    assert raised >= 600
+
+
 def test_dedekind_integrality_for_unimodular():
     rng = random.Random(5)
     for _ in range(500):
@@ -422,10 +486,10 @@ def test_constancy_singletons(kind):
 
 
 @pytest.mark.parametrize("kind", ["f", "omega"])
-@pytest.mark.parametrize("m", [5, 7, 10, 11, 13, 14, 35])
+@pytest.mark.parametrize("m", [5, 7, 10, 11, 13, 14, 35, 1, 2, 3, 4, 6, 12, 24])
 def test_constancy_is_the_set_of_per_lambda_products(kind, m):
     # the set built scalar by scalar from the public multiplier, on good
-    # and other residues alike
+    # and other residues alike; every residue for the m dividing 24
     rng = random.Random(f"constancy-products:{kind}:{m}")
     if kind == "f":
         level, unit, shift = level_constant(m), "prime6", Fraction(-1, 24)
@@ -435,7 +499,7 @@ def test_constancy_is_the_set_of_per_lambda_products(kind, m):
         multiplier = omega_multiplier_even_c
     for _ in range(4):
         A = random_unimodular(rng, level, 3, unit=unit)
-        for t in rng.sample(range(m), 3):
+        for t in range(m) if 24 % m == 0 else rng.sample(range(m), 3):
             p = Progression(m, t)
             t_a = t_image(A.a, p, kind)
             expected = set()
@@ -588,6 +652,29 @@ def test_eta_numeric_at_i():
 
     expected = math.gamma(0.25) / (2 * math.pi**0.75)
     assert abs(eta_numeric(1j) - expected) < 1e-12
+
+
+def test_eta_numeric_matches_the_per_term_sum(monkeypatch, eta_numeric_oracle):
+    # every point the eta-transform-numeric suite evaluates over eight
+    # seeds, Im z down to about 0.004, and short sums
+    points = []
+
+    def spy(z, terms=200):
+        points.append((z, terms))
+        return eta_numeric(z, terms)
+
+    monkeypatch.setattr(qsift.transform, "eta_numeric", spy)
+    for seed in range(8):
+        rng = random.Random(f"{seed}:eta-transform-numeric")
+        for _ in range(120):
+            qsift.transform._trial_eta_numeric(rng)
+    monkeypatch.undo()
+    assert len(points) == 1920 and min(z.imag for z, _ in points) < 0.01
+    points += [(0.3 + 0.2j, terms) for terms in (0, 1, 2, 5)]
+    for z, terms in points:
+        assert abs(eta_numeric(z, terms) - eta_numeric_oracle(z, terms)) <= 1e-12, z
+    with pytest.raises(ValueError, match="terms must be nonnegative"):
+        eta_numeric(1j, -1)
 
 
 def test_eta_transform_numeric():
