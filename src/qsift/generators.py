@@ -8,10 +8,10 @@ factors as ``E_delta ** r`` multiplied together, divided by the negative
 ones.  Over Z/m the negative factors are multiplied into one denominator and
 divided once, so ``/`` may pick Newton division; over Z and Q (where ``/``
 only runs the sparse recurrence) the quotient divides by each sparse
-E_delta in turn.  Over Z/ell with ell prime, f(q)^ell = f(q^ell) first turns
-a factor (delta, ell^s r') into (ell^s delta, r'), so fewer and sparser
-factors remain; over Z, Q, Z/ell^k (k >= 2) and composite moduli the
-factors are used as given.
+E_delta in turn.  Over Z/ell with ell prime, f(q)^ell = f(q^ell) first
+rewrites the factors (``_ell_rewrite``, whose deltas also give the level of
+the non-congruence criterion), so fewer and sparser factors remain; over Z,
+Q, Z/ell^k (k >= 2) and composite moduli the factors are used as given.
 
 The Euler products, the mock theta numerators and the theta series are
 sparse sums: ``(start, step, value)`` fills that one routine,
@@ -148,23 +148,36 @@ def eta_series(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
 def _frobenius_factors(
     spec: EtaQuotientSpec, ring: CoefficientRing
 ) -> tuple[tuple[int, int], ...]:
-    """The (delta, r) factors to build ``spec`` from over ``ring``.
-
-    Over Z/ell with ell prime, f(q)^ell = f(q^ell) rewrites each factor
-    (delta, ell^s r') as (ell^s delta, r'), which leaves B unchanged; equal
-    deltas then merge and zero exponents drop, possibly leaving no factor at
-    all.  In every other ring the factors are returned as they are: the
-    identity fails mod ell^k for k >= 2 and mod composite numbers.
-    """
+    """The (delta, r) factors to build ``spec`` from over ``ring``: over
+    Z/ell, ell prime, ``_ell_rewrite(spec.factors, ell)``; in every other
+    ring the factors as they are, since f(q)^ell = f(q^ell) fails mod ell^k
+    for k >= 2 and mod composite numbers."""
     if ring.kind != "mod" or not is_prime(ring.modulus):
         return spec.factors
-    ell = ring.modulus
+    return _ell_rewrite(spec.factors, ring.modulus)
+
+
+def _ell_rewrite(factors, ell: int) -> tuple[tuple[int, int], ...]:
+    """(delta, r) factors whose eta-quotient is congruent mod the prime ell
+    to that of ``factors``: f(q)^ell = f(q^ell) turns each (delta, ell^s r')
+    into (ell^s delta, r'), keeping B; equal deltas merge, a merged exponent
+    divisible by ell is turned again, and zero exponents drop.  No exponent
+    returned is divisible by ell, and each class of deltas with one ell-free
+    part keeps its total sum(ell^s r), so a class is empty exactly when its
+    total is 0: the ell-free part of the lcm of the deltas returned is the
+    level ``scanner.theorem_applies`` reads."""
     merged: dict[int, int] = {}
-    for delta, r in spec.factors:
+    todo = list(factors)
+    while todo:
+        delta, r = todo.pop()
         while r % ell == 0:
             delta, r = delta * ell, r // ell
-        merged[delta] = merged.get(delta, 0) + r
-    return tuple(sorted((d, r) for d, r in merged.items() if r))
+        r += merged.pop(delta, 0)
+        if r % ell:
+            merged[delta] = r
+        elif r:
+            todo.append((delta, r))
+    return tuple(sorted(merged.items()))
 
 
 def eta_quotient(

@@ -18,8 +18,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd, lcm
 
 from .arith import prime_factors
-from .generators import EtaQuotientSpec
-from .qseries import QSeries
+from .generators import EtaQuotientSpec, _ell_rewrite
+from .qseries import QSeries, integer_mod
 from .transform import Progression, q_divisor
 
 __all__ = [
@@ -211,29 +211,15 @@ def scan_progression(
     return ScanReport(series_name, ell, prog.m, series.prec, (verdict,))
 
 
-def _level_after_ell_rewrite(spec: EtaQuotientSpec, ell: int) -> int:
-    """Level after rewriting factors with ell | delta: a factor
-    (ell^s d', r) becomes (d', ell^s r), which is congruent mod ell and
-    leaves B unchanged.  The resulting level is coprime to ell."""
-    merged: dict[int, int] = {}
-    for delta, r in spec.factors:
-        power = 1
-        while delta % ell == 0:
-            delta //= ell
-            power *= ell
-        merged[delta] = merged.get(delta, 0) + power * r
-    deltas = [d for d, r in merged.items() if r != 0]
-    return lcm(*deltas) if deltas else 1
-
-
 def theorem_applies(spec: EtaQuotientSpec, ell: int, m: int) -> Applicability:
     """Hypothesis check of the non-congruence criterion for an eta-quotient:
 
     * ell must not divide B  ("ell-divides-B"),
     * the quotient must have a pole at infinity, i.e. B < 0  ("no-pole"),
-    * after rewriting away ell-power deltas, the surviving divisor
-      q_divisor(m, B) must be coprime to the ell-free part of the level
-      ("q-divisor-shares-level").
+    * the surviving divisor q_divisor(m, B) must be coprime to the ell-free
+      part of the lcm of the deltas ``generators._ell_rewrite`` leaves
+      ("q-divisor-shares-level").  With ell not dividing B that divisor is
+      prime to ell, so the lcm itself can stand in for its ell-free part.
     """
     if ell not in (2, 3):
         raise ValueError("ell must be 2 or 3")
@@ -245,9 +231,9 @@ def theorem_applies(spec: EtaQuotientSpec, ell: int, m: int) -> Applicability:
         reasons.append("ell-divides-B")
     if B >= 0:
         reasons.append("no-pole")
-    if B % ell != 0:
-        level = _level_after_ell_rewrite(spec, ell)
-        if gcd(q_divisor(m, B), level) != 1:
+    if B % ell != 0 and (divisor := q_divisor(m, B)) > 1:
+        level = lcm(*(d for d, _ in _ell_rewrite(spec.factors, ell)))
+        if gcd(divisor, level) != 1:
             reasons.append("q-divisor-shares-level")
     return Applicability(not reasons, tuple(reasons))
 
@@ -284,7 +270,6 @@ def verify_known(bounds: dict[str, int] | None = None) -> list[tuple[str, bool]]
     """Re-verify the hard-coded known congruences and parity facts, each up
     to its configured coefficient bound; returns (claim id, passed) pairs."""
     from .generators import _terms_over_z, build_series, mock_f, mock_omega
-    from .qseries import integer_mod
 
     bounds = bounds or {}
     results = []

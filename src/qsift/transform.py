@@ -30,6 +30,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .arith import (
@@ -696,6 +697,13 @@ DEFAULT_SEED = 1729
 _GOOD_CAPABLE_M = (5, 7, 10, 11, 13, 14, 35)
 
 
+@cache
+def _good_choices(m: int, kind: str) -> tuple[int, ...]:
+    """``good_residues(m, kind)`` for the suites' draws, computed on first
+    use and then once per (m, kind)."""
+    return tuple(good_residues(m, kind))
+
+
 def _trial_dedekind_integrality(rng: random.Random) -> tuple[bool, str]:
     A = random_unimodular(rng, 1, 40)
     value = 12 * dedekind_sum(-A.d, A.c) + Fraction(A.a + A.d, A.c)
@@ -738,7 +746,7 @@ def _constancy_trial(kind: str):
 
     def trial(rng: random.Random) -> tuple[bool, str]:
         m = rng.choice(_GOOD_CAPABLE_M)
-        p = Progression(m, rng.choice(good_residues(m, kind)))
+        p = Progression(m, rng.choice(_good_choices(m, kind)))
         A = random_unimodular(rng, factor * level_constant(m), 1, unit=unit)
         values = constancy_check(A, p, kind)
         ok = len(values) == 1 and next(iter(values)) ** (24 * m) == ExactScalar.one()
@@ -757,7 +765,7 @@ def _trial_orbit_coverage(rng: random.Random) -> tuple[bool, str]:
 def _trial_good_support(rng: random.Random) -> tuple[bool, str]:
     kind = rng.choice(("f", "omega"))
     m = rng.choice(_GOOD_CAPABLE_M)
-    p = Progression(m, rng.choice(good_residues(m, kind)))
+    p = Progression(m, rng.choice(_good_choices(m, kind)))
     return good_progression_support_vanishes(p, kind), f"kind={kind} p={p}"
 
 def _trial_eta_numeric(rng: random.Random) -> tuple[bool, str]:

@@ -18,14 +18,16 @@ four multiplier phases come from their transformation laws written term by
 term in Fractions (with the public ``dedekind_sum``), against the integer
 numerators of ``transform``, and numerical eta from one exponential per
 term of the pentagonal sum, against the running products of
-``eta_numeric``.
+``eta_numeric``.  The level of the non-congruence criterion comes from
+moving ell-powers out of the deltas into the exponents, against the build
+rewrite of ``generators``, which moves them the other way.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -197,6 +199,22 @@ def _omega_partitions(n: int) -> int:
     for largest in range(1, target + 1):
         total += count_pairs(target - largest, 2 * largest - 1)
     return total
+
+
+def _level_after_ell_rewrite(factors, ell: int) -> int:
+    """The criterion's level, rewritten the other way round: a factor
+    (ell^s d', r) becomes (d', ell^s r), congruent mod ell with B unchanged,
+    and the level is the lcm of the d' whose merged exponent is nonzero
+    (1 when none is).  The result is coprime to ell."""
+    merged: dict[int, int] = {}
+    for delta, r in factors:
+        power = 1
+        while delta % ell == 0:
+            delta //= ell
+            power *= ell
+        merged[delta] = merged.get(delta, 0) + power * r
+    deltas = [d for d, r in merged.items() if r != 0]
+    return lcm(*deltas) if deltas else 1
 
 
 def _dedekind_literal(d: int, c: int):
@@ -397,6 +415,11 @@ def transform_oracle():
         coverage_target=_oracle_coverage_target,
         support_vanishes=_oracle_support_vanishes,
     )
+
+
+@pytest.fixture(scope="session")
+def ell_level_oracle():
+    return _level_after_ell_rewrite
 
 
 @pytest.fixture(scope="session")

@@ -354,69 +354,73 @@ def test_info_rejects_mock(capsys):
 # ------------------------------------------------------------ error exits
 
 
+# each case is named by its argv alone, so rewording a message renames
+# no case
+_ERROR_EXITS = [
+    ("expand nosuch", 3, "unknown series 'nosuch'"),
+    ("expand 1^0", 2, "exponents must be nonzero"),
+    ("expand 2^", 2, "malformed eta-quotient spec '2^'"),
+    ("expand partition --limit 0", 2, "--limit must be positive, got 0"),
+    ("expand partition --mod 1", 2, "modulus must be an integer >= 2"),
+    (
+        "expand theta_g0 --mod 3",
+        2,
+        "theta series have rational coefficients; no reduction",
+    ),
+    ("scan nosuch --mod 3 --m-max 3", 3, "unknown series 'nosuch'"),
+    ("scan 1^1,1^2 --mod 3 --m-max 3", 2, "deltas must be pairwise distinct"),
+    (
+        "scan partition --mod 5 --m-max 5 --budget 0",
+        4,
+        "budget 0 cannot cover m_max 5",
+    ),
+    (
+        "scan partition --mod 5 --progression 5:4 --budget 3",
+        4,
+        "budget 3 cannot cover m_max 5",
+    ),
+    (
+        "scan partition --mod 5 --m-max 50 --budget 10",
+        4,
+        "budget 10 cannot cover m_max 50",
+    ),
+    (
+        "scan partition --mod 5 --progression x",
+        2,
+        "--progression wants m:t, got 'x'",
+    ),
+    (
+        "scan partition --mod 5 --progression 0:1",
+        2,
+        "m must be a positive integer",
+    ),
+    ("scan partition --mod 5", 2, "need --m-max or --progression"),
+    ("scan partition --mod 5 --m-max 0", 2, "m_max must be positive, got 0"),
+    ("scan partition --mod 1 --m-max 5", 2, "modulus must be an integer >= 2"),
+    (
+        "scan theta_g1 --mod 3 --m-max 3",
+        2,
+        "theta series have rational coefficients; no reduction",
+    ),
+    ("identities --trials 0", 2, "trials must be positive"),
+    (
+        "cusp-check omega --Q 4",
+        2,
+        "no good residue mod 4 for kind omega; pass --t",
+    ),
+    (
+        "info mock_f --ell 3 --m 5",
+        2,
+        "'mock_f' is not an eta-quotient; no applicability report",
+    ),
+    ("info partition --ell 3 --m 0", 2, "m must be positive"),
+    ("info nosuch --ell 3 --m 5", 3, "unknown series 'nosuch'"),
+    ("info 1^x --ell 3 --m 5", 2, "malformed eta-quotient spec '1^x'"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, code, message",
-    [
-        ("expand nosuch", 3, "unknown series 'nosuch'"),
-        ("expand 1^0", 2, "exponents must be nonzero"),
-        ("expand 2^", 2, "malformed eta-quotient spec '2^'"),
-        ("expand partition --limit 0", 2, "--limit must be positive, got 0"),
-        ("expand partition --mod 1", 2, "modulus must be an integer >= 2"),
-        (
-            "expand theta_g0 --mod 3",
-            2,
-            "theta series have rational coefficients; no reduction",
-        ),
-        ("scan nosuch --mod 3 --m-max 3", 3, "unknown series 'nosuch'"),
-        ("scan 1^1,1^2 --mod 3 --m-max 3", 2, "deltas must be pairwise distinct"),
-        (
-            "scan partition --mod 5 --m-max 5 --budget 0",
-            4,
-            "budget 0 cannot cover m_max 5",
-        ),
-        (
-            "scan partition --mod 5 --progression 5:4 --budget 3",
-            4,
-            "budget 3 cannot cover m_max 5",
-        ),
-        (
-            "scan partition --mod 5 --m-max 50 --budget 10",
-            4,
-            "budget 10 cannot cover m_max 50",
-        ),
-        (
-            "scan partition --mod 5 --progression x",
-            2,
-            "--progression wants m:t, got 'x'",
-        ),
-        (
-            "scan partition --mod 5 --progression 0:1",
-            2,
-            "m must be a positive integer",
-        ),
-        ("scan partition --mod 5", 2, "need --m-max or --progression"),
-        ("scan partition --mod 5 --m-max 0", 2, "m_max must be positive, got 0"),
-        ("scan partition --mod 1 --m-max 5", 2, "modulus must be an integer >= 2"),
-        (
-            "scan theta_g1 --mod 3 --m-max 3",
-            2,
-            "theta series have rational coefficients; no reduction",
-        ),
-        ("identities --trials 0", 2, "trials must be positive"),
-        (
-            "cusp-check omega --Q 4",
-            2,
-            "no good residue mod 4 for kind omega; pass --t",
-        ),
-        (
-            "info mock_f --ell 3 --m 5",
-            2,
-            "'mock_f' is not an eta-quotient; no applicability report",
-        ),
-        ("info partition --ell 3 --m 0", 2, "m must be positive"),
-        ("info nosuch --ell 3 --m 5", 3, "unknown series 'nosuch'"),
-        ("info 1^x --ell 3 --m 5", 2, "malformed eta-quotient spec '1^x'"),
-    ],
+    "argv, code, message", _ERROR_EXITS, ids=[argv for argv, _, _ in _ERROR_EXITS]
 )
 def test_error_exit_is_pinned(capsys, argv, code, message):
     # each failure: its exit code, nothing on stdout, one error line on stderr

@@ -223,6 +223,19 @@ def test_frobenius_rewrite_can_cancel_every_factor():
         assert series == eta_quotient(spec, 50).reduce_mod(m)
 
 
+def test_frobenius_rewrite_merges_until_no_exponent_is_divisible_by_ell():
+    ring = integer_mod(2)
+    # 1^2 -> 2^1 merges with 2^1 into 2^2 -> 4^1, which cancels 4^-1
+    spec = EtaQuotientSpec(((1, 2), (2, 1), (4, -1)))
+    assert _frobenius_factors(spec, ring) == ()
+    assert eta_quotient(spec, 60, ring) == monomial(0, ring, 60)
+    assert eta_quotient(spec, 60).reduce_mod(2) == monomial(0, ring, 60)
+    # 3^2 -> 6^1 merges with 6^1 into 6^2 -> 12^1, which cancels 12^-1
+    spec = EtaQuotientSpec(((3, 2), (5, -1), (6, 1), (12, -1)))
+    assert _frobenius_factors(spec, ring) == ((5, -1),)
+    assert eta_quotient(spec, 60, ring) == eta_quotient(spec, 60).reduce_mod(2)
+
+
 # ------------------------------------------------------------- mock theta
 
 

@@ -5,14 +5,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsift.generators import (
+    EtaQuotientSpec,
+    _frobenius_factors,
     build_series,
     catalog_entry,
+    eta_quotient,
     mock_f,
     mock_omega,
 )
@@ -28,7 +33,7 @@ from qsift.scanner import (
     verify_known,
     witness,
 )
-from qsift.transform import Progression, is_good, refine_to_good
+from qsift.transform import Progression, is_good, q_divisor, refine_to_good
 
 
 # ------------------------------------------------------------------ scan
@@ -200,6 +205,110 @@ def test_applicability_level_rewrite():
     # the level condition (including even m)
     spec = catalog_entry("cubic").spec
     assert theorem_applies(spec, 2, 10).applies
+
+
+def test_applicability_drops_a_cancelled_class():
+    # mod 2, eta(q^5)^2 = eta(q^10): with 10^-1 the class of 5 cancels and
+    # 1^-1 is left, of level 1; with 10^-2 it leaves 20^-1, of level 5
+    assert theorem_applies(EtaQuotientSpec(((1, -1), (5, 2), (10, -1))), 2, 5).applies
+    blocked = theorem_applies(EtaQuotientSpec(((1, -1), (5, 2), (10, -2))), 2, 5)
+    assert blocked.reasons == ("q-divisor-shares-level",)
+
+
+def _class_totals(factors, ell: int) -> dict[int, int]:
+    """sum(ell^s r) per ell-free part d' of the deltas ell^s d', zeros kept
+    out: what f(q)^ell = f(q^ell) leaves unchanged in each class."""
+    totals: dict[int, int] = {}
+    for delta, r in factors:
+        while delta % ell == 0:
+            delta, r = delta // ell, r * ell
+        totals[delta] = totals.get(delta, 0) + r
+    return {d: r for d, r in totals.items() if r}
+
+
+@st.composite
+def _rewrite_cases(draw):
+    """(spec, ell, m): deltas d' ell^s over few ell-free parts d', and half
+    the time one more factor that cancels a class, sum(ell^s r) = 0."""
+    ell = draw(st.sampled_from((2, 3, 5, 7)))
+    exponents = st.sampled_from((1, 2, 3, 4, 6, 8, 9, -1, -2, -3, -4, -6, -8, -9))
+    bases, powers = st.sampled_from((1, 2, 3, 5, 7, 10)), st.integers(0, 2)
+    factors = {}
+    for _ in range(draw(st.integers(1, 3))):
+        factors[draw(bases) * ell ** draw(powers)] = draw(exponents)
+    base, total = next(iter(_class_totals(factors.items(), ell).items()), (1, 0))
+    if total and draw(st.booleans()):
+        for s in range(4):
+            if base * ell**s not in factors and total % ell**s == 0:
+                factors[base * ell**s] = -total // ell**s
+                break
+    spec = EtaQuotientSpec(tuple(factors.items()))
+    return spec, ell, draw(st.integers(1, 8)) * draw(st.sampled_from((1, 5, 7)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_rewrite_cases())
+def test_one_rewrite_for_the_build_and_the_criterion(case, ell_level_oracle):
+    spec, ell, m = case
+    rewritten = _frobenius_factors(spec, integer_mod(ell))
+    assert all(r % ell for _, r in rewritten)
+    assert sum(d * r for d, r in rewritten) == spec.B
+    assert _class_totals(rewritten, ell) == _class_totals(spec.factors, ell)
+    if ell in (2, 3):
+        B = spec.B
+        expected = ["ell-divides-B"] if B % ell == 0 else []
+        expected += ["no-pole"] if B >= 0 else []
+        if B % ell and gcd(q_divisor(m, B), ell_level_oracle(spec.factors, ell)) > 1:
+            expected.append("q-divisor-shares-level")
+        assert theorem_applies(spec, ell, m).reasons == tuple(expected)
+
+
+def eta_quotient_specs(factors: int, deltas, exponents, max_level: int):
+    """Every eta-quotient with ``factors`` distinct deltas from ``deltas``,
+    each exponent from ``exponents``, and level at most ``max_level``."""
+    for ds in combinations(deltas, factors):
+        if lcm(*ds) <= max_level:
+            for rs in product(exponents, repeat=factors):
+                yield EtaQuotientSpec(tuple(zip(ds, rs)))
+
+
+def criterion_sweep(specs, prec: int = 2000, m_max: int = 12):
+    """Scan ``eta_quotient(spec, prec, Z/ell)`` mod ell wherever
+    ``theorem_applies(spec, ell, m)`` accepts, ell in (2, 3), m <= m_max:
+    (accepted triples, progressions scanned, the (spec, ell, m, t) whose
+    progression found no witness)."""
+    accepted = progressions = 0
+    missing = []
+    for spec in specs:
+        for ell in (2, 3):
+            ms = [
+                m for m in range(1, m_max + 1) if theorem_applies(spec, ell, m).applies
+            ]
+            if not ms:
+                continue
+            report = scan(eta_quotient(spec, prec, integer_mod(ell)), ell, max(ms))
+            accepted += len(ms)
+            for v in report.verdicts:
+                if v.m in ms:
+                    progressions += 1
+                    if v.status != "witness":
+                        missing.append((str(spec), ell, v.m, v.t))
+    return accepted, progressions, missing
+
+
+def test_criterion_acceptance_implies_witnesses():
+    # every one- and two-factor eta-quotient of level <= 12 with exponents
+    # +-1..+-4: where the criterion accepts (ell, m), no progression mod m
+    # vanishes mod ell to 2000 coefficients
+    exponents = (-4, -3, -2, -1, 1, 2, 3, 4)
+    specs = [
+        spec
+        for factors in (1, 2)
+        for spec in eta_quotient_specs(factors, range(1, 13), exponents, 12)
+    ]
+    accepted, progressions, missing = criterion_sweep(specs)
+    assert (len(specs), accepted, progressions) == (1824, 7476, 46959)
+    assert missing == []
 
 
 # ----------------------------------------------------------- sturm bound
