@@ -22,13 +22,14 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .arith import ExactScalar
 from .generators import (
     EtaQuotientSpec,
     UnknownSeries,
     build_series,
+    _ell_rewrite,
     catalog_entry,
     series_ring,
 )
@@ -351,12 +352,18 @@ def _cmd_info(args) -> int:
         qdiv = q_divisor(args.m, eq.B)
     except BDivisibleBySix:
         qdiv = None
+    # the deltas left by the rewrite f(q)^ell = f(q^ell) that builds and
+    # judges the series mod ell; none left (the quotient is 1 mod ell) gives
+    # level 1 and lattice 0, since then only slot 0 can be nonzero
+    deltas = [delta for delta, _ in _ell_rewrite(eq.factors, args.ell)]
     info = {
         "series": args.spec,
         "factors": [list(f) for f in eq.factors],
         "B": eq.B,
         "weight": str(Fraction(eq.weight_twice, 2)),
         "level": eq.level,
+        "level_mod_ell": lcm(*deltas),
+        "lattice_mod_ell": gcd(*deltas),
         "pole_at_infinity": eq.B < 0,
         "q_divisor": qdiv,
         "sturm_budget_hint": sturm_bound(abs(eq.weight_twice), eq.level),

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from math import gcd, log2
-from operator import mul
+from operator import itemgetter, mul
 
 __all__ = [
     "QSeriesError",
@@ -235,6 +235,19 @@ def _decimal_cost(n_out: int, digits: int) -> float:
     1024 slots, cost 0.1% of the two kernels' total time."""
     d = n_out * digits
     return 1000 + n_out + 0.23 * d * log2(d)
+
+
+def _recurrence_cost(n_out: int, terms: int) -> float:
+    """The sparse recurrence (``_div_sparse``) to n_out slots over ``terms``
+    nonzero divisor slots past the constant one: about 11 per slot for the
+    interpreted step and its gathers, and 0.41 per slot and term for the
+    item reads and sums in C.  Fitted to timings of 1/eta over Z/m for m in
+    {3, 29, 145, 355} at 256 to 81920 slots, in the units of the Newton
+    prediction in ``_newton_is_cheaper`` (its median measured time per
+    predicted unit at the same sizes, 50 ns on a 2-core x86-64 guest,
+    CPython 3.11.7).  The wrong picks, all at 512 to 2048 slots, cost up
+    to 28% of the faster division's time there, and 0.08% of the total."""
+    return n_out * (11 + 0.41 * terms)
 
 
 _ITEMSIZES = (("B", 1), ("H", 2), ("I", 4), ("Q", 8))
@@ -511,24 +524,42 @@ def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
     other nonzero slots are the ascending (k, b_k) pairs of ``support``.
 
     Both sides are first scaled by inv0, so that b has constant slot 1; the
-    recurrence out[i] = num[i] - sum b_k out[i-k] then costs
-    n_out * len(support) and is exact in every ring.
+    recurrence out[i] = num[i] - sum b_k out[i-k] is then exact in every
+    ring.  Its terms are grouped by the value b_k, so that each slot costs
+    one C-level gather and ``sum`` per distinct value instead of one
+    interpreted step per term: out[i] = num[i] - sum_b b * sum(out[i-k]
+    over the k <= i with b_k = b), with no multiply for b = 1.  ``out``
+    grows by ``append`` after a sentinel 0, so out[i-k] is ``out[-k]`` and
+    a group's live terms are one ``itemgetter(-k1, ..., -kc, 0)``, whose
+    trailing index reads the sentinel and makes it return a tuple even for
+    one term.  A group's getter is rebuilt only when i reaches its next k,
+    so memory grows with the number of terms, and the gathers still cost
+    n_out * len(support) item reads at most.
     """
     mod = ring.modulus if ring.kind == "mod" else None
     if inv0 == 1:
-        out = list(islice(num, n_out))
+        head = num
     else:
         support = [(k, ring.normalize(inv0 * bk)) for k, bk in support]
-        out = [ring.normalize(inv0 * a) for a in islice(num, n_out)]
-    for i in range(n_out):
-        v = out[i]
-        for k, bk in support:
-            if k > i:
-                break
-            h = out[i - k]
-            if h:
-                v -= bk * h
-        out[i] = v % mod if mod is not None else v
+        head = [ring.normalize(inv0 * a) for a in islice(num, n_out)]
+    out = [0]  # the sentinel: slot j is out[j + 1]
+    append = out.append
+    offsets, getters = {}, {}  # per value b: the -k of its live terms, their getter
+    start = 0
+    for k, bk in chain(support, [(n_out, None)]):
+        stop = min(k, n_out)  # slots start..stop-1 read the same terms
+        groups = list(getters.items())
+        for i in range(start, stop):
+            v = head[i]
+            for b, gather in groups:
+                v -= sum(gather(out)) if b == 1 else b * sum(gather(out))
+            append(v % mod if mod else v)
+        if stop == n_out:
+            break
+        start = k
+        offsets.setdefault(bk, [0]).insert(-1, -k)
+        getters[bk] = itemgetter(*offsets[bk])
+    del out[0]
     return out
 
 
@@ -573,23 +604,27 @@ def _support(den, n: int):
     return (k for k, c in enumerate(islice(den, 1, n), 1) if c)
 
 
-def _newton_is_cheaper(den, terms: int, n_out: int, ring: CoefficientRing) -> bool:
-    """Whether Newton division by ``den`` to n_out slots is predicted
+def _newton_is_cheaper(
+    b, terms: int, n_out: int, ring: CoefficientRing, d: int = 1
+) -> bool:
+    """Whether Newton division by b(q^d) to n_out slots is predicted
     cheaper than the sparse recurrence over its ``terms`` nonzero slots past
-    the constant one.  The recurrence costs about two multiply-adds per
-    slot and term, Newton about one and a half products by the cheaper
-    transform kernel (Kronecker or the decimal kernel on libmpdec) plus
-    ~1500 per halving step.  Newton runs only over Z/m: over Z and Q the
-    coefficients grow, and the recurrence never forms the (larger) inverse.
-    Measured over Z with the decimal kernel, Newton loses: 1/eta to 20480
-    slots takes 0.90 s against the recurrence's 0.73 s (CPython 3.11.7,
-    x86-64)."""
+    the constant one.  The recurrence runs on all n_out slots and costs
+    ``_recurrence_cost``.  Newton works at ceil(n_out/d) slots: about one
+    and a half products by the cheaper transform kernel (Kronecker or the
+    decimal kernel on libmpdec) plus ~1500 per halving step, and for d > 1
+    one more product per residue class of the numerator.  Newton runs only
+    over Z/m: over Z and Q the coefficients grow, and the recurrence never
+    forms the (larger) inverse.  Measured over Z with the decimal kernel,
+    Newton loses: 1/eta to 20480 slots takes 1.1 s against the
+    recurrence's 0.29 s (CPython 3.11.7, x86-64)."""
     if ring.kind != "mod":
         return False
-    bound = _slot_bound(den, den, n_out, ring)
-    recurrence = 2 * n_out * terms * _slot_cost(_kronecker_width(bound, ring))
-    product, _ = _transform_product(n_out, bound, ring)
-    return recurrence > 1.5 * product + 1500 * n_out.bit_length()
+    n = -(-n_out // d)
+    bound = _slot_bound(b, b, n, ring)
+    product, _ = _transform_product(n, bound, ring)
+    products = 1.5 + (d if d > 1 else 0)
+    return _recurrence_cost(n_out, terms) > products * product + 1500 * n.bit_length()
 
 
 def _divide(num, den, n_out: int, ring: CoefficientRing) -> list:
@@ -607,23 +642,22 @@ def _divide(num, den, n_out: int, ring: CoefficientRing) -> list:
         d = gcd(d, k)
         if d == 1:
             break
-    if d > 1:
-        den_d = den[:n_out:d]
-        if _newton_is_cheaper(den_d, terms, len(den_d), ring):
-            g = _divide_newton(None, den_d, len(den_d), ring)
-            # classes first: the n_out-slot list stays out of the products' peak
-            classes = [
-                _convolve(num[r:n_out:d], g, len(range(r, n_out, d)), ring)
-                for r in range(d)
-            ]
-            out = [0] * n_out
-            for r in range(d):
-                out[r::d] = classes[r]
-            return out
-    elif _newton_is_cheaper(den, terms, n_out, ring):
+    d = d or 1  # a constant divisor
+    b = den[:n_out:d] if d > 1 else den
+    if not _newton_is_cheaper(b, terms, n_out, ring, d):
+        support = [(k, den[k]) for k in _support(den, n_out)]
+        return _div_sparse(num, support, ring.inverse(den[0]), n_out, ring)
+    if d == 1:
         return _divide_newton(num, den, n_out, ring)
-    support = [(k, den[k]) for k in _support(den, n_out)]
-    return _div_sparse(num, support, ring.inverse(den[0]), n_out, ring)
+    g = _divide_newton(None, b, len(b), ring)
+    # classes first: the n_out-slot list stays out of the products' peak
+    classes = [
+        _convolve(num[r:n_out:d], g, len(range(r, n_out, d)), ring) for r in range(d)
+    ]
+    out = [0] * n_out
+    for r in range(d):
+        out[r::d] = classes[r]
+    return out
 
 
 class QSeries:

@@ -20,13 +20,17 @@ numerators of ``transform``, and numerical eta from one exponential per
 term of the pentagonal sum, against the running products of
 ``eta_numeric``.  The level of the non-congruence criterion comes from
 moving ell-powers out of the deltas into the exponents, against the build
-rewrite of ``generators``, which moves them the other way.
+rewrite of ``generators``, which moves them the other way.  The sparse
+division recurrence comes from its per-term loop, one interpreted
+multiply-subtract per slot and term, against the grouped gathers of
+``qseries._div_sparse``.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from types import SimpleNamespace
 
@@ -67,6 +71,29 @@ def _divide_by_sparse(coeffs: list, tail, modulus: int | None) -> list:
                 break
             v -= c * out[i - e]
         out[i] = v if modulus is None else v % modulus
+    return out
+
+
+def _div_sparse_per_term(num, support, inv0, n_out: int, ring) -> list:
+    """Slots 0..n_out-1 of num / b, where b has constant slot 1/inv0 and its
+    other nonzero slots are the ascending (k, b_k) pairs of ``support``:
+    out[i] = num[i] - sum b_k out[i-k], one term at a time, after scaling
+    both sides by inv0."""
+    mod = ring.modulus if ring.kind == "mod" else None
+    if inv0 == 1:
+        out = list(islice(num, n_out))
+    else:
+        support = [(k, ring.normalize(inv0 * bk)) for k, bk in support]
+        out = [ring.normalize(inv0 * a) for a in islice(num, n_out)]
+    for i in range(n_out):
+        v = out[i]
+        for k, bk in support:
+            if k > i:
+                break
+            h = out[i - k]
+            if h:
+                v -= bk * h
+        out[i] = v % mod if mod is not None else v
     return out
 
 
@@ -425,6 +452,11 @@ def ell_level_oracle():
 @pytest.fixture(scope="session")
 def dedekind_oracle():
     return _dedekind_literal
+
+
+@pytest.fixture(scope="session")
+def div_sparse_oracle():
+    return _div_sparse_per_term
 
 
 @pytest.fixture(scope="session")

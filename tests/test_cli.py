@@ -345,6 +345,36 @@ def test_info_sturm_hint_is_exact_at_a_large_level(capsys):
     assert json.loads(out)["sturm_budget_hint"] == 41666667250000002
 
 
+def test_info_reports_the_level_after_the_mod_ell_rewrite(capsys):
+    # mod 2, E_5^2 = E_10 cancels E_10^-1: only E_1^-1 is left, while the
+    # level of the spec as given, the q_divisor and the verdict stay
+    code, out, _ = run(capsys, "info", "1^-1,5^2,10^-1", "--ell", "2", "--m", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["level_mod_ell"] == 1
+    assert payload["lattice_mod_ell"] == 1
+    assert payload["level"] == 10
+    assert payload["q_divisor"] == 5
+    assert payload["applies"] is True
+
+
+@pytest.mark.parametrize(
+    "spec, ell, level, lattice",
+    [
+        ("cphi2", 2, 8, 2),  # E_1^-4 = E_4^-1, E_4^-2 = E_8^-1 mod 2; E_2^5 stays
+        ("1^2,2^-1", 2, 1, 0),  # E_1^2 / E_2 = 1 mod 2: no delta is left
+        ("3^1,6^-2", 3, 6, 3),  # no exponent divisible by 3: unchanged
+    ],
+)
+def test_info_level_and_lattice_are_lcm_and_gcd_of_the_rewritten_deltas(
+    capsys, spec, ell, level, lattice
+):
+    code, out, _ = run(capsys, "info", spec, "--ell", str(ell), "--m", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["level_mod_ell"], payload["lattice_mod_ell"]) == (level, lattice)
+
+
 def test_info_rejects_mock(capsys):
     code, _, err = run(capsys, "info", "mock_f", "--ell", "3", "--m", "5")
     assert code == 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsift import qseries
 from qsift.generators import (
     EtaQuotientSpec,
     UnknownSeries,
@@ -23,6 +24,7 @@ from qsift.generators import (
 )
 from qsift.generators import _frobenius_factors
 from qsift.qseries import INTEGER, QSeries, monomial, integer_mod
+from qsift.scanner import verify_known
 
 
 # ---------------------------------------------------------------- eta
@@ -64,6 +66,14 @@ def test_partition_times_eta_is_one():
     prec = 40
     part = eta_quotient(EtaQuotientSpec(((1, -1),)), prec)
     assert part * eta_series(prec) == monomial(0, INTEGER, prec)
+
+
+def test_inverse_eta_gives_the_classical_partition_values():
+    # p(200), computed by MacMahon for Hardy and Ramanujan (1918), and p(1000)
+    part = eta_series(1001, INTEGER).invert()
+    assert part.offset == Fraction(-1, 24)
+    assert part.coeffs[200] == 3972999029388
+    assert part.coeffs[1000] == 24061467864032622473692149727991
 
 
 def test_cubic_example():
@@ -496,3 +506,56 @@ def test_spec_validation():
     assert spec.factors == ((1, -1), (4, 1))  # sorted
     assert spec.level == 4
     assert spec.weight_twice == 0
+
+
+# ------------------------------------------------------- division choice
+
+# The eta-quotient scans of the benchmark, each built mod ell to 2*10^4.
+ETA_SCAN_BUILDS = (
+    ("cphi2", 5),
+    ("partition", 5),
+    ("cubic", 3),
+    ("core4", 2),
+    ("crank_diff", 5),
+    ("multipartition_3", 3),
+)
+
+
+def test_series_builds_mod_ell_divide_by_newton(monkeypatch):
+    # every division of the mock builds mod 3 at 2*10^4 and 10^5, of the
+    # eta-quotient scan builds and of verify_known is far past the crossover
+    # of the recurrence with Newton, so each must run Newton
+    divisions, newton, recurrences, depth = [], [], [], 0
+    divide, divide_newton = qseries._divide, qseries._divide_newton
+    div_sparse = qseries._div_sparse
+
+    def divide_spy(num, den, n_out, ring):
+        divisions.append((str(ring), n_out))
+        return divide(num, den, n_out, ring)
+
+    def newton_spy(num, den, n_out, ring):
+        nonlocal depth
+        if not depth:  # the calls from outside Newton's own recursion
+            newton.append(n_out)
+        depth += 1
+        try:
+            return divide_newton(num, den, n_out, ring)
+        finally:
+            depth -= 1
+
+    def sparse_spy(num, support, inv0, n_out, ring):
+        recurrences.append((str(ring), n_out))
+        return div_sparse(num, support, inv0, n_out, ring)
+
+    monkeypatch.setattr(qseries, "_divide", divide_spy)
+    monkeypatch.setattr(qseries, "_divide_newton", newton_spy)
+    monkeypatch.setattr(qseries, "_div_sparse", sparse_spy)
+    for prec in (20000, 100000):
+        mock_f(prec, integer_mod(3))
+        mock_omega(prec, integer_mod(3))
+    assert len(divisions) == 4
+    for name, ell in ETA_SCAN_BUILDS:
+        build_series(name, 20000, modulus=ell)
+    assert all(passed for _, passed in verify_known())
+    assert recurrences == []
+    assert len(newton) == len(divisions)

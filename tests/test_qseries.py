@@ -293,6 +293,93 @@ def test_division_kernels_agree(ring, n, data):
     assert list(quotient.coeffs) == by_recurrence
 
 
+# The grouped recurrence against its per-term loop, kept in conftest.
+
+ORACLE_RINGS = (
+    INTEGER,
+    RATIONAL,
+    integer_mod(2),
+    integer_mod(3),
+    integer_mod(256),  # the largest modulus on bytes
+    integer_mod(257),  # the smallest on tuples
+    integer_mod(355),
+)
+
+
+def ring_values(ring):
+    """Values as the ring's series store them: integers up to 2^200 in
+    magnitude, fractions, or residues."""
+    if ring.kind == "int":
+        return st.integers(-(2**200), 2**200)
+    if ring.kind == "rat":
+        return st.fractions(max_denominator=10**6)
+    return st.integers(0, ring.modulus - 1)
+
+
+def stored(ring, values):
+    return bytes(values) if ring.stores_bytes else tuple(values)
+
+
+@st.composite
+def sparse_divisions(draw, ring):
+    """(num, support, inv0, n_out) for ``_div_sparse``.  The support has one
+    term, many terms of one value, pairwise distinct values or any values,
+    and may be empty or reach past n_out; inv0 is any unit; the numerator
+    may be nonzero only in its last slots, and is stored as the ring's
+    series store it."""
+    n_out = draw(st.integers(1, 48))
+    nonzero = ring_values(ring).filter(bool)
+    ks = sorted(draw(st.sets(st.integers(1, n_out + 8), max_size=24)))
+    shape = draw(st.sampled_from(("one", "equal", "distinct", "any")))
+    if shape == "one":
+        ks = ks[:1]
+    if shape == "equal":
+        values = [draw(nonzero)] * len(ks)
+    else:
+        if shape == "distinct" and ring.kind == "mod":
+            ks = ks[: ring.modulus - 1]
+        size = len(ks)
+        values = draw(
+            st.lists(nonzero, min_size=size, max_size=size, unique=shape == "distinct")
+        )
+    inv0 = draw(nonzero if ring.kind == "rat" else unit(ring))
+    late = draw(st.integers(0, n_out))  # leading zero slots of the numerator
+    size = n_out - late
+    tail = draw(st.lists(ring_values(ring), min_size=size, max_size=size))
+    return stored(ring, [0] * late + tail), list(zip(ks, values)), inv0, n_out
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_div_sparse_matches_the_per_term_recurrence(ring, data, div_sparse_oracle):
+    num, support, inv0, n_out = data.draw(sparse_divisions(ring))
+    expected = div_sparse_oracle(num, support, inv0, n_out, ring)
+    assert _div_sparse(num, support, inv0, n_out, ring) == expected
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
+@pytest.mark.parametrize(
+    "num, support, n_out",
+    [
+        ([5, 7], [(1, 2)], 1),  # one slot: the terms are never reached
+        ([3, 1, 4, 1, 5], [], 5),  # no terms: the scaled numerator
+        ([0] * 11 + [1], [(1, 1), (2, 1), (5, 2), (7, 1)], 12),  # nonzero only last
+        ([1, 2, 3], [(3, 1), (4, 2)], 3),  # every term at k >= n_out
+        ([1] + [0] * 39, [(1, -1), (2, -1), (5, 1), (7, 1)], 40),  # 1/eta
+    ],
+    ids=["n_out-1", "no-terms", "late-numerator", "terms-past-n_out", "eta"],
+)
+def test_div_sparse_matches_the_per_term_recurrence_at_the_edges(
+    ring, num, support, n_out, div_sparse_oracle
+):
+    num = stored(ring, [ring.normalize(v) for v in num])
+    support = [(k, ring.normalize(b)) for k, b in support]
+    for inv0 in {ring.normalize(1), ring.inverse(ring.normalize(-1))}:
+        expected = div_sparse_oracle(num, support, inv0, n_out, ring)
+        assert _div_sparse(num, support, inv0, n_out, ring) == expected
+
+
 def newton_calls(n):
     """The (n_out, lo) of every product Newton division makes to n slots:
     two per step of the inverse's halving chain h, ceil(h/2), ..., 2 (where
@@ -414,7 +501,7 @@ def test_division_by_dense_series_in_q_power_matches_recurrence(ring, d, n):
     num = [ring.normalize(rng.randint(-9, 9)) for _ in range(n)]
     support = [(k, c) for k, c in enumerate(den) if c and k]
     if ring.kind == "mod":
-        newton = _newton_is_cheaper(b, len(support), len(b), ring)
+        newton = _newton_is_cheaper(b, len(support), n, ring, d)
         assert newton == (n > 1000)
     expected = _div_sparse(num, support, ring.inverse(den[0]), n, ring)
     assert _divide(num, den, n, ring) == expected
