@@ -20,8 +20,9 @@ argument of its quadratic symbol:
 The progression is *good* when some odd prime p | m has (alpha + beta*t | p)
 = -1, which kills the non-holomorphic support.  A unit a prime to beta
 multiplies the form by a^2, moving t to a^2 t + alpha(a^2 - 1)/beta; the
-goodness test, its refinement, the unit images, the orbits, their coverage
-and the shifts of the constancy check are all read off (alpha, beta).
+goodness test, its refinement, the unit images, the orbits (images of the
+units mod |beta|*m, for every kind), their coverage and the shifts of the
+constancy check are all read off (alpha, beta).
 """
 
 from __future__ import annotations
@@ -329,18 +330,16 @@ def _image(alpha: int, beta: int, aa: int, p: Progression) -> int:
 
 
 def orbit(p: Progression, kind: str, B: int | None = None) -> set[int]:
-    """All residues t_image(a, ...) as a runs over 1..|beta|*m with a prime
-    to beta*m (kinds "f" and "eta": a prime to 6m, the units mod 24m), or,
-    for kind "omega", over every a in 1..3m prime to 3, whether or not a is
-    a unit mod m.
+    """All residues t_image(a, ...) as a runs over the units mod |beta|*m,
+    the a in 1..|beta|*m prime to beta*m, for every kind (the units mod 24m
+    for kinds "f" and "eta", mod 3m for kind "omega").
 
     The image depends on a only through a^2 mod |beta|*m, so that window
     exhausts the orbit; each distinct square is mapped once.
     """
     alpha, beta = _linear_form(kind, B)
     window = abs(beta) * p.m
-    prime_to = beta if kind == "omega" else window
-    squares = {a * a % window for a in range(1, window + 1) if gcd(a, prime_to) == 1}
+    squares = {a * a % window for a in range(1, window + 1) if gcd(a, window) == 1}
     return {_image(alpha, beta, aa, p) for aa in squares}
 
 
@@ -500,16 +499,19 @@ def _cancellation_phase(
     A: UnimodularMatrix, m: int, lam: int, include_curvature: bool = True
 ) -> Fraction:
     """Phase of (-1)^((-ac lam' + cd lam)/2) e^(2 pi i(-c lam/4 - 3mc^2 lam'/8)),
-    mod 1.  ``include_curvature=False`` drops the 3mc^2 lam'/8 term (negative
-    control)."""
-    dec = decompose_upper(A, m, lam)
-    lam_p = dec.lambda_prime
-    a, _, c, d = A.entries()
-    phase = Fraction(-a * c * lam_p + c * d * lam, 2) * Fraction(1, 2)
-    phase += Fraction(-c * lam, 4)
+    mod 1, summed as an integer numerator over 8, with lam' and the checks
+    of decompose_upper.  ``include_curvature=False`` drops the 3mc^2 lam'/8
+    term (negative control)."""
+    if not 0 <= lam < m:
+        raise ValueError("need 0 <= lam < m")
+    a, b, c, d = A.entries()
+    lam_p, a2, b2, c2, d2 = _pass_upper(a, b, c, d, m, lam, _inverse_of_a(a, m))
+    if a2 * d2 - b2 * c2 != 1:
+        raise BadMatrix(f"determinant of {(a2, b2, c2, d2)} is not 1")
+    u = 2 * (c * d * lam - a * c * lam_p) - 2 * c * lam
     if include_curvature:
-        phase += Fraction(-3 * m * c * c * lam_p, 8)
-    return phase % 1
+        u -= 3 * m * c * c * lam_p
+    return Fraction(u % 8, 8)
 
 
 def phase_cancellation_check(A: UnimodularMatrix, m: int, lam: int) -> bool:
@@ -656,13 +658,13 @@ def random_unimodular(
     rng: random.Random,
     level: int = 1,
     c_mult_max: int = 2,
-    unit: str = "any",
+    prime_to: int = 1,
 ) -> UnimodularMatrix:
-    """A random determinant-1 matrix with c a positive multiple of level.
-
-    ``unit`` constrains the top-left entry: "prime6" forces gcd(a, 6) = 1,
-    "prime3" forces 3 not dividing a.
+    """A random determinant-1 matrix with c a positive multiple of level
+    and the top-left entry a prime to ``prime_to``.  Both must be positive.
     """
+    if level < 1 or prime_to < 1:
+        raise ValueError("level and prime_to must be positive")
     while True:
         c = level * rng.randint(1, c_mult_max)
         d = rng.randrange(-4 * c, 4 * c + 1)
@@ -671,11 +673,7 @@ def random_unimodular(
         a0 = pow(d, -1, c)
         for j in range(1, 7):
             a = a0 + j * c if a0 == 0 else a0 + (j - 1) * c
-            if a == 0:
-                continue
-            if unit == "prime6" and gcd(a, 6) != 1:
-                continue
-            if unit == "prime3" and a % 3 == 0:
+            if a == 0 or gcd(a, prime_to) != 1:
                 continue
             return UnimodularMatrix(a, (a * d - 1) // c, c, d)
 
@@ -715,7 +713,7 @@ def _trial_mock_multiplier_order(rng: random.Random) -> tuple[bool, str]:
 
 def _trial_shift_parity(rng: random.Random) -> tuple[bool, str]:
     m = rng.randint(1, 8)
-    A = random_unimodular(rng, level_constant(m), 2, unit="prime3")
+    A = random_unimodular(rng, level_constant(m), 2, prime_to=3)
     residual = (
         dedekind_sum(A.d + A.c, m * A.c)
         - dedekind_sum(A.d, m * A.c)
@@ -726,13 +724,13 @@ def _trial_shift_parity(rng: random.Random) -> tuple[bool, str]:
 
 def _trial_sign_cancellation(rng: random.Random) -> tuple[bool, str]:
     m = rng.randint(1, 8)
-    A = random_unimodular(rng, level_constant(m), 2, unit="prime6")
+    A = random_unimodular(rng, level_constant(m), 2, prime_to=6)
     lam = rng.randrange(m)
     return phase_cancellation_check(A, m, lam), f"m={m} lam={lam} A={A}"
 
 def _trial_corrupted_cancellation(rng: random.Random) -> tuple[bool, str]:
     m = rng.choice((5, 7, 11, 13))
-    A = random_unimodular(rng, level_constant(m), 2, unit="prime6")
+    A = random_unimodular(rng, level_constant(m), 2, prime_to=6)
     lam = rng.randrange(m)
     phase = _cancellation_phase(A, m, lam, include_curvature=False)
     return phase == 0, f"m={m} lam={lam} A={A} phase={phase}"
@@ -740,14 +738,13 @@ def _trial_corrupted_cancellation(rng: random.Random) -> tuple[bool, str]:
 def _constancy_trial(kind: str):
     """The phase-constancy trial of kind "f" or "omega": a good progression
     and a matrix of the kind's level with a prime to beta."""
-    # random_unimodular's name for "a prime to beta" (beta = -24 or -3)
-    unit = "prime6" if _linear_form(kind)[1] % 2 == 0 else "prime3"
+    prime_to = abs(_linear_form(kind)[1])
     factor = _CONSTANCY_MULTIPLIER[kind][0]
 
     def trial(rng: random.Random) -> tuple[bool, str]:
         m = rng.choice(_GOOD_CAPABLE_M)
         p = Progression(m, rng.choice(_good_choices(m, kind)))
-        A = random_unimodular(rng, factor * level_constant(m), 1, unit=unit)
+        A = random_unimodular(rng, factor * level_constant(m), 1, prime_to=prime_to)
         values = constancy_check(A, p, kind)
         ok = len(values) == 1 and next(iter(values)) ** (24 * m) == ExactScalar.one()
         return ok, f"p={p} A={A} values={len(values)}"

@@ -18,12 +18,14 @@ four multiplier phases come from their transformation laws written term by
 term in Fractions (with the public ``dedekind_sum``), against the integer
 numerators of ``transform``, and numerical eta from one exponential per
 term of the pentagonal sum, against the running products of
-``eta_numeric``.  The level of the non-congruence criterion comes from
-moving ell-powers out of the deltas into the exponents, against the build
-rewrite of ``generators``, which moves them the other way.  The sparse
-division recurrence comes from its per-term loop, one interpreted
-multiply-subtract per slot and term, against the grouped gathers of
-``qseries._div_sparse``.
+``eta_numeric``.  The sign/eighth-root phase of the cancellation check is
+summed in Fractions through ``decompose_upper``, against the integer
+numerator over 8 of ``transform``.  The level of the non-congruence
+criterion comes from moving ell-powers out of the deltas into the
+exponents, against the build rewrite of ``generators``, which moves them
+the other way.  The sparse division recurrence comes from its per-term
+loop, one interpreted multiply-subtract per slot and term, against the
+grouped gathers of ``qseries._div_sparse``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ from types import SimpleNamespace
 import pytest
 
 from qsift.arith import dedekind_sum
-from qsift.transform import BadMatrix, ParityMismatch
+from qsift.transform import (
+    BadMatrix,
+    ParityMismatch,
+    UnimodularMatrix,
+    decompose_upper,
+)
 
 
 def _partition_counts(n_max: int) -> list[int]:
@@ -323,11 +330,10 @@ def _oracle_t_image(a: int, m: int, t: int, kind: str, B: int | None = None) -> 
 
 
 def _oracle_orbit_units(m: int, kind: str) -> list[int]:
-    """The a that ``orbit`` scans: a in 1..3m prime to 3 for omega, the
-    units mod 24m otherwise."""
-    if kind == "omega":
-        return [a for a in range(1, 3 * m + 1) if a % 3]
-    return [a for a in range(1, 24 * m + 1) if gcd(a, 6 * m) == 1]
+    """The a that ``orbit`` scans: the units mod |beta|m, that is mod 3m
+    for omega and mod 24m otherwise."""
+    n = (3 if kind == "omega" else 24) * m
+    return [a for a in range(1, n + 1) if gcd(a, n) == 1]
 
 
 def _oracle_coverage_target(m: int, t: int, kind: str, B: int | None = None) -> set[int]:
@@ -405,6 +411,21 @@ def _eta_phase_literal(a: int, b: int, c: int, d: int) -> Fraction:
     return (Fraction(a + d, c) - 12 * dedekind_sum(d, c)) / 24
 
 
+def _cancellation_phase_fractions(
+    A: UnimodularMatrix, m: int, lam: int, include_curvature: bool = True
+) -> Fraction:
+    """Phase of (-1)^((-ac lam' + cd lam)/2) e^(2 pi i(-c lam/4 - 3mc^2 lam'/8))
+    mod 1, each term a Fraction, lam' from ``decompose_upper``."""
+    dec = decompose_upper(A, m, lam)
+    lam_p = dec.lambda_prime
+    a, _, c, d = A.entries()
+    phase = Fraction(-a * c * lam_p + c * d * lam, 2) * Fraction(1, 2)
+    phase += Fraction(-c * lam, 4)
+    if include_curvature:
+        phase += Fraction(-3 * m * c * c * lam_p, 8)
+    return phase % 1
+
+
 def _eta_per_term(z: complex, terms: int = 200) -> complex:
     """sum_{|k| <= terms} (-1)^k e^(2 pi i z (k(3k+1)/2 + 1/24)), one
     exponential per term."""
@@ -424,6 +445,11 @@ def multiplier_oracle():
         "omega_multiplier_even_d": _omega_even_d_phase_literal,
         "eta_multiplier": _eta_phase_literal,
     }
+
+
+@pytest.fixture(scope="session")
+def cancellation_oracle():
+    return _cancellation_phase_fractions
 
 
 @pytest.fixture(scope="session")

@@ -133,7 +133,7 @@ def test_criterion_4_identity_suites():
     for kind, B in (("f", None), ("omega", None), ("eta", -5), ("eta", -2), ("eta", -3)):
         for m in range(1, 61):
             if kind == "omega":
-                units = [a for a in range(1, 3 * m + 1) if a % 3]
+                units = [a for a in range(1, 3 * m + 1) if gcd(a, 3 * m) == 1]
                 corr = {a: 2 * (a * a - 1) // 3 for a in units}
             else:
                 units = [a for a in range(1, 24 * m + 1) if gcd(a, 6 * m) == 1]

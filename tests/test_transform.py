@@ -238,6 +238,14 @@ def test_orbit_omega_mod9():
     assert orbit(p, "omega") == set(range(9))
 
 
+def test_orbit_omega_takes_only_units():
+    # the units mod 15 square to 1 and 4, giving 0 and 2; residue 1 came
+    # only from a = 5 and a = 10, which are prime to 3 but not units mod 5
+    p = Progression(5, 0)
+    assert orbit(p, "omega") == {0, 2}
+    assert t_image(5, p, "omega") == t_image(10, p, "omega") == 1
+
+
 def test_orbit_coverage_exhaustive_small():
     for m in range(1, 25):
         for t in range(m):
@@ -459,7 +467,7 @@ def test_dedekind_shift_parity():
     rng = random.Random(6)
     for _ in range(100):
         m = rng.randint(1, 8)
-        A = random_unimodular(rng, level_constant(m), 2, unit="prime3")
+        A = random_unimodular(rng, level_constant(m), 2, prime_to=3)
         residual = (
             dedekind_sum(A.d + A.c, m * A.c)
             - dedekind_sum(A.d, m * A.c)
@@ -475,11 +483,12 @@ def test_dedekind_shift_parity():
 def test_constancy_singletons(kind):
     rng = random.Random(f"constancy:{kind}")
     level_factor = 1 if kind == "f" else 2
-    unit = "prime6" if kind == "f" else "prime3"
+    prime_to = 6 if kind == "f" else 3
     for _ in range(25):
         m = rng.choice((5, 7, 10, 11, 13, 14))
         p = Progression(m, rng.choice(good_ts(m, kind)))
-        A = random_unimodular(rng, level_factor * level_constant(m), 1, unit=unit)
+        level = level_factor * level_constant(m)
+        A = random_unimodular(rng, level, 1, prime_to=prime_to)
         values = constancy_check(A, p, kind)
         assert len(values) == 1
         assert next(iter(values)) ** (24 * m) == ONE
@@ -492,13 +501,13 @@ def test_constancy_is_the_set_of_per_lambda_products(kind, m):
     # and other residues alike; every residue for the m dividing 24
     rng = random.Random(f"constancy-products:{kind}:{m}")
     if kind == "f":
-        level, unit, shift = level_constant(m), "prime6", Fraction(-1, 24)
+        level, prime_to, shift = level_constant(m), 6, Fraction(-1, 24)
         multiplier = mock_multiplier
     else:
-        level, unit, shift = 2 * level_constant(m), "prime3", Fraction(2, 3)
+        level, prime_to, shift = 2 * level_constant(m), 3, Fraction(2, 3)
         multiplier = omega_multiplier_even_c
     for _ in range(4):
-        A = random_unimodular(rng, level, 3, unit=unit)
+        A = random_unimodular(rng, level, 3, prime_to=prime_to)
         for t in range(m) if 24 % m == 0 else rng.sample(range(m), 3):
             p = Progression(m, t)
             t_a = t_image(A.a, p, kind)
@@ -511,7 +520,7 @@ def test_constancy_is_the_set_of_per_lambda_products(kind, m):
 
 
 def test_constancy_trivial_m1():
-    A = random_unimodular(random.Random(7), level_constant(1), 1, unit="prime6")
+    A = random_unimodular(random.Random(7), level_constant(1), 1, prime_to=6)
     values = constancy_check(A, Progression(1, 0), "f")
     assert len(values) == 1
 
@@ -529,14 +538,38 @@ def test_sign_cancellation_holds():
     rng = random.Random(8)
     for _ in range(200):
         m = rng.randint(1, 8)
-        A = random_unimodular(rng, level_constant(m), 2, unit="prime6")
+        A = random_unimodular(rng, level_constant(m), 2, prime_to=6)
         lam = rng.randrange(m)
         assert phase_cancellation_check(A, m, lam)
 
 
 def test_sign_cancellation_trivial_case():
-    A = random_unimodular(random.Random(9), level_constant(1), 1, unit="prime6")
+    A = random_unimodular(random.Random(9), level_constant(1), 1, prime_to=6)
     assert phase_cancellation_check(A, 1, 0)
+
+
+def test_cancellation_phase_matches_fraction_oracle(cancellation_oracle):
+    # the integer numerator over 8 against the Fraction sum through
+    # decompose_upper, with and without the curvature term
+    rng = random.Random(11)
+    for _ in range(5000):
+        m = rng.randint(1, 13)
+        A = random_unimodular(rng, level_constant(m), 3)
+        lam = rng.randrange(m)
+        for curvature in (True, False):
+            expected = cancellation_oracle(A, m, lam, curvature)
+            assert _cancellation_phase(A, m, lam, curvature) == expected, (A, m, lam)
+
+
+def test_cancellation_phase_checks_match_decompose_upper(cancellation_oracle):
+    # the errors decompose_upper raises, raised the same way without it
+    A = UnimodularMatrix(5, 2, 12, 5)
+    cases = [(A, 5, 1), (A, 5, 5), (A, 5, -1), (UnimodularMatrix(1, 0, 2, 1), 5, 1)]
+    for args in cases:
+        with pytest.raises(Exception) as expected:
+            cancellation_oracle(*args)
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            _cancellation_phase(*args)
 
 
 def test_corrupted_cancellation_fails_somewhere():
@@ -544,7 +577,7 @@ def test_corrupted_cancellation_fails_somewhere():
     failures = 0
     for _ in range(100):
         m = rng.choice((5, 7, 11, 13))
-        A = random_unimodular(rng, level_constant(m), 2, unit="prime6")
+        A = random_unimodular(rng, level_constant(m), 2, prime_to=6)
         lam = rng.randrange(m)
         if _cancellation_phase(A, m, lam, include_curvature=False) != 0:
             failures += 1
@@ -731,3 +764,24 @@ def test_progression_normalizes():
     assert p.t == 2
     with pytest.raises(ValueError):
         Progression(0, 0)
+
+
+@pytest.mark.parametrize("level", [0, -1])
+def test_random_unimodular_rejects_a_nonpositive_level(level):
+    # level 0 makes c = 0, for which no draw of d is ever accepted
+    with pytest.raises(ValueError, match="level and prime_to must be positive"):
+        random_unimodular(random.Random(1), level)
+
+
+@pytest.mark.parametrize("prime_to", [0, -6])
+def test_random_unimodular_rejects_a_nonpositive_prime_to(prime_to):
+    with pytest.raises(ValueError, match="level and prime_to must be positive"):
+        random_unimodular(random.Random(1), 2, prime_to=prime_to)
+
+
+def test_random_unimodular_keeps_a_prime_to():
+    rng = random.Random(12)
+    for prime_to in (1, 3, 6, 35):
+        for _ in range(100):
+            A = random_unimodular(rng, rng.randint(1, 30), 3, prime_to=prime_to)
+            assert A.c > 0 and gcd(A.a, prime_to) == 1
