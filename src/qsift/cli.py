@@ -1,6 +1,7 @@
 """Command-line interface: expand series, scan for congruences, run the
-identity suites, verify cusp leading-term identities, and report criterion
-applicability.
+identity suites, verify cusp leading-term identities (``cusp-check`` prints
+``transform.cusp_identity`` per residue), and report criterion applicability
+(``info`` prints ``scanner.criterion_report``), computing none of it.
 
 A command returns 0 on success, 5 when an identity suite fails and 6 when
 a cusp identity fails.  Every other failure it raises, and ``main`` alone
@@ -8,8 +9,8 @@ maps the exception to an exit code and one ``error: ...`` line on stderr:
 UnknownSeries exits 3, InsufficientPrecision (a budget that cannot cover
 the request) 4, and ValueError (GrammarError among them) 2.  An option
 value out of its domain raises argparse.ArgumentError, which ``main``
-reports through the parser: the usage line and exit 2.
-Stdout carries only the declared output format; diagnostics go to stderr.
+reports through the parser: the usage line and exit 2.  Stdout carries
+only the declared output format; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -22,14 +23,11 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm
 
-from .arith import ExactScalar
 from .generators import (
     EtaQuotientSpec,
     UnknownSeries,
     build_series,
-    _ell_rewrite,
     catalog_entry,
     series_ring,
 )
@@ -42,18 +40,17 @@ from .qseries import (
 )
 from .scanner import (
     DEFAULT_BUDGET,
-    Applicability,
     InsufficientPrecision,
+    criterion_report,
     scan,
     scan_progression,
-    sturm_bound,
-    theorem_applies,
 )
 from .transform import (
+    CUSP_Q_PRIME_TO,
     DEFAULT_SEED,
     Progression,
-    cusp_half_leading,
-    cusp_one_leading,
+    cusp_identity,
+    cusp_q_ok,
     good_residues,
     identity_suites,
 )
@@ -311,24 +308,17 @@ def _cmd_identities(args) -> int:
 
 def _cmd_cusp_check(args) -> int:
     Q, kind = args.Q, args.kind
-    coprime_to = 6 if kind == "f" else 3
-    if Q < 1 or gcd(Q, coprime_to) != 1:
+    if not cusp_q_ok(kind, Q):
         raise argparse.ArgumentError(
-            None, f"--Q must be coprime to {coprime_to} for kind {kind} (got {Q})"
+            None,
+            f"--Q must be coprime to {CUSP_Q_PRIME_TO[kind]} for kind {kind} (got {Q})",
         )
     ts = [args.t] if args.t is not None else good_residues(Q, kind)
     if not ts:  # omega with Q a power of 2: no odd prime certifies goodness
         raise ValueError(f"no good residue mod {Q} for kind {kind}; pass --t")
-    if kind == "f":
-        expected = ExactScalar(Fraction(1, Q) ** (12 * Q))
-        leading = cusp_half_leading
-    else:
-        sign = Fraction(1, 2) if Q % 2 else Fraction(0)
-        expected = ExactScalar(Fraction(1, 2 * Q) ** (12 * Q), 1, sign)
-        leading = cusp_one_leading
     bad = 0
     for t in ts:
-        value = leading(Q, t) ** (24 * Q)
+        value, expected = cusp_identity(kind, Q, t)
         ok = value == expected
         print(f"kind={kind} Q={Q} t={t} {'ok' if ok else 'MISMATCH'}")
         if not ok:
@@ -345,34 +335,8 @@ def _cmd_info(args) -> int:
             raise ValueError(
                 f"{args.spec!r} is not an eta-quotient; no applicability report"
             )
-    report: Applicability = theorem_applies(eq, args.ell, args.m)
-    from .transform import BDivisibleBySix, q_divisor
-
-    try:
-        qdiv = q_divisor(args.m, eq.B)
-    except BDivisibleBySix:
-        qdiv = None
-    # the deltas left by the rewrite f(q)^ell = f(q^ell) that builds and
-    # judges the series mod ell; none left (the quotient is 1 mod ell) gives
-    # level 1 and lattice 0, since then only slot 0 can be nonzero
-    deltas = [delta for delta, _ in _ell_rewrite(eq.factors, args.ell)]
-    info = {
-        "series": args.spec,
-        "factors": [list(f) for f in eq.factors],
-        "B": eq.B,
-        "weight": str(Fraction(eq.weight_twice, 2)),
-        "level": eq.level,
-        "level_mod_ell": lcm(*deltas),
-        "lattice_mod_ell": gcd(*deltas),
-        "pole_at_infinity": eq.B < 0,
-        "q_divisor": qdiv,
-        "sturm_budget_hint": sturm_bound(abs(eq.weight_twice), eq.level),
-        "ell": args.ell,
-        "m": args.m,
-        "applies": report.applies,
-        "reasons": list(report.reasons),
-    }
-    print(json.dumps(info, indent=2))
+    report = criterion_report(eq, args.ell, args.m)
+    print(json.dumps({"series": args.spec, **report}, indent=2))
     return 0
 
 

@@ -9,9 +9,9 @@ ones.  Over Z/m the negative factors are multiplied into one denominator and
 divided once, so ``/`` may pick Newton division; over Z and Q (where ``/``
 only runs the sparse recurrence) the quotient divides by each sparse
 E_delta in turn.  Over Z/ell with ell prime, f(q)^ell = f(q^ell) first
-rewrites the factors (``_ell_rewrite``, whose deltas also give the level of
-the non-congruence criterion), so fewer and sparser factors remain; over Z,
-Q, Z/ell^k (k >= 2) and composite moduli the factors are used as given.
+rewrites the factors (``_ell_rewrite``, which ``level_mod_ell`` reads for
+the criterion), so fewer and sparser factors remain; over Z, Q, Z/ell^k
+(k >= 2) and composite moduli the factors are used as given.
 
 The Euler products, the mock theta numerators and the theta series are
 sparse sums: ``(start, step, value)`` fills that one routine,
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .arith import is_prime
@@ -51,6 +51,7 @@ __all__ = [
     "SeriesCatalogEntry",
     "eta_series",
     "eta_quotient",
+    "level_mod_ell",
     "mock_f",
     "mock_omega",
     "theta_g",
@@ -165,7 +166,7 @@ def _ell_rewrite(factors, ell: int) -> tuple[tuple[int, int], ...]:
     returned is divisible by ell, and each class of deltas with one ell-free
     part keeps its total sum(ell^s r), so a class is empty exactly when its
     total is 0: the ell-free part of the lcm of the deltas returned is the
-    level ``scanner.theorem_applies`` reads."""
+    level ``level_mod_ell`` gives the criterion."""
     merged: dict[int, int] = {}
     todo = list(factors)
     while todo:
@@ -178,6 +179,14 @@ def _ell_rewrite(factors, ell: int) -> tuple[tuple[int, int], ...]:
         elif r:
             todo.append((delta, r))
     return tuple(sorted(merged.items()))
+
+
+def level_mod_ell(spec: EtaQuotientSpec, ell: int) -> tuple[int, int]:
+    """(level, lattice) of the eta-quotient mod the prime ell: the lcm and
+    the gcd of the deltas ``_ell_rewrite`` leaves, or (1, 0) when none is
+    left (the quotient is 1 mod ell, so only slot 0 can be nonzero)."""
+    deltas = [delta for delta, _ in _ell_rewrite(spec.factors, ell)]
+    return lcm(*deltas), gcd(*deltas)
 
 
 def eta_quotient(

@@ -90,22 +90,15 @@ class CoefficientRing:
             return value if isinstance(value, Fraction) else Fraction(value)
         return int(value)
 
-    def is_unit(self, value) -> bool:
-        if self.kind == "mod":
-            return gcd(int(value), self.modulus) == 1
-        if self.kind == "rat":
-            return value != 0
-        return value in (1, -1)
-
     def inverse(self, value):
         """Multiplicative inverse of a unit; raises NonUnitLeadingCoefficient."""
-        if not self.is_unit(value):
-            raise NonUnitLeadingCoefficient(f"{value!r} is not a unit in {self}")
-        if self.kind == "mod":
+        if self.kind == "mod" and gcd(int(value), self.modulus) == 1:
             return pow(int(value) % self.modulus, -1, self.modulus)
-        if self.kind == "rat":
+        if self.kind == "rat" and value != 0:
             return 1 / Fraction(value)
-        return value  # +-1 over the integers
+        if self.kind == "int" and value in (1, -1):
+            return value
+        raise NonUnitLeadingCoefficient(f"{value!r} is not a unit in {self}")
 
     @property
     def stores_bytes(self) -> bool:
@@ -152,11 +145,8 @@ def integer_mod(m: int) -> CoefficientRing:
 
 
 def _prefix_nonzeros(values, n: int) -> int:
-    if isinstance(values, bytes):  # counted in C, without a copy
-        return min(len(values), n) - values.count(0, 0, n)
-    if len(values) <= n:
-        return len(values) - values.count(0)
-    return sum(1 for v in islice(values, n) if v)
+    prefix = values[:n]  # bytes, a list or a tuple: counted in C
+    return len(prefix) - prefix.count(0)
 
 
 def _slot_bound(xs, ys, n_out: int, ring: CoefficientRing) -> int:

@@ -14,13 +14,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from math import gcd, lcm
+from math import gcd
 
 from .arith import prime_factors
-from .generators import EtaQuotientSpec, _ell_rewrite
+from .generators import EtaQuotientSpec, level_mod_ell
 from .qseries import QSeries, integer_mod
-from .transform import Progression, q_divisor
+from .transform import BDivisibleBySix, Progression, q_divisor
 
 __all__ = [
     "InsufficientPrecision",
@@ -31,6 +32,7 @@ __all__ = [
     "scan_progression",
     "witness",
     "theorem_applies",
+    "criterion_report",
     "sturm_bound",
     "verify_known",
     "DEFAULT_BUDGET",
@@ -72,27 +74,9 @@ class ScanReport:
     def candidates(self) -> list[ScanVerdict]:
         return [v for v in self.verdicts if v.status == "candidate"]
 
-    def to_json_dict(self) -> dict:
-        verdicts = []
-        for v in self.verdicts:
-            entry: dict = {"m": v.m, "t": v.t, "status": v.status}
-            if v.status == "witness":
-                entry["n"] = v.n
-                entry["value"] = v.value
-            else:
-                entry["checked"] = v.checked
-            verdicts.append(entry)
-        return {
-            "series": self.series_name,
-            "modulus": self.modulus,
-            "m_max": self.m_max,
-            "budget": self.coeff_budget,
-            "verdicts": verdicts,
-        }
-
     def to_json(self) -> str:
-        """The text of ``json.dumps(self.to_json_dict(), indent=2)``, byte
-        for byte.  The header goes through ``json.dumps``; the verdict
+        """The report as ``json.dumps(..., indent=2)`` writes it, byte for
+        byte.  The header goes through ``json.dumps``; the verdict
         lines, which hold only integers and the status, are written
         directly, since the indenting encoder is pure Python."""
         header = {
@@ -120,17 +104,8 @@ class ScanReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["m", "t", "status", "n", "value", "checked"])
-        for v in self.verdicts:
-            writer.writerow(
-                [
-                    v.m,
-                    v.t,
-                    v.status,
-                    "" if v.n is None else v.n,
-                    "" if v.value is None else v.value,
-                    "" if v.checked is None else v.checked,
-                ]
-            )
+        rows = ((v.m, v.t, v.status, v.n, v.value, v.checked) for v in self.verdicts)
+        writer.writerows(rows)  # csv writes None as the empty string
         return buf.getvalue()
 
 
@@ -217,9 +192,9 @@ def theorem_applies(spec: EtaQuotientSpec, ell: int, m: int) -> Applicability:
     * ell must not divide B  ("ell-divides-B"),
     * the quotient must have a pole at infinity, i.e. B < 0  ("no-pole"),
     * the surviving divisor q_divisor(m, B) must be coprime to the ell-free
-      part of the lcm of the deltas ``generators._ell_rewrite`` leaves
+      part of the level ``generators.level_mod_ell`` gives
       ("q-divisor-shares-level").  With ell not dividing B that divisor is
-      prime to ell, so the lcm itself can stand in for its ell-free part.
+      prime to ell, so the level itself can stand in for its ell-free part.
     """
     if ell not in (2, 3):
         raise ValueError("ell must be 2 or 3")
@@ -232,10 +207,36 @@ def theorem_applies(spec: EtaQuotientSpec, ell: int, m: int) -> Applicability:
     if B >= 0:
         reasons.append("no-pole")
     if B % ell != 0 and (divisor := q_divisor(m, B)) > 1:
-        level = lcm(*(d for d, _ in _ell_rewrite(spec.factors, ell)))
-        if gcd(divisor, level) != 1:
+        if gcd(divisor, level_mod_ell(spec, ell)[0]) != 1:
             reasons.append("q-divisor-shares-level")
     return Applicability(not reasons, tuple(reasons))
+
+
+def criterion_report(spec: EtaQuotientSpec, ell: int, m: int) -> dict:
+    """The eta-quotient's data and the criterion's reading of (spec, ell, m)
+    as ``qsift info`` prints them: ``generators.level_mod_ell``, q_divisor
+    (None when 6 | B), a budget hint and ``theorem_applies``."""
+    applicability = theorem_applies(spec, ell, m)
+    level, lattice = level_mod_ell(spec, ell)
+    try:
+        divisor = q_divisor(m, spec.B)
+    except BDivisibleBySix:
+        divisor = None
+    return {
+        "factors": [list(f) for f in spec.factors],
+        "B": spec.B,
+        "weight": str(Fraction(spec.weight_twice, 2)),
+        "level": spec.level,
+        "level_mod_ell": level,
+        "lattice_mod_ell": lattice,
+        "pole_at_infinity": spec.B < 0,
+        "q_divisor": divisor,
+        "sturm_budget_hint": sturm_bound(abs(spec.weight_twice), spec.level),
+        "ell": ell,
+        "m": m,
+        "applies": applicability.applies,
+        "reasons": list(applicability.reasons),
+    }
 
 
 def sturm_bound(k_twice: int, N: int) -> int:

@@ -1,6 +1,6 @@
 """Congruence-subgroup bookkeeping: level constants, good progressions,
-matrix decompositions, multiplier systems, orbit coverage, and exact cusp
-leading terms.
+matrix decompositions, multiplier systems, orbit coverage, and the cusp
+identities (the condition on Q, exact leading terms and their powers).
 
 Everything here is exact scalar algebra over :class:`~qsift.arith.ExactScalar`
 and plain integers; no series arithmetic is involved.  Phases that the
@@ -31,7 +31,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd
 
 from .arith import (
@@ -72,8 +72,11 @@ __all__ = [
     "constancy_check",
     "phase_cancellation_check",
     "cusp_decompose",
+    "CUSP_Q_PRIME_TO",
+    "cusp_q_ok",
     "cusp_half_leading",
     "cusp_one_leading",
+    "cusp_identity",
     "good_progression_support_vanishes",
     "eta_numeric",
     "eta_transform_defect",
@@ -299,13 +302,16 @@ def _pass_upper(
     a: int, b: int, c: int, d: int, m: int, lam: int, a_inv: int
 ) -> tuple[int, int, int, int, int]:
     """(lam', a', b', c', d') with (1 lam; 0 m)(a b; c d) = (a' b'; c' d')
-    (1 lam'; 0 m), a_inv being a^(-1) mod m; the determinant of the new
-    matrix is left to the caller."""
+    (1 lam'; 0 m), a_inv being a^(-1) mod m.  BadMatrix unless the new
+    entries are integers of determinant 1."""
     lam_p = a_inv * (b + d * lam) % m
     num = -lam_p * c * lam - lam_p * a + b + d * lam
     if num % m:
         raise BadMatrix("entries do not divide through; need m | c")
-    return lam_p, a + c * lam, num // m, m * c, d - c * lam_p
+    a2, b2, c2, d2 = a + c * lam, num // m, m * c, d - c * lam_p
+    if a2 * d2 - b2 * c2 != 1:
+        raise BadMatrix(f"determinant of {(a2, b2, c2, d2)} is not 1")
+    return lam_p, a2, b2, c2, d2
 
 
 def t_image(a: int, p: Progression, kind: str, B: int | None = None) -> int:
@@ -338,9 +344,13 @@ def orbit(p: Progression, kind: str, B: int | None = None) -> set[int]:
     exhausts the orbit; each distinct square is mapped once.
     """
     alpha, beta = _linear_form(kind, B)
-    window = abs(beta) * p.m
-    squares = {a * a % window for a in range(1, window + 1) if gcd(a, window) == 1}
-    return {_image(alpha, beta, aa, p) for aa in squares}
+    return {_image(alpha, beta, aa, p) for aa in _unit_squares(abs(beta) * p.m)}
+
+
+@lru_cache(maxsize=256)
+def _unit_squares(window: int) -> tuple[int, ...]:
+    """The distinct squares of the units mod window, once per window."""
+    return tuple({a * a % window for a in range(1, window + 1) if gcd(a, window) == 1})
 
 
 def coverage_target(p: Progression, kind: str, B: int | None = None) -> set[int]:
@@ -488,8 +498,6 @@ def constancy_check(A: UnimodularMatrix, p: Progression, kind: str) -> set[Exact
     numerators = set()
     for lam in range(m):
         lam_p, a2, b2, c2, d2 = _pass_upper(a, b, c, d, m, lam, a_inv)
-        if a2 * d2 - b2 * c2 != 1:
-            raise BadMatrix(f"determinant of A_{lam} is not 1")
         u = multiplier_phase(a2, b2, c2, d2) - lam * shift + lam_p * shift_img
         numerators.add(u % denominator)
     return {ExactScalar.unit_phase(Fraction(u, denominator)) for u in numerators}
@@ -505,9 +513,7 @@ def _cancellation_phase(
     if not 0 <= lam < m:
         raise ValueError("need 0 <= lam < m")
     a, b, c, d = A.entries()
-    lam_p, a2, b2, c2, d2 = _pass_upper(a, b, c, d, m, lam, _inverse_of_a(a, m))
-    if a2 * d2 - b2 * c2 != 1:
-        raise BadMatrix(f"determinant of {(a2, b2, c2, d2)} is not 1")
+    lam_p = _pass_upper(a, b, c, d, m, lam, _inverse_of_a(a, m))[0]
     u = 2 * (c * d * lam - a * c * lam_p) - 2 * c * lam
     if include_curvature:
         u -= 3 * m * c * c * lam_p
@@ -562,15 +568,25 @@ def cusp_decompose(lam: int, Q: int, c_entry: int) -> CuspDecomposition:
     return CuspDecomposition(d_lam, lam_star, c_matrix)
 
 
+# Per kind, what Q must be prime to for the expansion at the kind's cusp.
+CUSP_Q_PRIME_TO = {"f": 6, "omega": 3}
+
+
+def cusp_q_ok(kind: str, Q: int) -> bool:
+    """Whether the kind's cusp expansion admits Q: Q >= 1, prime to
+    CUSP_Q_PRIME_TO[kind] (6 for kind "f", 3 for kind "omega")."""
+    return Q >= 1 and gcd(Q, CUSP_Q_PRIME_TO[kind]) == 1
+
+
 def cusp_half_leading(Q: int, t: int) -> ExactScalar:
     """Exact leading coefficient of the averaged f-side form expanded at the
     cusp 1/2, for gcd(Q, 6) = 1:
 
         (1/sqrt(Q)) w(C0) zeta_Q^(((1-Q)/2)(t - 1/24)),  C0 = (1 (Q-1)/2; 2 Q).
 
-    Its 24Q-th power is Q^(-12Q) exactly.
+    Its 24Q-th power is Q^(-12Q) exactly (see ``cusp_identity``).
     """
-    if Q < 1 or gcd(Q, 6) != 1:
+    if not cusp_q_ok("f", Q):
         raise BadQ(f"need gcd(Q, 6) = 1, got Q={Q}")
     c0 = UnimodularMatrix(1, (Q - 1) // 2, 2, Q)
     phase = Fraction(1 - Q, 2) * (Fraction(t) - Fraction(1, 24)) / Q
@@ -588,9 +604,9 @@ def cusp_one_leading(Q: int, t: int) -> ExactScalar:
         (1/sqrt(2Q)) w2(D0) zeta_Q^((1-Q)(t + 2/3)) e^(-2 pi i Q/48),
         D0 = (1 -1; 1 0).
 
-    Its 24Q-th power is (-1)^Q (2Q)^(-12Q) exactly.
+    Its 24Q-th power is (-1)^Q (2Q)^(-12Q) exactly (see ``cusp_identity``).
     """
-    if Q < 1 or Q % 3 == 0:
+    if not cusp_q_ok("omega", Q):
         raise BadQ(f"need 3 coprime to Q, got Q={Q}")
     d0 = UnimodularMatrix(1, -1, 1, 0)
     phase = Fraction(1 - Q) * (Fraction(t) + Fraction(2, 3)) / Q - Fraction(Q, 48)
@@ -599,6 +615,21 @@ def cusp_one_leading(Q: int, t: int) -> ExactScalar:
         * omega_multiplier_even_d(d0)
         * ExactScalar.unit_phase(phase)
     )
+
+
+def cusp_identity(kind: str, Q: int, t: int) -> tuple[ExactScalar, ExactScalar]:
+    """(the 24Q-th power of the kind's cusp leading term at t, its exact
+    value): Q^(-12Q) for ``cusp_half_leading`` (kind "f"), (-1)^Q (2Q)^(-12Q)
+    for ``cusp_one_leading`` (kind "omega").  BadQ unless cusp_q_ok."""
+    if kind == "f":
+        value = cusp_half_leading(Q, t)
+        expected = ExactScalar(Fraction(1, Q) ** (12 * Q))
+    elif kind == "omega":
+        value = cusp_one_leading(Q, t)
+        expected = ExactScalar(Fraction(1, 2 * Q) ** (12 * Q), 1, Fraction(Q % 2, 2))
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return value ** (24 * Q), expected
 
 
 def good_progression_support_vanishes(p: Progression, kind: str) -> bool:

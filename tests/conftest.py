@@ -21,11 +21,13 @@ term of the pentagonal sum, against the running products of
 ``eta_numeric``.  The sign/eighth-root phase of the cancellation check is
 summed in Fractions through ``decompose_upper``, against the integer
 numerator over 8 of ``transform``.  The level of the non-congruence
-criterion comes from moving ell-powers out of the deltas into the
-exponents, against the build rewrite of ``generators``, which moves them
-the other way.  The sparse division recurrence comes from its per-term
-loop, one interpreted multiply-subtract per slot and term, against the
-grouped gathers of ``qseries._div_sparse``.
+criterion, and the ell-free part of its lattice, come from moving
+ell-powers out of the deltas into the exponents, against the build rewrite
+of ``generators``, which moves them the other way.  The sparse division
+recurrence comes from its per-term loop, one interpreted multiply-subtract
+per slot and term, against the grouped gathers of ``qseries._div_sparse``.
+A scan report's JSON comes from the dict the standard library's indenting
+encoder writes, against the line by line writer of ``ScanReport.to_json``.
 """
 
 from __future__ import annotations
@@ -235,11 +237,10 @@ def _omega_partitions(n: int) -> int:
     return total
 
 
-def _level_after_ell_rewrite(factors, ell: int) -> int:
-    """The criterion's level, rewritten the other way round: a factor
-    (ell^s d', r) becomes (d', ell^s r), congruent mod ell with B unchanged,
-    and the level is the lcm of the d' whose merged exponent is nonzero
-    (1 when none is).  The result is coprime to ell."""
+def _ell_free_classes(factors, ell: int) -> list[int]:
+    """The rewrite the other way round: a factor (ell^s d', r) becomes
+    (d', ell^s r), congruent mod ell with B unchanged; the d' whose merged
+    exponent is nonzero."""
     merged: dict[int, int] = {}
     for delta, r in factors:
         power = 1
@@ -247,8 +248,19 @@ def _level_after_ell_rewrite(factors, ell: int) -> int:
             delta //= ell
             power *= ell
         merged[delta] = merged.get(delta, 0) + power * r
-    deltas = [d for d, r in merged.items() if r != 0]
-    return lcm(*deltas) if deltas else 1
+    return [d for d, r in merged.items() if r != 0]
+
+
+def _level_after_ell_rewrite(factors, ell: int) -> int:
+    """The criterion's level: the lcm of the ell-free classes (1 when none
+    is left).  The result is coprime to ell."""
+    return lcm(*_ell_free_classes(factors, ell))
+
+
+def _lattice_after_ell_rewrite(factors, ell: int) -> int:
+    """The ell-free part of the lattice: the gcd of the ell-free classes (0
+    when none is left)."""
+    return gcd(*_ell_free_classes(factors, ell))
 
 
 def _dedekind_literal(d: int, c: int):
@@ -470,9 +482,39 @@ def transform_oracle():
     )
 
 
+def _report_json_dict(report) -> dict:
+    """The content of ``report.to_json()`` as a dict, keys in output order."""
+    verdicts = []
+    for v in report.verdicts:
+        entry: dict = {"m": v.m, "t": v.t, "status": v.status}
+        if v.status == "witness":
+            entry["n"] = v.n
+            entry["value"] = v.value
+        else:
+            entry["checked"] = v.checked
+        verdicts.append(entry)
+    return {
+        "series": report.series_name,
+        "modulus": report.modulus,
+        "m_max": report.m_max,
+        "budget": report.coeff_budget,
+        "verdicts": verdicts,
+    }
+
+
+@pytest.fixture(scope="session")
+def report_json_oracle():
+    return _report_json_dict
+
+
 @pytest.fixture(scope="session")
 def ell_level_oracle():
     return _level_after_ell_rewrite
+
+
+@pytest.fixture(scope="session")
+def ell_lattice_oracle():
+    return _lattice_after_ell_rewrite
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,12 @@ from qsift.cli import (
     main,
     parse_series_spec,
 )
-from qsift.generators import EtaQuotientSpec, build_series
+from qsift.generators import (
+    EtaQuotientSpec,
+    build_series,
+    catalog,
+    level_mod_ell,
+)
 from qsift.scanner import ScanReport, scan
 
 
@@ -292,8 +297,9 @@ def test_cusp_check_omega_power_of_two_with_explicit_t(capsys):
 def test_cusp_check_failure_exit_code(capsys, monkeypatch):
     from qsift.arith import ExactScalar
 
+    # the binding transform.cusp_identity calls
     monkeypatch.setattr(
-        "qsift.cli.cusp_half_leading", lambda Q, t: ExactScalar.one()
+        "qsift.transform.cusp_half_leading", lambda Q, t: ExactScalar.one()
     )
     code, out, err = run(capsys, "cusp-check", "f", "--Q", "5")
     assert code == 6
@@ -373,6 +379,33 @@ def test_info_level_and_lattice_are_lcm_and_gcd_of_the_rewritten_deltas(
     assert code == 0
     payload = json.loads(out)
     assert (payload["level_mod_ell"], payload["lattice_mod_ell"]) == (level, lattice)
+
+
+def _ell_free(n: int, ell: int) -> int:
+    while n and n % ell == 0:
+        n //= ell
+    return n
+
+
+def test_info_prints_the_library_level_and_lattice(
+    capsys, ell_level_oracle, ell_lattice_oracle
+):
+    # every catalog eta-quotient, ell in (2, 3), m <= 12: info prints
+    # generators.level_mod_ell, whose ell-free parts the oracles give
+    specs = [(e.name, e.spec) for e in catalog() if isinstance(e.spec, EtaQuotientSpec)]
+    assert len(specs) == 8
+    for name, spec in specs:
+        for ell in (2, 3):
+            level, lattice = level_mod_ell(spec, ell)
+            assert _ell_free(level, ell) == ell_level_oracle(spec.factors, ell)
+            assert _ell_free(lattice, ell) == ell_lattice_oracle(spec.factors, ell)
+            for m in range(1, 13):
+                argv = ("info", name, "--ell", str(ell), "--m", str(m))
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                payload = json.loads(out)
+                printed = (payload["level_mod_ell"], payload["lattice_mod_ell"])
+                assert printed == (level, lattice), (name, ell, m)
 
 
 def test_info_rejects_mock(capsys):

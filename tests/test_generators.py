@@ -22,7 +22,7 @@ from qsift.generators import (
     mock_omega,
     theta_g,
 )
-from qsift.generators import _frobenius_factors
+from qsift.generators import _frobenius_factors, level_mod_ell
 from qsift.qseries import INTEGER, QSeries, monomial, integer_mod
 from qsift.scanner import verify_known
 
@@ -244,6 +244,16 @@ def test_frobenius_rewrite_merges_until_no_exponent_is_divisible_by_ell():
     spec = EtaQuotientSpec(((3, 2), (5, -1), (6, 1), (12, -1)))
     assert _frobenius_factors(spec, ring) == ((5, -1),)
     assert eta_quotient(spec, 60, ring) == eta_quotient(spec, 60).reduce_mod(2)
+
+
+def test_level_mod_ell_is_the_lcm_and_gcd_of_the_rewritten_deltas():
+    cphi2 = catalog_entry("cphi2").spec
+    assert level_mod_ell(cphi2, 2) == (8, 2)  # (2, 5), (4, -1), (8, -1)
+    assert level_mod_ell(cphi2, 5) == (20, 1)  # (1, -4), (4, -2), (10, 1)
+    # E_1^2 / E_2 = 1 mod 2: no delta is left
+    assert level_mod_ell(EtaQuotientSpec(((1, 2), (2, -1))), 2) == (1, 0)
+    # no exponent divisible by 3: the deltas as given
+    assert level_mod_ell(EtaQuotientSpec(((3, 1), (6, -2))), 3) == (6, 3)
 
 
 # ------------------------------------------------------------- mock theta

@@ -1047,3 +1047,51 @@ def test_equal_series_hash_equal_whichever_path_built_them():
         assert hash(series_) == hash(product)
     assert len(set(built)) == 1
     assert QSeries(Fraction(0), product.coeffs, integer_mod(257)) != product
+
+
+# ------------------------------------------------------------------- str
+
+
+def test_str_at_zero_offset():
+    s = QSeries(Fraction(0), [1, 0, -2, 3], INTEGER)
+    assert str(s) == "1*q^0 + -2*q^2 + 3*q^3 + O(q^4)"
+
+
+def test_str_at_a_fractional_offset():
+    s = QSeries(Fraction(-1, 24), [1, 1, 2], INTEGER)
+    assert str(s) == "q^(-1/24)*(1*q^0 + 1*q^1 + 2*q^2) + O(q^(71/24))"
+    s = QSeries(Fraction(2), [Fraction(1, 2), 0, Fraction(-3)], RATIONAL)
+    assert str(s) == "q^(2)*(1/2*q^0 + -3*q^2) + O(q^(5))"
+
+
+def test_str_of_the_zero_series():
+    assert str(QSeries(Fraction(0), [0, 0, 0], integer_mod(5))) == "0 + O(q^3)"
+    assert str(QSeries(Fraction(1, 3), [0, 0], RATIONAL)) == "q^(1/3)*(0) + O(q^(7/3))"
+
+
+def test_str_shows_six_nonzero_slots_then_an_ellipsis():
+    s = QSeries(Fraction(0), [0] + list(range(1, 10)), integer_mod(7))
+    # 7 reduces to 0, so the six shown are 1..6 at slots 1..6
+    assert str(s) == (
+        "1*q^1 + 2*q^2 + 3*q^3 + 4*q^4 + 5*q^5 + 6*q^6 + ... + O(q^10)"
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5, 8])
+def test_prefix_nonzeros_counts_the_same_on_bytes_lists_and_tuples(n):
+    values = [0, 3, 0, 0, 1, 2]
+    expected = sum(1 for v in values[:n] if v)
+    for form in (bytes(values), list(values), tuple(values)):
+        assert qseries._prefix_nonzeros(form, n) == expected
+    fractions = [Fraction(v, 2) for v in values]
+    assert qseries._prefix_nonzeros(fractions, n) == expected
+
+
+def test_ring_inverse_of_units_and_non_units():
+    assert integer_mod(9).inverse(4) == 7
+    assert integer_mod(9).inverse(-2) == 4
+    assert RATIONAL.inverse(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert INTEGER.inverse(-1) == -1 and INTEGER.inverse(1) == 1
+    for ring, value in ((integer_mod(9), 6), (RATIONAL, 0), (INTEGER, 2), (INTEGER, 0)):
+        with pytest.raises(NonUnitLeadingCoefficient, match=f"is not a unit in {ring}"):
+            ring.inverse(value)

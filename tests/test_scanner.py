@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsift.scanner
 from qsift.generators import (
     EtaQuotientSpec,
     _frobenius_factors,
     build_series,
     catalog_entry,
     eta_quotient,
+    level_mod_ell,
     mock_f,
     mock_omega,
 )
@@ -263,6 +265,40 @@ def test_one_rewrite_for_the_build_and_the_criterion(case, ell_level_oracle):
         assert theorem_applies(spec, ell, m).reasons == tuple(expected)
 
 
+def _ell_free(n: int, ell: int) -> int:
+    while n and n % ell == 0:
+        n //= ell
+    return n
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_rewrite_cases())
+def test_level_mod_ell_matches_the_oracles(case, ell_level_oracle, ell_lattice_oracle):
+    spec, ell, _ = case
+    deltas = [d for d, _ in _frobenius_factors(spec, integer_mod(ell))]
+    level, lattice = level_mod_ell(spec, ell)
+    assert (level, lattice) == (lcm(*deltas), gcd(*deltas))
+    assert _ell_free(level, ell) == ell_level_oracle(spec.factors, ell)
+    assert _ell_free(lattice, ell) == ell_lattice_oracle(spec.factors, ell)
+
+
+def test_theorem_applies_rewrites_only_when_a_divisor_survives(monkeypatch):
+    # the rewrite is the costly step of the gate: it runs for q_divisor > 1 only
+    calls = []
+    real = qsift.scanner.level_mod_ell
+    monkeypatch.setattr(
+        qsift.scanner, "level_mod_ell", lambda *a: calls.append(a) or real(*a)
+    )
+    for name in ("partition", "cubic", "cphi2", "eta5inv"):
+        spec = catalog_entry(name).spec
+        for ell in (2, 3):
+            for m in range(1, 31):
+                calls.clear()
+                theorem_applies(spec, ell, m)
+                rewrites = spec.B % ell != 0 and q_divisor(m, spec.B) > 1
+                assert calls == ([(spec, ell)] if rewrites else []), (name, ell, m)
+
+
 def eta_quotient_specs(factors: int, deltas, exponents, max_level: int):
     """Every eta-quotient with ``factors`` distinct deltas from ``deltas``,
     each exponent from ``exponents``, and level at most ``max_level``."""
@@ -394,20 +430,24 @@ CANDIDATES = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(NAMES, BIG, BIG, BIG, st.lists(WITNESSES | CANDIDATES, max_size=6))
-def test_report_json_is_the_indenting_encoder_byte_for_byte(name, ell, m_max, budget, verdicts):
+def test_report_json_is_the_indenting_encoder_byte_for_byte(
+    report_json_oracle, name, ell, m_max, budget, verdicts
+):
     report = ScanReport(name, ell, m_max, budget, tuple(verdicts))
-    assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
+    assert report.to_json() == json.dumps(report_json_oracle(report), indent=2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(NAMES, st.integers(1, 30), st.integers(0, 29), st.sampled_from([2, 3, 5]))
-def test_scanned_report_json_is_the_indenting_encoder_byte_for_byte(name, m, t, ell):
+def test_scanned_report_json_is_the_indenting_encoder_byte_for_byte(
+    report_json_oracle, name, m, t, ell
+):
     series = build_series("partition", 300, modulus=ell)
     for report in (
         scan(series, ell, m, series_name=name),
         scan_progression(series, ell, Progression(m, t), name),
     ):
-        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
+        assert report.to_json() == json.dumps(report_json_oracle(report), indent=2)
 
 
 def test_report_csv_contract():

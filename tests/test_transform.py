@@ -25,7 +25,9 @@ from qsift.transform import (
     coverage_target,
     cusp_decompose,
     cusp_half_leading,
+    cusp_identity,
     cusp_one_leading,
+    cusp_q_ok,
     decompose_upper,
     eta_multiplier,
     eta_numeric,
@@ -244,6 +246,18 @@ def test_orbit_omega_takes_only_units():
     p = Progression(5, 0)
     assert orbit(p, "omega") == {0, 2}
     assert t_image(5, p, "omega") == t_image(10, p, "omega") == 1
+
+
+def test_orbit_builds_the_unit_squares_once_per_window():
+    squares = qsift.transform._unit_squares
+    squares.cache_clear()
+    for t in range(30):
+        p = Progression(30, t)
+        orbit(p, "f")
+        orbit(p, "eta", -5)  # beta = -24 as for f: the same window, 720
+        orbit(p, "omega")  # window 90
+    assert squares.cache_info()[:2] == (88, 2)  # (hits, misses)
+    assert sorted(squares(90)) == [1, 19, 31, 49, 61, 79]
 
 
 def test_orbit_coverage_exhaustive_small():
@@ -561,6 +575,13 @@ def test_cancellation_phase_matches_fraction_oracle(cancellation_oracle):
             assert _cancellation_phase(A, m, lam, curvature) == expected, (A, m, lam)
 
 
+def test_pass_upper_checks_the_determinant():
+    # (2 0; 0 1) divides through for m = 1, but A_0 keeps its determinant 2
+    message = "determinant of (2, 0, 0, 1) is not 1"
+    with pytest.raises(BadMatrix, match=re.escape(message)):
+        qsift.transform._pass_upper(2, 0, 0, 1, 1, 0, 0)
+
+
 def test_cancellation_phase_checks_match_decompose_upper(cancellation_oracle):
     # the errors decompose_upper raises, raised the same way without it
     A = UnimodularMatrix(5, 2, 12, 5)
@@ -665,6 +686,34 @@ def test_cusp_one_q1_value():
     # 24th power is -(2)^(-12): magnitude 1/4096 with the sign in the phase
     value = cusp_one_leading(1, 0) ** 24
     assert value == ExactScalar(Fraction(1, 4096), 1, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("Q", [1, 2, 4, 5, 7, 11, 13, 25])
+def test_cusp_identity_gives_the_literal_powers(Q):
+    # the exact values written out here, not read from the library
+    sign = Fraction(1, 2) if Q % 2 else Fraction(0)
+    cases = [("omega", ExactScalar(Fraction(1, 2 * Q) ** (12 * Q), 1, sign))]
+    if Q % 2:
+        cases.append(("f", ExactScalar(Fraction(1, Q) ** (12 * Q))))
+    for kind, expected in cases:
+        for t in range(Q):
+            assert cusp_identity(kind, Q, t) == (expected, expected), (kind, Q, t)
+
+
+def test_cusp_q_ok_is_the_domain_of_both_leading_terms():
+    for Q in range(-3, 40):
+        assert cusp_q_ok("f", Q) == (Q >= 1 and gcd(Q, 6) == 1)
+        assert cusp_q_ok("omega", Q) == (Q >= 1 and Q % 3 != 0)
+        for kind, leading in (("f", cusp_half_leading), ("omega", cusp_one_leading)):
+            if cusp_q_ok(kind, Q):
+                leading(Q, 0)
+                continue
+            with pytest.raises(BadQ):
+                leading(Q, 0)
+            with pytest.raises(BadQ):
+                cusp_identity(kind, Q, 0)
+    with pytest.raises(ValueError, match="unknown kind 'eta'"):
+        cusp_identity("eta", 5, 0)
 
 
 def test_cusp_guards():
