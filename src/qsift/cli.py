@@ -207,7 +207,7 @@ def _series_from_payload(payload: dict) -> QSeries:
     offset = Fraction(offset)
     coeffs = payload["coefficients"]
     if type(coeffs) is bytes and ring.stores_bytes:
-        if max(coeffs) >= ring.modulus:
+        if coeffs.translate(None, bytes(range(ring.modulus))):  # a byte >= m
             raise ValueError(f"a residue is not below {ring.modulus}")
         return QSeries._trusted(offset, coeffs, ring)
     if type(coeffs) is not list:

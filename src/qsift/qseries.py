@@ -21,7 +21,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from math import gcd, log2
 from operator import itemgetter, mul
@@ -132,16 +132,17 @@ def integer_mod(m: int) -> CoefficientRing:
 # entries of each operand: longer inputs are neither sliced nor copied,
 # except that the decimal kernel writes its operand prefixes reversed.  An
 # operand may be the ``bytes`` of a series over Z/m, m <= 256, which the
-# packing kernels read as a buffer.  Results are reduced into the ring as
-# they are produced.
+# packing kernels read as a buffer.  Over such a ring products and
+# quotients are ``bytes`` too, reduced below m a column at a time
+# (``_residues``), never slot by slot; elsewhere they are lists.
 #
 # The two packing kernels share one layout.  Slot k is digit k of one
 # number, slot 0 least significant; over Z a factor packs as (positive
 # part) - (negative part).  Only the product slots below
 # hi = min(n_out, nx + ny - 1) are bounded (the slots from nx + ny - 1 on
 # are 0), so the product is cut mod base**hi with floor semantics, which
-# leaves a two's or ten's complement over Z, and ``_read_slots`` reads
-# the digits back.
+# leaves a two's or ten's complement over Z, and ``_read_slots`` reads the
+# slots back from the cut product's bytes or its decimal string.
 
 
 def _prefix_nonzeros(values, n: int) -> int:
@@ -149,11 +150,16 @@ def _prefix_nonzeros(values, n: int) -> int:
     return len(prefix) - prefix.count(0)
 
 
-def _slot_bound(xs, ys, n_out: int, ring: CoefficientRing) -> int:
+def _slot_bound(
+    xs, ys, n_out: int, ring: CoefficientRing, nnz: int | None = None
+) -> int:
     """An a-priori bound on the magnitudes of product slots 0..n_out-1 and
     of the operand slots that the kernels pack.
 
-    Over Z/m it is n_min * (m-1)^2, n_min the shorter operand prefix.  Over
+    Over Z/m it is nnz * (m-1)^2: a product slot sums at most as many
+    nonzero terms as the sparser operand prefix has nonzero slots, which
+    ``_convolve`` counts and passes as ``nnz``; without it, the shorter
+    operand prefix stands in (the bound of dense factors).  Over
     Z it is n_min * max |x_i| * |y_j| over the pairs with i + j < n_out,
     from the running maxima of |x_i| and |y_j|, one pass over each operand
     (a square's one); for coefficients that grow along the series it has
@@ -163,7 +169,7 @@ def _slot_bound(xs, ys, n_out: int, ring: CoefficientRing) -> int:
     nx, ny = min(len(xs), n_out), min(len(ys), n_out)
     n_min = min(nx, ny)
     if ring.kind == "mod":
-        return n_min * (ring.modulus - 1) ** 2
+        return (n_min if nnz is None else nnz) * (ring.modulus - 1) ** 2
     if not n_min:
         return 0
     reach_x = list(accumulate(map(abs, islice(xs, nx)), max))  # max |x_0..x_i|
@@ -196,48 +202,58 @@ def _decimal_digits(bound: int, ring: CoefficientRing) -> int | None:
 
 
 # Predicted costs, in units of one schoolbook multiply-add on small slots
-# (about 35 ns on CPython 3.11).  Only their ratios matter, and only near a
-# crossover.  Schoolbook costs n_out * nnz(sparser factor) * _slot_cost.
+# (about 28 ns on CPython 3.11).  Only their ratios matter, and only near a
+# crossover.  The packing kernels' overheads depend on the ring, as residue
+# bytes are packed and read back a column at a time and other slots one at
+# a time; their transform terms do not.  The residue-byte overheads and
+# ``_schoolbook_cost`` are fitted to timings at 16 to 131072 slots over
+# Z/2, Z/3, Z/5 and Z/205 (CPython 3.11.7, libmpdec 2.5.1, x86-64), where
+# each pick among the three kernels was the fastest.
 
 
-def _slot_cost(width: int) -> float:
-    """One multiply-add on slots of ``width`` bytes: big integers cost more."""
-    return 1 + width / 4
+def _schoolbook_cost(n_out: int, nnz: int, width: int) -> float:
+    """About 150 for the call, 4 per slot to allocate and reduce the slots,
+    and one multiply-add per slot and nonzero slot of the sparser factor,
+    dearer on big integers: ``width`` bytes cost 1 + width/4."""
+    return 150 + n_out * (4 + nnz * (1 + width / 4))
 
 
-def _kronecker_cost(n_out: int, width: int) -> float:
-    """A fixed ~500 for the calls, about three per slot to pack and unpack,
-    and a Karatsuba product of two n_out * width-byte integers."""
-    return 500 + 3 * n_out + 1.4e-3 * (8 * width * n_out) ** 1.585
+def _kronecker_cost(n_out: int, width: int, ring: CoefficientRing) -> float:
+    """The calls, packing and reading back: about 170 and 0.65 per byte of
+    a slot over residue bytes, 500 and 3 per slot otherwise; and a
+    Karatsuba product of two n_out * width-byte integers."""
+    if ring.stores_bytes:
+        overhead = 170 + 0.65 * width * n_out
+    else:
+        overhead = 500 + 3 * n_out
+    return overhead + 1.4e-3 * (8 * width * n_out) ** 1.585
 
 
-def _decimal_cost(n_out: int, digits: int) -> float:
-    """A fixed ~1000 for the calls and the context, about one per slot to
-    reduce it (over Z, to carry its borrow), and a libmpdec transform
-    product of two n_out * digits digit numbers, which with building and
-    reading the digit strings costs about 0.23 per digit and doubling.
-    Fitted to timings of ``_conv_decimal`` at 128 to 131072 slots over Z/m
-    for m from 2 to 2^61 - 1 (CPython 3.11.7, libmpdec 2.5.1, x86-64); near
-    the crossover with ``_kronecker_cost`` its wrong picks cost 0.5% of the
-    two kernels' total time.  Over Z, on the products of powers of 1/eta
-    at 48 to 8192 slots (9 to 195 digits a slot), the measured times are
-    0.6 to 2.2 times the prediction, and the wrong picks, all at 512 to
-    1024 slots, cost 0.1% of the two kernels' total time."""
+def _decimal_cost(n_out: int, digits: int, ring: CoefficientRing) -> float:
+    """The calls and the context, about 260 over residue bytes and 1000
+    otherwise; about one per slot to pack it and read it back (over Z, to
+    carry its borrow); and a libmpdec transform product of two n_out *
+    digits digit numbers, which with building and reading the digit
+    strings costs about 0.23 per digit and doubling.  Over Z, on the
+    products of powers of 1/eta at 48 to 8192 slots (9 to 195 digits a
+    slot), the measured times are 0.6 to 2.2 times the prediction, and the
+    wrong picks, all at 512 to 1024 slots, cost 0.1% of the two kernels'
+    total time."""
     d = n_out * digits
-    return 1000 + n_out + 0.23 * d * log2(d)
+    return (260 if ring.stores_bytes else 1000) + n_out + 0.23 * d * log2(d)
 
 
 def _recurrence_cost(n_out: int, terms: int) -> float:
     """The sparse recurrence (``_div_sparse``) to n_out slots over ``terms``
-    nonzero divisor slots past the constant one: about 11 per slot for the
-    interpreted step and its gathers, and 0.41 per slot and term for the
+    nonzero divisor slots past the constant one: about 19 per slot for the
+    interpreted step and its gathers, and 0.49 per slot and term for the
     item reads and sums in C.  Fitted to timings of 1/eta over Z/m for m in
     {3, 29, 145, 355} at 256 to 81920 slots, in the units of the Newton
     prediction in ``_newton_is_cheaper`` (its median measured time per
-    predicted unit at the same sizes, 50 ns on a 2-core x86-64 guest,
-    CPython 3.11.7).  The wrong picks, all at 512 to 2048 slots, cost up
-    to 28% of the faster division's time there, and 0.08% of the total."""
-    return n_out * (11 + 0.41 * terms)
+    predicted unit at the same sizes, 40 ns on a 2-core x86-64 guest,
+    CPython 3.11.7).  The wrong picks, at 256 to 4096 slots, cost up to
+    54% of the faster division's time there, and 0.06% of the total."""
+    return n_out * (19 + 0.49 * terms)
 
 
 _ITEMSIZES = (("B", 1), ("H", 2), ("I", 4), ("Q", 8))
@@ -293,31 +309,101 @@ def _unpack(data: bytes, width: int, lo: int, hi: int):
     return memoryview(buf).cast(code)
 
 
+@lru_cache(maxsize=512)
+def _weight_table(m: int, weight: int, zero: int = 0) -> bytes:
+    """The ``translate`` table c -> (c - zero) * weight mod m: a column of
+    digits written from the byte ``zero``, each times ``weight``, reduced
+    below m.  Built on first use."""
+    return bytes((c - zero) * weight % m for c in range(256))
+
+
+def _sum_residues(columns, m: int) -> bytes:
+    """The slot-wise sum mod m (m <= 256) of equal-length byte strings of
+    residues below m.  The columns add as the lanes of one integer: one
+    byte a lane while their sum stays below 256, else two (up to 257
+    columns), whose low and high bytes are reduced by table and summed
+    again.  Two residues summing to 256 or more (m > 128) reduce by a
+    lane-wise select between s and s - m: s >= m carries into the high
+    byte of s + (256 - m)."""
+    if len(columns) == 1:
+        return columns[0]
+    count = len(columns[0])
+    if len(columns) * (m - 1) < 256:
+        total = sum(int.from_bytes(column, "little") for column in columns)
+        return total.to_bytes(count, "little").translate(_weight_table(m, 1))
+    lanes, total = bytearray(2 * count), 0
+    for column in columns:
+        lanes[::2] = column
+        total += int.from_bytes(lanes, "little")
+    del lanes
+    sums = total.to_bytes(2 * count, "little")
+    if len(columns) > 2:
+        low, high = sums[::2], sums[1::2]
+        return _sum_residues(
+            [low.translate(_weight_table(m, 1)), high.translate(_weight_table(m, 256))], m
+        )
+    total += int.from_bytes(bytes((256 - m, 0)) * count, "little")
+    over = total.to_bytes(2 * count, "little")
+    del total
+    keep = int.from_bytes(sums[::2], "little")  # s, where s < m
+    less = int.from_bytes(over[::2], "little")  # s - m, where s >= m
+    mask = int.from_bytes(over[1::2], "little") * 255  # 0xff where s >= m
+    return (keep ^ (keep ^ less) & mask).to_bytes(count, "little")
+
+
+def _residues(data, width: int, radix: int, lo: int, hi: int, m: int) -> bytes:
+    """Slots lo..hi-1, mod m (m <= 256), of a packed product's digits
+    ``data`` (as ``_read_slots`` takes them).  Column j, digit j of every
+    slot, is one ``translate`` by c -> c * radix**j mod m, and
+    ``_sum_residues`` adds the columns."""
+    zero, columns = 48 if radix == 10 else 0, []
+    for j in range(width):
+        table = _weight_table(m, pow(radix, j, m), zero)
+        if radix == 256:
+            column = data[width * lo + j : width * hi : width]
+        else:  # slot hi-1 comes first in the string: reverse the column
+            column = data[width - 1 - j : width * (hi - lo) : width].encode()[::-1]
+        columns.append(column.translate(table))
+    return _sum_residues(columns, m)
+
+
 def _read_slots(
-    digits, base: int, lo: int, hi: int, n_out: int, ring: CoefficientRing
-) -> list:
-    """Slots lo..n_out-1 of a packed product cut to its slots 0..hi-1: a
-    nonnegative number whose digits a..b-1 in ``base`` are ``digits(a, b)``.
-    Over Z/m digit k is slot k, reduced mod m.  Over Z the number is the
-    two's or ten's complement of the signed slots, each below base / 2 in
-    magnitude, read from slot 0 up with a running borrow."""
+    data, width: int, radix: int, lo: int, hi: int, n_out: int, ring: CoefficientRing
+):
+    """Slots lo..n_out-1 of a packed product cut to its slots 0..hi-1, each
+    ``width`` digits of ``radix``: for radix 256 ``data`` is the bytes of
+    the product, little-endian; for radix 10 it is the decimal string of
+    the product as ``format`` writes it, zero-padded to ``width * hi``
+    digits, most significant first.  Over Z/m digit k is slot k reduced
+    mod m: for m <= 256 the slots are read as ``bytes`` by ``_residues``,
+    column by column.  Over Z the number is the two's or ten's complement
+    of the signed slots, each below radix**width / 2 in magnitude, read
+    from slot 0 up with a running borrow."""
+    if ring.stores_bytes:
+        return _residues(data, width, radix, lo, hi, ring.modulus) + bytes(n_out - hi)
+    read = _unpack if radix == 256 else _decimal_slots
     if ring.kind == "mod":
         m = ring.modulus
-        out = [v % m for v in digits(lo, hi)]
+        out = [v % m for v in read(data, width, lo, hi)]
     else:
-        half, out, borrow = base // 2, [], 0
-        for k, v in enumerate(digits(0, hi)):
+        half, out, borrow = radix**width // 2, [], 0
+        for k, v in enumerate(read(data, width, 0, hi)):
             v += borrow
             borrow = v >= half
             if k >= lo:
-                out.append(v - base if borrow else v)
+                out.append(v - 2 * half if borrow else v)
     out.extend([0] * (n_out - hi))
     return out
 
 
+def _zeros(count: int, ring: CoefficientRing):
+    """``count`` zero slots, as the kernels return them in ``ring``."""
+    return bytes(count) if ring.stores_bytes else [0] * count
+
+
 def _conv_kronecker(
     xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0, bound: int | None = None
-) -> list:
+):
     """Slots lo..n_out-1 of the product, exactly, via one big-integer
     multiplication in the packed layout above, each digit ``width`` bytes
     from ``_kronecker_width``; ``&`` cuts the product mod 256**(width*hi).
@@ -327,8 +413,8 @@ def _conv_kronecker(
         bound = _slot_bound(xs, ys, n_out, ring)
     nx, ny = min(len(xs), n_out), min(len(ys), n_out)
     hi = max(lo, min(n_out, nx + ny - 1))  # slots from nx + ny - 1 on are 0
-    if not bound or hi == lo:  # over Z a factor vanishes, or no slot is asked
-        return [0] * (n_out - lo)
+    if not bound or hi == lo:  # a factor vanishes, or no slot is asked
+        return _zeros(n_out - lo, ring)
     width = _kronecker_width(bound, ring)
 
     def pack(values, count):
@@ -343,7 +429,7 @@ def _conv_kronecker(
     x &= (1 << 8 * width * hi) - 1
     data = x.to_bytes(width * hi, "little")
     del x  # each big temporary goes as soon as the next is built
-    return _read_slots(partial(_unpack, data, width), 256**width, lo, hi, n_out, ring)
+    return _read_slots(data, width, 256, lo, hi, n_out, ring)
 
 
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
@@ -389,7 +475,7 @@ def _has_libmpdec() -> bool:
 
 def _conv_decimal(
     xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0, bound: int | None = None
-) -> list:
+):
     """Slots lo..n_out-1 of the product over Z/m or Z, exactly, via one
     libmpdec multiplication (a number-theoretic transform at large sizes)
     in the packed layout above, each digit w decimal digits from
@@ -408,8 +494,8 @@ def _conv_decimal(
         bound = _slot_bound(xs, ys, n_out, ring)
     nx, ny = min(len(xs), n_out), min(len(ys), n_out)
     hi = max(lo, min(n_out, nx + ny - 1))  # slots from nx + ny - 1 on are 0
-    if not bound or hi == lo:  # over Z a factor vanishes, or no slot is asked
-        return [0] * (n_out - lo)
+    if not bound or hi == lo:  # a factor vanishes, or no slot is asked
+        return _zeros(n_out - lo, ring)
     w = _decimal_digits(bound, ring)
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
     m = ring.modulus
@@ -456,7 +542,7 @@ def _conv_decimal(
     del top  # each big temporary goes as soon as the next is built
     digits = format(x, f"0{w * hi}f")
     del x
-    return _read_slots(partial(_decimal_slots, digits, w), 10**w, lo, hi, n_out, ring)
+    return _read_slots(digits, w, 10, lo, hi, n_out, ring)
 
 
 def _conv_schoolbook(xs, ys, n_out: int, ring: CoefficientRing) -> list:
@@ -477,8 +563,7 @@ def _conv_schoolbook(xs, ys, n_out: int, ring: CoefficientRing) -> list:
             if y:
                 out[i + j] += x * y
     if ring.kind == "mod":
-        m = ring.modulus
-        out = [v % m for v in out]
+        out = list(map(ring.modulus.__rmod__, out))  # each v % m, in C
     return out
 
 
@@ -486,26 +571,29 @@ def _transform_product(n_out: int, bound: int, ring: CoefficientRing):
     """(predicted cost, kernel) of the cheaper exact transform product to
     n_out slots whose magnitudes are at most ``bound``: Kronecker, or the
     decimal kernel where libmpdec is present."""
-    cost = _kronecker_cost(n_out, _kronecker_width(bound, ring))
+    cost = _kronecker_cost(n_out, _kronecker_width(bound, ring), ring)
     digits = _decimal_digits(bound, ring)
     if digits is not None:
-        decimal_cost = _decimal_cost(n_out, digits)
+        decimal_cost = _decimal_cost(n_out, digits, ring)
         if decimal_cost < cost and _has_libmpdec():
             return decimal_cost, _conv_decimal
     return cost, _conv_kronecker
 
 
-def _convolve(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0) -> list:
-    """Slots lo..n_out-1 of the product, by the kernel predicted cheaper."""
+def _convolve(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0):
+    """Slots lo..n_out-1 of the product, by the kernel predicted cheaper:
+    ``bytes`` over Z/m with m <= 256, otherwise a list."""
     if n_out == 0:
         return []
     if ring.kind != "rat":
         nnz = min(_prefix_nonzeros(xs, n_out), _prefix_nonzeros(ys, n_out))
-        bound = _slot_bound(xs, ys, n_out, ring)
+        bound = _slot_bound(xs, ys, n_out, ring, nnz)
         cost, kernel = _transform_product(n_out, bound, ring)
-        if n_out * nnz * _slot_cost(_kronecker_width(bound, ring)) > cost:
+        if _schoolbook_cost(n_out, nnz, _kronecker_width(bound, ring)) > cost:
             return kernel(xs, ys, n_out, ring, lo, bound)
     out = _conv_schoolbook(xs, ys, n_out, ring)
+    if ring.stores_bytes:
+        return bytes(out[lo:])
     return out[lo:] if lo else out
 
 
@@ -553,7 +641,7 @@ def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
     return out
 
 
-def _divide_newton(num, den, n_out: int, ring: CoefficientRing) -> list:
+def _divide_newton(num, den, n_out: int, ring: CoefficientRing):
     """Slots 0..n_out-1 of num / den, or of 1 / den where num is None, by
     Newton iteration.
 
@@ -563,23 +651,32 @@ def _divide_newton(num, den, n_out: int, ring: CoefficientRing) -> list:
     which for 1 / den, with den * g = 1 + q^h e, is g - q^h g e.  Each step
     computes only slots h..n_out-1 of den * y and the n_out - h new slots,
     and the precisions are n_out halved (rounding up) down to 1, so no step
-    computes slots past what the next one needs.
+    computes slots past what the next one needs.  Over Z/m with m <= 256
+    the quotient is ``bytes``, and num - den y is one ``translate`` of
+    den y by c -> -c mod m and one lane sum with num (``_sum_residues``).
     """
     if n_out == 1:
         g = ring.inverse(den[0])
-        return [g if num is None else ring.normalize(num[0] * g)]
+        slot = g if num is None else ring.normalize(num[0] * g)
+        return bytes((slot,)) if ring.stores_bytes else [slot]
     h = (n_out + 1) // 2
     g = _divide_newton(None, den, h, ring)
     y = g if num is None else _convolve(num, g, h, ring)
     high = _convolve(den, y, n_out, ring, lo=h)  # slots h.. of den * y
-    top = repeat(0) if num is None else islice(num, h, n_out)
     m = ring.modulus
-    if m:
-        rest = [(a - b) % m for a, b in zip(top, high)]
+    if ring.stores_bytes:
+        rest = high.translate(_weight_table(m, m - 1))
+        if num is not None:
+            top = num[h:n_out] if isinstance(num, bytes) else bytes(islice(num, h, n_out))
+            rest = _sum_residues([top, rest], m)
     else:
-        rest = [a - b for a, b in zip(top, high)]
+        top = repeat(0) if num is None else islice(num, h, n_out)
+        if m:
+            rest = [(a - b) % m for a, b in zip(top, high)]
+        else:
+            rest = [a - b for a, b in zip(top, high)]
     del high
-    y.extend(_convolve(g, rest, n_out - h, ring))
+    y += _convolve(g, rest, n_out - h, ring)
     return y
 
 
@@ -602,7 +699,7 @@ def _newton_is_cheaper(
     the constant one.  The recurrence runs on all n_out slots and costs
     ``_recurrence_cost``.  Newton works at ceil(n_out/d) slots: about one
     and a half products by the cheaper transform kernel (Kronecker or the
-    decimal kernel on libmpdec) plus ~1500 per halving step, and for d > 1
+    decimal kernel on libmpdec) plus ~800 per halving step, and for d > 1
     one more product per residue class of the numerator.  Newton runs only
     over Z/m: over Z and Q the coefficients grow, and the recurrence never
     forms the (larger) inverse.  Measured over Z with the decimal kernel,
@@ -611,13 +708,13 @@ def _newton_is_cheaper(
     if ring.kind != "mod":
         return False
     n = -(-n_out // d)
-    bound = _slot_bound(b, b, n, ring)
+    bound = _slot_bound(b, b, n, ring)  # Newton's products are dense
     product, _ = _transform_product(n, bound, ring)
     products = 1.5 + (d if d > 1 else 0)
-    return _recurrence_cost(n_out, terms) > products * product + 1500 * n.bit_length()
+    return _recurrence_cost(n_out, terms) > products * product + 800 * n.bit_length()
 
 
-def _divide(num, den, n_out: int, ring: CoefficientRing) -> list:
+def _divide(num, den, n_out: int, ring: CoefficientRing):
     """Slots 0..n_out-1 of num / den, by the kernel predicted cheaper: the
     sparse recurrence or Newton division (``_divide_newton``, one recursive
     routine for quotients and inverses alike).
@@ -644,7 +741,7 @@ def _divide(num, den, n_out: int, ring: CoefficientRing) -> list:
     classes = [
         _convolve(num[r:n_out:d], g, len(range(r, n_out, d)), ring) for r in range(d)
     ]
-    out = [0] * n_out
+    out = bytearray(n_out) if ring.stores_bytes else [0] * n_out
     for r in range(d):
         out[r::d] = classes[r]
     return out
@@ -666,7 +763,7 @@ class QSeries:
     def __init__(self, offset, coeffs, ring: CoefficientRing) -> None:
         if isinstance(coeffs, (bytes, bytearray)) and ring.kind == "mod":
             # residues of another byte series: reduced by one table lookup each
-            values = coeffs.translate(bytes(v % ring.modulus for v in range(256)))
+            values = coeffs.translate(_weight_table(ring.modulus, 1))
         elif ring.kind == "mod":
             m = ring.modulus
             values = [int(c) % m for c in coeffs]
@@ -878,10 +975,10 @@ class QSeries:
         shown = []
         for n, c in enumerate(self.slots):
             if c:
+                if len(shown) == 6:  # a seventh nonzero slot: hide the rest
+                    shown.append("...")
+                    break
                 shown.append(f"{c}*q^{n}")
-            if len(shown) >= 6:
-                shown.append("...")
-                break
         body = " + ".join(shown) if shown else "0"
         if self.offset:
             return f"q^({self.offset})*({body}) + O(q^({self.offset + self.prec}))"

@@ -26,6 +26,10 @@ ell-powers out of the deltas into the exponents, against the build rewrite
 of ``generators``, which moves them the other way.  The sparse division
 recurrence comes from its per-term loop, one interpreted multiply-subtract
 per slot and term, against the grouped gathers of ``qseries._div_sparse``.
+Over Z/m with m <= 256, a packed product's slots come from its digit string
+one slot at a time, each reduced by ``v % m``, and a Newton step's
+num - den*y from one subtraction per slot, against the column tables and
+lane sums of ``qseries._read_slots`` and ``qseries._divide_newton``.
 A scan report's JSON comes from the dict the standard library's indenting
 encoder writes, against the line by line writer of ``ScanReport.to_json``.
 """
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, lcm
 from types import SimpleNamespace
 
@@ -104,6 +108,33 @@ def _div_sparse_per_term(num, support, inv0, n_out: int, ring) -> list:
                 v -= bk * h
         out[i] = v % mod if mod is not None else v
     return out
+
+
+def _slot_digits(data, width: int, radix: int, lo: int, hi: int) -> list[int]:
+    """Slots lo..hi-1, ``width`` digits of ``radix`` each, of a packed
+    product, parsed one slot at a time: ``data`` is its little-endian bytes
+    for radix 256, and its decimal string, most significant digit first,
+    for radix 10."""
+    if radix == 256:
+        return [int.from_bytes(data[width * k : width * (k + 1)], "little") for k in range(lo, hi)]
+    end = len(data)
+    return [int(data[end - width * (k + 1) : end - width * k]) for k in range(lo, hi)]
+
+
+def _read_residues_per_slot(
+    data, width: int, radix: int, lo: int, hi: int, n_out: int, m: int
+) -> list[int]:
+    """Slots lo..n_out-1 over Z/m of a packed product cut to its slots
+    0..hi-1, one ``v % m`` per slot."""
+    return [v % m for v in _slot_digits(data, width, radix, lo, hi)] + [0] * (n_out - hi)
+
+
+def _newton_rest_per_slot(num, high, h: int, n_out: int, m: int) -> list[int]:
+    """Slots h..n_out-1 of num - den*y in one Newton step over Z/m, from
+    ``high`` (those slots of den*y), one subtraction per slot; num None
+    stands for 1, whose slots from h on are 0."""
+    top = repeat(0) if num is None else islice(num, h, n_out)
+    return [(a - b) % m for a, b in zip(top, high)]
 
 
 def _pentagonal_support(prec: int, delta: int) -> list[tuple[int, int]]:
@@ -525,6 +556,16 @@ def dedekind_oracle():
 @pytest.fixture(scope="session")
 def div_sparse_oracle():
     return _div_sparse_per_term
+
+
+@pytest.fixture(scope="session")
+def residue_read_back_oracle():
+    return _read_residues_per_slot
+
+
+@pytest.fixture(scope="session")
+def newton_rest_oracle():
+    return _newton_rest_per_slot
 
 
 @pytest.fixture(scope="session")

@@ -735,12 +735,35 @@ def test_cache_entry_with_a_bad_payload_is_rebuilt(tmp_path, capsys, corrupt):
         ("Z", [1, 1, 2, 3, False]),
         ("Z", "11235"),
         ("Q", [1, "1", "2", "3", "5"]),
+        ("Z/7", bytes([1, 1, 2, 3, 7])),  # residue bytes: a byte >= m
+        ("Z/7", bytes([6, 255])),
+        ("Z/7", b""),  # no slot
     ],
 )
 def test_payload_rejects_what_the_writer_never_stores(ring, coefficients):
     payload = {"offset": "0", "ring": ring, "coefficients": coefficients}
     with pytest.raises(ValueError):
         _series_from_payload(payload)
+
+
+@pytest.mark.parametrize(
+    "payload", [bytes([1, 1, 2, 3, 7]), b""], ids=["byte-m", "empty"]
+)
+def test_cache_entry_with_residues_out_of_range_is_rebuilt(tmp_path, capsys, payload):
+    cache_dir = tmp_path / "cache"
+    args = ["--cache-dir", str(cache_dir), "expand", "partition", "--limit", "5",
+            "--mod", "7"]
+    code, whole, _ = run(capsys, *args)
+    assert code == 0
+    (entry,) = cache_dir.iterdir()
+    written = entry.read_bytes()
+    header, _ = _read_entry(entry)
+    # length and digest match the payload, so only its residues can refuse it
+    _write_entry(entry, dict(header, length=len(payload)), payload)
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == whole
+    assert entry.read_bytes() == written
 
 
 def test_cache_key_ring_comes_from_the_catalog_entry():

@@ -29,6 +29,7 @@ from qsift.qseries import (
     _divide,
     _divide_newton,
     _newton_is_cheaper,
+    _read_slots,
     _slot_bound,
     _sparse_sum,
     _transform_product,
@@ -147,7 +148,7 @@ def test_kronecker_matches_schoolbook(ring):
         xs = [ring.normalize(rng.randint(-50, 50)) for _ in range(n)]
         ys = [ring.normalize(rng.randint(-50, 50)) for _ in range(rng.randint(1, 60))]
         n_out = min(len(xs), len(ys))
-        assert _conv_kronecker(xs, ys, n_out, ring) == _conv_schoolbook(
+        assert list(_conv_kronecker(xs, ys, n_out, ring)) == _conv_schoolbook(
             xs, ys, n_out, ring
         )
 
@@ -280,9 +281,9 @@ def test_division_kernels_agree(ring, n, data):
     support = [(k, c) for k, c in enumerate(den) if c and k]
     by_recurrence = _div_sparse(num, support, ring.inverse(den[0]), n, ring)
     by_newton = _divide_newton(num, den, n, ring)
-    assert by_recurrence == by_newton
+    assert by_recurrence == list(by_newton)
     constant = [num[0]] + [0] * (n - 1)  # runs the same Newton steps as num
-    assert _divide_newton(constant, den, n, ring) == _div_sparse(
+    assert list(_divide_newton(constant, den, n, ring)) == _div_sparse(
         constant, support, ring.inverse(den[0]), n, ring
     )
     assert _conv_schoolbook(den, by_recurrence, n, ring) == [
@@ -425,8 +426,8 @@ def test_newton_division_makes_two_products_per_halving_then_three(
     scaled_inverse = _divide_newton(constant, den, n, ring)
     assert calls == newton_calls(n)
     support = [(k, c) for k, c in enumerate(den) if c and k]
-    assert quotient == _div_sparse(num, support, 1, n, ring)
-    assert scaled_inverse == _div_sparse(constant, support, 1, n, ring)
+    assert list(quotient) == _div_sparse(num, support, 1, n, ring)
+    assert list(scaled_inverse) == _div_sparse(constant, support, 1, n, ring)
 
 
 @given(st.data())
@@ -477,7 +478,7 @@ def test_residue_classes_share_one_inverse(monkeypatch, m):
     monkeypatch.undo()
     for r in (0, 1):  # each class as its own Newton division gives
         alone = newton(num.slots[r::2], den.slots[::2], P // 2, ring)
-        assert list(quotient.slots[r::2]) == alone
+        assert list(quotient.slots[r::2]) == list(alone)
 
 
 DENSE_DIVISOR_RINGS = (
@@ -504,7 +505,7 @@ def test_division_by_dense_series_in_q_power_matches_recurrence(ring, d, n):
         newton = _newton_is_cheaper(b, len(support), n, ring, d)
         assert newton == (n > 1000)
     expected = _div_sparse(num, support, ring.inverse(den[0]), n, ring)
-    assert _divide(num, den, n, ring) == expected
+    assert list(_divide(num, den, n, ring)) == expected
     quotient = series(0, num, ring) / series(0, den, ring)  # on stored slots
     assert list(quotient.coeffs) == expected
 
@@ -571,8 +572,8 @@ def test_decimal_kernel_agrees(data):
     n_out = data.draw(st.integers(1, len(xs) + len(ys) + 5))
     lo = data.draw(st.integers(0, n_out))
     expected = _conv_schoolbook(xs, ys, n_out, ring)[lo:]
-    assert _conv_decimal(xs, ys, n_out, ring, lo) == expected
-    assert _conv_kronecker(xs, ys, n_out, ring, lo) == expected
+    assert list(_conv_decimal(xs, ys, n_out, ring, lo)) == expected
+    assert list(_conv_kronecker(xs, ys, n_out, ring, lo)) == expected
 
 
 SLOT_BOUND_SHAPES = [
@@ -593,10 +594,10 @@ def test_decimal_kernel_at_the_slot_bound(m, nx, ny, n_out, lo, square):
     xs = [m - 1] * nx
     ys = xs if square else [m - 1] * ny
     expected = _conv_schoolbook(xs, ys, n_out, ring)[lo:]
-    assert _conv_decimal(xs, ys, n_out, ring, lo) == expected
-    assert _conv_kronecker(xs, ys, n_out, ring, lo) == expected
+    assert list(_conv_decimal(xs, ys, n_out, ring, lo)) == expected
+    assert list(_conv_kronecker(xs, ys, n_out, ring, lo)) == expected
     zeros = [0] * nx
-    assert _conv_decimal(zeros, ys, n_out, ring, lo) == [0] * (n_out - lo)
+    assert list(_conv_decimal(zeros, ys, n_out, ring, lo)) == [0] * (n_out - lo)
 
 
 def test_decimal_kernel_past_the_crossover():
@@ -607,9 +608,9 @@ def test_decimal_kernel_past_the_crossover():
     ys = [rng.randrange(3) for _ in range(n + 500)]  # read as a prefix
     bound = _slot_bound(xs, ys, n, ring)
     assert _transform_product(n, bound, ring)[1] is _conv_decimal
-    assert _conv_decimal(xs, ys, n, ring) == list(_conv_kronecker(xs, ys, n, ring))
+    assert list(_conv_decimal(xs, ys, n, ring)) == list(_conv_kronecker(xs, ys, n, ring))
     product = series(0, xs, ring) * series(0, ys, ring)
-    assert list(product.coeffs) == _conv_kronecker(xs, ys, n, ring)
+    assert list(product.coeffs) == list(_conv_kronecker(xs, ys, n, ring))
 
 
 def test_products_without_libmpdec_match_schoolbook(monkeypatch):
@@ -750,8 +751,157 @@ def test_packed_kernels_convert_slot_by_slot(monkeypatch, ring, kernel):
             xs = operand(nx, fill)
             ys = xs if square else operand(ny, "random")
             expected = _conv_schoolbook(xs, ys, n_out, ring)[lo:]
-            assert kernel(xs, ys, n_out, ring, lo) == expected
-    assert asked
+            assert list(kernel(xs, ys, n_out, ring, lo)) == expected
+    assert bool(asked) is not ring.stores_bytes  # residue bytes have no fallback
+
+
+# Residue bytes (Z/m, m <= 256): the column read-back and Newton's
+# subtraction against their slot-by-slot lists, kept in conftest.  The
+# moduli straddle the lane widths: m - 1 <= 127 lets two residues share a
+# byte lane, m = 129..256 needs the masked subtraction, and 256 is the last
+# modulus on bytes.
+
+BYTE_MODULI = (2, 3, 5, 127, 128, 129, 205, 255, 256)
+RESIDUE_FILLS = ("top", "zero", "last", "random")
+
+
+def residue_bytes(m, n, rng, fill):
+    """n residues mod m as bytes: all m - 1 (the largest lane sums), all
+    0, 0 but for a nonzero last slot (one nonzero slot), or random."""
+    if fill == "last":
+        return bytes(n - 1) + bytes((rng.randrange(1, m),))
+    return bytes(residues(m, n, rng, fill))
+
+
+@st.composite
+def packed_products(draw):
+    """(data, width, radix, lo, hi, n_out): the digits of a packed product
+    cut to hi slots as the kernels pass them to ``_read_slots``, its
+    little-endian bytes for radix 256 and its decimal string, most
+    significant first, for radix 10.  Every digit is its largest, every
+    digit 0, all are 0 but for the last slot, or they are random; 257
+    digits is the widest slot a two-byte lane holds."""
+    radix = draw(st.sampled_from((256, 10)))
+    width = draw(st.integers(1, 14) | st.just(257))
+    hi = draw(st.integers(0, 40))
+    lo = draw(st.integers(0, hi))
+    n_out = hi + draw(st.integers(0, 3))
+    fill = draw(st.sampled_from(RESIDUE_FILLS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    count = width * hi
+    if fill == "top":
+        digits = [radix - 1] * count
+    elif fill == "zero":
+        digits = [0] * count
+    elif fill == "last":
+        digits = [0] * (count - width) + [rng.randrange(radix) for _ in range(min(width, count))]
+    else:
+        digits = [rng.randrange(radix) for _ in range(count)]
+    if radix == 10:  # digits are listed least significant first
+        return "".join(map(str, reversed(digits))), width, radix, lo, hi, n_out
+    return bytes(digits), width, radix, lo, hi, n_out
+
+
+LANE_COUNTS = tuple(range(1, 13)) + (255, 256, 257)
+
+
+def check_lane_sums(columns, m):
+    expected = [sum(slot) % m for slot in zip(*columns)] if columns[0] else []
+    sums = qseries._sum_residues(columns, m)
+    assert type(sums) is bytes and list(sums) == expected
+
+
+@pytest.mark.parametrize("m", BYTE_MODULI)
+@pytest.mark.parametrize("k", LANE_COUNTS)
+def test_residue_lane_sums_at_their_largest(m, k):
+    # all m - 1 puts every lane at its largest sum, k * (m - 1): 256 for
+    # two columns mod 129 and for 256 columns mod 2, one past a byte lane
+    check_lane_sums([bytes([m - 1]) * 9] * k, m)
+
+
+@pytest.mark.parametrize("m", BYTE_MODULI)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_residue_lane_sums_match_the_per_slot_sum(m, data):
+    count = data.draw(st.integers(0, 30))
+    k = data.draw(st.sampled_from(LANE_COUNTS))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    fills = data.draw(st.lists(st.sampled_from(("top", "zero", "random")), min_size=k, max_size=k))
+    check_lane_sums([bytes(residues(m, count, rng, fill)) for fill in fills], m)
+
+
+@pytest.mark.parametrize("m", BYTE_MODULI)
+@given(product=packed_products())
+@settings(max_examples=60, deadline=None)
+def test_residue_read_back_matches_the_per_slot_list(m, product, residue_read_back_oracle):
+    data, width, radix, lo, hi, n_out = product
+    slots = _read_slots(data, width, radix, lo, hi, n_out, integer_mod(m))
+    assert type(slots) is bytes
+    assert list(slots) == residue_read_back_oracle(data, width, radix, lo, hi, n_out, m)
+
+
+@pytest.mark.parametrize("m", BYTE_MODULI)
+@pytest.mark.parametrize("kernel", [_conv_kronecker, _conv_decimal], ids=lambda k: k.__name__)
+@pytest.mark.parametrize("fill", RESIDUE_FILLS)
+def test_packed_kernels_return_residue_bytes(m, kernel, fill):
+    # at the dense bound the kernels take alone, and at the nonzero count
+    # that _convolve passes, which the "top" and "last" fills meet exactly
+    ring, rng = integer_mod(m), random.Random(f"{m}:{fill}")
+    for nx, ny, n_out, lo, square in SLOT_BOUND_SHAPES + [(150, 90, 400, 7, False)]:
+        xs = residue_bytes(m, nx, rng, fill)
+        ys = xs if square else residue_bytes(m, ny, rng, fill)
+        expected = _conv_schoolbook(xs, ys, n_out, ring)[lo:]
+        nnz = min(qseries._prefix_nonzeros(xs, n_out), qseries._prefix_nonzeros(ys, n_out))
+        for bound in (None, _slot_bound(xs, ys, n_out, ring, nnz)):
+            slots = kernel(xs, ys, n_out, ring, lo, bound)
+            assert type(slots) is bytes
+            assert list(slots) == expected
+
+
+def test_slot_bound_over_residues_counts_the_sparser_operand():
+    ring = integer_mod(3)
+    xs, ys = bytes([1, 0, 2, 0, 0, 1]), bytes([2] * 6)
+    assert _slot_bound(xs, ys, 6, ring) == 6 * 4  # dense: the shorter prefix
+    assert _slot_bound(xs, ys, 6, ring, 3) == 3 * 4
+    # unreduced, a product slot sums at most nnz = 3 nonzero terms
+    assert max(_conv_schoolbook(list(xs), list(ys), 6, INTEGER)) <= 3 * 4
+
+
+@pytest.mark.parametrize("m", BYTE_MODULI)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_newton_subtraction_matches_the_per_slot_list(m, data, newton_rest_oracle):
+    # every step's den * y from slot h (``_convolve`` with lo = h) is
+    # followed by the product g * rest; the last step folds num in
+    ring, rng = integer_mod(m), random.Random(data.draw(st.integers(0, 2**32)))
+    n = data.draw(st.integers(1, 90))
+    den = bytearray(residue_bytes(m, n, rng, data.draw(st.sampled_from(RESIDUE_FILLS))))
+    den[0] = data.draw(unit(ring))
+    den = bytes(den)
+    num = data.draw(
+        st.none() | st.sampled_from(RESIDUE_FILLS).map(lambda f: residue_bytes(m, n, rng, f))
+    )
+    calls, convolve = [], qseries._convolve
+
+    def spy(xs, ys, n_out, ring, lo=0):
+        out = convolve(xs, ys, n_out, ring, lo)
+        calls.append((ys, n_out, lo, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qseries, "_convolve", spy)
+        quotient = _divide_newton(num, den, n, ring)
+    highs = [i for i, (_, _, lo, _) in enumerate(calls) if lo]
+    for i in highs:
+        _, n_out, h, high = calls[i]
+        rest = calls[i + 1][0]
+        top = num if i == highs[-1] else None
+        assert type(high) is bytes and type(rest) is bytes
+        assert list(rest) == newton_rest_oracle(top, high, h, n_out, m)
+    one = bytes((1,)) + bytes(n - 1)
+    support = [(k, c) for k, c in enumerate(den) if c and k]
+    expected = _div_sparse(one if num is None else num, support, ring.inverse(den[0]), n, ring)
+    assert type(quotient) is bytes and list(quotient) == expected
 
 
 def kernel_spies(monkeypatch):
@@ -1067,6 +1217,19 @@ def test_str_at_a_fractional_offset():
 def test_str_of_the_zero_series():
     assert str(QSeries(Fraction(0), [0, 0, 0], integer_mod(5))) == "0 + O(q^3)"
     assert str(QSeries(Fraction(1, 3), [0, 0], RATIONAL)) == "q^(1/3)*(0) + O(q^(7/3))"
+
+
+def test_str_shows_exactly_six_nonzero_slots_without_an_ellipsis():
+    for coeffs in ([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0, 0]):
+        s = QSeries(Fraction(0), coeffs, INTEGER)
+        assert str(s) == (
+            f"1*q^0 + 2*q^1 + 3*q^2 + 4*q^3 + 5*q^4 + 6*q^5 + O(q^{len(coeffs)})"
+        )
+
+
+def test_str_hides_a_seventh_nonzero_slot_behind_an_ellipsis():
+    s = QSeries(Fraction(0), [1, 2, 3, 4, 5, 6, 7], INTEGER)
+    assert str(s) == "1*q^0 + 2*q^1 + 3*q^2 + 4*q^3 + 5*q^4 + 6*q^5 + ... + O(q^7)"
 
 
 def test_str_shows_six_nonzero_slots_then_an_ellipsis():
