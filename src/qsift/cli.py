@@ -101,14 +101,17 @@ def _cache_path(cache_dir: str, key: dict) -> str:
     return os.path.join(cache_dir, f"qsift-{digest}.bin")
 
 
-def _series_key(
-    spec: EtaQuotientSpec | str, spec_text: str, limit: int, modulus: int | None
-) -> dict:
-    """The cache key of a build: the ring is the one ``build_series`` gives
-    the spec (ValueError where it refuses the modulus)."""
+def _series_key(spec: EtaQuotientSpec | str, limit: int, modulus: int | None) -> dict:
+    """The cache key of a build.  The series is named canonically, however
+    it was spelled: an eta-quotient by its sorted factors, a catalog
+    eta-quotient too, and a builtin (``mock_f``, the theta series) by its
+    name.  The ring is the one ``build_series`` gives the spec (ValueError
+    where it refuses the modulus)."""
+    if not isinstance(spec, EtaQuotientSpec):
+        spec = catalog_entry(spec).spec
     return {
         "version": _CACHE_VERSION,
-        "series": spec_text,
+        "series": str(spec),
         "ring": str(series_ring(spec, modulus)),
         "limit": limit,
         "modulus": modulus,
@@ -226,13 +229,9 @@ def _series_from_payload(payload: dict) -> QSeries:
 
 
 def _get_series(
-    spec: EtaQuotientSpec | str,
-    spec_text: str,
-    limit: int,
-    modulus: int | None,
-    cache_dir: str | None,
+    spec: EtaQuotientSpec | str, limit: int, modulus: int | None, cache_dir: str | None
 ) -> QSeries:
-    key = _series_key(spec, spec_text, limit, modulus)
+    key = _series_key(spec, limit, modulus)
     if cache_dir:
         cached = _load_cached(cache_dir, key)
         if cached is not None:
@@ -250,7 +249,7 @@ def _cmd_expand(args) -> int:
     spec = parse_series_spec(args.spec)
     if args.limit < 1:
         raise ValueError(f"--limit must be positive, got {args.limit}")
-    series = _get_series(spec, args.spec, args.limit, args.mod, args.cache_dir)
+    series = _get_series(spec, args.limit, args.mod, args.cache_dir)
     if args.format == "json":
         print(json.dumps(_series_payload(series, args.spec), indent=2))
     else:
@@ -279,7 +278,7 @@ def _cmd_scan(args) -> int:
         raise ValueError(f"m_max must be positive, got {m_max}")
     if args.budget < m_max:
         raise InsufficientPrecision(f"budget {args.budget} cannot cover m_max {m_max}")
-    series = _get_series(spec, args.spec, args.budget, args.mod, args.cache_dir)
+    series = _get_series(spec, args.budget, args.mod, args.cache_dir)
     if single:
         report = scan_progression(series, args.mod, single, args.spec)
     else:

@@ -313,7 +313,8 @@ def _unpack(data: bytes, width: int, lo: int, hi: int):
 def _weight_table(m: int, weight: int, zero: int = 0) -> bytes:
     """The ``translate`` table c -> (c - zero) * weight mod m: a column of
     digits written from the byte ``zero``, each times ``weight``, reduced
-    below m.  Built on first use."""
+    below m; with weight 1 and zero = -v mod m, the table that adds v to a
+    residue.  Built on first use."""
     return bytes((c - zero) * weight % m for c in range(256))
 
 
@@ -547,10 +548,11 @@ def _conv_decimal(
 
 def _conv_schoolbook(xs, ys, n_out: int, ring: CoefficientRing) -> list:
     """Schoolbook convolution; iterates the factor with fewer nonzero slots,
-    so sparse factors cost O(prec * nnz)."""
+    so sparse factors cost O(prec * nnz).  Every slot is in the ring: the
+    zeros too are the ring's (``Fraction(0)`` over Q)."""
     if _prefix_nonzeros(xs, n_out) > _prefix_nonzeros(ys, n_out):
         xs, ys = ys, xs
-    out = [0] * n_out
+    out = [ring.normalize(0)] * n_out
     len_y = len(ys)
     for i, x in enumerate(xs):
         if i >= n_out:
@@ -651,9 +653,11 @@ def _divide_newton(num, den, n_out: int, ring: CoefficientRing):
     which for 1 / den, with den * g = 1 + q^h e, is g - q^h g e.  Each step
     computes only slots h..n_out-1 of den * y and the n_out - h new slots,
     and the precisions are n_out halved (rounding up) down to 1, so no step
-    computes slots past what the next one needs.  Over Z/m with m <= 256
-    the quotient is ``bytes``, and num - den y is one ``translate`` of
-    den y by c -> -c mod m and one lane sum with num (``_sum_residues``).
+    computes slots past what the next one needs.  It runs over Z/m only
+    (``_divide`` sends Z and Q to the recurrence).  With m <= 256 the
+    quotient is ``bytes``, and num - den y is one ``translate`` of den y by
+    c -> -c mod m and one lane sum with num (``_sum_residues``); with
+    m > 256 it is a list, and num - den y is reduced slot by slot.
     """
     if n_out == 1:
         g = ring.inverse(den[0])
@@ -671,10 +675,7 @@ def _divide_newton(num, den, n_out: int, ring: CoefficientRing):
             rest = _sum_residues([top, rest], m)
     else:
         top = repeat(0) if num is None else islice(num, h, n_out)
-        if m:
-            rest = [(a - b) % m for a, b in zip(top, high)]
-        else:
-            rest = [a - b for a, b in zip(top, high)]
+        rest = [(a - b) % m for a, b in zip(top, high)]
     del high
     y += _convolve(g, rest, n_out - h, ring)
     return y
@@ -700,13 +701,8 @@ def _newton_is_cheaper(
     ``_recurrence_cost``.  Newton works at ceil(n_out/d) slots: about one
     and a half products by the cheaper transform kernel (Kronecker or the
     decimal kernel on libmpdec) plus ~800 per halving step, and for d > 1
-    one more product per residue class of the numerator.  Newton runs only
-    over Z/m: over Z and Q the coefficients grow, and the recurrence never
-    forms the (larger) inverse.  Measured over Z with the decimal kernel,
-    Newton loses: 1/eta to 20480 slots takes 1.1 s against the
-    recurrence's 0.29 s (CPython 3.11.7, x86-64)."""
-    if ring.kind != "mod":
-        return False
+    one more product per residue class of the numerator.  ``ring`` is Z/m:
+    ``_divide`` prices Newton over no other ring."""
     n = -(-n_out // d)
     bound = _slot_bound(b, b, n, ring)  # Newton's products are dense
     product, _ = _transform_product(n, bound, ring)
@@ -715,9 +711,13 @@ def _newton_is_cheaper(
 
 
 def _divide(num, den, n_out: int, ring: CoefficientRing):
-    """Slots 0..n_out-1 of num / den, by the kernel predicted cheaper: the
-    sparse recurrence or Newton division (``_divide_newton``, one recursive
-    routine for quotients and inverses alike).
+    """Slots 0..n_out-1 of num / den: over Z and Q by the sparse
+    recurrence, and over Z/m by the kernel predicted cheaper, the recurrence
+    or Newton division (``_divide_newton``, one recursive routine for
+    quotients and inverses alike).  Over Z and Q the coefficients grow, and
+    the recurrence never forms the (larger) inverse: measured over Z with
+    the decimal kernel, Newton took 1.1 s for 1/eta to 20480 slots against
+    the recurrence's 0.29 s (CPython 3.11.7, x86-64).
 
     For a divisor b(q^d), d > 1, Newton's side uses 1/b(q^d) = (1/b)(q^d):
     one inverse of b to ceil(n_out/d) slots, then one product of it with
@@ -731,7 +731,7 @@ def _divide(num, den, n_out: int, ring: CoefficientRing):
             break
     d = d or 1  # a constant divisor
     b = den[:n_out:d] if d > 1 else den
-    if not _newton_is_cheaper(b, terms, n_out, ring, d):
+    if ring.kind != "mod" or not _newton_is_cheaper(b, terms, n_out, ring, d):
         support = [(k, den[k]) for k in _support(den, n_out)]
         return _div_sparse(num, support, ring.inverse(den[0]), n_out, ring)
     if d == 1:
@@ -776,11 +776,8 @@ class QSeries:
     @classmethod
     def _trusted(cls, offset: Fraction, values, ring: CoefficientRing) -> "QSeries":
         """The series of coefficients already normalized into ``ring``
-        (kernel results, or cache entries checked to be residues below m),
-        stored without another pass.  Over Q, where a kernel may leave an
-        int 0 among the fractions, the values are normalized as usual."""
-        if ring.kind == "rat":
-            return cls(offset, values, ring)
+        (kernel results, whose zeros too are the ring's, or cache entries
+        checked to be residues below m), stored without another pass."""
         self = object.__new__(cls)
         self._store(offset, values, ring)
         return self
@@ -880,11 +877,12 @@ class QSeries:
     def __truediv__(self, other: "QSeries") -> "QSeries":
         """Quotient to the smaller precision; the offsets subtract.
 
-        Requires a unit constant slot in the divisor.  Runs the sparse
-        recurrence (cost prec * nnz of the divisor) or, over Z/m, Newton
-        division with a Karp-Markstein last step, whichever is predicted
-        cheaper.  A divisor b(q^d), d > 1, is inverted in q to 1/d of the
-        precision; each residue class of the numerator is one product with 1/b.
+        Requires a unit constant slot in the divisor.  Over Z and Q runs
+        the sparse recurrence (cost prec * nnz of the divisor); over Z/m
+        that or Newton division with a Karp-Markstein last step, whichever
+        is predicted cheaper.  A divisor b(q^d), d > 1, is inverted in q to
+        1/d of the precision; each residue class of the numerator is one
+        product with 1/b.
         """
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -918,7 +916,8 @@ class QSeries:
 
     def reduce_mod(self, m: int) -> "QSeries":
         """Reduce coefficients into Z/m.  Allowed from the integers or from
-        Z/(km); anything else raises IncompatibleModulus."""
+        Z/(km); anything else raises IncompatibleModulus.  A series already
+        over Z/m is returned as it is."""
         if m < 2:
             raise ValueError("modulus must be >= 2")
         if self.ring.kind == "rat":
@@ -927,6 +926,8 @@ class QSeries:
             raise IncompatibleModulus(
                 f"cannot reduce Z/{self.ring.modulus} to Z/{m}"
             )
+        if self.ring.modulus == m:
+            return self
         return QSeries(self.offset, self.slots, integer_mod(m))
 
     def extract_progression(self, m: int, t: int) -> "QSeries":
@@ -947,7 +948,7 @@ class QSeries:
         """Replace q by q**k: all exponents multiply by k."""
         if k < 1:
             raise ValueError("k must be a positive integer")
-        out = [0] * (k * self.prec)
+        out = [self.ring.normalize(0)] * (k * self.prec)
         out[::k] = self.slots
         return QSeries._trusted(self.offset * k, out, self.ring)
 
@@ -989,14 +990,13 @@ def _sparse_sum(prec: int, ring: CoefficientRing, fills, offset=0) -> QSeries:
     """q**offset * sum(value * (q**start + q**(start+step) + ...)) over the
     ``(start, step, value)`` fills, to ``prec`` slots; a step >= prec fills
     one slot.  Over residue bytes mod m a fill is one ``translate`` of its
-    slots by a table of v -> (v + value) % m, so no slot becomes an int."""
+    slots by the table that adds ``value`` (``_weight_table``), so no slot
+    becomes an int."""
     if ring.stores_bytes:
-        slots = bytearray(prec)
-        m, tables = ring.modulus, {}
+        slots, m = bytearray(prec), ring.modulus
         for start, step, value in fills:
-            if value not in tables:
-                tables[value] = bytes((v + value) % m for v in range(256))
-            slots[start::step] = slots[start::step].translate(tables[value])
+            adds = _weight_table(m, 1, -value % m)
+            slots[start::step] = slots[start::step].translate(adds)
     else:
         slots = [0] * prec
         for start, step, value in fills:

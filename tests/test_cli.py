@@ -517,6 +517,29 @@ def test_cache_mismatched_key_recomputes(tmp_path, capsys):
     assert len(os.listdir(cache_dir)) == 2
 
 
+def test_cache_key_names_the_series_not_its_spelling(tmp_path, capsys, monkeypatch):
+    cache_dir = str(tmp_path / "cache")
+
+    def scan_as(spelling):
+        argv = ["--cache-dir", cache_dir, "scan", spelling, "--mod", "2", "--m-max", "6"]
+        return run(capsys, *argv, "--budget", "300")
+
+    code, first, _ = scan_as("2^5,1^-4,4^-2")
+    assert code == 0
+    files = os.listdir(cache_dir)
+    assert len(files) == 1
+    builds = []
+    monkeypatch.setattr(
+        "qsift.cli.build_series", lambda *args: builds.append(args) or build_series(*args)
+    )
+    for spelling in ("cphi2", "1^-4,2^5,4^-2"):  # the catalog name, the sorted factors
+        code, out, _ = scan_as(spelling)
+        assert code == 0
+        assert json.loads(out)["verdicts"] == json.loads(first)["verdicts"]
+    assert builds == []
+    assert os.listdir(cache_dir) == files
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache_dir = str(tmp_path / "envcache")
     monkeypatch.setenv("QSIFT_CACHE_DIR", cache_dir)
@@ -604,7 +627,7 @@ def test_cache_entry_under_old_key_shape_is_a_miss(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["coefficients"] == [1, 1, 2, 3, 5, 7]
     # an old-shape key inside an entry at the current path is refused too
-    new_key = _series_key("partition", "partition", 6, None)
+    new_key = _series_key("partition", 6, None)
     assert new_key != old_key and new_key["version"] >= 2
     new_path = Path(_cache_path(str(cache_dir), new_key))
     assert new_path.exists()
@@ -767,12 +790,12 @@ def test_cache_entry_with_residues_out_of_range_is_rebuilt(tmp_path, capsys, pay
 
 
 def test_cache_key_ring_comes_from_the_catalog_entry():
-    assert _series_key("theta_g1", "theta_g1", 5, None)["ring"] == "Q"
-    assert _series_key("mock_f", "mock_f", 5, 3)["ring"] == "Z/3"
+    assert _series_key("theta_g1", 5, None)["ring"] == "Q"
+    assert _series_key("mock_f", 5, 3)["ring"] == "Z/3"
     spec = parse_series_spec("1^-1")
-    assert _series_key(spec, "1^-1", 5, None)["ring"] == "Z"
+    assert _series_key(spec, 5, None)["ring"] == "Z"
     with pytest.raises(ValueError):
-        _series_key("theta_g0", "theta_g0", 5, 3)
+        _series_key("theta_g0", 5, 3)
 
 
 # ---------------------------------------------------------------- parser

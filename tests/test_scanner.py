@@ -35,7 +35,7 @@ from qsift.scanner import (
     verify_known,
     witness,
 )
-from qsift.transform import Progression, is_good, q_divisor, refine_to_good
+from qsift.transform import Progression, is_good, orbit, q_divisor, refine_to_good
 
 
 # ------------------------------------------------------------------ scan
@@ -345,6 +345,48 @@ def test_criterion_acceptance_implies_witnesses():
     accepted, progressions, missing = criterion_sweep(specs)
     assert (len(specs), accepted, progressions) == (1824, 7476, 46959)
     assert missing == []
+
+
+ORBIT_ETA_QUOTIENTS = (
+    "partition",
+    "multipartition_2",
+    "multipartition_3",
+    "cubic",
+    "crank_diff",
+    "cphi2",
+    "core4",
+    "eta5inv",
+)
+
+
+def test_verdicts_are_constant_on_unit_orbits():
+    # t and every residue of transform.orbit(Progression(m, t)) are all
+    # witnesses or all candidates, m <= 12, at 4000 coefficients; no B
+    # below is divisible by 6.  The candidates keep the check from being
+    # all witnesses.
+    cases = [("mock_f", "f", None), ("mock_omega", "omega", None)]
+    cases += [(name, "eta", catalog_entry(name).spec.B) for name in ORBIT_ETA_QUOTIENTS]
+    candidates, mixed = {}, []
+    for name, kind, B in cases:
+        for ell in (2, 3):
+            report = scan(build_series(name, 4000, ell), ell, 12)
+            status = {(v.m, v.t): v.status for v in report.verdicts}
+            for (m, t), own in status.items():
+                if any(status[m, u] != own for u in orbit(Progression(m, t), kind, B)):
+                    mixed.append((name, ell, m, t))
+            if report.candidates():
+                candidates[name, ell] = len(report.candidates())
+    assert mixed == []
+    assert candidates == {
+        ("mock_omega", 2): 35,
+        ("multipartition_2", 2): 21,
+        ("multipartition_3", 3): 20,
+        ("cubic", 3): 10,
+        ("cphi2", 2): 21,
+        ("core4", 2): 2,
+        ("eta5inv", 2): 12,
+        ("eta5inv", 3): 12,
+    }
 
 
 # ----------------------------------------------------------- sturm bound
