@@ -9,6 +9,7 @@ primes.
 
 from .arith import ExactScalar, crt, dedekind_sum, epsilon_d, jacobi
 from .generators import (
+    THETA_SERIES,
     EtaQuotientSpec,
     SeriesCatalogEntry,
     build_series,
@@ -17,11 +18,9 @@ from .generators import (
     eta_series,
     mock_f,
     mock_omega,
-    theta_g,
 )
 from .qseries import (
     INTEGER,
-    RATIONAL,
     CoefficientRing,
     QSeries,
     integer_mod,

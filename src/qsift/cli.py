@@ -25,15 +25,15 @@ import sys
 from fractions import Fraction
 
 from .generators import (
+    THETA_SERIES,
     EtaQuotientSpec,
     UnknownSeries,
     build_series,
     catalog_entry,
-    series_ring,
+    resolve_series,
 )
 from .qseries import (
     INTEGER,
-    RATIONAL,
     CoefficientRing,
     QSeries,
     integer_mod,
@@ -91,7 +91,7 @@ def parse_series_spec(text: str) -> EtaQuotientSpec | str:
 # An entry is one line of JSON, the header, followed by the payload.  The
 # header holds the key, the ring, the offset, and the payload's length and
 # sha256 digest.  Over Z/m with m <= 256 the payload is the raw residue
-# bytes; over Z, Q and larger moduli it is the JSON list of coefficients.
+# bytes; over Z and larger moduli it is the JSON list of coefficients.
 
 
 def _cache_path(cache_dir: str, key: dict) -> str:
@@ -102,17 +102,16 @@ def _cache_path(cache_dir: str, key: dict) -> str:
 
 
 def _series_key(spec: EtaQuotientSpec | str, limit: int, modulus: int | None) -> dict:
-    """The cache key of a build.  The series is named canonically, however
-    it was spelled: an eta-quotient by its sorted factors, a catalog
-    eta-quotient too, and a builtin (``mock_f``, the theta series) by its
-    name.  The ring is the one ``build_series`` gives the spec (ValueError
-    where it refuses the modulus)."""
-    if not isinstance(spec, EtaQuotientSpec):
-        spec = catalog_entry(spec).spec
+    """The cache key of a build: the canonical spec and the ring that
+    ``generators.resolve_series`` gives (ValueError where it refuses the
+    modulus).  So an eta-quotient is named by its sorted factors however it
+    was spelled, a theta series by its eta-quotient, and ``mock_f`` and
+    ``mock_omega`` by their names."""
+    spec, ring = resolve_series(spec, modulus)
     return {
         "version": _CACHE_VERSION,
         "series": str(spec),
-        "ring": str(series_ring(spec, modulus)),
+        "ring": str(ring),
         "limit": limit,
         "modulus": modulus,
     }
@@ -150,7 +149,7 @@ def _store_cached(cache_dir: str, key: dict, series: QSeries) -> None:
     if series.ring.stores_bytes:
         payload = series.slots
     else:
-        payload = json.dumps(_coefficient_list(series)).encode()
+        payload = json.dumps(list(series.slots)).encode()
     header = {
         "key": key,
         "ring": str(series.ring),
@@ -170,37 +169,38 @@ def _store_cached(cache_dir: str, key: dict, series: QSeries) -> None:
             os.remove(tmp)
 
 
-def _coefficient_list(series: QSeries) -> list:
-    """The coefficients as JSON stores them: fraction strings over Q."""
-    if series.ring.kind == "rat":
-        return [str(c) for c in series.slots]
-    return list(series.slots)
-
-
 def _series_payload(series: QSeries, name: str) -> dict:
+    """The JSON of ``expand``.  A theta series is printed as g_i, its
+    eta-quotient times the scale in ``THETA_SERIES``: over Q, each
+    coefficient a fraction string."""
+    ring, coefficients = str(series.ring), list(series.slots)
+    if name in THETA_SERIES:
+        scale = THETA_SERIES[name][1]
+        ring, coefficients = "Q", [str(scale * c) for c in coefficients]
     return {
         "series": name,
         "offset": str(series.offset),
-        "ring": str(series.ring),
+        "ring": ring,
         "modulus": series.ring.modulus,
-        "coefficients": _coefficient_list(series),
+        "coefficients": coefficients,
     }
 
 
 def _parse_ring(text: str) -> CoefficientRing:
     """The ring whose ``str`` is ``text``; ValueError for anything else."""
-    if text in ("Z", "Q"):
-        return INTEGER if text == "Z" else RATIONAL
+    if text == "Z":
+        return INTEGER
     if text.startswith("Z/"):
         return integer_mod(int(text[2:]))
     raise ValueError(f"unknown ring {text!r}")
 
 
 def _series_from_payload(payload: dict) -> QSeries:
-    """The series of a payload written by ``_series_payload``.  Raises
+    """The series of a payload written by ``_series_payload`` over Z or
+    Z/m (a theta series's Q is printed, never read back).  Raises
     ValueError unless the ring and the offset are strings as that writes
-    them and every coefficient is what it writes: a fraction string over Q,
-    a JSON integer over Z (not a bool, a float or a string), and over Z/m an
+    them, the ring is Z or Z/m, and every coefficient is what it writes: a
+    JSON integer over Z (not a bool, a float or a string), and over Z/m an
     integer in [0, m).  Over Z/m with m <= 256 the coefficients may instead
     be the residue bytes of a cache entry, each of which must be below m."""
     ring_text, offset = payload["ring"], payload["offset"]
@@ -215,11 +215,7 @@ def _series_from_payload(payload: dict) -> QSeries:
         return QSeries._trusted(offset, coeffs, ring)
     if type(coeffs) is not list:
         raise ValueError("coefficients are not a list")
-    if ring.kind == "rat":
-        if not all(type(c) is str for c in coeffs):
-            raise ValueError("a coefficient over Q is not a fraction string")
-        coeffs = [Fraction(c) for c in coeffs]
-    elif ring.kind == "mod":
+    if ring.kind == "mod":
         m = ring.modulus
         if not all(type(c) is int and 0 <= c < m for c in coeffs):
             raise ValueError(f"a coefficient is not an integer in [0, {m})")
@@ -250,11 +246,12 @@ def _cmd_expand(args) -> int:
     if args.limit < 1:
         raise ValueError(f"--limit must be positive, got {args.limit}")
     series = _get_series(spec, args.limit, args.mod, args.cache_dir)
+    payload = _series_payload(series, args.spec)
     if args.format == "json":
-        print(json.dumps(_series_payload(series, args.spec), indent=2))
+        print(json.dumps(payload, indent=2))
     else:
         print("n,exponent,coefficient")
-        for n, c in enumerate(series.coeffs):
+        for n, c in enumerate(payload["coefficients"]):
             print(f"{n},{series.offset + n},{c}")
     return 0
 

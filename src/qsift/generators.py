@@ -1,21 +1,22 @@
 """Generating functions: eta-quotients, the mock theta functions f and omega,
-the weight-3/2 theta series, and the named series catalog.
+the weight-3/2 theta series (eta-quotients up to a rational scale), and the
+named series catalog.
 
 An eta-quotient prod eta(q^delta)^r is q^(B/24) times a product of powers of
 Euler products E_delta = prod(1 - q^(delta*n)), each with pentagonal-number
 support.  It is built from the shared series operations alone: the positive
 factors as ``E_delta ** r`` multiplied together, divided by the negative
 ones.  Over Z/m the negative factors are multiplied into one denominator and
-divided once, so ``/`` may pick Newton division; over Z and Q (where ``/``
-only runs the sparse recurrence) the quotient divides by each sparse
-E_delta in turn.  Over Z/ell with ell prime, f(q)^ell = f(q^ell) first
-rewrites the factors (``_ell_rewrite``, which ``level_mod_ell`` reads for
-the criterion), so fewer and sparser factors remain; over Z, Q, Z/ell^k
-(k >= 2) and composite moduli the factors are used as given.
+divided once, so ``/`` may pick Newton division; over Z (where ``/`` only
+runs the sparse recurrence) the quotient divides by each sparse E_delta in
+turn.  Over Z/ell with ell prime, f(q)^ell = f(q^ell) first rewrites the
+factors (``_ell_rewrite``, which ``level_mod_ell`` reads for the
+criterion), so fewer and sparser factors remain; over Z, Z/ell^k (k >= 2)
+and composite moduli the factors are used as given.
 
-The Euler products, the mock theta numerators and the theta series are
-sparse sums: ``(start, step, value)`` fills that one routine,
-``qseries._sparse_sum``, turns into a series.  The mock theta functions come
+The Euler products and the mock theta numerators are sparse sums:
+``(start, step, value)`` fills that one routine, ``qseries._sparse_sum``,
+turns into a series.  The mock theta functions come
 from Watson's Appell-Lerch forms: each is a numerator of geometric fills,
 costing O(P log P), over one Euler product, and the single series division
 picks its kernel by predicted cost (see ``QSeries.__truediv__``).
@@ -37,7 +38,6 @@ from operator import mul
 from .arith import is_prime
 from .qseries import (
     INTEGER,
-    RATIONAL,
     CoefficientRing,
     QSeries,
     _sparse_sum,
@@ -54,11 +54,11 @@ __all__ = [
     "level_mod_ell",
     "mock_f",
     "mock_omega",
-    "theta_g",
+    "THETA_SERIES",
     "catalog",
     "catalog_entry",
     "build_series",
-    "series_ring",
+    "resolve_series",
 ]
 
 
@@ -197,7 +197,7 @@ def eta_quotient(
 
     The Euler products E_delta of the positive factors are raised to their
     exponents and multiplied together.  Over Z/m the negative factors are
-    multiplied into one denominator and divided out once; over Z and Q the
+    multiplied into one denominator and divided out once; over Z the
     quotient divides by each sparse E_delta in turn, because there ``/``
     only runs the recurrence, whose cost grows with the divisor's support.
     Over Z/ell, ell prime, the factors are first rewritten by
@@ -256,30 +256,17 @@ def mock_omega(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
     return numerator / _euler_product(prec, 2, ring)
 
 
-def theta_g(index: int, prec: int) -> QSeries:
-    """The weight-3/2 theta series g_0, g_1, g_2 over the rationals.
-
-    g_1 has exponents (6n+1)^2/24 (offset 1/24, integer steps) and
-    coefficients -(n + 1/6).  The exponents of g_0 and g_2, (3n+1)^2/6, step
-    by half-integers, so those two are returned in the variable q^(1/2):
-    every exponent is doubled, giving offset 1/3 and integer slots at
-    3n^2 + 2n with coefficients (-1)^n (n + 1/3) and (n + 1/3) respectively.
-    """
-    if index not in (0, 1, 2):
-        raise ValueError("index must be 0, 1 or 2")
-    if prec < 1:
-        raise ValueError("prec must be >= 1")
-    if index == 1:
-        terms = _terms_over_z(lambda n: n * (3 * n + 1) // 2, prec)
-        fills = [(e, prec, -Fraction(6 * n + 1, 6)) for e, n in terms]
-        return _sparse_sum(prec, RATIONAL, fills, Fraction(1, 24))
-    terms = _terms_over_z(lambda n: 3 * n * n + 2 * n, prec)
-    sign = -1 if index == 0 else 1
-    fills = [(e, prec, sign ** (n % 2) * Fraction(3 * n + 1, 3)) for e, n in terms]
-    return _sparse_sum(prec, RATIONAL, fills, Fraction(1, 3))
-
-
-_THETA_TAGS = ("theta_g0", "theta_g1", "theta_g2")
+# The weight-3/2 theta series g_0, g_1, g_2 attached to f and omega: each
+# name's eta-quotient and the rational scale that makes it g_i.  The
+# exponents of g_0 and g_2, (3n+1)^2/6, step by half-integers, so those two
+# are in the variable q^(1/2), every exponent doubled (offset 1/3).  Such
+# eta-quotients are theta functions (Lemke Oliver, "Eta-quotients and theta
+# functions", Adv. Math. 241 (2013)).
+THETA_SERIES = {
+    "theta_g0": (EtaQuotientSpec(((1, -2), (2, 5))), Fraction(1, 3)),
+    "theta_g1": (EtaQuotientSpec(((1, 5), (2, -2))), Fraction(-1, 6)),
+    "theta_g2": (EtaQuotientSpec(((1, 2), (2, -1), (4, 2))), Fraction(1, 3)),
+}
 
 _CATALOG = (
     SeriesCatalogEntry(
@@ -333,33 +320,32 @@ def catalog_entry(name: str) -> SeriesCatalogEntry:
     raise UnknownSeries(name)
 
 
-def series_ring(
+def resolve_series(
     spec: EtaQuotientSpec | str, modulus: int | None = None
-) -> CoefficientRing:
-    """The coefficient ring of ``build_series(spec, prec, modulus)``: Q for
-    the catalog's theta series, which admit no reduction (a modulus raises
-    ValueError), and Z or Z/modulus for everything else."""
-    entry = None if isinstance(spec, EtaQuotientSpec) else catalog_entry(spec)
-    if entry is not None and entry.spec in _THETA_TAGS:
-        if modulus is not None:
-            raise ValueError("theta series have rational coefficients; no reduction")
-        return RATIONAL
-    return INTEGER if modulus is None else integer_mod(modulus)
+) -> tuple[EtaQuotientSpec | str, CoefficientRing]:
+    """What ``build_series(spec, prec, modulus)`` builds: the canonical
+    spec (an eta-quotient, a theta series's own without its scale, or the
+    name of a mock theta function) and the ring, Z or Z/modulus.  Raises
+    UnknownSeries for an unknown name, and ValueError for a modulus on a
+    theta series, whose scale is not a unit mod every modulus."""
+    if not isinstance(spec, EtaQuotientSpec):
+        name, spec = spec, catalog_entry(spec).spec
+        if name in THETA_SERIES:
+            if modulus is not None:
+                raise ValueError("theta series have rational coefficients; no reduction")
+            spec = THETA_SERIES[name][0]
+    return spec, INTEGER if modulus is None else integer_mod(modulus)
 
 
 def build_series(
     spec: EtaQuotientSpec | str, prec: int, modulus: int | None = None
 ) -> QSeries:
     """Build a catalog series or an explicit eta-quotient, optionally
-    directly over Z/modulus."""
-    ring = series_ring(spec, modulus)
-    if isinstance(spec, EtaQuotientSpec):
-        return eta_quotient(spec, prec, ring)
-    entry = catalog_entry(spec)
-    if isinstance(entry.spec, EtaQuotientSpec):
-        return eta_quotient(entry.spec, prec, ring)
-    if entry.spec == "mock_f":
+    directly over Z/modulus.  A theta series is built as its integral
+    eta-quotient; ``THETA_SERIES`` holds the scale that makes it g_i."""
+    spec, ring = resolve_series(spec, modulus)
+    if spec == "mock_f":
         return mock_f(prec, ring)
-    if entry.spec == "mock_omega":
+    if spec == "mock_omega":
         return mock_omega(prec, ring)
-    return theta_g(int(entry.spec[-1]), prec)
+    return eta_quotient(spec, prec, ring)

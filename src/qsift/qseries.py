@@ -1,16 +1,16 @@
 """Exact truncated power series with a rational exponent offset.
 
 A :class:`QSeries` stores ``q**offset * (c[0] + c[1]*q + ... + c[P-1]*q**(P-1))``
-with an exact rational ``offset`` and coefficients in one of three rings:
-arbitrary-precision integers, exact rationals, or integers modulo m.  The
-series is exact for every exponent below ``offset + prec``; operations track
-precision explicitly and never extend a series with assumed zeros.
+with an exact rational ``offset`` and coefficients in one of two rings:
+arbitrary-precision integers or integers modulo m.  The series is exact
+for every exponent below ``offset + prec``; operations track precision
+explicitly and never extend a series with assumed zeros.
 
 Exponent steps above the offset are always integral; the offset itself may be
 any rational (series such as the partition generating function carry offset
 -1/24).  Storage is dense: over Z/m with m <= 256 the residues are one
 immutable ``bytes`` that the kernels, the scanner and the CLI cache read
-directly; over Z, Q and larger moduli the coefficients are a tuple.
+directly; over Z and larger moduli the coefficients are a tuple.
 
 Every value is immutable and every operation is a pure function, so series
 may be shared freely between threads.
@@ -35,7 +35,6 @@ __all__ = [
     "BeyondPrecision",
     "CoefficientRing",
     "INTEGER",
-    "RATIONAL",
     "integer_mod",
     "QSeries",
     "monomial",
@@ -68,14 +67,14 @@ class BeyondPrecision(QSeriesError):
 
 @dataclass(frozen=True)
 class CoefficientRing:
-    """Coefficient domain: integers (``int``), rationals (``rat``), or
-    integers modulo m (``mod``)."""
+    """Coefficient domain: integers (``int``) or integers modulo m
+    (``mod``)."""
 
     kind: str
     modulus: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("int", "rat", "mod"):
+        if self.kind not in ("int", "mod"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "mod":
             if self.modulus is None or self.modulus < 2:
@@ -86,16 +85,12 @@ class CoefficientRing:
     def normalize(self, value):
         if self.kind == "mod":
             return int(value) % self.modulus
-        if self.kind == "rat":
-            return value if isinstance(value, Fraction) else Fraction(value)
         return int(value)
 
     def inverse(self, value):
         """Multiplicative inverse of a unit; raises NonUnitLeadingCoefficient."""
         if self.kind == "mod" and gcd(int(value), self.modulus) == 1:
             return pow(int(value) % self.modulus, -1, self.modulus)
-        if self.kind == "rat" and value != 0:
-            return 1 / Fraction(value)
         if self.kind == "int" and value in (1, -1):
             return value
         raise NonUnitLeadingCoefficient(f"{value!r} is not a unit in {self}")
@@ -109,11 +104,10 @@ class CoefficientRing:
     def __str__(self) -> str:
         if self.kind == "mod":
             return f"Z/{self.modulus}"
-        return "Z" if self.kind == "int" else "Q"
+        return "Z"
 
 
 INTEGER = CoefficientRing("int")
-RATIONAL = CoefficientRing("rat")
 
 
 def integer_mod(m: int) -> CoefficientRing:
@@ -548,11 +542,10 @@ def _conv_decimal(
 
 def _conv_schoolbook(xs, ys, n_out: int, ring: CoefficientRing) -> list:
     """Schoolbook convolution; iterates the factor with fewer nonzero slots,
-    so sparse factors cost O(prec * nnz).  Every slot is in the ring: the
-    zeros too are the ring's (``Fraction(0)`` over Q)."""
+    so sparse factors cost O(prec * nnz)."""
     if _prefix_nonzeros(xs, n_out) > _prefix_nonzeros(ys, n_out):
         xs, ys = ys, xs
-    out = [ring.normalize(0)] * n_out
+    out = [0] * n_out
     len_y = len(ys)
     for i, x in enumerate(xs):
         if i >= n_out:
@@ -584,15 +577,17 @@ def _transform_product(n_out: int, bound: int, ring: CoefficientRing):
 
 def _convolve(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0):
     """Slots lo..n_out-1 of the product, by the kernel predicted cheaper:
-    ``bytes`` over Z/m with m <= 256, otherwise a list."""
+    ``bytes`` over Z/m with m <= 256, otherwise a list.  Where a factor has
+    no nonzero slot below n_out, no kernel runs."""
     if n_out == 0:
         return []
-    if ring.kind != "rat":
-        nnz = min(_prefix_nonzeros(xs, n_out), _prefix_nonzeros(ys, n_out))
-        bound = _slot_bound(xs, ys, n_out, ring, nnz)
-        cost, kernel = _transform_product(n_out, bound, ring)
-        if _schoolbook_cost(n_out, nnz, _kronecker_width(bound, ring)) > cost:
-            return kernel(xs, ys, n_out, ring, lo, bound)
+    nnz = min(_prefix_nonzeros(xs, n_out), _prefix_nonzeros(ys, n_out))
+    if not nnz:
+        return _zeros(n_out - lo, ring)
+    bound = _slot_bound(xs, ys, n_out, ring, nnz)
+    cost, kernel = _transform_product(n_out, bound, ring)
+    if _schoolbook_cost(n_out, nnz, _kronecker_width(bound, ring)) > cost:
+        return kernel(xs, ys, n_out, ring, lo, bound)
     out = _conv_schoolbook(xs, ys, n_out, ring)
     if ring.stores_bytes:
         return bytes(out[lo:])
@@ -654,7 +649,7 @@ def _divide_newton(num, den, n_out: int, ring: CoefficientRing):
     computes only slots h..n_out-1 of den * y and the n_out - h new slots,
     and the precisions are n_out halved (rounding up) down to 1, so no step
     computes slots past what the next one needs.  It runs over Z/m only
-    (``_divide`` sends Z and Q to the recurrence).  With m <= 256 the
+    (``_divide`` sends Z to the recurrence).  With m <= 256 the
     quotient is ``bytes``, and num - den y is one ``translate`` of den y by
     c -> -c mod m and one lane sum with num (``_sum_residues``); with
     m > 256 it is a list, and num - den y is reduced slot by slot.
@@ -711,10 +706,10 @@ def _newton_is_cheaper(
 
 
 def _divide(num, den, n_out: int, ring: CoefficientRing):
-    """Slots 0..n_out-1 of num / den: over Z and Q by the sparse
-    recurrence, and over Z/m by the kernel predicted cheaper, the recurrence
-    or Newton division (``_divide_newton``, one recursive routine for
-    quotients and inverses alike).  Over Z and Q the coefficients grow, and
+    """Slots 0..n_out-1 of num / den: over Z by the sparse recurrence, and
+    over Z/m by the kernel predicted cheaper, the recurrence or Newton
+    division (``_divide_newton``, one recursive routine for quotients and
+    inverses alike).  Over Z the coefficients grow, and
     the recurrence never forms the (larger) inverse: measured over Z with
     the decimal kernel, Newton took 1.1 s for 1/eta to 20480 slots against
     the recurrence's 0.29 s (CPython 3.11.7, x86-64).
@@ -767,8 +762,6 @@ class QSeries:
         elif ring.kind == "mod":
             m = ring.modulus
             values = [int(c) % m for c in coeffs]
-        elif ring.kind == "rat":
-            values = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         else:
             values = [int(c) for c in coeffs]
         self._store(Fraction(offset), values, ring)
@@ -776,8 +769,8 @@ class QSeries:
     @classmethod
     def _trusted(cls, offset: Fraction, values, ring: CoefficientRing) -> "QSeries":
         """The series of coefficients already normalized into ``ring``
-        (kernel results, whose zeros too are the ring's, or cache entries
-        checked to be residues below m), stored without another pass."""
+        (kernel results, or cache entries checked to be residues below m),
+        stored without another pass."""
         self = object.__new__(cls)
         self._store(offset, values, ring)
         return self
@@ -877,10 +870,10 @@ class QSeries:
     def __truediv__(self, other: "QSeries") -> "QSeries":
         """Quotient to the smaller precision; the offsets subtract.
 
-        Requires a unit constant slot in the divisor.  Over Z and Q runs
-        the sparse recurrence (cost prec * nnz of the divisor); over Z/m
-        that or Newton division with a Karp-Markstein last step, whichever
-        is predicted cheaper.  A divisor b(q^d), d > 1, is inverted in q to
+        Requires a unit constant slot in the divisor.  Over Z runs the
+        sparse recurrence (cost prec * nnz of the divisor); over Z/m that
+        or Newton division with a Karp-Markstein last step, whichever is
+        predicted cheaper.  A divisor b(q^d), d > 1, is inverted in q to
         1/d of the precision; each residue class of the numerator is one
         product with 1/b.
         """
@@ -920,8 +913,6 @@ class QSeries:
         over Z/m is returned as it is."""
         if m < 2:
             raise ValueError("modulus must be >= 2")
-        if self.ring.kind == "rat":
-            raise IncompatibleModulus("rational coefficients cannot be reduced")
         if self.ring.kind == "mod" and self.ring.modulus % m != 0:
             raise IncompatibleModulus(
                 f"cannot reduce Z/{self.ring.modulus} to Z/{m}"
@@ -948,7 +939,7 @@ class QSeries:
         """Replace q by q**k: all exponents multiply by k."""
         if k < 1:
             raise ValueError("k must be a positive integer")
-        out = [self.ring.normalize(0)] * (k * self.prec)
+        out = [0] * (k * self.prec)
         out[::k] = self.slots
         return QSeries._trusted(self.offset * k, out, self.ring)
 
@@ -968,7 +959,7 @@ class QSeries:
         idx = delta.numerator
         if 0 <= idx < self.prec:
             return self.slots[idx]
-        return self.ring.normalize(0)
+        return 0
 
     # ------------------------------------------------------------- display
 

@@ -209,7 +209,14 @@ def theorem_applies(spec: EtaQuotientSpec, ell: int, m: int) -> Applicability:
 def criterion_report(spec: EtaQuotientSpec, ell: int, m: int) -> dict:
     """The eta-quotient's data and the criterion's reading of (spec, ell, m)
     as ``qsift info`` prints them: ``generators.level_mod_ell``, q_divisor
-    (None when 6 | B), a budget hint and ``theorem_applies``."""
+    (None when 6 | B), a budget hint and ``theorem_applies``.
+
+    The hint, ``sturm_budget_hint``, is ``sturm_bound`` at |weight| and at
+    the unrewritten level (the lcm of the deltas as written, not
+    ``level_mod_ell``): the holomorphic Sturm bound, a heuristic for a scan
+    budget and not a bound that proves anything, since the quotients the
+    criterion accepts have a pole at infinity.  It is 0 at weight 0, as for
+    ``1^-1,5^2,10^-1``."""
     applicability = theorem_applies(spec, ell, m)
     level, lattice = level_mod_ell(spec, ell)
     try:

@@ -9,7 +9,11 @@ definitions, term by term, so they can serve as ground truth for the eta
 machinery and for the Appell-Lerch builders.  Their combinatorial readings
 come from exhaustive enumeration of partitions: f's coefficient of q^n is
 N_e(n) - N_o(n), the partitions of n counted by rank parity, and omega's is
-the number of omega-partitions of n + 1.  Dedekind sums come from their
+the number of omega-partitions of n + 1.  The weight-3/2 theta series
+g_0, g_1, g_2 come from their defining sums over n in Z, one Fraction per
+term (the fill construction they were built by before they became
+eta-quotients), against the scaled eta-quotients of
+``generators.THETA_SERIES``.  Dedekind sums come from their
 defining sum, O(c) terms, against the reciprocity algorithm.  The
 progression rules of ``transform`` (goodness, refinement, unit images,
 orbits, coverage, support) come from their explicit per-kind formulas,
@@ -39,7 +43,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from itertools import islice, repeat
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -206,6 +210,28 @@ def _mock_omega_hypergeometric(prec: int, modulus: int | None = None) -> list[in
             acc[base + i] += v
         n += 1
     return acc if modulus is None else [v % modulus for v in acc]
+
+
+def _theta_fills(index: int, prec: int) -> tuple[Fraction, list[Fraction]]:
+    """g_index to ``prec`` slots as (offset, coefficients), one term per n
+    in Z: g_1 = sum -(n + 1/6) q^((6n+1)^2/24), slot n(3n+1)/2 above
+    offset 1/24; g_0 and g_2 in the variable q^(1/2), sum (-1)^n (n + 1/3)
+    resp. (n + 1/3) q^((3n+1)^2/3), slot 3n^2 + 2n above offset 1/3.  Every
+    slot is at least n^2, so |n| <= sqrt(prec) covers the prefix."""
+    if index not in (0, 1, 2):
+        raise ValueError("index must be 0, 1 or 2")
+    coeffs = [Fraction(0)] * prec
+    reach = isqrt(prec) + 1
+    for n in range(-reach, reach + 1):
+        if index == 1:
+            slot, value = n * (3 * n + 1) // 2, -Fraction(6 * n + 1, 6)
+        else:
+            slot, value = 3 * n * n + 2 * n, Fraction(3 * n + 1, 3)
+            if index == 0 and n % 2:
+                value = -value
+        if slot < prec:
+            coeffs[slot] += value
+    return Fraction(1, 24) if index == 1 else Fraction(1, 3), coeffs
 
 
 def _iter_partition_shapes(n: int):
@@ -581,6 +607,11 @@ def mock_f_oracle():
 @pytest.fixture(scope="session")
 def mock_omega_oracle():
     return _mock_omega_hypergeometric
+
+
+@pytest.fixture(scope="session")
+def theta_oracle():
+    return _theta_fills
 
 
 @pytest.fixture(scope="session")

@@ -82,6 +82,37 @@ def test_expand_mod_and_csv(capsys):
     assert lines[5] == "4,95/24,0"  # p(4) = 5 = 0 mod 5
 
 
+# sha256 of what ``expand`` printed for g_0, g_1 and g_2 when they were built
+# as sparse fills over Q: the scaled eta-quotients must print the same bytes
+_THETA_EXPAND_SHA256 = {
+    ("theta_g0", "json", 1): "cc20deb688f60e73959625c2267d04b236d2d0b7b91e15994eb0a800bc13982a",
+    ("theta_g0", "csv", 1): "a5f8d12398aff65ea472506e5f559b64d9105cafd6c3eb48378c16156e464ab9",
+    ("theta_g0", "json", 50): "67f53882d4f925fe650776df8d64ff67e421be4fbbb15b1d6ba1a7555065c8bd",
+    ("theta_g0", "csv", 50): "074de1a0157733438d0d15b7c282103357048b19764a018cb42f678b26aac0d7",
+    ("theta_g1", "json", 1): "84d91b79e6b5560ccc2754519e1ac3250dc80695b5852db974801fa8f75234dc",
+    ("theta_g1", "csv", 1): "dc5a583a39e7d53bb245c5e4bfa5fde0e6e5c2aafceab918bb9c6b0bd36fb912",
+    ("theta_g1", "json", 50): "7d91c00dd63afb276a871461069bd1bbd5702020b2fa1260f15412d8819b06d0",
+    ("theta_g1", "csv", 50): "f77b8f9ccee8f5a46ba72088c3213eb8ff73a72919651ef30d6a43716348d4bf",
+    ("theta_g2", "json", 1): "7dee60bee5914ca72a96a4916b7c91a357b9e12467f8a270c9aecc09c203503c",
+    ("theta_g2", "csv", 1): "a5f8d12398aff65ea472506e5f559b64d9105cafd6c3eb48378c16156e464ab9",
+    ("theta_g2", "json", 50): "60009f927d28a7b38565f708e71e728ef7c63b1d2a60200130f5606f09b99d61",
+    ("theta_g2", "csv", 50): "e418c1bcc39195e9d2a7213fc12ddbf5b9f6bd91322cdfec486b78a0374def8c",
+}
+
+
+@pytest.mark.parametrize(
+    "name, fmt, limit", sorted(_THETA_EXPAND_SHA256), ids=str
+)
+def test_expand_theta_prints_the_pinned_bytes(tmp_path, capsys, name, fmt, limit):
+    argv = ["--cache-dir", str(tmp_path), "expand", name, "--format", fmt]
+    for _ in ("cold", "warm"):
+        code, out, _ = run(capsys, *argv, "--limit", str(limit))
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == _THETA_EXPAND_SHA256[name, fmt, limit]
+    assert len(list(tmp_path.iterdir())) == 1
+
+
 def test_expand_theta_rejects_mod(capsys):
     code, _, err = run(capsys, "expand", "theta_g0", "--mod", "3")
     assert code == 2
@@ -476,6 +507,11 @@ _ERROR_EXITS = [
         2,
         "'mock_f' is not an eta-quotient; no applicability report",
     ),
+    (
+        "info theta_g1 --ell 3 --m 5",
+        2,
+        "'theta_g1' is not an eta-quotient; no applicability report",
+    ),
     ("info partition --ell 3 --m 0", 2, "m must be positive"),
     ("info nosuch --ell 3 --m 5", 3, "unknown series 'nosuch'"),
     ("info 1^x --ell 3 --m 5", 2, "malformed eta-quotient spec '1^x'"),
@@ -789,8 +825,30 @@ def test_cache_entry_with_residues_out_of_range_is_rebuilt(tmp_path, capsys, pay
     assert entry.read_bytes() == written
 
 
+@pytest.mark.parametrize("key_ring", ["Z", "Q"])
+def test_cache_entry_over_q_is_rebuilt(tmp_path, capsys, key_ring):
+    # the theta series were once cached over Q, a ring that no longer
+    # exists; an entry over Q at a theta key's path is a miss
+    cache_dir = tmp_path / "cache"
+    args = ["--cache-dir", str(cache_dir), "expand", "theta_g1", "--limit", "8"]
+    code, whole, _ = run(capsys, *args)
+    assert code == 0
+    (entry,) = cache_dir.iterdir()
+    written = entry.read_bytes()
+    header, _ = _read_entry(entry)
+    payload = json.dumps(json.loads(whole)["coefficients"]).encode()  # "-1/6", ...
+    key = dict(header["key"], ring=key_ring)
+    _write_entry(entry, dict(header, key=key, ring="Q", length=len(payload)), payload)
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == whole
+    assert entry.read_bytes() == written
+
+
 def test_cache_key_ring_comes_from_the_catalog_entry():
-    assert _series_key("theta_g1", 5, None)["ring"] == "Q"
+    theta = _series_key("theta_g1", 5, None)  # named by its eta-quotient
+    assert theta == _series_key(parse_series_spec("1^5,2^-2"), 5, None)
+    assert (theta["series"], theta["ring"]) == ("1^5,2^-2", "Z")
     assert _series_key("mock_f", 5, 3)["ring"] == "Z/3"
     spec = parse_series_spec("1^-1")
     assert _series_key(spec, 5, None)["ring"] == "Z"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qsift import qseries
 from qsift.generators import (
+    THETA_SERIES,
     EtaQuotientSpec,
     UnknownSeries,
     build_series,
@@ -20,7 +21,6 @@ from qsift.generators import (
     eta_series,
     mock_f,
     mock_omega,
-    theta_g,
 )
 from qsift.generators import _frobenius_factors, level_mod_ell
 from qsift.qseries import INTEGER, QSeries, monomial, integer_mod
@@ -386,48 +386,79 @@ def test_watson_relation_ties_mock_f_omega_and_eta_quotient(ring, prec):
     assert rhs.coeffs == tuple(ring.normalize(v) for v in lhs)
 
 
+def test_zero_classes_of_the_numerator_run_no_kernel(monkeypatch):
+    # mod 3, E_1 / E_1000 divides by b(q^1000): one product with 1/b per
+    # residue class of E_1 mod 1000, and most classes hold no pentagonal
+    # number below 2*10^4, so they are zero and need no product
+    spec, prec, ring = EtaQuotientSpec(((1, 1), (1000, -1))), 20000, integer_mod(3)
+    factors = []
+    for name in ("_conv_schoolbook", "_conv_kronecker", "_conv_decimal"):
+
+        def spy(xs, ys, n_out, *rest, kernel=getattr(qseries, name)):
+            factors.append((any(xs[:n_out]), any(ys[:n_out])))
+            return kernel(xs, ys, n_out, *rest)
+
+        monkeypatch.setattr(qseries, name, spy)
+    series = eta_quotient(spec, prec, ring)
+    monkeypatch.undo()
+    assert factors and all(x and y for x, y in factors)
+    assert series == eta_quotient(spec, prec).reduce_mod(3)
+
+
 # ------------------------------------------------------------------ theta
 
 
-def test_theta_g1_leading():
-    g1 = theta_g(1, 8)
-    assert g1.offset == Fraction(1, 24)
-    assert g1.coefficient_at(Fraction(1, 24)) == Fraction(-1, 6)
-    assert g1.coeffs == (
-        Fraction(-1, 6), Fraction(5, 6), Fraction(-7, 6), 0, 0,
-        Fraction(11, 6), 0, Fraction(-13, 6),
-    )
+def scaled_theta(index: int, prec: int) -> tuple[Fraction, list[Fraction]]:
+    """g_index as (offset, coefficients): its scale times the integral
+    eta-quotient that ``build_series`` builds for it."""
+    name = f"theta_g{index}"
+    series = build_series(name, prec)
+    scale = THETA_SERIES[name][1]
+    return series.offset, [scale * c for c in series.coeffs]
 
 
-def test_theta_g0_leading():
+def test_theta_g1_leading(theta_oracle):
+    for offset, g1 in (theta_oracle(1, 8), scaled_theta(1, 8)):
+        assert offset == Fraction(1, 24)
+        assert g1 == [
+            Fraction(-1, 6), Fraction(5, 6), Fraction(-7, 6), 0, 0,
+            Fraction(11, 6), 0, Fraction(-13, 6),
+        ]
+
+
+def test_theta_g0_leading(theta_oracle):
     # g0/g2 exponents live on a half-integer lattice, so both are stored in
     # the variable q^(1/2): the q-exponent 1/6 leading term sits at doubled
     # exponent 1/3.
-    g0 = theta_g(0, 6)
-    assert g0.offset == Fraction(1, 3)
-    assert g0.coefficient_at(Fraction(1, 3)) == Fraction(1, 3)
+    for offset, g0 in (theta_oracle(0, 6), scaled_theta(0, 6)):
+        assert offset == Fraction(1, 3)
+        assert g0[0] == Fraction(1, 3)
 
 
-def test_theta_g0_plus_g2_cancellation():
+def test_theta_g0_plus_g2_cancellation(theta_oracle):
     prec = 80
-    total = theta_g(0, prec) + theta_g(2, prec)
-    for n in range(-5, 6):
-        slot = 3 * n * n + 2 * n
-        if not 0 <= slot < prec:
-            continue
-        if n % 2:
-            assert total.coeffs[slot] == 0
-        else:
-            assert total.coeffs[slot] == 2 * Fraction(3 * n + 1, 3)
-    # nothing outside the support
-    support = {3 * n * n + 2 * n for n in range(-8, 9)}
-    for slot, c in enumerate(total.coeffs):
-        if slot not in support:
-            assert c == 0
+    for (_, g0), (_, g2) in (
+        (theta_oracle(0, prec), theta_oracle(2, prec)),
+        (scaled_theta(0, prec), scaled_theta(2, prec)),
+    ):
+        total = [a + b for a, b in zip(g0, g2)]
+        for n in range(-5, 6):
+            slot = 3 * n * n + 2 * n
+            if not 0 <= slot < prec:
+                continue
+            if n % 2:
+                assert total[slot] == 0
+            else:
+                assert total[slot] == 2 * Fraction(3 * n + 1, 3)
+        # nothing outside the support
+        support = {3 * n * n + 2 * n for n in range(-8, 9)}
+        for slot, c in enumerate(total):
+            if slot not in support:
+                assert c == 0
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])
-def test_theta_g_matches_its_defining_sum(index):
+def test_theta_g_matches_its_defining_sum(theta_oracle, index):
     # g_1 = sum -(n + 1/6) q^((6n+1)^2/24) and, in the variable q^(1/2),
     # g_0, g_2 = sum (-1)^n (n + 1/3), resp. (n + 1/3), q^((3n+1)^2/3),
     # each over n in Z; every term with |n| > 60 lies past slot 5000
@@ -441,11 +472,18 @@ def test_theta_g_matches_its_defining_sum(index):
             if index == 0 and n % 2:
                 coef = -coef
         expected[exponent] = expected.get(exponent, 0) + coef
-    g = theta_g(index, prec)
-    assert g.offset == min(expected)
-    assert g.prec == prec
-    for slot, c in enumerate(g.coeffs):
-        assert c == expected.get(g.offset + slot, 0), slot
+    offset, g = theta_oracle(index, prec)
+    assert offset == min(expected)
+    assert len(g) == prec
+    for slot, c in enumerate(g):
+        assert c == expected.get(offset + slot, 0), slot
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_theta_series_are_scaled_eta_quotients(theta_oracle, index):
+    # g_1 = -1/6 * 1^5,2^-2, and in the variable q^(1/2)
+    # g_0 = 1/3 * 1^-2,2^5 and g_2 = 1/3 * 1^2,2^-1,4^2
+    assert scaled_theta(index, 2000) == theta_oracle(index, 2000)
 
 
 # ---------------------------------------------------------------- oracles
@@ -498,7 +536,7 @@ def test_catalog_unknown():
 
 def test_build_series_dispatch():
     assert build_series("mock_f", 5).coeffs == mock_f(5).coeffs
-    assert build_series("theta_g1", 4) == theta_g(1, 4)
+    assert build_series("theta_g1", 4) == eta_quotient(THETA_SERIES["theta_g1"][0], 4)
     with pytest.raises(ValueError):
         build_series("theta_g0", 4, modulus=3)
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from qsift import qseries
 from qsift.qseries import (
     INTEGER,
-    RATIONAL,
     BeyondPrecision,
+    CoefficientRing,
     IncompatibleModulus,
     NonUnitLeadingCoefficient,
     OffsetMismatch,
@@ -37,7 +37,7 @@ from qsift.qseries import (
     monomial,
 )
 
-RINGS = (INTEGER, RATIONAL, integer_mod(3), integer_mod(4), integer_mod(12))
+RINGS = (INTEGER, integer_mod(257), integer_mod(3), integer_mod(4), integer_mod(12))
 
 
 def series(offset, coeffs, ring=INTEGER):
@@ -61,9 +61,9 @@ def test_monomial_basic():
     one = monomial(0, integer_mod(3), 1)
     assert one.coeffs == (1,)
 
-    frac = monomial(Fraction(2, 3), RATIONAL, 2)
+    frac = monomial(Fraction(2, 3), INTEGER, 2)
     assert frac.offset == Fraction(2, 3)
-    assert frac.coeffs == (Fraction(1), Fraction(0))
+    assert frac.coeffs == (1, 0)
 
 
 def test_monomial_rejects_empty():
@@ -81,7 +81,7 @@ def test_constructor_normalizes_like_the_ring(ring):
     raw = (5, -1, True, 7.9, Fraction(7, 2), 2**70 + 1)
     s = QSeries(Fraction(0), raw, ring)
     assert s.coeffs == tuple(ring.normalize(c) for c in raw)
-    assert all(type(c) is (Fraction if ring.kind == "rat" else int) for c in s.coeffs)
+    assert all(type(c) is int for c in s.coeffs)
 
 
 # --------------------------------------------------------------------- add
@@ -108,7 +108,7 @@ def test_add_offset_mismatch():
 
 def test_add_ring_mismatch():
     with pytest.raises(RingMismatch):
-        series(0, (1,)) + series(0, (1,), RATIONAL)
+        series(0, (1,)) + series(0, (1,), integer_mod(3))
 
 
 def test_add_precision_is_min_exact_exponent():
@@ -185,24 +185,11 @@ def test_dispatched_product_matches_schoolbook(data):
     assert list(_conv_kronecker(a, b, n_out, ring, lo)) == expected
 
 
-@pytest.mark.parametrize(
-    "ring", [INTEGER, RATIONAL, integer_mod(3), integer_mod(1000)], ids=str
-)
+@pytest.mark.parametrize("ring", [INTEGER, integer_mod(3), integer_mod(1000)], ids=str)
 def test_zero_length_product_is_empty(ring):
     xs = [ring.normalize(c) for c in (1, 2, 3, 4)]
     assert qseries._convolve(xs, xs, 0, ring) == []
     assert qseries._convolve([], [], 0, ring) == []
-
-
-def test_schoolbook_over_q_leaves_only_fractions():
-    # slot 3, which no pair of nonzero slots reaches, is the ring's zero
-    xs = [Fraction(1, 2), Fraction(1, 3)]
-    ys = [Fraction(2, 3), Fraction(-1, 1)]
-    out = _conv_schoolbook(xs, ys, 4, RATIONAL)
-    assert out == [Fraction(1, 3), Fraction(-5, 18), Fraction(-1, 3), 0]
-    assert all(type(c) is Fraction for c in out)
-    product = series(0, xs + [0, 0], RATIONAL) * series(0, ys + [0, 0], RATIONAL)
-    assert all(type(c) is Fraction for c in product.slots)
 
 
 # ------------------------------------------------------------------ invert
@@ -229,10 +216,10 @@ def test_invert_requires_unit():
     with pytest.raises(NonUnitLeadingCoefficient):
         series(0, (2, 1)).invert()
     with pytest.raises(NonUnitLeadingCoefficient):
-        series(0, (0, 1), RATIONAL).invert()
+        series(0, (0, 1), integer_mod(5)).invert()
 
 
-@pytest.mark.parametrize("ring", [INTEGER, RATIONAL, integer_mod(7), integer_mod(9)])
+@pytest.mark.parametrize("ring", [INTEGER, integer_mod(257), integer_mod(7), integer_mod(9)])
 def test_invert_two_sided(ring):
     rng = random.Random(f"inv:{ring}")
     for _ in range(20):
@@ -309,7 +296,6 @@ def test_division_kernels_agree(ring, n, data):
 
 ORACLE_RINGS = (
     INTEGER,
-    RATIONAL,
     integer_mod(2),
     integer_mod(3),
     integer_mod(256),  # the largest modulus on bytes
@@ -320,11 +306,9 @@ ORACLE_RINGS = (
 
 def ring_values(ring):
     """Values as the ring's series store them: integers up to 2^200 in
-    magnitude, fractions, or residues."""
+    magnitude, or residues."""
     if ring.kind == "int":
         return st.integers(-(2**200), 2**200)
-    if ring.kind == "rat":
-        return st.fractions(max_denominator=10**6)
     return st.integers(0, ring.modulus - 1)
 
 
@@ -354,7 +338,7 @@ def sparse_divisions(draw, ring):
         values = draw(
             st.lists(nonzero, min_size=size, max_size=size, unique=shape == "distinct")
         )
-    inv0 = draw(nonzero if ring.kind == "rat" else unit(ring))
+    inv0 = draw(unit(ring))
     late = draw(st.integers(0, n_out))  # leading zero slots of the numerator
     size = n_out - late
     tail = draw(st.lists(ring_values(ring), min_size=size, max_size=size))
@@ -444,9 +428,9 @@ def test_newton_division_makes_two_products_per_halving_then_three(
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_times_inverse_is_one(data):
-    ring = data.draw(st.sampled_from(KERNEL_RINGS + (RATIONAL,)))
+    ring = data.draw(st.sampled_from(KERNEL_RINGS))
     coeffs = data.draw(coefficients(ring, data.draw(st.integers(1, 40))))
-    coeffs[0] = data.draw(unit(ring)) if ring.kind != "rat" else Fraction(-3, 7)
+    coeffs[0] = data.draw(unit(ring))
     s = series(Fraction(5, 24), coeffs, ring)
     assert s * s.invert() == monomial(0, ring, s.prec)
     assert s**-2 == s.invert() * s.invert()
@@ -1031,7 +1015,7 @@ def test_reduce_mod_incompatible():
     with pytest.raises(IncompatibleModulus):
         series(0, (1,), integer_mod(5)).reduce_mod(3)
     with pytest.raises(IncompatibleModulus):
-        series(0, (1,), RATIONAL).reduce_mod(3)
+        series(0, (1,), integer_mod(4)).reduce_mod(8)
 
 
 @pytest.mark.parametrize("m", [3, 355])
@@ -1073,13 +1057,6 @@ def test_extract_vs_coefficient_at():
 def test_substitute_power():
     assert series(0, (1, 1)).substitute_power(2).coeffs == (1, 0, 1, 0)
     assert series(Fraction(-1, 24), (1,)).substitute_power(5).offset == Fraction(-5, 24)
-
-
-def test_substitute_power_over_q_leaves_only_fractions():
-    s = series(Fraction(1, 3), (Fraction(1, 3), Fraction(-2, 5)), RATIONAL)
-    spread = s.substitute_power(3)
-    assert spread.coeffs == (Fraction(1, 3), 0, 0, Fraction(-2, 5), 0, 0)
-    assert all(type(c) is Fraction for c in spread.slots)
 
 
 def test_substitute_then_extract_recovers():
@@ -1194,7 +1171,7 @@ def test_byte_storage_matches_tuple_storage(m, n):
         ) % m
 
 
-@pytest.mark.parametrize("ring", [integer_mod(3), integer_mod(257), INTEGER, RATIONAL])
+@pytest.mark.parametrize("ring", [integer_mod(3), integer_mod(257), INTEGER, integer_mod(2)])
 def test_coeffs_is_one_tuple_kept_after_first_access(ring):
     s = QSeries(Fraction(0), [1, 5, -2], ring) * QSeries(Fraction(0), [1, 1, 1], ring)
     assert type(s.coeffs) is tuple
@@ -1223,9 +1200,7 @@ def test_equal_series_hash_equal_whichever_path_built_them():
     assert QSeries(Fraction(0), product.coeffs, integer_mod(257)) != product
 
 
-@pytest.mark.parametrize(
-    "ring", [integer_mod(3), integer_mod(355), INTEGER, RATIONAL], ids=str
-)
+@pytest.mark.parametrize("ring", [integer_mod(3), integer_mod(355), INTEGER], ids=str)
 def test_series_survives_pickle_and_deepcopy(ring):
     import copy
     import pickle
@@ -1249,13 +1224,13 @@ def test_str_at_zero_offset():
 def test_str_at_a_fractional_offset():
     s = QSeries(Fraction(-1, 24), [1, 1, 2], INTEGER)
     assert str(s) == "q^(-1/24)*(1*q^0 + 1*q^1 + 2*q^2) + O(q^(71/24))"
-    s = QSeries(Fraction(2), [Fraction(1, 2), 0, Fraction(-3)], RATIONAL)
-    assert str(s) == "q^(2)*(1/2*q^0 + -3*q^2) + O(q^(5))"
+    s = QSeries(Fraction(2), [1, 0, -3], INTEGER)
+    assert str(s) == "q^(2)*(1*q^0 + -3*q^2) + O(q^(5))"
 
 
 def test_str_of_the_zero_series():
     assert str(QSeries(Fraction(0), [0, 0, 0], integer_mod(5))) == "0 + O(q^3)"
-    assert str(QSeries(Fraction(1, 3), [0, 0], RATIONAL)) == "q^(1/3)*(0) + O(q^(7/3))"
+    assert str(QSeries(Fraction(1, 3), [0, 0], INTEGER)) == "q^(1/3)*(0) + O(q^(7/3))"
 
 
 def test_str_shows_exactly_six_nonzero_slots_without_an_ellipsis():
@@ -1285,15 +1260,20 @@ def test_prefix_nonzeros_counts_the_same_on_bytes_lists_and_tuples(n):
     expected = sum(1 for v in values[:n] if v)
     for form in (bytes(values), list(values), tuple(values)):
         assert qseries._prefix_nonzeros(form, n) == expected
-    fractions = [Fraction(v, 2) for v in values]
-    assert qseries._prefix_nonzeros(fractions, n) == expected
 
 
 def test_ring_inverse_of_units_and_non_units():
     assert integer_mod(9).inverse(4) == 7
     assert integer_mod(9).inverse(-2) == 4
-    assert RATIONAL.inverse(Fraction(-2, 3)) == Fraction(-3, 2)
     assert INTEGER.inverse(-1) == -1 and INTEGER.inverse(1) == 1
-    for ring, value in ((integer_mod(9), 6), (RATIONAL, 0), (INTEGER, 2), (INTEGER, 0)):
+    for ring, value in ((integer_mod(9), 6), (INTEGER, 2), (INTEGER, 0)):
         with pytest.raises(NonUnitLeadingCoefficient, match=f"is not a unit in {ring}"):
             ring.inverse(value)
+
+
+def test_the_rings_are_z_and_z_mod_m():
+    # Q went with the theta series' fills: they are eta-quotients over Z
+    assert not hasattr(qseries, "RATIONAL")
+    for kind in ("rat", "Q"):
+        with pytest.raises(ValueError, match="unknown ring kind"):
+            CoefficientRing(kind)
