@@ -326,6 +326,12 @@ def _cmd_cusp_check(args) -> int:
 def _cmd_info(args) -> int:
     eq = parse_series_spec(args.spec)
     if isinstance(eq, str):
+        if eq in THETA_SERIES:
+            spec, scale = THETA_SERIES[eq]
+            raise ValueError(
+                f"{args.spec!r} is {scale} times the eta-quotient {spec}, and "
+                f"{scale} is not a unit mod 6; no applicability report"
+            )
         eq = catalog_entry(eq).spec
         if not isinstance(eq, EtaQuotientSpec):
             raise ValueError(

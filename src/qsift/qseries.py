@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from math import gcd, log2
 from operator import itemgetter, mul
 
@@ -128,7 +128,14 @@ def integer_mod(m: int) -> CoefficientRing:
 # operand may be the ``bytes`` of a series over Z/m, m <= 256, which the
 # packing kernels read as a buffer.  Over such a ring products and
 # quotients are ``bytes`` too, reduced below m a column at a time
-# (``_residues``), never slot by slot; elsewhere they are lists.
+# (``_residues``), never slot by slot; elsewhere they are lists.  Where
+# both factors are series in q^d, d > 1 (``_lattice``), the kernel runs on
+# their q^d slices at ceil(n_out/d) slots and the product is spread back.
+#
+# Quotients run the sparse recurrence (``_div_sparse``) or Newton division
+# (``_divide_newton``, over Z/m), whichever is predicted cheaper; over Z a
+# power of a sparse series with constant slot +-1 can be one pass of
+# Miller's recurrence (``_pow_sparse``) instead of square-and-multiply.
 #
 # The two packing kernels share one layout.  Slot k is digit k of one
 # number, slot 0 least significant; over Z a factor packs as (positive
@@ -248,6 +255,14 @@ def _recurrence_cost(n_out: int, terms: int) -> float:
     CPython 3.11.7).  The wrong picks, at 256 to 4096 slots, cost up to
     54% of the faster division's time there, and 0.06% of the total."""
     return n_out * (19 + 0.49 * terms)
+
+
+def _product_cost(n_out: int, nnz: int, bound: int, ring: CoefficientRing) -> float:
+    """The predicted cost of the kernel ``_convolve`` would run for a
+    product to n_out slots whose sparser factor has ``nnz`` nonzero slots
+    and whose slots are at most ``bound``."""
+    school = _schoolbook_cost(n_out, nnz, _kronecker_width(bound, ring))
+    return min(school, _transform_product(n_out, bound, ring)[0])
 
 
 _ITEMSIZES = (("B", 1), ("H", 2), ("I", 4), ("Q", 8))
@@ -394,6 +409,14 @@ def _read_slots(
 def _zeros(count: int, ring: CoefficientRing):
     """``count`` zero slots, as the kernels return them in ``ring``."""
     return bytes(count) if ring.stores_bytes else [0] * count
+
+
+def _spread(values, d: int, start: int, count: int, ring: CoefficientRing):
+    """``count`` slots as the kernels return them in ``ring``: ``values`` at
+    slots start, start + d, ..., and zeros elsewhere."""
+    out = bytearray(count) if ring.stores_bytes else [0] * count
+    out[start::d] = values
+    return bytes(out) if ring.stores_bytes else out
 
 
 def _conv_kronecker(
@@ -578,20 +601,32 @@ def _transform_product(n_out: int, bound: int, ring: CoefficientRing):
 def _convolve(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0):
     """Slots lo..n_out-1 of the product, by the kernel predicted cheaper:
     ``bytes`` over Z/m with m <= 256, otherwise a list.  Where a factor has
-    no nonzero slot below n_out, no kernel runs."""
+    no nonzero slot below n_out, no kernel runs.  Where both factors are
+    series in q^d, d > 1, the kernel multiplies their q^d slices at
+    ceil(n_out/d) slots, from slot ceil(lo/d), and the product's nonzero
+    slots are every d-th from there."""
     if n_out == 0:
         return []
     nnz = min(_prefix_nonzeros(xs, n_out), _prefix_nonzeros(ys, n_out))
     if not nnz:
         return _zeros(n_out - lo, ring)
+    d = _lattice(ys, n_out, _lattice(xs, n_out))
+    out_lo, out_n = lo, n_out
+    if d > 1:
+        square = ys is xs
+        xs = xs[:n_out:d]
+        ys = xs if square else ys[:n_out:d]
+        n_out, lo = -(-n_out // d), -(-lo // d)
     bound = _slot_bound(xs, ys, n_out, ring, nnz)
     cost, kernel = _transform_product(n_out, bound, ring)
     if _schoolbook_cost(n_out, nnz, _kronecker_width(bound, ring)) > cost:
-        return kernel(xs, ys, n_out, ring, lo, bound)
-    out = _conv_schoolbook(xs, ys, n_out, ring)
-    if ring.stores_bytes:
-        return bytes(out[lo:])
-    return out[lo:] if lo else out
+        out = kernel(xs, ys, n_out, ring, lo, bound)
+    else:
+        out = _conv_schoolbook(xs, ys, n_out, ring)
+        out = bytes(out[lo:]) if ring.stores_bytes else out[lo:] if lo else out
+    if d > 1:  # the q^d product's slot lo is slot lo*d, out[lo*d - out_lo]
+        return _spread(out, d, lo * d - out_lo, out_n - out_lo, ring)
+    return out
 
 
 def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
@@ -638,6 +673,49 @@ def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
     return out
 
 
+def _pow_sparse(support, a0: int, e: int, n_out: int) -> list:
+    """Slots 0..n_out-1 of a**e over Z, where a has constant slot a0 = +-1
+    and its other nonzero slots are the ascending (k, a_k) pairs of
+    ``support``, by J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2,
+    4.7): f = a**e satisfies a f' = e a' f, so f_0 = a0**e and
+    n a0 f_n = sum_{k >= 1} ((e+1) k - n) a_k f_{n-k}.
+
+    The design is that of ``_div_sparse``: ``out`` grows by ``append``
+    after a sentinel 0, and the terms are grouped by the value a_k, each
+    group's live f_{n-k} being one ``itemgetter`` gather (rebuilt when n
+    reaches the group's next k).  A slot sums each gather twice in C, once
+    plainly and once weighted by (e+1) k with ``map(mul, ...)``; then
+    (weighted - n * plain) is divided, exactly, by n a0.
+    """
+    out = [0, a0 if e & 1 else 1]  # the sentinel, then f_0: slot j is out[j + 1]
+    append = out.append
+    ks, groups = {}, {}  # per value a: the k of its live terms; (a, gather, weights)
+    start = 1
+    for k, ak in chain(support, [(n_out, None)]):
+        stop = min(k, n_out)  # slots start..stop-1 read the same terms
+        live = list(groups.values())
+        for n in range(start, stop):
+            plain = weighted = 0
+            for a, gather, weights in live:
+                values = gather(out)
+                if a == 1:
+                    plain += sum(values)
+                    weighted += sum(map(mul, weights, values))
+                else:
+                    plain += a * sum(values)
+                    weighted += a * sum(map(mul, weights, values))
+            append((weighted - n * plain) // (n * a0))
+        if stop == n_out:
+            break
+        start = k
+        terms = ks.setdefault(ak, [])
+        terms.append(k)
+        weights = (*[(e + 1) * j for j in terms], 0)
+        groups[ak] = (ak, itemgetter(*[-j for j in terms], 0), weights)
+    del out[0]
+    return out
+
+
 def _divide_newton(num, den, n_out: int, ring: CoefficientRing):
     """Slots 0..n_out-1 of num / den, or of 1 / den where num is None, by
     Newton iteration.
@@ -677,32 +755,109 @@ def _divide_newton(num, den, n_out: int, ring: CoefficientRing):
 
 
 def _support(den, n: int):
-    """The k in 1..n-1 with den[k] nonzero, ascending; over residue bytes
-    found by a regular expression, in C."""
+    """The k in 1..n-1 with den[k] nonzero, ascending, found in C: over
+    residue bytes by a regular expression, otherwise by ``compress``."""
     if isinstance(den, bytes):
         import re  # deferred: re is loaded anyway, by dataclasses
 
         nonzero = re.compile(rb"[^\x00]")
         return (match.start() for match in nonzero.finditer(den, 1, n))
-    return (k for k, c in enumerate(islice(den, 1, n), 1) if c)
+    return compress(count(1), islice(den, 1, n))
+
+
+def _lattice(values, n: int, d: int = 0) -> int:
+    """The gcd of d and of the k in 1..n-1 with values[k] nonzero: the
+    series' first n slots are a series in q^d for exactly the divisors d of
+    it, and 0 means that only slot 0 can be nonzero.  The support is read
+    up to the first k that makes the gcd 1."""
+    for k in _support(values, n):
+        d = gcd(d, k)
+        if d == 1:
+            break
+    return d
 
 
 def _newton_is_cheaper(
-    b, terms: int, n_out: int, ring: CoefficientRing, d: int = 1
+    b,
+    terms: int,
+    n_out: int,
+    ring: CoefficientRing,
+    d: int = 1,
+    num_nnz: int | None = None,
 ) -> bool:
     """Whether Newton division by b(q^d) to n_out slots is predicted
     cheaper than the sparse recurrence over its ``terms`` nonzero slots past
     the constant one.  The recurrence runs on all n_out slots and costs
     ``_recurrence_cost``.  Newton works at ceil(n_out/d) slots: about one
-    and a half products by the cheaper transform kernel (Kronecker or the
-    decimal kernel on libmpdec) plus ~800 per halving step, and for d > 1
-    one more product per residue class of the numerator.  ``ring`` is Z/m:
-    ``_divide`` prices Newton over no other ring."""
+    product of the divisor with y (priced for the divisor's nonzero count,
+    as ``_convolve`` packs it) and half a dense product by the cheaper
+    transform kernel (Kronecker or the decimal kernel on libmpdec), plus
+    ~800 per halving step; for d > 1, one more product per residue class
+    of the numerator, priced for its share of the numerator's ``num_nnz``
+    nonzero slots (dense without it).  ``ring`` is Z/m: ``_divide`` prices
+    Newton over no other ring."""
     n = -(-n_out // d)
-    bound = _slot_bound(b, b, n, ring)  # Newton's products are dense
-    product, _ = _transform_product(n, bound, ring)
-    products = 1.5 + (d if d > 1 else 0)
-    return _recurrence_cost(n_out, terms) > products * product + 800 * n.bit_length()
+    dense, _ = _transform_product(n, _slot_bound(b, b, n, ring), ring)
+
+    def product(nnz: int) -> float:  # with a factor of nnz nonzero slots
+        return _product_cost(n, nnz, _slot_bound(b, b, n, ring, nnz), ring)
+
+    products = product(terms + 1) + 0.5 * dense
+    if d > 1:
+        products += d * product(n if num_nnz is None else min(n, -(-num_nnz // d)))
+    return _recurrence_cost(n_out, terms) > products + 800 * n.bit_length()
+
+
+def _miller_is_cheaper(a, support, e: int) -> bool:
+    """Whether Miller's recurrence (``_pow_sparse``) for a**e over Z to
+    n = len(a) slots is predicted cheaper than square-and-multiply on h,
+    where h = a for e > 0, and for e < 0 h = 1/a by the sparse recurrence
+    (``_div_sparse``) over the nonzero slots ``support`` of a past the
+    constant one.
+
+    l = sum |h_k| over k < n bounds the slots of h**j by l**j.  Each product
+    of square-and-multiply is priced as ``_convolve`` would price it, dense
+    but for a factor h = a, with slot bound l**j for the product h**j.  Over
+    Z the slots grow, and a recurrence's sums get dearer with them: one
+    pass over slots of b bits costs ``_recurrence_cost`` times 1 + b/1600,
+    and Miller's pass three times that, its slots taken as those of
+    l**|e|.  For e < 0, l of 1/a is predicted from 1/a to ceil(n/4) slots:
+    the bit length of l grows from n/8 to n/4 slots by some factor r, at
+    most 2 (coefficients grow at most geometrically), and is taken to grow
+    by r^2 from n/4 to n slots.  Fitted to timings of powers of eta, of
+    eta(q) eta(q^2), of 1 - q - q^2 and of random sparse and dense series
+    at 256 to 4096 slots (CPython 3.11.7, x86-64).
+    """
+    n, terms = len(a), len(support)
+
+    def passes(count: int, bits: int) -> float:
+        return count * _recurrence_cost(n, terms) * (1 + bits / 1600)
+
+    if e < 0:
+        n0 = -(-n // 4)
+        g = _div_sparse([1] + [0] * (n0 - 1), support, a[0], n0, INTEGER)
+        bits = sum(map(abs, g)).bit_length()
+        growth = min(bits / sum(map(abs, g[: -(-n0 // 2)])).bit_length(), 2)
+        l, nnz_h = 1 << round(bits * growth**2), n
+    else:
+        l, nnz_h = sum(map(abs, a)), terms + 1
+    # Miller's pass against the inverse's (for e < 0) and the products
+    cost = passes(3, abs(e) * l.bit_length())
+    if e < 0:
+        cost -= passes(1, l.bit_length())
+    e, result, power = abs(e), 0, 1
+    while cost > 0:
+        if e & 1:
+            if result:
+                nnz = nnz_h if min(result, power) == 1 else n
+                cost -= _product_cost(n, nnz, l ** (result + power), INTEGER)
+            result += power
+        e >>= 1
+        if not e:
+            break
+        cost -= _product_cost(n, nnz_h if power == 1 else n, l ** (2 * power), INTEGER)
+        power *= 2
+    return cost < 0
 
 
 def _divide(num, den, n_out: int, ring: CoefficientRing):
@@ -719,14 +874,11 @@ def _divide(num, den, n_out: int, ring: CoefficientRing):
     each residue class of num mod d.  The recurrence runs on den as it is.
     """
     terms = _prefix_nonzeros(den, n_out) - 1  # nonzero slots past den[0]
-    d = 0
-    for k in _support(den, n_out):
-        d = gcd(d, k)
-        if d == 1:
-            break
-    d = d or 1  # a constant divisor
+    d = _lattice(den, n_out) or 1  # 0: a constant divisor
     b = den[:n_out:d] if d > 1 else den
-    if ring.kind != "mod" or not _newton_is_cheaper(b, terms, n_out, ring, d):
+    if ring.kind != "mod" or not _newton_is_cheaper(
+        b, terms, n_out, ring, d, _prefix_nonzeros(num, n_out)
+    ):
         support = [(k, den[k]) for k in _support(den, n_out)]
         return _div_sparse(num, support, ring.inverse(den[0]), n_out, ring)
     if d == 1:
@@ -891,10 +1043,32 @@ class QSeries:
         return monomial(0, self.ring, self.prec) / self
 
     def __pow__(self, e: int) -> "QSeries":
+        """``self ** e`` to the same precision; the offset multiplies by e,
+        and e < 0 requires a unit constant slot.
+
+        A series in q^d, d > 1 the gcd of its support, is raised as its
+        q^d slice at ceil(prec/d) slots and spread back.  Over Z a base with
+        constant slot +-1 is raised in one pass of Miller's recurrence
+        (``_pow_sparse``) where that is predicted cheaper
+        (``_miller_is_cheaper``); otherwise, and over Z/m, where the
+        recurrence would divide by the slot index, the base or its inverse
+        is raised by square-and-multiply.
+        """
         if not isinstance(e, int):
             return NotImplemented
+        ring, n, slots = self.ring, self.prec, self.slots
         if e == 0:
-            return monomial(Fraction(0), self.ring, self.prec)
+            return monomial(Fraction(0), ring, n)
+        d = _lattice(slots, n) or n  # 0: only the constant slot is nonzero
+        if d > 1:
+            part = QSeries._trusted(Fraction(0), slots[::d], ring) ** e
+            out = _spread(part.slots, d, 0, n, ring)
+            return QSeries._trusted(self.offset * e, out, ring)
+        if ring.kind == "int" and abs(e) > 1 and slots[0] in (1, -1):
+            support = [(k, slots[k]) for k in _support(slots, n)]
+            if _miller_is_cheaper(slots, support, e):
+                out = _pow_sparse(support, slots[0], e, n)
+                return QSeries._trusted(self.offset * e, out, ring)
         base = self if e > 0 else self.invert()
         e = abs(e)
         result = None
@@ -939,8 +1113,7 @@ class QSeries:
         """Replace q by q**k: all exponents multiply by k."""
         if k < 1:
             raise ValueError("k must be a positive integer")
-        out = [0] * (k * self.prec)
-        out[::k] = self.slots
+        out = _spread(self.slots, k, 0, k * self.prec, self.ring)
         return QSeries._trusted(self.offset * k, out, self.ring)
 
     def coefficient_at(self, exponent):

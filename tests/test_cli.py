@@ -510,7 +510,8 @@ _ERROR_EXITS = [
     (
         "info theta_g1 --ell 3 --m 5",
         2,
-        "'theta_g1' is not an eta-quotient; no applicability report",
+        "'theta_g1' is -1/6 times the eta-quotient 1^5,2^-2, and -1/6 is not a unit"
+        " mod 6; no applicability report",
     ),
     ("info partition --ell 3 --m 0", 2, "m must be positive"),
     ("info nosuch --ell 3 --m 5", 3, "unknown series 'nosuch'"),

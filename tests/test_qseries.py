@@ -28,7 +28,9 @@ from qsift.qseries import (
     _div_sparse,
     _divide,
     _divide_newton,
+    _miller_is_cheaper,
     _newton_is_cheaper,
+    _pow_sparse,
     _read_slots,
     _slot_bound,
     _sparse_sum,
@@ -374,6 +376,48 @@ def test_div_sparse_matches_the_per_term_recurrence_at_the_edges(
     for inv0 in {ring.normalize(1), ring.inverse(ring.normalize(-1))}:
         expected = div_sparse_oracle(num, support, inv0, n_out, ring)
         assert _div_sparse(num, support, inv0, n_out, ring) == expected
+
+
+@st.composite
+def lattice_factor(draw, ring, d):
+    """Slots of a series in q^d over ring, as the ring's series store them:
+    up to 200 slots, every slot off the multiples of d zero, slot 0 maybe
+    zero too."""
+    n = draw(st.integers(1, 200))
+    values = [0] * n
+    values[::d] = draw(coefficients(ring, len(range(0, n, d))))
+    if draw(st.booleans()):
+        values[0] = 0
+    return stored(ring, values)
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_convolve_on_lattice_factors_matches_the_unreduced_product(ring, data):
+    # factors in q^d1 and q^d2: with g = gcd(d1, d2) > 1 (or a larger common
+    # lattice where slots happen to be zero) every kernel runs on q^g slices
+    d1, d2 = (data.draw(st.sampled_from((1, 2, 3, 4, 5, 6, 10))) for _ in "xy")
+    xs = data.draw(lattice_factor(ring, d1))
+    ys = xs if data.draw(st.booleans()) else data.draw(lattice_factor(ring, d2))
+    n_out = data.draw(st.integers(1, len(xs) + len(ys) + 5))
+    lo = data.draw(st.integers(0, n_out))
+    sizes = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_conv_schoolbook", "_conv_kronecker", "_conv_decimal"):
+
+            def spy(*args, kernel=getattr(qseries, name)):
+                sizes.append(args[2])
+                return kernel(*args)
+
+            patch.setattr(qseries, name, spy)
+        out = qseries._convolve(xs, ys, n_out, ring, lo)
+    assert type(out) is (bytes if ring.stores_bytes else list)
+    assert list(out) == _conv_schoolbook(xs, ys, n_out, ring)[lo:]
+    support = [k for k in range(1, n_out) for v in (xs, ys) if k < len(v) and v[k]]
+    g = gcd(*support)
+    ran = any(xs[:n_out]) and any(ys[:n_out])  # a factor of zeros runs no kernel
+    assert sizes == ([-(-n_out // g) if g > 1 else n_out] if ran else [])
 
 
 def newton_calls(n):
@@ -996,6 +1040,114 @@ def test_pow_matches_repeated_mul():
     for e in range(2, 7):
         prod = prod * s
         assert s**e == prod
+
+
+@st.composite
+def sparse_powers(draw):
+    """(a, support, e) for a**e over Z: a has constant slot +-1 and its other
+    nonzero slots on a lattice d in {1, 2, 3, 5}, all +-1 or up to 2^200 in
+    magnitude; e is in +-2..+-12, and the sizes reach past the crossover of
+    ``_miller_is_cheaper`` (eta**-2 turns to Miller at about 200 slots)."""
+    d = draw(st.sampled_from((1, 2, 3, 5)))
+    big = draw(st.booleans())
+    n = draw(st.integers(1, 60 if big else 300))  # big slots grow fast
+    values = ring_values(INTEGER).filter(bool) if big else st.sampled_from((1, -1))
+    ks = sorted(draw(st.sets(st.integers(1, n + 4).map(lambda k: k * d), max_size=40)))
+    a = [0] * n
+    a[0] = draw(unit(INTEGER))
+    support = []
+    for k in ks:
+        if k < n:
+            a[k] = draw(values)
+            support.append((k, a[k]))
+    return a, support, draw(st.integers(2, 12)) * draw(st.sampled_from((1, -1)))
+
+
+@given(case=sparse_powers())
+@settings(max_examples=120, deadline=None)
+def test_pow_sparse_matches_divisions_and_products(case, div_sparse_oracle):
+    # a**e as |e| sparse divisions of 1 for e < 0, as e - 1 schoolbook
+    # products for e > 0; both by Miller's recurrence and by ``**``
+    a, support, e = case
+    n = len(a)
+    if e < 0:
+        expected = [1] + [0] * (n - 1)
+        for _ in range(-e):
+            expected = div_sparse_oracle(expected, support, a[0], n, INTEGER)
+    else:
+        expected = a
+        for _ in range(e - 1):
+            expected = _conv_schoolbook(expected, a, n, INTEGER)
+    assert _pow_sparse(support, a[0], e, n) == expected
+    power = QSeries(Fraction(1, 24), a, INTEGER) ** e
+    assert list(power.coeffs) == expected and power.offset == Fraction(e, 24)
+
+
+@pytest.mark.parametrize("e", [-6, -2, 2])
+def test_pow_is_raised_on_both_sides_of_the_crossover(e, div_sparse_oracle):
+    # eta**e by the price's pick at 64 slots and at 300, and by the other way
+    picks = []
+    for n in (64, 300):
+        eta = QSeries(0, eta_coeffs(n), INTEGER)
+        support = [(k, c) for k, c in enumerate(eta.coeffs) if c and k]
+        picks.append(_miller_is_cheaper(eta.slots, support, e))
+        assert list((eta**e).coeffs) == _pow_sparse(support, 1, e, n)
+    assert picks == {-6: [True, True], -2: [False, True], 2: [False, False]}[e]
+
+
+def pow_sparse_spy(monkeypatch):
+    """Record the exponent of every power that runs ``_pow_sparse``."""
+    ran, kernel = [], qseries._pow_sparse
+
+    def spy(support, a0, e, n_out):
+        ran.append(e)
+        return kernel(support, a0, e, n_out)
+
+    monkeypatch.setattr(qseries, "_pow_sparse", spy)
+    return ran
+
+
+def test_negative_powers_of_eta_over_z_run_millers_recurrence(monkeypatch):
+    from qsift.generators import eta_series
+
+    eta = eta_series(4096)
+    inverse = eta.invert()
+    ran = pow_sparse_spy(monkeypatch)
+    power = eta**-6
+    assert ran == [-6]
+    assert eta**-1 == inverse and ran == [-6]
+    monkeypatch.undo()
+    cube = inverse * inverse * inverse
+    assert power == cube * cube
+
+
+@pytest.mark.parametrize("m", [2, 3, 41, 205, 355])
+def test_powers_over_z_mod_m_run_no_recurrence(monkeypatch, m):
+    from qsift.generators import eta_series
+
+    exponents = (-6, -2, -1, 2, 5)
+    expected = [(eta_series(4096) ** e).reduce_mod(m) for e in exponents]
+    eta = eta_series(4096, integer_mod(m))
+    ran = pow_sparse_spy(monkeypatch)
+    assert [eta**e for e in exponents] == expected
+    assert ran == []
+
+
+def test_pow_of_a_series_in_q_power_is_spread_from_its_slice():
+    from qsift.generators import eta_series
+
+    for ring in (INTEGER, integer_mod(3), integer_mod(355)):
+        eta5 = eta_series(820, ring).substitute_power(5)
+        for e in (5, -3):
+            power = eta5**e
+            assert power.prec == eta5.prec and power.offset == eta5.offset * e
+            assert power == (eta_series(820, ring) ** e).substitute_power(5)
+    constant = series(Fraction(1, 3), [-1, 0, 0, 0])
+    assert constant**-3 == series(Fraction(-1), [-1, 0, 0, 0])
+    with pytest.raises(NonUnitLeadingCoefficient):
+        series(0, [2, 0, 1]) ** -2
+    with pytest.raises(NonUnitLeadingCoefficient):
+        series(0, [2, 0, 1, 0, 0, 1]) ** -4
 
 
 # -------------------------------------------------------------- reduce_mod
