@@ -4,19 +4,25 @@ named series catalog.
 
 An eta-quotient prod eta(q^delta)^r is q^(B/24) times a product of powers of
 Euler products E_delta = prod(1 - q^(delta*n)), each with pentagonal-number
-support.  It is built from the shared series operations alone: the positive
-factors as ``E_delta ** r`` multiplied together, divided by the negative
-ones.  Over Z/m the negative factors are multiplied into one denominator and
-divided once, so ``/`` may pick Newton division; over Z (where ``/`` only
-runs the sparse recurrence) the quotient divides by each sparse E_delta in
-turn.  Over Z/ell with ell prime, f(q)^ell = f(q^ell) first rewrites the
-factors (``_ell_rewrite``, which ``level_mod_ell`` reads for the
-criterion), so fewer and sparser factors remain; over Z, Z/ell^k (k >= 2)
-and composite moduli the factors are used as given.
+support.  It is built from a plan, a list of (delta, r) factors whose
+product is the quotient, with the shared series operations alone: each
+E_delta^r with |r| >= 3 as J_delta^a E_delta^b, r = 3a + b, where
+J_delta = E_delta^3 is Jacobi's sparse sum of (-1)^k (2k+1) q^(delta
+k(k+1)/2); the positive parts multiplied together, and the whole quotient
+in q^g, g the gcd of the plan's deltas.  Over Z/m the negative parts are
+multiplied into one denominator and divided once, so ``/`` may pick Newton
+division; over Z (where ``/`` only runs the sparse recurrence) the quotient
+divides by each sparse factor in turn.  Over Z/ell with ell prime,
+f(q)^ell = f(q^ell) lets each class of deltas with one ell-free part carry
+any exponents with the same total sum(ell^j r_j): the canonical rewrite
+(``_ell_rewrite``, which ``level_mod_ell`` reads for the criterion) and its
+digit expansions are priced from the kernels' cost predictions, and the
+cheapest plan is built.  Over Z, Z/ell^k (k >= 2) and composite moduli the
+plan is the factors as given.
 
-The Euler products and the mock theta numerators are sparse sums:
-``(start, step, value)`` fills that one routine, ``qseries._sparse_sum``,
-turns into a series.  The mock theta functions come
+The Euler products, Jacobi's cubes and the mock theta numerators are
+sparse sums: ``(start, step, value)`` fills that one routine,
+``qseries._sparse_sum``, turns into a series.  The mock theta functions come
 from Watson's Appell-Lerch forms: each is a numerator of geometric fills,
 costing O(P log P), over one Euler product, and the single series division
 picks its kernel by predicted cost (see ``QSeries.__truediv__``).
@@ -31,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, product
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -40,7 +46,11 @@ from .qseries import (
     INTEGER,
     CoefficientRing,
     QSeries,
+    _division_cost,
+    _product_cost,
+    _residue_bound,
     _sparse_sum,
+    _spread,
     integer_mod,
     monomial,
 )
@@ -139,6 +149,29 @@ def _euler_product(prec: int, delta: int, ring: CoefficientRing, offset=0) -> QS
     return _sparse_sum(prec, ring, fills, offset)
 
 
+def _jacobi_cube(prec: int, delta: int, ring: CoefficientRing) -> QSeries:
+    """prod(1 - q^(delta*n))^3 = sum (-1)^k (2k+1) q^(delta k(k+1)/2) over
+    k >= 0 (Jacobi), to ``prec`` slots: one single-slot fill per
+    triangular term, so the cube costs no product in any ring."""
+    ks = range(_triangular_count(prec, delta))
+    fills = [(delta * k * (k + 1) // 2, prec, (-1) ** k * (2 * k + 1)) for k in ks]
+    return _sparse_sum(prec, ring, fills)
+
+
+def _triangular_count(prec: int, delta: int) -> int:
+    """The number of k >= 0 with delta k(k+1)/2 < prec: (2k+1)^2 <= 8M + 1
+    for M = (prec - 1) // delta."""
+    return (isqrt(8 * ((prec - 1) // delta) + 1) + 1) // 2
+
+
+def _pentagonal_count(prec: int, delta: int) -> int:
+    """The number of k in Z with delta k(3k+1)/2 < prec, the nonzero slots
+    of ``_euler_product``: (6k+1)^2 <= 24M + 1 for M = (prec - 1) // delta,
+    k >= 0 giving 6k + 1 and k < 0 giving 6|k| - 1."""
+    root = isqrt(24 * ((prec - 1) // delta) + 1)
+    return (root - 1) // 6 + 1 + (root + 1) // 6
+
+
 def eta_series(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
     """q^(1/24) * prod(1 - q^n): offset 1/24, pentagonal-number support."""
     if prec < 1:
@@ -146,16 +179,23 @@ def eta_series(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
     return _euler_product(prec, 1, ring, Fraction(1, 24))
 
 
+def _frobenius_prime(ring: CoefficientRing) -> int | None:
+    """ell where ``ring`` is Z/ell, ell prime, so that f(q)^ell = f(q^ell)
+    holds; None in every other ring, as the identity fails mod ell^k for
+    k >= 2 and mod composite numbers."""
+    if ring.kind == "mod" and is_prime(ring.modulus):
+        return ring.modulus
+    return None
+
+
 def _frobenius_factors(
     spec: EtaQuotientSpec, ring: CoefficientRing
 ) -> tuple[tuple[int, int], ...]:
-    """The (delta, r) factors to build ``spec`` from over ``ring``: over
+    """The canonical (delta, r) factors of ``spec`` over ``ring``: over
     Z/ell, ell prime, ``_ell_rewrite(spec.factors, ell)``; in every other
-    ring the factors as they are, since f(q)^ell = f(q^ell) fails mod ell^k
-    for k >= 2 and mod composite numbers."""
-    if ring.kind != "mod" or not is_prime(ring.modulus):
-        return spec.factors
-    return _ell_rewrite(spec.factors, ring.modulus)
+    ring the factors as they are."""
+    ell = _frobenius_prime(ring)
+    return spec.factors if ell is None else _ell_rewrite(spec.factors, ell)
 
 
 def _ell_rewrite(factors, ell: int) -> tuple[tuple[int, int], ...]:
@@ -189,35 +229,192 @@ def level_mod_ell(spec: EtaQuotientSpec, ell: int) -> tuple[int, int]:
     return lcm(*deltas), gcd(*deltas)
 
 
+def _ell_free_part(delta: int, ell: int) -> int:
+    """delta with every factor ell divided out."""
+    while delta % ell == 0:
+        delta //= ell
+    return delta
+
+
+def _ell_classes(factors, ell: int) -> dict[int, int]:
+    """{ell-free part delta_0: total sum(ell^j r_j)} over the factors
+    (ell^j delta_0, r_j): mod ell, by f(q)^ell = f(q^ell), any exponents
+    with the same totals give the same eta-quotient."""
+    classes: dict[int, int] = {}
+    for delta, r in factors:
+        base = _ell_free_part(delta, ell)
+        classes[base] = classes.get(base, 0) + delta // base * r
+    return classes
+
+
+def _digit_expansions(base: int, total: int, ell: int, prec: int):
+    """The (delta, r) factors on base, ell base, ell^2 base, ... whose
+    exponents r_j have sum(ell^j r_j) = total, with at most two nonzero
+    digits r_j, each in [-R, R] for R = max(3, ell - 1) and congruent mod
+    ell to what is left of the total (so none is divisible by ell).  Once
+    ell^j base >= prec, what is left is one factor that is 1 to ``prec``
+    slots (the builder skips it).  Two digits keep a class to a handful of
+    expansions: with three allowed, the fastest plan of nine catalog builds
+    at 2*10^4 (the benchmark's six among them) still had at most two a
+    class, and pricing took two to three times as long."""
+    bound = max(3, ell - 1)
+
+    def expand(delta: int, left: int, digits: int):
+        if not left:
+            yield ()
+        elif delta >= prec:
+            yield ((delta, left),)
+        elif left % ell == 0:
+            yield from expand(delta * ell, left // ell, digits)
+        elif digits:
+            first = left % ell
+            for r in range(first - (first + bound) // ell * ell, bound + 1, ell):
+                for rest in expand(delta * ell, (left - r) // ell, digits - 1):
+                    yield ((delta, r),) + rest
+
+    return expand(base, total, 2)
+
+
+def _digit_plans(canonical, ell: int, prec: int):
+    """The plans that ``eta_quotient`` prices mod the prime ell for the
+    ``canonical`` factors that ``_ell_rewrite`` returns: each class of
+    ``_ell_classes`` written as there (so the canonical plan comes first)
+    or as one of its ``_digit_expansions``, in every combination."""
+    ways = []
+    for base, total in _ell_classes(canonical, ell).items():
+        own = tuple(f for f in canonical if _ell_free_part(f[0], ell) == base)
+        ways.append(dict.fromkeys(chain([own], _digit_expansions(base, total, ell, prec))))
+    for parts in product(*ways):
+        yield tuple(sorted(chain(*parts)))
+
+
+def _plan_steps(plan, prec: int):
+    """(g, n, numerator, denominator) of the build of ``plan`` to ``prec``
+    slots: g is the gcd of the deltas below prec (0 if none is, and the
+    quotient is 1), so the quotient is built in q^g at n = ceil(prec/g)
+    slots and spread back.  Each factor (delta, r) is written
+    J_delta^a E_delta^b, with J_delta = E_delta^3 Jacobi's sparse sum and
+    r = 3a + b, a and b of the sign of r and |b| <= 2.  The numerator and
+    the denominator are lists of (delta/g, cube, power), largest delta
+    first: their product to the power's sign is the quotient."""
+    deltas = [delta for delta, _ in plan if delta < prec]
+    g = gcd(*deltas)
+    numerator, denominator = [], []
+    for delta, r in sorted(plan, reverse=True):
+        if delta < prec:
+            a = r // 3 if r > 0 else -(-r // 3)
+            for cube, e in ((True, a), (False, r - 3 * a)):
+                if e:
+                    side = numerator if e > 0 else denominator
+                    side.append((delta // g, cube, abs(e)))
+    return g, -(-prec // g) if g else 0, numerator, denominator
+
+
+def _plan_cost(plan, prec: int, ring: CoefficientRing) -> float:
+    """The predicted cost, in the units of ``qseries._product_cost``, of
+    building ``plan`` over Z/ell by ``_build_plan``: every product of the
+    powers and of the numerator and denominator as ``_convolve`` prices it,
+    at the length of the two factors' common lattice, and the division as
+    the cheaper of the recurrence and Newton, at the length the
+    denominator's lattice sets.  A series is priced from its lattice and
+    its count of nonzero slots, a product's taken as the smaller of its
+    length and the product of its factors' counts."""
+    g, n, numerator, denominator = _plan_steps(plan, prec)
+    if not g:
+        return 0.0
+    ell, cost = ring.modulus, 0.0
+
+    def times(x, y):
+        nonlocal cost
+        d = gcd(x[0], y[0])
+        slots, nnz = -(-n // d), min(x[1], y[1])
+        cost += _product_cost(slots, nnz, _residue_bound(nnz, ring), ring)
+        return d, min(slots, x[1] * y[1])
+
+    def power(delta: int, cube: bool, e: int):
+        if cube:  # less the terms whose 2k + 1 is an odd multiple of ell
+            nnz = _triangular_count(n, delta)
+            if ell % 2:
+                nnz -= ((2 * nnz - 1) // ell + 1) // 2
+        else:
+            nnz = _pentagonal_count(n, delta)
+        base, result = (delta, nnz), None
+        while True:  # square-and-multiply, as QSeries.__pow__
+            if e & 1:
+                result = base if result is None else times(result, base)
+            e >>= 1
+            if not e:
+                return result
+            base = times(base, base)
+
+    top = reduce(times, (power(*step) for step in numerator)) if numerator else (0, 1)
+    if denominator:
+        lattice, nnz = reduce(times, (power(*step) for step in denominator))
+        cost += _division_cost(nnz - 1, n, ring, lattice or 1, top[1])[0]
+    return cost
+
+
+def _build_plan(plan, prec: int, ring: CoefficientRing):
+    """The slots of the product of E_delta^r over the (delta, r) of
+    ``plan``, to ``prec`` slots, as ``_plan_steps`` lays it out: each
+    sparse factor filled once, when first used; over Z/m the numerator
+    divided once by the denominator, so ``/`` may pick Newton division;
+    over Z (where ``/`` only runs the sparse recurrence) the numerator
+    divided by each sparse factor in turn."""
+    g, n, numerator, denominator = _plan_steps(plan, prec)
+    if not g:
+        return monomial(0, ring, prec).slots
+    sparse: dict[tuple[int, bool], QSeries] = {}
+
+    def power(delta: int, cube: bool, e: int) -> QSeries:
+        if (delta, cube) not in sparse:
+            fill = _jacobi_cube if cube else _euler_product
+            sparse[delta, cube] = fill(n, delta, ring)
+        return sparse[delta, cube] ** e if e > 1 else sparse[delta, cube]
+
+    if numerator:
+        out = reduce(mul, (power(*step) for step in numerator))
+    else:
+        out = monomial(0, ring, n)
+    if ring.kind == "mod":
+        if denominator:
+            out = out / reduce(mul, (power(*step) for step in denominator))
+    else:
+        for delta, cube, e in denominator:
+            for _ in range(e):
+                out = out / power(delta, cube, 1)
+    return _spread(out.slots, g, 0, prec, ring) if g > 1 else out.slots
+
+
+def _pick_plan(spec: EtaQuotientSpec, prec: int, ring: CoefficientRing):
+    """The plan ``eta_quotient`` builds: over Z/ell, ell prime, the
+    cheapest of ``_digit_plans`` by ``_plan_cost`` (the canonical
+    ``_ell_rewrite`` on a tie); in every other ring the factors as they
+    are."""
+    canonical, ell = _frobenius_factors(spec, ring), _frobenius_prime(ring)
+    if ell is None:
+        return canonical
+    plans = _digit_plans(canonical, ell, prec)
+    return min(plans, key=lambda plan: _plan_cost(plan, prec, ring))
+
+
 def eta_quotient(
     spec: EtaQuotientSpec, prec: int, ring: CoefficientRing = INTEGER
 ) -> QSeries:
     """The q-expansion of prod eta(q^delta)^r: offset B/24, leading
     coefficient 1.
 
-    The Euler products E_delta of the positive factors are raised to their
-    exponents and multiplied together.  Over Z/m the negative factors are
-    multiplied into one denominator and divided out once; over Z the
-    quotient divides by each sparse E_delta in turn, because there ``/``
-    only runs the recurrence, whose cost grows with the divisor's support.
-    Over Z/ell, ell prime, the factors are first rewritten by
-    f(q)^ell = f(q^ell) (see ``_frobenius_factors``).
+    Built from a plan, a list of (delta, r) factors whose product is the
+    quotient (``_pick_plan``): over Z/ell, ell prime, the factors are
+    rewritten by f(q)^ell = f(q^ell) into the plan predicted cheapest;
+    elsewhere the plan is the factors as given.  Every E_delta^r with
+    |r| >= 3 is built from Jacobi's sparse sum for E_delta^3, and the whole
+    quotient in q^g, g the gcd of the plan's deltas (``_build_plan``).
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    factors = _frobenius_factors(spec, ring)
-    euler = {delta: _euler_product(prec, delta, ring) for delta, _ in factors}
-    positive = [euler[d] ** r for d, r in factors if r > 0]
-    out = reduce(mul, positive) if positive else monomial(0, ring, prec)
-    if ring.kind == "mod":
-        negative = [euler[d] ** -r for d, r in factors if r < 0]
-        if negative:
-            out = out / reduce(mul, negative)
-    else:
-        for d, r in factors:
-            for _ in range(-r):
-                out = out / euler[d]
-    return QSeries._trusted(Fraction(spec.B, 24), out.slots, ring)
+    slots = _build_plan(_pick_plan(spec, prec, ring), prec, ring)
+    return QSeries._trusted(Fraction(spec.B, 24), slots, ring)
 
 
 def mock_f(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:

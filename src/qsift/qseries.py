@@ -19,6 +19,7 @@ may be shared freely between threads.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -133,7 +134,8 @@ def integer_mod(m: int) -> CoefficientRing:
 # their q^d slices at ceil(n_out/d) slots and the product is spread back.
 #
 # Quotients run the sparse recurrence (``_div_sparse``) or Newton division
-# (``_divide_newton``, over Z/m), whichever is predicted cheaper; over Z a
+# (``_divide_newton``, over Z/m), whichever is predicted cheaper
+# (``_division_cost``); over Z a
 # power of a sparse series with constant slot +-1 can be one pass of
 # Miller's recurrence (``_pow_sparse``) instead of square-and-multiply.
 #
@@ -170,7 +172,7 @@ def _slot_bound(
     nx, ny = min(len(xs), n_out), min(len(ys), n_out)
     n_min = min(nx, ny)
     if ring.kind == "mod":
-        return (n_min if nnz is None else nnz) * (ring.modulus - 1) ** 2
+        return _residue_bound(n_min if nnz is None else nnz, ring)
     if not n_min:
         return 0
     reach_x = list(accumulate(map(abs, islice(xs, nx)), max))  # max |x_0..x_i|
@@ -180,6 +182,13 @@ def _slot_bound(
     partners = chain(repeat(reach_y[-1], widest), islice(reversed(reach_y), 1, None))
     pairs = max(map(mul, reach_x, partners))
     return max(n_min * pairs, reach_x[-1], reach_y[-1])
+
+
+def _residue_bound(nnz: int, ring: CoefficientRing) -> int:
+    """The slot bound over Z/m of a product whose sparser factor has
+    ``nnz`` nonzero slots: each slot sums at most nnz products of residues
+    below m."""
+    return nnz * (ring.modulus - 1) ** 2
 
 
 def _kronecker_width(bound: int, ring: CoefficientRing) -> int:
@@ -249,11 +258,8 @@ def _recurrence_cost(n_out: int, terms: int) -> float:
     nonzero divisor slots past the constant one: about 19 per slot for the
     interpreted step and its gathers, and 0.49 per slot and term for the
     item reads and sums in C.  Fitted to timings of 1/eta over Z/m for m in
-    {3, 29, 145, 355} at 256 to 81920 slots, in the units of the Newton
-    prediction in ``_newton_is_cheaper`` (its median measured time per
-    predicted unit at the same sizes, 40 ns on a 2-core x86-64 guest,
-    CPython 3.11.7).  The wrong picks, at 256 to 4096 slots, cost up to
-    54% of the faster division's time there, and 0.06% of the total."""
+    {3, 29, 145, 355} at 256 to 81920 slots, in units of 40 ns on a 2-core
+    x86-64 guest, CPython 3.11.7 (``_RECURRENCE_UNIT`` converts them)."""
     return n_out * (19 + 0.49 * terms)
 
 
@@ -636,15 +642,17 @@ def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
     Both sides are first scaled by inv0, so that b has constant slot 1; the
     recurrence out[i] = num[i] - sum b_k out[i-k] is then exact in every
     ring.  Its terms are grouped by the value b_k, so that each slot costs
-    one C-level gather and ``sum`` per distinct value instead of one
+    one C-level gather and ``sum`` per repeated value instead of one
     interpreted step per term: out[i] = num[i] - sum_b b * sum(out[i-k]
-    over the k <= i with b_k = b), with no multiply for b = 1.  ``out``
-    grows by ``append`` after a sentinel 0, so out[i-k] is ``out[-k]`` and
-    a group's live terms are one ``itemgetter(-k1, ..., -kc, 0)``, whose
-    trailing index reads the sentinel and makes it return a tuple even for
-    one term.  A group's getter is rebuilt only when i reaches its next k,
-    so memory grows with the number of terms, and the gathers still cost
-    n_out * len(support) item reads at most.
+    over the k <= i with b_k = b), with no multiply for b = 1.  The values
+    that occur once (all of them in Jacobi's sum for E^3 over Z) share one
+    gather, weighted by ``map(mul, ...)`` in C.  ``out`` grows by
+    ``append`` after a sentinel 0, so out[i-k] is ``out[-k]`` and a group's
+    live terms are one ``itemgetter(-k1, ..., -kc, 0)``, whose trailing
+    index reads the sentinel and makes it return a tuple even for one term.
+    A group's getter is rebuilt only when i reaches its next k, so memory
+    grows with the number of terms, and the gathers still cost n_out *
+    len(support) item reads at most.
     """
     mod = ring.modulus if ring.kind == "mod" else None
     if inv0 == 1:
@@ -652,9 +660,11 @@ def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
     else:
         support = [(k, ring.normalize(inv0 * bk)) for k, bk in support]
         head = [ring.normalize(inv0 * a) for a in islice(num, n_out)]
+    repeats = Counter(bk for _, bk in support)
     out = [0]  # the sentinel: slot j is out[j + 1]
     append = out.append
-    offsets, getters = {}, {}  # per value b: the -k of its live terms, their getter
+    offsets, getters = {}, {}  # per repeated value b: the -k of its live terms, their getter
+    lone_offsets, lone_values, lone = [0], [], None  # the values that occur once
     start = 0
     for k, bk in chain(support, [(n_out, None)]):
         stop = min(k, n_out)  # slots start..stop-1 read the same terms
@@ -663,12 +673,19 @@ def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
             v = head[i]
             for b, gather in groups:
                 v -= sum(gather(out)) if b == 1 else b * sum(gather(out))
+            if lone:
+                v -= sum(map(mul, lone_values, lone(out)))
             append(v % mod if mod else v)
         if stop == n_out:
             break
         start = k
-        offsets.setdefault(bk, [0]).insert(-1, -k)
-        getters[bk] = itemgetter(*offsets[bk])
+        if repeats[bk] > 1:
+            offsets.setdefault(bk, [0]).insert(-1, -k)
+            getters[bk] = itemgetter(*offsets[bk])
+        else:
+            lone_offsets.insert(-1, -k)
+            lone_values.append(bk)
+            lone = itemgetter(*lone_offsets)
     del out[0]
     return out
 
@@ -777,35 +794,72 @@ def _lattice(values, n: int, d: int = 0) -> int:
     return d
 
 
-def _newton_is_cheaper(
-    b,
+@lru_cache(maxsize=256)  # plans price the same division many times
+def _newton_cost(
     terms: int,
     n_out: int,
     ring: CoefficientRing,
     d: int = 1,
     num_nnz: int | None = None,
-) -> bool:
-    """Whether Newton division by b(q^d) to n_out slots is predicted
-    cheaper than the sparse recurrence over its ``terms`` nonzero slots past
-    the constant one.  The recurrence runs on all n_out slots and costs
-    ``_recurrence_cost``.  Newton works at ceil(n_out/d) slots: about one
-    product of the divisor with y (priced for the divisor's nonzero count,
-    as ``_convolve`` packs it) and half a dense product by the cheaper
-    transform kernel (Kronecker or the decimal kernel on libmpdec), plus
-    ~800 per halving step; for d > 1, one more product per residue class
-    of the numerator, priced for its share of the numerator's ``num_nnz``
-    nonzero slots (dense without it).  ``ring`` is Z/m: ``_divide`` prices
-    Newton over no other ring."""
+) -> float:
+    """The predicted cost of Newton division (``_divide``) by b(q^d) to
+    n_out slots, where b has ``terms`` nonzero slots past the constant one,
+    in the units of ``_product_cost``.  Newton works at n = ceil(n_out/d)
+    slots, in steps from n slots halved (rounding up) down to 1.  A step to
+    N slots, h = ceil(N/2), multiplies the divisor by y (priced for the
+    divisor's nonzero count, as ``_convolve`` packs it, and at (N + h)/2
+    slots, as y has h) and g by the N - h new slots (dense), plus ~800 for
+    its calls.  For d = 1 the numerator is folded into the first step: one
+    more product to h slots, for its ``num_nnz`` nonzero slots.  For d > 1
+    each residue class of the numerator is one product with 1/b, priced for
+    its share of them.  Without ``num_nnz`` the numerator is dense.
+    ``ring`` is Z/m: ``_divide`` prices Newton over no other ring.  The
+    measured time per predicted unit, inverting E_1 and dense series at
+    2000 to 10^5 slots over Z/2, Z/3, Z/5 and Z/7, is 17 to 30 ns, as for
+    dense products (2-core x86-64 guest, CPython 3.11.7)."""
     n = -(-n_out // d)
-    dense, _ = _transform_product(n, _slot_bound(b, b, n, ring), ring)
+    num_nnz = n_out if num_nnz is None else num_nnz
 
-    def product(nnz: int) -> float:  # with a factor of nnz nonzero slots
-        return _product_cost(n, nnz, _slot_bound(b, b, n, ring, nnz), ring)
+    def product(slots: int, nnz: int) -> float:  # with a factor of nnz nonzero slots
+        nnz = min(slots, nnz)
+        return _product_cost(slots, nnz, _residue_bound(nnz, ring), ring)
 
-    products = product(terms + 1) + 0.5 * dense
+    cost, size = 0.0, n
+    while size > 1:
+        h = (size + 1) // 2
+        cost += product((size + h) // 2, terms + 1) + product(size - h, size - h) + 800
+        if d == 1 and size == n:
+            cost += product(h, num_nnz)
+        size = h
     if d > 1:
-        products += d * product(n if num_nnz is None else min(n, -(-num_nnz // d)))
-    return _recurrence_cost(n_out, terms) > products + 800 * n.bit_length()
+        cost += d * product(n, -(-num_nnz // d))
+    return cost
+
+
+# One unit of ``_recurrence_cost`` in the units of ``_product_cost``: 40 ns
+# against 28 ns on the guest that fitted them, and 29 ns against 21 ns
+# (medians at 2000 to 10^5 slots over Z/2 to Z/145) on a later 2-core
+# x86-64 guest, CPython 3.11.7.
+_RECURRENCE_UNIT = 40 / 28
+
+
+def _division_cost(
+    terms: int,
+    n_out: int,
+    ring: CoefficientRing,
+    d: int = 1,
+    num_nnz: int | None = None,
+) -> tuple[float, bool]:
+    """(predicted cost, whether Newton) of the division ``_divide`` runs by
+    b(q^d) to n_out slots, b with ``terms`` nonzero slots past the constant
+    one, in the units of ``_product_cost``: over Z/m the cheaper of the
+    sparse recurrence (``_recurrence_cost``) and Newton (``_newton_cost``),
+    over Z the recurrence."""
+    recurrence = _recurrence_cost(n_out, terms) * _RECURRENCE_UNIT
+    if ring.kind != "mod":
+        return recurrence, False
+    newton = _newton_cost(terms, n_out, ring, d, num_nnz)
+    return (newton, True) if newton < recurrence else (recurrence, False)
 
 
 def _miller_is_cheaper(a, support, e: int) -> bool:
@@ -875,14 +929,13 @@ def _divide(num, den, n_out: int, ring: CoefficientRing):
     """
     terms = _prefix_nonzeros(den, n_out) - 1  # nonzero slots past den[0]
     d = _lattice(den, n_out) or 1  # 0: a constant divisor
-    b = den[:n_out:d] if d > 1 else den
-    if ring.kind != "mod" or not _newton_is_cheaper(
-        b, terms, n_out, ring, d, _prefix_nonzeros(num, n_out)
-    ):
+    _, newton = _division_cost(terms, n_out, ring, d, _prefix_nonzeros(num, n_out))
+    if not newton:
         support = [(k, den[k]) for k in _support(den, n_out)]
         return _div_sparse(num, support, ring.inverse(den[0]), n_out, ring)
     if d == 1:
         return _divide_newton(num, den, n_out, ring)
+    b = den[:n_out:d]
     g = _divide_newton(None, b, len(b), ring)
     # classes first: the n_out-slot list stays out of the products' peak
     classes = [

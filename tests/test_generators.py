@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsift import qseries
+from qsift import generators, qseries
 from qsift.generators import (
     THETA_SERIES,
     EtaQuotientSpec,
@@ -22,9 +22,20 @@ from qsift.generators import (
     mock_f,
     mock_omega,
 )
-from qsift.generators import _frobenius_factors, level_mod_ell
+from qsift.generators import (
+    _build_plan,
+    _digit_plans,
+    _ell_rewrite,
+    _euler_product,
+    _frobenius_factors,
+    _jacobi_cube,
+    _pick_plan,
+    _plan_steps,
+    level_mod_ell,
+)
 from qsift.qseries import INTEGER, QSeries, monomial, integer_mod
 from qsift.scanner import verify_known
+from test_scanner import _class_totals
 
 
 # ---------------------------------------------------------------- eta
@@ -117,7 +128,8 @@ def test_multipartition_is_eta_power():
 
 def test_eta_quotient_stores_the_kernel_result(monkeypatch):
     # the last product's slots are already in the ring: the only normalizing
-    # constructions are the fills of the three Euler products
+    # constructions are the fills, one per sparse factor of the plan (J_1,
+    # E_2 and E_3 over Z and Z/355; over Z/5 those of the priced plan)
     built = []
     init = QSeries.__init__
 
@@ -130,7 +142,10 @@ def test_eta_quotient_stores_the_kernel_result(monkeypatch):
     for ring in (INTEGER, integer_mod(5), integer_mod(355)):
         built.clear()
         series = eta_quotient(spec, 300, ring)
-        assert len(built) == 3
+        _, _, numerator, denominator = _plan_steps(_pick_plan(spec, 300, ring), 300)
+        sparse = {(delta, cube) for delta, cube, _ in numerator + denominator}
+        assert len(built) == len(sparse)
+        assert len(built) == 3 or ring == integer_mod(5)
         assert QSeries(series.offset, series.slots, ring) == series
 
 
@@ -254,6 +269,106 @@ def test_level_mod_ell_is_the_lcm_and_gcd_of_the_rewritten_deltas():
     assert level_mod_ell(EtaQuotientSpec(((1, 2), (2, -1))), 2) == (1, 0)
     # no exponent divisible by 3: the deltas as given
     assert level_mod_ell(EtaQuotientSpec(((3, 1), (6, -2))), 3) == (6, 3)
+
+
+# ------------------------------------------------- Jacobi cubes and plans
+
+JACOBI_RINGS = (INTEGER,) + tuple(integer_mod(m) for m in (2, 3, 5, 256, 257, 355))
+
+
+@pytest.mark.parametrize("delta", range(1, 7))
+def test_jacobi_cube_is_the_cube_of_the_euler_product(delta, eta_quotient_oracle):
+    top = 10**4
+    oracle = eta_quotient_oracle(((delta, 3),), top)  # over Z, then reduced
+    for ring in JACOBI_RINGS:
+        for prec in EDGE_PRECS + (top,):
+            cube = _jacobi_cube(prec, delta, ring)
+            assert cube == _euler_product(prec, delta, ring) ** 3
+            assert list(cube.coeffs) == [ring.normalize(c) for c in oracle[:prec]]
+
+
+def test_jacobi_cube_is_one_fill_and_no_product(monkeypatch):
+    built, products = [], []
+    init = QSeries.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(QSeries, "__init__", spy)
+    monkeypatch.setattr(qseries, "_convolve", lambda *args: products.append(args))
+    for ring in JACOBI_RINGS:
+        for delta in range(1, 7):
+            built.clear()
+            _jacobi_cube(10**4, delta, ring)
+            assert len(built) == 1
+    assert products == []
+
+
+@st.composite
+def plan_specs(draw):
+    deltas = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True))
+    exponents = [draw(st.integers(-12, 12).filter(bool)) for _ in deltas]
+    return EtaQuotientSpec(tuple(zip(deltas, exponents)))
+
+
+@pytest.mark.parametrize("ring", PRIME_RINGS, ids=str)
+@given(
+    spec=plan_specs(),
+    prec=st.one_of(st.sampled_from(EDGE_PRECS), st.integers(1, 600)),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_plan_builds_the_quotient(ring, spec, prec, eta_quotient_oracle):
+    # not only the pick: every plan priced keeps B and each class total, and
+    # builds the slots of the canonical plan and of the oracle
+    ell = ring.modulus
+    canonical = _ell_rewrite(spec.factors, ell)
+    plans = list(_digit_plans(canonical, ell, prec))
+    assert plans[0] == canonical
+    assert _pick_plan(spec, prec, ring) in plans
+    totals = _class_totals(spec.factors, ell)
+    expected = bytes(eta_quotient_oracle(spec.factors, prec, ell))
+    assert _build_plan(canonical, prec, ring) == expected
+    for plan in plans:
+        assert sum(delta * r for delta, r in plan) == spec.B
+        assert _class_totals(plan, ell) == totals
+        assert _build_plan(plan, prec, ring) == expected
+
+
+@pytest.mark.parametrize("ring", (INTEGER,) + NON_PRIME_RINGS, ids=str)
+def test_plan_is_the_factors_as_given_without_a_prime_modulus(ring):
+    for name in ("cphi2", "core4", "multipartition_3", "crank_diff"):
+        spec = catalog_entry(name).spec
+        assert _pick_plan(spec, 20000, ring) == spec.factors
+
+
+def test_plan_writes_cubes_as_jacobi_sums():
+    # 1^7 2^-4 5^2: E_1^7 = J_1^2 E_1, E_2^-4 = 1/(J_2 E_2), E_5^2 as it is
+    plan = ((1, 7), (2, -4), (5, 2))
+    g, n, numerator, denominator = _plan_steps(plan, 100)
+    assert (g, n) == (1, 100)
+    assert numerator == [(5, False, 2), (1, True, 2), (1, False, 1)]
+    assert denominator == [(2, True, 1), (2, False, 1)]
+    # deltas at or past prec are 1 to prec slots: no step builds them
+    assert _plan_steps(((4, -1), (6, 2), (50, 3)), 50)[:2] == (2, 25)
+    assert _plan_steps(((50, 3),), 50) == (0, 0, [], [])
+
+
+def test_quotient_in_q_power_is_built_at_its_slice_length(monkeypatch, eta_quotient_oracle):
+    fills = []
+    sparse_sum = generators._sparse_sum
+
+    def spy(prec, ring, *args):
+        fills.append(prec)
+        return sparse_sum(prec, ring, *args)
+
+    monkeypatch.setattr(generators, "_sparse_sum", spy)
+    spec = EtaQuotientSpec(((2, -1), (6, 4)))  # a series in q^2
+    for ring in (INTEGER, integer_mod(5), integer_mod(355)):
+        fills.clear()
+        series = eta_quotient(spec, 301, ring)
+        assert fills and set(fills) == {151}
+        assert list(series.coeffs) == eta_quotient_oracle(spec.factors, 301, ring.modulus)
 
 
 # ------------------------------------------------------------- mock theta
@@ -567,6 +682,25 @@ ETA_SCAN_BUILDS = (
     ("crank_diff", 5),
     ("multipartition_3", 3),
 )
+
+
+# The plans these builds pick by price at 2*10^4, each the fastest of its
+# plans in timings on a 2-core x86-64 guest (CPython 3.11.7): a pricing
+# change that flips one shows here.
+SCAN_BUILD_PLANS = {
+    ("cphi2", 5): ((1, 1), (4, 3), (5, -1), (10, 1), (20, -1)),
+    ("partition", 5): ((1, 4), (5, -1)),
+    ("cubic", 3): ((1, -1), (2, -1)),
+    ("core4", 2): ((1, 3), (4, 3)),
+    ("crank_diff", 5): ((1, 3), (2, 3), (10, -1)),
+    ("multipartition_3", 3): ((3, -1),),
+}
+
+
+def test_the_scan_builds_pick_their_plans():
+    assert set(SCAN_BUILD_PLANS) == set(ETA_SCAN_BUILDS)
+    for (name, ell), plan in SCAN_BUILD_PLANS.items():
+        assert _pick_plan(catalog_entry(name).spec, 20000, integer_mod(ell)) == plan
 
 
 def test_series_builds_mod_ell_divide_by_newton(monkeypatch):
