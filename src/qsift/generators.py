@@ -51,6 +51,7 @@ from .qseries import (
     _residue_bound,
     _sparse_sum,
     _spread,
+    _square_and_multiply,
     integer_mod,
     monomial,
 )
@@ -338,14 +339,7 @@ def _plan_cost(plan, prec: int, ring: CoefficientRing) -> float:
                 nnz -= ((2 * nnz - 1) // ell + 1) // 2
         else:
             nnz = _pentagonal_count(n, delta)
-        base, result = (delta, nnz), None
-        while True:  # square-and-multiply, as QSeries.__pow__
-            if e & 1:
-                result = base if result is None else times(result, base)
-            e >>= 1
-            if not e:
-                return result
-            base = times(base, base)
+        return _square_and_multiply((delta, nnz), e, times)
 
     top = reduce(times, (power(*step) for step in numerator)) if numerator else (0, 1)
     if denominator:

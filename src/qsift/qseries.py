@@ -135,9 +135,10 @@ def integer_mod(m: int) -> CoefficientRing:
 #
 # Quotients run the sparse recurrence (``_div_sparse``) or Newton division
 # (``_divide_newton``, over Z/m), whichever is predicted cheaper
-# (``_division_cost``); over Z a
-# power of a sparse series with constant slot +-1 can be one pass of
-# Miller's recurrence (``_pow_sparse``) instead of square-and-multiply.
+# (``_division_cost``); over Z a power of a sparse series with constant slot
+# +-1 can be one pass of Miller's recurrence (``_pow_sparse``) instead of
+# square-and-multiply.  Both recurrences run on one engine of grouped
+# C-level gathers (``_lagged_gathers``) and keep only their slot formulas.
 #
 # The two packing kernels share one layout.  Slot k is digit k of one
 # number, slot 0 least significant; over Z a factor packs as (positive
@@ -635,24 +636,53 @@ def _convolve(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0):
     return out
 
 
+def _lagged_gathers(support, out: list, n_out: int):
+    """The one engine of the sparse recurrences ``_div_sparse`` and
+    ``_pow_sparse``, whose slot i sums lagged slots out[i-k] over the
+    ascending (k, b_k) pairs of ``support``.  It yields the ``range``s of
+    slots, up to n_out, that read the same terms, each with its live
+    groups; the caller appends one slot to ``out`` (the slots known so far)
+    for each i.  Meanwhile out[0] is a sentinel 0, so out[i-k] is
+    ``out[-k]`` and a group's terms are gathered in C by one
+    ``itemgetter(-k1, ..., -kc, 0)``, a tuple even for one term.  A group
+    (b, gather, values, moments) holds the terms of one repeated value b
+    (values None) or, with b = 1, the values that occur once (all of them
+    in Jacobi's sum for E^3 over Z), to be summed weighted by their
+    ``values`` b_k with ``map(mul, ...)``; moments are the k b_k / b.  A
+    group is rebuilt only when i reaches its next k, so the gathers cost
+    n_out * len(support) item reads at most."""
+    repeats = Counter(bk for _, bk in support)
+    out.insert(0, 0)  # the sentinel: slot j is out[j + 1]
+    terms, groups = {}, {}  # per value b, None for the lone values: live terms, group
+    start = len(out) - 1
+    for k, bk in chain(support, [(n_out, None)]):
+        stop = min(k, n_out)  # slots start..stop-1 read the same terms
+        yield range(start, stop), list(groups.values())
+        if stop == n_out:
+            break
+        start = k
+        b = bk if repeats[bk] > 1 else None
+        offsets, values, moments = terms.setdefault(b, ([0], [], []))
+        offsets.insert(-1, -k)  # values and moments stay one shorter: map stops there
+        if b is None:
+            values.append(bk)
+            moments.append(k * bk)
+            groups[b] = (1, itemgetter(*offsets), values, moments)
+        else:
+            moments.append(k)
+            groups[b] = (b, itemgetter(*offsets), None, moments)
+    del out[0]
+
+
 def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
     """Slots 0..n_out-1 of num / b, where b has constant slot 1/inv0 and its
     other nonzero slots are the ascending (k, b_k) pairs of ``support``.
 
     Both sides are first scaled by inv0, so that b has constant slot 1; the
     recurrence out[i] = num[i] - sum b_k out[i-k] is then exact in every
-    ring.  Its terms are grouped by the value b_k, so that each slot costs
-    one C-level gather and ``sum`` per repeated value instead of one
-    interpreted step per term: out[i] = num[i] - sum_b b * sum(out[i-k]
-    over the k <= i with b_k = b), with no multiply for b = 1.  The values
-    that occur once (all of them in Jacobi's sum for E^3 over Z) share one
-    gather, weighted by ``map(mul, ...)`` in C.  ``out`` grows by
-    ``append`` after a sentinel 0, so out[i-k] is ``out[-k]`` and a group's
-    live terms are one ``itemgetter(-k1, ..., -kc, 0)``, whose trailing
-    index reads the sentinel and makes it return a tuple even for one term.
-    A group's getter is rebuilt only when i reaches its next k, so memory
-    grows with the number of terms, and the gathers still cost n_out *
-    len(support) item reads at most.
+    ring.  Its gathers are those of ``_lagged_gathers``: out[i] = num[i] -
+    sum_b b * sum(out[i-k] over the k <= i with b_k = b), with no multiply
+    for b = 1, and the values that occur once in one weighted sum.
     """
     mod = ring.modulus if ring.kind == "mod" else None
     if inv0 == 1:
@@ -660,33 +690,16 @@ def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
     else:
         support = [(k, ring.normalize(inv0 * bk)) for k, bk in support]
         head = [ring.normalize(inv0 * a) for a in islice(num, n_out)]
-    repeats = Counter(bk for _, bk in support)
-    out = [0]  # the sentinel: slot j is out[j + 1]
+    out = []
     append = out.append
-    offsets, getters = {}, {}  # per repeated value b: the -k of its live terms, their getter
-    lone_offsets, lone_values, lone = [0], [], None  # the values that occur once
-    start = 0
-    for k, bk in chain(support, [(n_out, None)]):
-        stop = min(k, n_out)  # slots start..stop-1 read the same terms
-        groups = list(getters.items())
-        for i in range(start, stop):
+    for slots, groups in _lagged_gathers(support, out, n_out):
+        for i in slots:
             v = head[i]
-            for b, gather in groups:
-                v -= sum(gather(out)) if b == 1 else b * sum(gather(out))
-            if lone:
-                v -= sum(map(mul, lone_values, lone(out)))
+            for b, gather, values, _ in groups:
+                lagged = gather(out)
+                s = sum(lagged) if values is None else sum(map(mul, values, lagged))
+                v -= s if b == 1 else b * s
             append(v % mod if mod else v)
-        if stop == n_out:
-            break
-        start = k
-        if repeats[bk] > 1:
-            offsets.setdefault(bk, [0]).insert(-1, -k)
-            getters[bk] = itemgetter(*offsets[bk])
-        else:
-            lone_offsets.insert(-1, -k)
-            lone_values.append(bk)
-            lone = itemgetter(*lone_offsets)
-    del out[0]
     return out
 
 
@@ -697,39 +710,23 @@ def _pow_sparse(support, a0: int, e: int, n_out: int) -> list:
     4.7): f = a**e satisfies a f' = e a' f, so f_0 = a0**e and
     n a0 f_n = sum_{k >= 1} ((e+1) k - n) a_k f_{n-k}.
 
-    The design is that of ``_div_sparse``: ``out`` grows by ``append``
-    after a sentinel 0, and the terms are grouped by the value a_k, each
-    group's live f_{n-k} being one ``itemgetter`` gather (rebuilt when n
-    reaches the group's next k).  A slot sums each gather twice in C, once
-    plainly and once weighted by (e+1) k with ``map(mul, ...)``; then
-    (weighted - n * plain) is divided, exactly, by n a0.
+    Its gathers are those of ``_lagged_gathers``: a slot sums each gather
+    twice in C, once weighted by the values (plain) and once by the
+    moments k a_k; then ((e+1) moment - n plain) is divided, exactly, by
+    n a0.
     """
-    out = [0, a0 if e & 1 else 1]  # the sentinel, then f_0: slot j is out[j + 1]
+    out = [a0 if e & 1 else 1]  # f_0
     append = out.append
-    ks, groups = {}, {}  # per value a: the k of its live terms; (a, gather, weights)
-    start = 1
-    for k, ak in chain(support, [(n_out, None)]):
-        stop = min(k, n_out)  # slots start..stop-1 read the same terms
-        live = list(groups.values())
-        for n in range(start, stop):
-            plain = weighted = 0
-            for a, gather, weights in live:
-                values = gather(out)
-                if a == 1:
-                    plain += sum(values)
-                    weighted += sum(map(mul, weights, values))
-                else:
-                    plain += a * sum(values)
-                    weighted += a * sum(map(mul, weights, values))
-            append((weighted - n * plain) // (n * a0))
-        if stop == n_out:
-            break
-        start = k
-        terms = ks.setdefault(ak, [])
-        terms.append(k)
-        weights = (*[(e + 1) * j for j in terms], 0)
-        groups[ak] = (ak, itemgetter(*[-j for j in terms], 0), weights)
-    del out[0]
+    for slots, groups in _lagged_gathers(support, out, n_out):
+        for n in slots:
+            plain = moment = 0
+            for b, gather, values, moments in groups:
+                lagged = gather(out)
+                p = sum(lagged) if values is None else sum(map(mul, values, lagged))
+                w = sum(map(mul, moments, lagged))
+                plain += p if b == 1 else b * p
+                moment += w if b == 1 else b * w
+            append(((e + 1) * moment - n * plain) // (n * a0))
     return out
 
 
@@ -862,6 +859,20 @@ def _division_cost(
     return (newton, True) if newton < recurrence else (recurrence, False)
 
 
+def _square_and_multiply(base, e: int, times):
+    """base**e, e >= 1, by square-and-multiply, where ``times`` multiplies
+    two powers: series by ``*``, or a price's stand-ins for them, so that a
+    pricing follows the build it prices."""
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else times(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = times(base, base)
+
+
 def _miller_is_cheaper(a, support, e: int) -> bool:
     """Whether Miller's recurrence (``_pow_sparse``) for a**e over Z to
     n = len(a) slots is predicted cheaper than square-and-multiply on h,
@@ -899,18 +910,13 @@ def _miller_is_cheaper(a, support, e: int) -> bool:
     cost = passes(3, abs(e) * l.bit_length())
     if e < 0:
         cost -= passes(1, l.bit_length())
-    e, result, power = abs(e), 0, 1
-    while cost > 0:
-        if e & 1:
-            if result:
-                nnz = nnz_h if min(result, power) == 1 else n
-                cost -= _product_cost(n, nnz, l ** (result + power), INTEGER)
-            result += power
-        e >>= 1
-        if not e:
-            break
-        cost -= _product_cost(n, nnz_h if power == 1 else n, l ** (2 * power), INTEGER)
-        power *= 2
+
+    def times(i: int, j: int) -> int:  # h**i * h**j, priced; the power's index
+        nonlocal cost
+        cost -= _product_cost(n, nnz_h if min(i, j) == 1 else n, l ** (i + j), INTEGER)
+        return i + j
+
+    _square_and_multiply(1, abs(e), times)
     return cost < 0
 
 
@@ -1122,17 +1128,7 @@ class QSeries:
             if _miller_is_cheaper(slots, support, e):
                 out = _pow_sparse(support, slots[0], e, n)
                 return QSeries._trusted(self.offset * e, out, ring)
-        base = self if e > 0 else self.invert()
-        e = abs(e)
-        result = None
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                break
-            base = base * base
-        return result
+        return _square_and_multiply(self if e > 0 else self.invert(), abs(e), mul)
 
     def reduce_mod(self, m: int) -> "QSeries":
         """Reduce coefficients into Z/m.  Allowed from the integers or from

@@ -1046,20 +1046,37 @@ def test_pow_matches_repeated_mul():
 def sparse_powers(draw):
     """(a, support, e) for a**e over Z: a has constant slot +-1 and its other
     nonzero slots on a lattice d in {1, 2, 3, 5}, all +-1 or up to 2^200 in
-    magnitude; e is in +-2..+-12, and the sizes reach past the crossover of
+    magnitude.  As in ``sparse_divisions`` they are one term, many terms of
+    one value, pairwise distinct values or any values from a few drawn
+    ones, where repeated values and values that occur once mix.  e is in
+    +-2..+-12, and the sizes reach past the crossover of
     ``_miller_is_cheaper`` (eta**-2 turns to Miller at about 200 slots)."""
     d = draw(st.sampled_from((1, 2, 3, 5)))
     big = draw(st.booleans())
     n = draw(st.integers(1, 60 if big else 300))  # big slots grow fast
     values = ring_values(INTEGER).filter(bool) if big else st.sampled_from((1, -1))
-    ks = sorted(draw(st.sets(st.integers(1, n + 4).map(lambda k: k * d), max_size=40)))
+    multiples = st.integers(1, n // d + 2).map(lambda k: k * d)  # some past n
+    ks = sorted(draw(st.sets(multiples, min_size=2, max_size=40)))
+    shape = draw(st.sampled_from(("any", "distinct", "equal", "one")))
+    if shape == "one":
+        ks = ks[:1]
+    if shape == "distinct" and not big:
+        ks = ks[:2]  # +-1 are the only distinct values
+    size = len(ks)
+    if shape == "equal":
+        drawn = [draw(values)] * size
+    elif shape == "distinct":
+        drawn = draw(st.lists(values, min_size=size, max_size=size, unique=True))
+    else:
+        few = st.sampled_from(draw(st.lists(values, min_size=2, max_size=6, unique=True)))
+        drawn = draw(st.lists(few, min_size=size, max_size=size))
     a = [0] * n
     a[0] = draw(unit(INTEGER))
     support = []
-    for k in ks:
+    for k, value in zip(ks, drawn):
         if k < n:
-            a[k] = draw(values)
-            support.append((k, a[k]))
+            a[k] = value
+            support.append((k, value))
     return a, support, draw(st.integers(2, 12)) * draw(st.sampled_from((1, -1)))
 
 
