@@ -6,6 +6,18 @@ A scan is one-sided: a Witness verdict certifies that the progression does
 not vanish identically (the coefficient is stored and re-checkable), while a
 Candidate verdict only records how far vanishing was observed -- it never
 claims a congruence.
+
+``scan``, ``scan_progression`` and ``witness`` run on one first-nonzero
+search, ``_first_nonzero``.  Row n of a modulus m is slots n*m to n*m + m - 1.
+Every m reads its rows in blocks that end at rows 8, 64, 512, ..., all m in
+step.  The slots a block reaches are mapped to 0 or 1 (nonzero) once, by a
+``translate`` of the residue bytes, or ``bytes(map(bool, ...))`` for tuple
+slots.  Each residue t without a witness yet is searched in the block by one
+strided slice and one ``find``.  So Python runs once per block and open
+residue, never once per slot: a true congruence costs a few C-level passes
+over its progression, and a scan whose witnesses come early maps only the
+slots its first blocks reach.  ``scan_progression`` and ``witness`` cut their
+progression out of the series first, so they read no other slot.
 """
 
 from __future__ import annotations
@@ -118,15 +130,55 @@ class Applicability:
     reasons: tuple[str, ...]
 
 
-def _verdict(slots, m: int, t: int, n_max: int) -> ScanVerdict:
-    """The verdict on slots m*n + t of ``slots`` (residues mod ell, as a
-    series stores them) for n <= n_max: a witness at the first nonzero one,
-    where the search stops, or a candidate that checked all of them."""
-    for n in range(n_max + 1):
-        value = slots[m * n + t]
-        if value:
-            return ScanVerdict(m, t, "witness", n=n, value=value)
-    return ScanVerdict(m, t, "candidate", checked=n_max)
+_NONZERO = bytes([0]) + bytes([1]) * 255  # residue byte -> 1 if nonzero
+_FIRST_ROWS = 8  # rows in the first block; each next block ends 8 times further on
+
+
+def _first_nonzero(slots, m_max: int) -> list:
+    """For every progression (m, t) with m <= m_max and 0 <= t < m, in
+    scan order (m ascending, then t): the least n with ``slots[m*n + t]``
+    nonzero, or None when every such slot is 0.  ``slots`` holds residues
+    as a series stores them, ``bytes`` or a tuple.  See the module
+    docstring for how the blocks are read."""
+    first = [None] * (m_max * (m_max + 1) // 2)
+    open_ts = {m: range(m) for m in range(1, m_max + 1)}
+    prec, nonzero = len(slots), bytearray()
+    lo, hi = 0, _FIRST_ROWS
+    while open_ts:
+        part = slots[len(nonzero) : hi * max(open_ts)]
+        nonzero += part.translate(_NONZERO) if type(part) is bytes else bytes(map(bool, part))
+        for m, ts in list(open_ts.items()):
+            base, start, stop = m * (m - 1) // 2, lo * m, hi * m
+            still = []
+            for t in ts:
+                i = nonzero[start + t : stop : m].find(1)
+                if i < 0:
+                    still.append(t)
+                else:
+                    first[base + t] = lo + i
+            if still and stop < prec:
+                open_ts[m] = still
+            else:
+                del open_ts[m]
+        lo, hi = hi, hi * 8
+    return first
+
+
+def _verdict_of(m: int, t: int, n: int | None, value, n_max: int) -> ScanVerdict:
+    """The verdict on progression (m, t) searched for n <= n_max: a witness
+    at its first nonzero slot n, of residue ``value``, or a candidate when
+    n is None.  Arguments are positional, the fastest way to build it."""
+    if n is None:
+        return ScanVerdict(m, t, "candidate", None, None, n_max)
+    return ScanVerdict(m, t, "witness", n, value)
+
+
+def _progression_residues(series: QSeries, ell: int, m: int, t: int, count: int):
+    """Residues mod ell of slots m*n + t, n < count, stored as a series over
+    Z/ell stores them.  The progression is cut out first, so only its slots
+    are read and reduced."""
+    part = series.slots[t : t + m * (count - 1) + 1 : m]
+    return QSeries._trusted(Fraction(0), part, series.ring).reduce_mod(ell).slots
 
 
 def witness(series: QSeries, ell: int, prog: Progression, n_max: int) -> int | None:
@@ -142,7 +194,7 @@ def witness(series: QSeries, ell: int, prog: Progression, n_max: int) -> int | N
         raise InsufficientPrecision(
             f"need {m * n_max + t + 1} coefficients, have {series.prec}"
         )
-    return _verdict(series.reduce_mod(ell).slots, m, t, n_max).n
+    return _first_nonzero(_progression_residues(series, ell, m, t, n_max + 1), 1)[0]
 
 
 def _check_m_max(series: QSeries, m_max: int) -> None:
@@ -160,10 +212,10 @@ def scan(series: QSeries, ell: int, m_max: int, series_name: str = "") -> ScanRe
     series precision."""
     _check_m_max(series, m_max)
     slots, prec = series.reduce_mod(ell).slots, series.prec
+    progressions = ((m, t) for m in range(1, m_max + 1) for t in range(m))
     verdicts = tuple(
-        _verdict(slots, m, t, (prec - 1 - t) // m)
-        for m in range(1, m_max + 1)
-        for t in range(m)
+        _verdict_of(m, t, n, None if n is None else slots[m * n + t], (prec - 1 - t) // m)
+        for (m, t), n in zip(progressions, _first_nonzero(slots, m_max))
     )
     return ScanReport(series_name, ell, m_max, prec, verdicts)
 
@@ -176,7 +228,9 @@ def scan_progression(
     precision."""
     _check_m_max(series, prog.m)
     n_max = (series.prec - 1 - prog.t) // prog.m
-    verdict = _verdict(series.reduce_mod(ell).slots, prog.m, prog.t, n_max)
+    residues = _progression_residues(series, ell, prog.m, prog.t, n_max + 1)
+    n = _first_nonzero(residues, 1)[0]
+    verdict = _verdict_of(prog.m, prog.t, n, None if n is None else residues[n], n_max)
     return ScanReport(series_name, ell, prog.m, series.prec, (verdict,))
 
 

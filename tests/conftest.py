@@ -36,6 +36,9 @@ num - den*y from one subtraction per slot, against the column tables and
 lane sums of ``qseries._read_slots`` and ``qseries._divide_newton``.
 A scan report's JSON comes from the dict the standard library's indenting
 encoder writes, against the line by line writer of ``ScanReport.to_json``.
+A progression's verdict comes from reading its residues one slot at a time
+until the first nonzero one, against the block search of
+``scanner._first_nonzero``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from types import SimpleNamespace
 import pytest
 
 from qsift.arith import dedekind_sum
+from qsift.scanner import ScanVerdict
 from qsift.transform import (
     BadMatrix,
     ParityMismatch,
@@ -557,6 +561,22 @@ def _report_json_dict(report) -> dict:
         "budget": report.coeff_budget,
         "verdicts": verdicts,
     }
+
+
+def _verdict_per_slot(slots, m: int, t: int, n_max: int) -> ScanVerdict:
+    """The verdict on slots m*n + t of ``slots`` (residues mod ell, as a
+    series stores them) for n <= n_max: a witness at the first nonzero one,
+    where the search stops, or a candidate that checked all of them."""
+    for n in range(n_max + 1):
+        value = slots[m * n + t]
+        if value:
+            return ScanVerdict(m, t, "witness", n=n, value=value)
+    return ScanVerdict(m, t, "candidate", checked=n_max)
+
+
+@pytest.fixture(scope="session")
+def scan_verdict_oracle():
+    return _verdict_per_slot
 
 
 @pytest.fixture(scope="session")

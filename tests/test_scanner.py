@@ -5,11 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsift.scanner
@@ -23,7 +24,7 @@ from qsift.generators import (
     mock_f,
     mock_omega,
 )
-from qsift.qseries import integer_mod
+from qsift.qseries import INTEGER, QSeries, integer_mod
 from qsift.scanner import (
     InsufficientPrecision,
     ScanReport,
@@ -152,6 +153,95 @@ def test_refinement_keeps_witness_reachable():
         assert n1 is not None
         # the refined progression is a subsequence of the original
         assert refined.t % m == t
+
+
+# ------------------------------------------------- the first-nonzero search
+
+
+@st.composite
+def _scan_cases(draw):
+    """(ell, over Z?, coefficients, m_max, m, t, n_max).  Residue bytes for
+    ell = 2, 3, 5 and 256, from a series over Z/ell or over Z; tuple slots
+    for ell = 257, from a series over Z.  The series is all zero, has one
+    nonzero slot, a few slots (some of them nonzero over Z but 0 mod ell),
+    or is dense; m <= m_max <= prec, t < m and n_max reaches at most the
+    last slot of (m, t)."""
+    ell = draw(st.sampled_from((2, 3, 5, 256, 257)))
+    over_z = ell == 257 or draw(st.booleans())
+    prec = draw(st.integers(1, 40) | st.integers(1, 3000))
+    values = st.integers(-(10**30), 10**30) | st.integers(-(10**6), 10**6).map(
+        lambda k: k * ell
+    )
+    coeffs = [0] * prec
+    shape = draw(st.sampled_from(("zero", "one", "few", "dense")))
+    if shape == "one":
+        coeffs[draw(st.integers(0, prec - 1))] = draw(values.filter(lambda c: c % ell))
+    elif shape == "few":
+        for k in draw(st.lists(st.integers(0, prec - 1), max_size=8)):
+            coeffs[k] = draw(values)
+    elif shape == "dense":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        coeffs = [rng.randrange(-3 * ell, 3 * ell) for _ in range(prec)]
+    m_max = draw(st.integers(1, min(prec, 40)))
+    m = draw(st.integers(1, m_max))
+    t = draw(st.integers(0, m - 1))
+    n_max = draw(st.integers(0, (prec - 1 - t) // m))
+    return ell, over_z, coeffs, m_max, m, t, n_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_scan_cases())
+@example(case=(2, False, [0] * 10, 3, 3, 2, 2))  # all zero; 10 slots, m = 3
+@example(case=(5, False, [0] * 7 + [3] + [0] * 12, 4, 4, 3, 4))  # one nonzero slot
+@example(case=(3, False, [0, 0, 2, 0, 0, 1], 6, 6, 5, 0))  # prec == m_max
+@example(case=(3, False, [0] * 8 + [2], 1, 1, 0, 8))  # the slot after the first block
+@example(case=(256, True, [0] * 30 + [768] + [0] * 11 + [255], 7, 7, 6, 5))
+@example(case=(257, True, [0, 514, 0, 0, 0, 0, 0, -1], 5, 3, 1, 2))  # 514 = 0 mod 257
+def test_scans_match_the_slot_by_slot_oracle(case, scan_verdict_oracle):
+    ell, over_z, coeffs, m_max, m, t, n_max = case
+    series = QSeries(0, coeffs, INTEGER if over_z else integer_mod(ell))
+    residues, prec = [c % ell for c in coeffs], len(coeffs)
+
+    def oracle(m: int, t: int, n_max: int) -> ScanVerdict:
+        return scan_verdict_oracle(residues, m, t, n_max)
+
+    expected = [oracle(k, u, (prec - 1 - u) // k) for k in range(1, m_max + 1) for u in range(k)]
+    assert list(scan(series, ell, m_max).verdicts) == expected
+    prog = Progression(m, t)
+    assert scan_progression(series, ell, prog).verdicts == (oracle(m, t, (prec - 1 - t) // m),)
+    assert witness(series, ell, prog, n_max) == oracle(m, t, n_max).n
+
+
+def omega_mod2_predicted(prec: int, m_max: int) -> tuple[ScanVerdict, ...]:
+    """The verdicts of ``scan(mock_omega(prec, Z/2), 2, m_max)`` that
+    omega = sum over j in Z of q^(6j^2 + 4j) (mod 2) predicts
+    (``verify_known``'s omega-parity-mod2): (m, t) has a witness, of value
+    1, at the least exponent e = t (mod m) below prec, n = e // m, and is a
+    candidate when there is none."""
+    bound = isqrt(prec // 6) + 1
+    exponents = sorted(e for j in range(-bound, bound + 1) if (e := 6 * j * j + 4 * j) < prec)
+    predicted = []
+    for m in range(1, m_max + 1):
+        first: dict[int, int] = {}
+        for e in exponents:  # ascending: the first e of each class is its least
+            first.setdefault(e % m, e // m)
+        for t in range(m):
+            n = first.get(t)
+            if n is None:
+                predicted.append(ScanVerdict(m, t, "candidate", checked=(prec - 1 - t) // m))
+            else:
+                predicted.append(ScanVerdict(m, t, "witness", n=n, value=1))
+    return tuple(predicted)
+
+
+def test_omega_mod2_verdicts_follow_its_sparse_form():
+    # the generator, the scanner and verify_known's sparse form agree on
+    # every progression: the status, and for a witness its n
+    prec, m_max = 5000, 60
+    report = scan(mock_omega(prec, integer_mod(2)), 2, m_max)
+    predicted = omega_mod2_predicted(prec, m_max)
+    assert report.verdicts == predicted
+    assert 0 < len(report.candidates()) < len(predicted)
 
 
 # ----------------------------------------------------------- theorem gate
