@@ -8,16 +8,18 @@ Candidate verdict only records how far vanishing was observed -- it never
 claims a congruence.
 
 ``scan``, ``scan_progression`` and ``witness`` run on one first-nonzero
-search, ``_first_nonzero``.  Row n of a modulus m is slots n*m to n*m + m - 1.
-Every m reads its rows in blocks that end at rows 8, 64, 512, ..., all m in
-step.  The slots a block reaches are mapped to 0 or 1 (nonzero) once, by a
-``translate`` of the residue bytes, or ``bytes(map(bool, ...))`` for tuple
-slots.  Each residue t without a witness yet is searched in the block by one
-strided slice and one ``find``.  So Python runs once per block and open
-residue, never once per slot: a true congruence costs a few C-level passes
-over its progression, and a scan whose witnesses come early maps only the
-slots its first blocks reach.  ``scan_progression`` and ``witness`` cut their
-progression out of the series first, so they read no other slot.
+search, ``_first_nonzero``; ``_verdicts`` alone turns its list into
+verdicts, tuple records in CSV column order.  Row n of a modulus m is slots
+n*m to n*m + m - 1.  Every m reads its rows in blocks that end at rows 8,
+64, 512, ..., all m in step.  The slots a block reaches are mapped to 0 or
+1 (nonzero) once, by a ``translate`` of the residue bytes, or
+``bytes(map(bool, ...))`` for tuple slots.  Each residue t without a
+witness yet is searched in the block by one strided slice and one ``find``.
+So Python runs once per block and open residue, never once per slot: a true
+congruence costs a few C-level passes over its progression, and a scan
+whose witnesses come early maps only the slots its first blocks reach.
+``scan_progression`` and ``witness`` cut their progression out of the
+series first, so they read no other slot.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
+from typing import NamedTuple
 
 from .arith import prime_factors
 from .generators import EtaQuotientSpec, level_mod_ell
@@ -57,8 +60,7 @@ class InsufficientPrecision(Exception):
     """The series does not hold enough coefficients for the request."""
 
 
-@dataclass(frozen=True)
-class ScanVerdict:
+class ScanVerdict(NamedTuple):
     """Outcome for one progression: status "witness" carries the first index
     n with a nonzero residue at slot m*n + t; status "candidate" carries the
     largest n checked (all residues vanished)."""
@@ -115,9 +117,8 @@ class ScanReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["m", "t", "status", "n", "value", "checked"])
-        rows = ((v.m, v.t, v.status, v.n, v.value, v.checked) for v in self.verdicts)
-        writer.writerows(rows)  # csv writes None as the empty string
+        writer.writerow(ScanVerdict._fields)
+        writer.writerows(self.verdicts)  # csv writes None as the empty string
         return buf.getvalue()
 
 
@@ -164,13 +165,18 @@ def _first_nonzero(slots, m_max: int) -> list:
     return first
 
 
-def _verdict_of(m: int, t: int, n: int | None, value, n_max: int) -> ScanVerdict:
-    """The verdict on progression (m, t) searched for n <= n_max: a witness
-    at its first nonzero slot n, of residue ``value``, or a candidate when
-    n is None.  Arguments are positional, the fastest way to build it."""
-    if n is None:
-        return ScanVerdict(m, t, "candidate", None, None, n_max)
-    return ScanVerdict(m, t, "witness", n, value)
+def _verdicts(slots, m_max: int) -> tuple[ScanVerdict, ...]:
+    """The verdict on every progression (m, t), m <= m_max, in scan order:
+    a witness at its first nonzero slot n, with that slot's residue, or a
+    candidate checked to the last n that ``slots`` holds."""
+    last, first = len(slots) - 1, iter(_first_nonzero(slots, m_max))
+    return tuple(
+        ScanVerdict(m, t, "candidate", None, None, (last - t) // m)
+        if (n := next(first)) is None
+        else ScanVerdict(m, t, "witness", n, slots[m * n + t])
+        for m in range(1, m_max + 1)
+        for t in range(m)
+    )
 
 
 def _progression_residues(series: QSeries, ell: int, m: int, t: int, count: int):
@@ -211,13 +217,8 @@ def scan(series: QSeries, ell: int, m_max: int, series_name: str = "") -> ScanRe
     m ascending then t ascending.  Witness searches run to the edge of the
     series precision."""
     _check_m_max(series, m_max)
-    slots, prec = series.reduce_mod(ell).slots, series.prec
-    progressions = ((m, t) for m in range(1, m_max + 1) for t in range(m))
-    verdicts = tuple(
-        _verdict_of(m, t, n, None if n is None else slots[m * n + t], (prec - 1 - t) // m)
-        for (m, t), n in zip(progressions, _first_nonzero(slots, m_max))
-    )
-    return ScanReport(series_name, ell, m_max, prec, verdicts)
+    verdicts = _verdicts(series.reduce_mod(ell).slots, m_max)
+    return ScanReport(series_name, ell, m_max, series.prec, verdicts)
 
 
 def scan_progression(
@@ -225,12 +226,11 @@ def scan_progression(
 ) -> ScanReport:
     """The report ``scan`` with m_max = prog.m gives, kept to its verdict
     on ``prog`` alone: a witness search to the edge of the series
-    precision."""
+    precision.  Progression (1, 0) of the residues it cuts out is ``prog``."""
     _check_m_max(series, prog.m)
     n_max = (series.prec - 1 - prog.t) // prog.m
     residues = _progression_residues(series, ell, prog.m, prog.t, n_max + 1)
-    n = _first_nonzero(residues, 1)[0]
-    verdict = _verdict_of(prog.m, prog.t, n, None if n is None else residues[n], n_max)
+    verdict = _verdicts(residues, 1)[0]._replace(m=prog.m, t=prog.t)
     return ScanReport(series_name, ell, prog.m, series.prec, (verdict,))
 
 
@@ -296,18 +296,13 @@ def criterion_report(spec: EtaQuotientSpec, ell: int, m: int) -> dict:
 
 def sturm_bound(k_twice: int, N: int) -> int:
     """Budget heuristic ceil((k/2) * index / 12) with the halved index
-    convention index(N) = N^2 prod(1 - 1/p^2) for N >= 3, 1 for N = 1 and
-    3 for N = 2.  The ceiling is taken in integers, exact at every level."""
+    convention index(N) = N^2 prod(1 - 1/p^2), which is 1 at N = 1 and 3 at
+    N = 2.  The ceiling is taken in integers, exact at every level."""
     if N < 1:
         raise ValueError("N must be positive")
-    if N == 1:
-        index = 1
-    elif N == 2:
-        index = 3
-    else:
-        index = N * N
-        for p in prime_factors(N):
-            index = index // (p * p) * (p * p - 1)
+    index = N * N
+    for p in prime_factors(N):
+        index = index // (p * p) * (p * p - 1)
     return -(-k_twice * index // 24)
 
 
@@ -325,10 +320,14 @@ _CONGRUENCE_CLAIMS = (
 
 def verify_known(bounds: dict[str, int] | None = None) -> list[tuple[str, bool]]:
     """Re-verify the hard-coded known congruences and parity facts, each up
-    to its configured coefficient bound; returns (claim id, passed) pairs."""
+    to its configured coefficient bound; returns (claim id, passed) pairs.
+    A bound for an unknown claim id, or a negative bound, is a ValueError."""
     from .generators import _terms_over_z, build_series, mock_f, mock_omega
 
+    claims = [c[0] for c in _CONGRUENCE_CLAIMS] + ["mockf-parity-mod2", "omega-parity-mod2"]
     bounds = bounds or {}
+    if bad := {claim: b for claim, b in bounds.items() if claim not in claims or b < 0}:
+        raise ValueError(f"unknown claim ids or negative bounds: {bad}; claim ids: {claims}")
     results = []
 
     for claim, name, ell, m, ts, default_bound in _CONGRUENCE_CLAIMS:

@@ -524,6 +524,16 @@ def test_verify_known_quick():
     assert all(ok for _, ok in results), results
 
 
+def test_verify_known_rejects_an_unknown_claim_id():
+    with pytest.raises(ValueError, match="{'no-such-claim': 5}"):
+        verify_known({"no-such-claim": 5})
+
+
+def test_verify_known_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="{'cubic-mod3': -1}"):
+        verify_known({"partition-mod5": 10, "cubic-mod3": -1})
+
+
 # ----------------------------------------------------------- serialization
 
 
@@ -590,3 +600,18 @@ def test_report_csv_contract():
     assert len(rows) == 1 + len(report.verdicts)
     candidate_rows = [r for r in rows[1:] if r[2] == "candidate"]
     assert candidate_rows == [["5", "4", "candidate", "", "", str((400 - 5) // 5)]]
+    for row, v in zip(rows[1:], report.verdicts):
+        fields = (v.m, v.t, v.status, v.n, v.value, v.checked)
+        assert row == ["" if x is None else str(x) for x in fields]
+
+
+def test_reports_survive_pickle_and_deepcopy():
+    import copy
+    import pickle
+
+    series = build_series("partition", 400, modulus=5)
+    reports = scan(series, 5, 6, "partition"), scan_progression(series, 5, Progression(5, 4))
+    for report in reports:
+        for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert copied == report
+            assert [type(v) for v in copied.verdicts] == [ScanVerdict] * len(report.verdicts)
