@@ -47,8 +47,7 @@ from .qseries import (
     CoefficientRing,
     QSeries,
     _division_cost,
-    _product_cost,
-    _residue_bound,
+    _residue_product_cost,
     _sparse_sum,
     _spread,
     _square_and_multiply,
@@ -312,14 +311,15 @@ def _plan_steps(plan, prec: int):
 
 
 def _plan_cost(plan, prec: int, ring: CoefficientRing) -> float:
-    """The predicted cost, in the units of ``qseries._product_cost``, of
+    """The predicted cost, in the one unit of the ``qseries`` prices, of
     building ``plan`` over Z/ell by ``_build_plan``: every product of the
-    powers and of the numerator and denominator as ``_convolve`` prices it,
-    at the length of the two factors' common lattice, and the division as
-    the cheaper of the recurrence and Newton, at the length the
-    denominator's lattice sets.  A series is priced from its lattice and
-    its count of nonzero slots, a product's taken as the smaller of its
-    length and the product of its factors' counts."""
+    powers and of the numerator and denominator by
+    ``_residue_product_cost``, at the length of the two factors' common
+    lattice, and the division by ``_division_cost``, the cheaper of the
+    recurrence and Newton, at the length the denominator's lattice sets.
+    A series is priced from its lattice and its count of nonzero slots, a
+    product's taken as the smaller of its length and the product of its
+    factors' counts."""
     g, n, numerator, denominator = _plan_steps(plan, prec)
     if not g:
         return 0.0
@@ -329,7 +329,7 @@ def _plan_cost(plan, prec: int, ring: CoefficientRing) -> float:
         nonlocal cost
         d = gcd(x[0], y[0])
         slots, nnz = -(-n // d), min(x[1], y[1])
-        cost += _product_cost(slots, nnz, _residue_bound(nnz, ring), ring)
+        cost += _residue_product_cost(slots, nnz, ring)
         return d, min(slots, x[1] * y[1])
 
     def power(delta: int, cube: bool, e: int):

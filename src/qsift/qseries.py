@@ -121,17 +121,18 @@ def integer_mod(m: int) -> CoefficientRing:
 # Kronecker substitution into one big-integer product, and a decimal
 # packing into one libmpdec product, whose number-theoretic transform wins
 # on long dense factors over Z/m and Z alike.  ``_convolve`` runs the one
-# with the least predicted cost, and computes the slot bound that sizes
-# the packed slots once for both the pricing and the kernel.  The kernels
-# work on plain coefficient sequences and read only the first ``n_out``
-# entries of each operand: longer inputs are neither sliced nor copied,
-# except that the decimal kernel writes its operand prefixes reversed.  An
-# operand may be the ``bytes`` of a series over Z/m, m <= 256, which the
-# packing kernels read as a buffer.  Over such a ring products and
-# quotients are ``bytes`` too, reduced below m a column at a time
-# (``_residues``), never slot by slot; elsewhere they are lists.  Where
-# both factors are series in q^d, d > 1 (``_lattice``), the kernel runs on
-# their q^d slices at ceil(n_out/d) slots and the product is spread back.
+# that ``_product_kernel`` prices cheapest, and computes the slot bound
+# that sizes the packed slots once for both the price and the kernel.  The
+# kernels share one signature, work on plain coefficient sequences and
+# read only the first ``n_out`` entries of each operand: longer inputs are
+# neither sliced nor copied, except that the decimal kernel writes its
+# operand prefixes reversed.  An operand may be the ``bytes`` of a series
+# over Z/m, m <= 256, which the packing kernels read as a buffer.  Over
+# such a ring products and quotients are ``bytes`` too, reduced below m a
+# column at a time (``_residues``), never slot by slot; elsewhere they are
+# lists.  Where both factors are series in q^d, d > 1 (``_lattice``), the
+# kernel runs on their q^d slices at ceil(n_out/d) slots and the product
+# is spread back.
 #
 # Quotients run the sparse recurrence (``_div_sparse``) or Newton division
 # (``_divide_newton``, over Z/m), whichever is predicted cheaper
@@ -212,46 +213,64 @@ def _decimal_digits(bound: int, ring: CoefficientRing) -> int | None:
         return None
 
 
-# Predicted costs, in units of one schoolbook multiply-add on small slots
-# (about 28 ns on CPython 3.11).  Only their ratios matter, and only near a
-# crossover.  The packing kernels' overheads depend on the ring, as residue
-# bytes are packed and read back a column at a time and other slots one at
-# a time; their transform terms do not.  The residue-byte overheads and
-# ``_schoolbook_cost`` are fitted to timings at 16 to 131072 slots over
-# Z/2, Z/3, Z/5 and Z/205 (CPython 3.11.7, libmpdec 2.5.1, x86-64), where
-# each pick among the three kernels was the fastest.
+# Predicted costs, in one unit for every kernel: one schoolbook
+# multiply-add on small slots (about 28 ns on CPython 3.11).  Only their
+# ratios matter, and only near a crossover.  ``_product_kernel`` prices
+# products, ``_recurrence_cost`` the sparse recurrences, ``_division_cost``
+# quotients and ``_miller_is_cheaper`` powers over Z; plans
+# (``generators._plan_cost``) are priced from the first and third.  The
+# residue-byte overheads and the schoolbook price are fitted to timings at
+# 16 to 131072 slots over Z/2, Z/3, Z/5 and Z/205 (CPython 3.11.7,
+# libmpdec 2.5.1, x86-64), where each pick among the three product kernels
+# was the fastest.
 
 
-def _schoolbook_cost(n_out: int, nnz: int, width: int) -> float:
-    """About 150 for the call, 4 per slot to allocate and reduce the slots,
-    and one multiply-add per slot and nonzero slot of the sparser factor,
-    dearer on big integers: ``width`` bytes cost 1 + width/4."""
-    return 150 + n_out * (4 + nnz * (1 + width / 4))
+def _product_kernel(n_out: int, nnz: int, bound: int, ring: CoefficientRing):
+    """(predicted cost, kernel) of the cheapest product to n_out slots whose
+    sparser factor has ``nnz`` nonzero slots and whose slots are at most
+    ``bound``: schoolbook on a tie, and the decimal kernel only where
+    libmpdec is present.  Slots of ``width`` bytes (``_kronecker_width``)
+    and ``digits`` decimal digits (``_decimal_digits``) cost:
 
+    - schoolbook: about 150 for the call, 4 per slot to allocate and reduce
+      the slots, and one multiply-add per slot and nonzero slot of the
+      sparser factor, dearer on big integers: 1 + width/4;
+    - Kronecker: the calls, packing and reading back, about 170 and 0.65
+      per byte of a slot over residue bytes, 500 and 3 per slot otherwise;
+      and a Karatsuba product of two n_out * width-byte integers;
+    - decimal: the calls and the context, about 260 over residue bytes and
+      1000 otherwise; about one per slot to pack it and read it back (over
+      Z, to carry its borrow); and a libmpdec transform product of two
+      n_out * digits digit numbers, which with building and reading the
+      digit strings costs about 0.23 per digit and doubling.  Over Z, on
+      the products of powers of 1/eta at 48 to 8192 slots (9 to 195 digits
+      a slot), the measured times are 0.6 to 2.2 times the prediction, and
+      the wrong picks, all at 512 to 1024 slots, cost 0.1% of the two
+      transform kernels' total time.
 
-def _kronecker_cost(n_out: int, width: int, ring: CoefficientRing) -> float:
-    """The calls, packing and reading back: about 170 and 0.65 per byte of
-    a slot over residue bytes, 500 and 3 per slot otherwise; and a
-    Karatsuba product of two n_out * width-byte integers."""
+    The kernels are read as module globals at each call."""
+    width = _kronecker_width(bound, ring)
+    school = 150 + n_out * (4 + nnz * (1 + width / 4))
     if ring.stores_bytes:
         overhead = 170 + 0.65 * width * n_out
     else:
         overhead = 500 + 3 * n_out
-    return overhead + 1.4e-3 * (8 * width * n_out) ** 1.585
+    cost, kernel = overhead + 1.4e-3 * (8 * width * n_out) ** 1.585, _conv_kronecker
+    digits = _decimal_digits(bound, ring)
+    if digits is not None:
+        d = n_out * digits
+        decimal = (260 if ring.stores_bytes else 1000) + n_out + 0.23 * d * log2(d)
+        if decimal < cost and _has_libmpdec():
+            cost, kernel = decimal, _conv_decimal
+    return (cost, kernel) if school > cost else (school, _conv_schoolbook)
 
 
-def _decimal_cost(n_out: int, digits: int, ring: CoefficientRing) -> float:
-    """The calls and the context, about 260 over residue bytes and 1000
-    otherwise; about one per slot to pack it and read it back (over Z, to
-    carry its borrow); and a libmpdec transform product of two n_out *
-    digits digit numbers, which with building and reading the digit
-    strings costs about 0.23 per digit and doubling.  Over Z, on the
-    products of powers of 1/eta at 48 to 8192 slots (9 to 195 digits a
-    slot), the measured times are 0.6 to 2.2 times the prediction, and the
-    wrong picks, all at 512 to 1024 slots, cost 0.1% of the two kernels'
-    total time."""
-    d = n_out * digits
-    return (260 if ring.stores_bytes else 1000) + n_out + 0.23 * d * log2(d)
+def _residue_product_cost(n_out: int, nnz: int, ring: CoefficientRing) -> float:
+    """The predicted cost of a product over Z/m to n_out slots whose sparser
+    factor has ``nnz`` nonzero slots, at most n_out of which count (as in
+    ``_convolve``), at the slot bound ``_residue_bound`` gives."""
+    nnz = min(n_out, nnz)
+    return _product_kernel(n_out, nnz, _residue_bound(nnz, ring), ring)[0]
 
 
 def _recurrence_cost(n_out: int, terms: int) -> float:
@@ -260,16 +279,10 @@ def _recurrence_cost(n_out: int, terms: int) -> float:
     interpreted step and its gathers, and 0.49 per slot and term for the
     item reads and sums in C.  Fitted to timings of 1/eta over Z/m for m in
     {3, 29, 145, 355} at 256 to 81920 slots, in units of 40 ns on a 2-core
-    x86-64 guest, CPython 3.11.7 (``_RECURRENCE_UNIT`` converts them)."""
-    return n_out * (19 + 0.49 * terms)
-
-
-def _product_cost(n_out: int, nnz: int, bound: int, ring: CoefficientRing) -> float:
-    """The predicted cost of the kernel ``_convolve`` would run for a
-    product to n_out slots whose sparser factor has ``nnz`` nonzero slots
-    and whose slots are at most ``bound``."""
-    school = _schoolbook_cost(n_out, nnz, _kronecker_width(bound, ring))
-    return min(school, _transform_product(n_out, bound, ring)[0])
+    x86-64 guest, CPython 3.11.7, and converted at 40/28 (on a later such
+    guest the two units were 29 and 21 ns: medians at 2000 to 10^5 slots
+    over Z/2 to Z/145)."""
+    return n_out * (19 + 0.49 * terms) * (40 / 28)
 
 
 _ITEMSIZES = (("B", 1), ("H", 2), ("I", 4), ("Q", 8))
@@ -570,9 +583,13 @@ def _conv_decimal(
     return _read_slots(digits, w, 10, lo, hi, n_out, ring)
 
 
-def _conv_schoolbook(xs, ys, n_out: int, ring: CoefficientRing) -> list:
-    """Schoolbook convolution; iterates the factor with fewer nonzero slots,
-    so sparse factors cost O(prec * nnz)."""
+def _conv_schoolbook(
+    xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0, bound: int | None = None
+) -> list:
+    """Slots lo..n_out-1 of the product, as a list, by schoolbook
+    convolution; iterates the factor with fewer nonzero slots, so sparse
+    factors cost O(prec * nnz).  It takes the packing kernels' arguments,
+    but needs no ``bound``."""
     if _prefix_nonzeros(xs, n_out) > _prefix_nonzeros(ys, n_out):
         xs, ys = ys, xs
     out = [0] * n_out
@@ -589,35 +606,25 @@ def _conv_schoolbook(xs, ys, n_out: int, ring: CoefficientRing) -> list:
                 out[i + j] += x * y
     if ring.kind == "mod":
         out = list(map(ring.modulus.__rmod__, out))  # each v % m, in C
-    return out
-
-
-def _transform_product(n_out: int, bound: int, ring: CoefficientRing):
-    """(predicted cost, kernel) of the cheaper exact transform product to
-    n_out slots whose magnitudes are at most ``bound``: Kronecker, or the
-    decimal kernel where libmpdec is present."""
-    cost = _kronecker_cost(n_out, _kronecker_width(bound, ring), ring)
-    digits = _decimal_digits(bound, ring)
-    if digits is not None:
-        decimal_cost = _decimal_cost(n_out, digits, ring)
-        if decimal_cost < cost and _has_libmpdec():
-            return decimal_cost, _conv_decimal
-    return cost, _conv_kronecker
+    return out[lo:] if lo else out
 
 
 def _convolve(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0):
-    """Slots lo..n_out-1 of the product, by the kernel predicted cheaper:
-    ``bytes`` over Z/m with m <= 256, otherwise a list.  Where a factor has
-    no nonzero slot below n_out, no kernel runs.  Where both factors are
-    series in q^d, d > 1, the kernel multiplies their q^d slices at
-    ceil(n_out/d) slots, from slot ceil(lo/d), and the product's nonzero
-    slots are every d-th from there."""
+    """Slots lo..n_out-1 of the product, by the kernel ``_product_kernel``
+    names: ``bytes`` over Z/m with m <= 256, otherwise a list.  Where a
+    factor has no nonzero slot below n_out, no kernel runs.  Where both
+    factors are series in q^d, d > 1, the kernel multiplies their q^d
+    slices at ceil(n_out/d) slots, from slot ceil(lo/d), and the product's
+    nonzero slots are every d-th from there; the lattice of the factor with
+    fewer nonzero slots is read first."""
     if n_out == 0:
         return []
-    nnz = min(_prefix_nonzeros(xs, n_out), _prefix_nonzeros(ys, n_out))
+    nnz_x, nnz_y = _prefix_nonzeros(xs, n_out), _prefix_nonzeros(ys, n_out)
+    nnz = min(nnz_x, nnz_y)
     if not nnz:
         return _zeros(n_out - lo, ring)
-    d = _lattice(ys, n_out, _lattice(xs, n_out))
+    sparse, other = (xs, ys) if nnz_x <= nnz_y else (ys, xs)
+    d = _lattice(other, n_out, _lattice(sparse, n_out))
     out_lo, out_n = lo, n_out
     if d > 1:
         square = ys is xs
@@ -625,12 +632,9 @@ def _convolve(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0):
         ys = xs if square else ys[:n_out:d]
         n_out, lo = -(-n_out // d), -(-lo // d)
     bound = _slot_bound(xs, ys, n_out, ring, nnz)
-    cost, kernel = _transform_product(n_out, bound, ring)
-    if _schoolbook_cost(n_out, nnz, _kronecker_width(bound, ring)) > cost:
-        out = kernel(xs, ys, n_out, ring, lo, bound)
-    else:
-        out = _conv_schoolbook(xs, ys, n_out, ring)
-        out = bytes(out[lo:]) if ring.stores_bytes else out[lo:] if lo else out
+    out = _product_kernel(n_out, nnz, bound, ring)[1](xs, ys, n_out, ring, lo, bound)
+    if ring.stores_bytes:
+        out = bytes(out)  # schoolbook's list; the packing kernels' bytes as they are
     if d > 1:  # the q^d product's slot lo is slot lo*d, out[lo*d - out_lo]
         return _spread(out, d, lo * d - out_lo, out_n - out_lo, ring)
     return out
@@ -792,54 +796,6 @@ def _lattice(values, n: int, d: int = 0) -> int:
 
 
 @lru_cache(maxsize=256)  # plans price the same division many times
-def _newton_cost(
-    terms: int,
-    n_out: int,
-    ring: CoefficientRing,
-    d: int = 1,
-    num_nnz: int | None = None,
-) -> float:
-    """The predicted cost of Newton division (``_divide``) by b(q^d) to
-    n_out slots, where b has ``terms`` nonzero slots past the constant one,
-    in the units of ``_product_cost``.  Newton works at n = ceil(n_out/d)
-    slots, in steps from n slots halved (rounding up) down to 1.  A step to
-    N slots, h = ceil(N/2), multiplies the divisor by y (priced for the
-    divisor's nonzero count, as ``_convolve`` packs it, and at (N + h)/2
-    slots, as y has h) and g by the N - h new slots (dense), plus ~800 for
-    its calls.  For d = 1 the numerator is folded into the first step: one
-    more product to h slots, for its ``num_nnz`` nonzero slots.  For d > 1
-    each residue class of the numerator is one product with 1/b, priced for
-    its share of them.  Without ``num_nnz`` the numerator is dense.
-    ``ring`` is Z/m: ``_divide`` prices Newton over no other ring.  The
-    measured time per predicted unit, inverting E_1 and dense series at
-    2000 to 10^5 slots over Z/2, Z/3, Z/5 and Z/7, is 17 to 30 ns, as for
-    dense products (2-core x86-64 guest, CPython 3.11.7)."""
-    n = -(-n_out // d)
-    num_nnz = n_out if num_nnz is None else num_nnz
-
-    def product(slots: int, nnz: int) -> float:  # with a factor of nnz nonzero slots
-        nnz = min(slots, nnz)
-        return _product_cost(slots, nnz, _residue_bound(nnz, ring), ring)
-
-    cost, size = 0.0, n
-    while size > 1:
-        h = (size + 1) // 2
-        cost += product((size + h) // 2, terms + 1) + product(size - h, size - h) + 800
-        if d == 1 and size == n:
-            cost += product(h, num_nnz)
-        size = h
-    if d > 1:
-        cost += d * product(n, -(-num_nnz // d))
-    return cost
-
-
-# One unit of ``_recurrence_cost`` in the units of ``_product_cost``: 40 ns
-# against 28 ns on the guest that fitted them, and 29 ns against 21 ns
-# (medians at 2000 to 10^5 slots over Z/2 to Z/145) on a later 2-core
-# x86-64 guest, CPython 3.11.7.
-_RECURRENCE_UNIT = 40 / 28
-
-
 def _division_cost(
     terms: int,
     n_out: int,
@@ -849,13 +805,39 @@ def _division_cost(
 ) -> tuple[float, bool]:
     """(predicted cost, whether Newton) of the division ``_divide`` runs by
     b(q^d) to n_out slots, b with ``terms`` nonzero slots past the constant
-    one, in the units of ``_product_cost``: over Z/m the cheaper of the
-    sparse recurrence (``_recurrence_cost``) and Newton (``_newton_cost``),
-    over Z the recurrence."""
-    recurrence = _recurrence_cost(n_out, terms) * _RECURRENCE_UNIT
+    one: over Z/m the cheaper of the sparse recurrence
+    (``_recurrence_cost``) and Newton division, over Z the recurrence.
+
+    Newton works at n = ceil(n_out/d) slots, in steps from n slots halved
+    (rounding up) down to 1.  A step to N slots, h = ceil(N/2), multiplies
+    the divisor by y (priced for the divisor's nonzero count, as
+    ``_convolve`` packs it, and at (N + h)/2 slots, as y has h) and g by
+    the N - h new slots (dense), plus ~800 for its calls.  For d = 1 the
+    numerator is folded into the first step: one more product to h slots,
+    for its ``num_nnz`` nonzero slots.  For d > 1 each residue class of the
+    numerator is one product with 1/b, priced for its share of them.
+    Without ``num_nnz`` the numerator is dense.  The measured time per
+    predicted unit, inverting E_1 and dense series at 2000 to 10^5 slots
+    over Z/2, Z/3, Z/5 and Z/7, is 17 to 30 ns, as for dense products
+    (2-core x86-64 guest, CPython 3.11.7)."""
+    recurrence = _recurrence_cost(n_out, terms)
     if ring.kind != "mod":
         return recurrence, False
-    newton = _newton_cost(terms, n_out, ring, d, num_nnz)
+    n = -(-n_out // d)
+    num_nnz = n_out if num_nnz is None else num_nnz
+    newton, size = 0.0, n
+    while size > 1:
+        h = (size + 1) // 2
+        newton += (
+            _residue_product_cost((size + h) // 2, terms + 1, ring)
+            + _residue_product_cost(size - h, size - h, ring)
+            + 800
+        )
+        if d == 1 and size == n:
+            newton += _residue_product_cost(h, num_nnz, ring)
+        size = h
+    if d > 1:
+        newton += d * _residue_product_cost(n, -(-num_nnz // d), ring)
     return (newton, True) if newton < recurrence else (recurrence, False)
 
 
@@ -881,22 +863,24 @@ def _miller_is_cheaper(a, support, e: int) -> bool:
     constant one.
 
     l = sum |h_k| over k < n bounds the slots of h**j by l**j.  Each product
-    of square-and-multiply is priced as ``_convolve`` would price it, dense
-    but for a factor h = a, with slot bound l**j for the product h**j.  Over
-    Z the slots grow, and a recurrence's sums get dearer with them: one
-    pass over slots of b bits costs ``_recurrence_cost`` times 1 + b/1600,
-    and Miller's pass three times that, its slots taken as those of
-    l**|e|.  For e < 0, l of 1/a is predicted from 1/a to ceil(n/4) slots:
-    the bit length of l grows from n/8 to n/4 slots by some factor r, at
-    most 2 (coefficients grow at most geometrically), and is taken to grow
-    by r^2 from n/4 to n slots.  Fitted to timings of powers of eta, of
+    of square-and-multiply is priced by ``_product_kernel``, dense but for
+    a factor h = a, with slot bound l**j for the product h**j.  Over
+    Z the slots grow, and a recurrence's sums get dearer with them: a pass
+    over slots of b bits costs ``_recurrence_cost`` times 1 + b/1600 and
+    a fitted factor, 2.1 for Miller's pass, its slots taken as those of
+    l**|e|, and 0.7 for the inverse's.  The fit weighed 3 and 1 passes in
+    the recurrence's own 40 ns units against products in 28 ns ones, so
+    the factors are those at 28/40.  For e < 0, l of 1/a is predicted from
+    1/a to ceil(n/4) slots: the bit length of l grows from n/8 to n/4 slots
+    by some factor r, at most 2 (coefficients grow at most geometrically),
+    and is taken to grow by r^2 from n/4 to n slots.  Fitted to timings of powers of eta, of
     eta(q) eta(q^2), of 1 - q - q^2 and of random sparse and dense series
     at 256 to 4096 slots (CPython 3.11.7, x86-64).
     """
     n, terms = len(a), len(support)
 
-    def passes(count: int, bits: int) -> float:
-        return count * _recurrence_cost(n, terms) * (1 + bits / 1600)
+    def passes(factor: float, bits: int) -> float:
+        return factor * _recurrence_cost(n, terms) * (1 + bits / 1600)
 
     if e < 0:
         n0 = -(-n // 4)
@@ -907,13 +891,13 @@ def _miller_is_cheaper(a, support, e: int) -> bool:
     else:
         l, nnz_h = sum(map(abs, a)), terms + 1
     # Miller's pass against the inverse's (for e < 0) and the products
-    cost = passes(3, abs(e) * l.bit_length())
+    cost = passes(2.1, abs(e) * l.bit_length())
     if e < 0:
-        cost -= passes(1, l.bit_length())
+        cost -= passes(0.7, l.bit_length())
 
     def times(i: int, j: int) -> int:  # h**i * h**j, priced; the power's index
         nonlocal cost
-        cost -= _product_cost(n, nnz_h if min(i, j) == 1 else n, l ** (i + j), INTEGER)
+        cost -= _product_kernel(n, nnz_h if min(i, j) == 1 else n, l ** (i + j), INTEGER)[0]
         return i + j
 
     _square_and_multiply(1, abs(e), times)

@@ -31,10 +31,10 @@ from qsift.qseries import (
     _divide_newton,
     _miller_is_cheaper,
     _pow_sparse,
+    _product_kernel,
     _read_slots,
     _slot_bound,
     _sparse_sum,
-    _transform_product,
     integer_mod,
     monomial,
 )
@@ -646,7 +646,7 @@ def test_decimal_kernel_past_the_crossover():
     xs = [rng.randrange(3) for _ in range(n)]
     ys = [rng.randrange(3) for _ in range(n + 500)]  # read as a prefix
     bound = _slot_bound(xs, ys, n, ring)
-    assert _transform_product(n, bound, ring)[1] is _conv_decimal
+    assert _product_kernel(n, n, bound, ring)[1] is _conv_decimal
     assert list(_conv_decimal(xs, ys, n, ring)) == list(_conv_kronecker(xs, ys, n, ring))
     product = series(0, xs, ring) * series(0, ys, ring)
     assert list(product.coeffs) == list(_conv_kronecker(xs, ys, n, ring))
@@ -660,9 +660,9 @@ def test_products_without_libmpdec_match_schoolbook(monkeypatch):
     a = [rng.randrange(ring.modulus) for _ in range(n)]
     b = [rng.randrange(ring.modulus) for _ in range(n)]
     bound = _slot_bound(a, b, n, ring)
-    assert _transform_product(n, bound, ring)[1] is _conv_decimal
+    assert _product_kernel(n, n, bound, ring)[1] is _conv_decimal
     monkeypatch.setitem(sys.modules, "_decimal", None)  # import now fails
-    assert _transform_product(n, bound, ring)[1] is _conv_kronecker
+    assert _product_kernel(n, n, bound, ring)[1] is _conv_kronecker
     product = series(0, a, ring) * series(0, b, ring)
     assert list(product.coeffs) == _conv_schoolbook(a, b, n, ring)
 
@@ -676,7 +676,7 @@ def test_no_decimal_kernel_past_the_int_str_limit():
     ring = integer_mod(m)
     bound = _slot_bound([1], [1], 1, ring)
     assert _decimal_digits(bound, ring) is None
-    assert _transform_product(10**6, bound, ring)[1] is _conv_kronecker
+    assert _product_kernel(10**6, 10**6, bound, ring)[1] is _conv_kronecker
     a = series(0, [m - 1, 2, 3], ring)
     assert list((a * a).coeffs) == _conv_schoolbook(a.coeffs, a.coeffs, 3, ring)
 
@@ -957,6 +957,28 @@ def kernel_spies(monkeypatch):
     return ran
 
 
+def test_product_reads_the_sparser_factors_lattice_first(monkeypatch):
+    # cphi2 mod 5 at 2*10^4 multiplies its numerator E_10 J_4, a series in
+    # q^2 with 2,099 nonzero slots, by E_1: E_1's slot 1 settles the lattice
+    # at 1, so the numerator's support needs one read, not 2,099
+    from qsift.generators import _euler_product, _jacobi_cube
+
+    ring, n = integer_mod(5), 20000
+    numerator = _euler_product(n, 10, ring) * _jacobi_cube(n, 4, ring)
+    e1 = _euler_product(n, 1, ring)
+    reads, support = [], qseries._support
+
+    def spy(values, end):
+        for k in support(values, end):
+            reads.append(k)
+            yield k
+
+    monkeypatch.setattr(qseries, "_support", spy)
+    product = numerator * e1
+    assert len(reads) == 2
+    assert product.slots == _conv_kronecker(numerator.slots, e1.slots, n, ring)
+
+
 def test_integer_kernel_at_the_benchmark_shape(monkeypatch):
     # 1/eta to 4096 slots over Z, and its square: products of the
     # Ramanujan identity's right side
@@ -964,7 +986,7 @@ def test_integer_kernel_at_the_benchmark_shape(monkeypatch):
     square = inv * inv
     for a, b in ((inv, inv), (square, square), (inv, square)):
         bound = _slot_bound(a.slots, b.slots, 4096, INTEGER)
-        assert _transform_product(4096, bound, INTEGER)[1] is _conv_decimal
+        assert _product_kernel(4096, 4096, bound, INTEGER)[1] is _conv_decimal
     slow = _conv_kronecker(inv.slots, square.slots, 4096, INTEGER)
     ran = kernel_spies(monkeypatch)
     assert list((inv * square).coeffs) == slow
@@ -983,10 +1005,10 @@ def test_integer_kernel_at_small_sizes(monkeypatch, n, kernel):
 def test_integer_products_without_libmpdec_use_kronecker(monkeypatch):
     inv = QSeries(0, eta_coeffs(1500), INTEGER).invert()
     bound = _slot_bound(inv.slots, inv.slots, 1500, INTEGER)
-    assert _transform_product(1500, bound, INTEGER)[1] is _conv_decimal
+    assert _product_kernel(1500, 1500, bound, INTEGER)[1] is _conv_decimal
     with_decimal = (inv * inv).coeffs
     monkeypatch.setitem(sys.modules, "_decimal", None)  # import now fails
-    assert _transform_product(1500, bound, INTEGER)[1] is _conv_kronecker
+    assert _product_kernel(1500, 1500, bound, INTEGER)[1] is _conv_kronecker
     ran = kernel_spies(monkeypatch)
     assert (inv * inv).coeffs == with_decimal
     assert ran == ["_conv_kronecker"]
@@ -1000,7 +1022,7 @@ def test_no_integer_decimal_kernel_past_the_int_str_limit():
     big = 10 ** (limit // 2)  # 2 * big^2 has one digit more than the limit
     bound = _slot_bound([big], [-big], 1, INTEGER)
     assert _decimal_digits(bound, INTEGER) is None
-    assert _transform_product(10**6, bound, INTEGER)[1] is _conv_kronecker
+    assert _product_kernel(10**6, 10**6, bound, INTEGER)[1] is _conv_kronecker
     a = series(0, [big, -2, 3])
     assert list((a * a).coeffs) == _conv_schoolbook(a.coeffs, a.coeffs, 3, INTEGER)
 

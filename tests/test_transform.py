@@ -657,6 +657,20 @@ def test_cusp_decompose_factorization():
                     assert (d - ls) % 2 == 0
 
 
+def test_cusp_decompose_gives_the_leading_terms_matrices():
+    # cusp_half_leading and cusp_one_leading write out C0 and D0; the
+    # leading cusps' decompositions must give them, with d_lambda = Q
+    for Q in range(1, 400):
+        cases = []
+        if cusp_q_ok("f", Q):
+            cases.append(((Q - 1) // 2, 2, UnimodularMatrix(1, (Q - 1) // 2, 2, Q)))
+        if cusp_q_ok("omega", Q):
+            cases.append((Q - 1, 1, UnimodularMatrix(1, -1, 1, 0)))
+        for lam, c_entry, matrix in cases:
+            dec = cusp_decompose(lam, Q, c_entry)
+            assert (dec.d_lambda, dec.c_matrix) == (Q, matrix), (Q, lam, c_entry)
+
+
 def test_cusp_half_leading_powers():
     for Q in (1, 5, 7, 11, 13):
         expected = ExactScalar(Fraction(1, Q) ** (12 * Q))
