@@ -157,6 +157,9 @@ def _exact(x) -> Fraction:
     return Fraction(x)
 
 
+_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class ExactScalar:
     """A nonzero complex constant ``r * sqrt(s) * e^(2*pi*i*u)`` in normal
@@ -165,7 +168,10 @@ class ExactScalar:
     The constructor normalizes exact input: negative r folds into the
     phase, square parts of s fold into r, u is reduced mod 1.  A float or
     complex component raises TypeError, and a radicand that is not an
-    integer raises ValueError.
+    integer raises ValueError.  Components already in normal form (a
+    Fraction r > 0, the int s = 1, a Fraction u in [0, 1)) are kept as
+    they are.  Products and powers of unit phases (r = s = 1) are computed
+    on u's integer numerator mod its denominator.
     """
 
     r: Fraction
@@ -173,9 +179,18 @@ class ExactScalar:
     u: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        r = _exact(self.r)
-        u = _exact(self.u)
-        s = self.s
+        r, s, u = self.r, self.s, self.u
+        if (
+            type(s) is int
+            and s == 1
+            and type(r) is Fraction
+            and type(u) is Fraction
+            and r.numerator > 0
+            and 0 <= u.numerator < u.denominator
+        ):
+            return  # already in normal form
+        r = _exact(r)
+        u = _exact(u)
         if type(s) is not int:
             s = _exact(s)
             if s.denominator != 1:
@@ -197,12 +212,12 @@ class ExactScalar:
 
     @classmethod
     def one(cls) -> "ExactScalar":
-        return cls(Fraction(1))
+        return cls(_ONE)
 
     @classmethod
     def unit_phase(cls, u) -> "ExactScalar":
         """The root of unity e^(2*pi*i*u)."""
-        return cls(Fraction(1), 1, u)
+        return cls(_ONE, 1, u)
 
     @classmethod
     def minus_one_pow(cls, x) -> "ExactScalar":
@@ -223,11 +238,17 @@ class ExactScalar:
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
             return NotImplemented
+        if self.s == other.s == 1 and self.r == other.r == 1:
+            u, v = self.u, other.u
+            n = u.numerator * v.denominator + v.numerator * u.denominator
+            return _unit(n, u.denominator * v.denominator)
         return ExactScalar(self.r * other.r, self.s * other.s, self.u + other.u)
 
     def __pow__(self, e: int) -> "ExactScalar":
         if not isinstance(e, int):
             return NotImplemented
+        if self.s == 1 and self.r == 1:
+            return _unit(self.u.numerator * e, self.u.denominator)
         if e < 0:
             # 1/(r sqrt(s)) = sqrt(s)/(r s)
             inv = ExactScalar(1 / (self.r * self.s), self.s, -self.u)
@@ -251,6 +272,12 @@ class ExactScalar:
         if self.u != 0:
             parts.append(f"e(2*pi*i*{self.u})")
         return "*".join(parts)
+
+
+def _unit(n: int, d: int) -> ExactScalar:
+    """The unit phase e^(2*pi*i*n/d) for integers n and d >= 1, reduced
+    mod 1 on the integer numerator."""
+    return ExactScalar(_ONE, 1, Fraction(n % d, d))
 
 
 def epsilon_d(d: int) -> ExactScalar:

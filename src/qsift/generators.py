@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, product
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -97,22 +97,38 @@ class EtaQuotientSpec:
                 raise ValueError("exponents must be nonzero")
         object.__setattr__(self, "factors", factors)
 
-    @property
+    # The derived values below are computed on first access and kept in the
+    # instance dict, outside the fields: equality, hashing and the pickled
+    # state (``__getstate__``) see the factors only.
+
+    @cached_property
     def B(self) -> int:
         """sum(delta * r) -- controls the fractional exponent B/24."""
         return sum(d * r for d, r in self.factors)
 
-    @property
+    @cached_property
     def weight_twice(self) -> int:
         """Twice the weight: sum of the exponents."""
         return sum(r for _, r in self.factors)
 
-    @property
+    @cached_property
     def level(self) -> int:
         return lcm(*(d for d, _ in self.factors))
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         return ",".join(f"{d}^{r}" for d, r in self.factors)
+
+    @cached_property
+    def _levels_mod_ell(self) -> dict[int, tuple[int, int]]:
+        """``level_mod_ell(self, ell)`` by ell, filled as they are asked for."""
+        return {}
+
+    def __str__(self) -> str:
+        return self._text
+
+    def __getstate__(self) -> dict:
+        return {"factors": self.factors}
 
 
 @dataclass(frozen=True)
@@ -224,9 +240,13 @@ def _ell_rewrite(factors, ell: int) -> tuple[tuple[int, int], ...]:
 def level_mod_ell(spec: EtaQuotientSpec, ell: int) -> tuple[int, int]:
     """(level, lattice) of the eta-quotient mod the prime ell: the lcm and
     the gcd of the deltas ``_ell_rewrite`` leaves, or (1, 0) when none is
-    left (the quotient is 1 mod ell, so only slot 0 can be nonzero)."""
-    deltas = [delta for delta, _ in _ell_rewrite(spec.factors, ell)]
-    return lcm(*deltas), gcd(*deltas)
+    left (the quotient is 1 mod ell, so only slot 0 can be nonzero).
+    Computed once per (spec, ell)."""
+    levels = spec._levels_mod_ell
+    if ell not in levels:
+        deltas = [delta for delta, _ in _ell_rewrite(spec.factors, ell)]
+        levels[ell] = lcm(*deltas), gcd(*deltas)
+    return levels[ell]
 
 
 def _ell_free_part(delta: int, ell: int) -> int:

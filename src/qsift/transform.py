@@ -649,17 +649,29 @@ def good_progression_support_vanishes(p: Progression, kind: str) -> bool:
 
 def eta_numeric(z: complex, terms: int = 200) -> complex:
     """Numerical eta via the expanded (pentagonal) form of the product,
-    summing indices |k| <= terms; far smaller truncation error than cutting
-    the raw product at the same term count.
+    summing indices |k| <= terms at most; far smaller truncation error than
+    cutting the raw product at the same term count.  Eta is defined on the
+    upper half plane only: Im z <= 0 (or nan) raises ValueError.
 
     With q = e^(2 pi i z), eta(z) = e^(2 pi i z/24) sum_k (-1)^k q^(k(3k+1)/2).
     One exponential gives q.  For j >= 1 the exponent grows by 3j - 1 from
     k = j - 1 to k = j and by 3j - 2 from k = 1 - j to k = -j, so both
-    tails are running products whose steps advance by q^3."""
+    tails are running products whose steps advance by q^3.
+
+    The sum stops early once its rest cannot matter.  From index j on, each
+    step shrinks a term by at least |q|^3, and |q^(j(3j+1)/2)| is at most
+    |q^(j(3j-1)/2)|, so the terms left sum to at most
+    2 |q^(j(3j-1)/2)| / (1 - |q|^3).  When that bound is at most 2^-59 of
+    the running |sum|, a 64th of its half-ulp rounding, the terms are not
+    added; ``terms`` stays the cap."""
     if terms < 0:
         raise ValueError("terms must be nonnegative")
+    if not z.imag > 0:
+        raise ValueError(f"eta_numeric needs Im z > 0, got z={z}")
     q = cmath.exp(2j * cmath.pi * z)
     q3 = q * q * q
+    # the rest is negligible once 2 |down| / (1 - |q|^3) <= 2^-59 |total|
+    cut = 2.0**-60 * (1 - abs(q3))
     total = 1 + 0j
     up, up_step = 1 + 0j, q * q  # q^(k(3k+1)/2), q^(3k-1)
     down, down_step = 1 + 0j, q  # q^(k(3k-1)/2), q^(3k-2)
@@ -667,6 +679,8 @@ def eta_numeric(z: complex, terms: int = 200) -> complex:
     for _ in range(terms):
         up *= up_step
         down *= down_step
+        if abs(down) <= cut * abs(total):
+            break
         total += sign * (up + down)
         up_step *= q3
         down_step *= q3

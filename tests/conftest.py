@@ -22,9 +22,15 @@ four multiplier phases come from their transformation laws written term by
 term in Fractions (with the public ``dedekind_sum``), against the integer
 numerators of ``transform``, and numerical eta from one exponential per
 term of the pentagonal sum, against the running products of
-``eta_numeric``.  The sign/eighth-root phase of the cancellation check is
-summed in Fractions through ``decompose_upper``, against the integer
-numerator over 8 of ``transform``.  The level of the non-congruence
+``eta_numeric``; the running products summed to their full term count,
+without the early stop, bound how far that stop may move the float.
+Products and powers of ``ExactScalar`` values come from their components
+in Fractions (r r' gcd(s, s'), s s'/gcd(s, s')^2, u + u' mod 1, and
+r^e s^floor(e/2), s^(e mod 2), e u mod 1), against the integer phase
+arithmetic and the normalizing constructor of ``arith``.  The
+sign/eighth-root phase of the cancellation check is summed in Fractions
+through ``decompose_upper``, against the integer numerator over 8 of
+``transform``.  The level of the non-congruence
 criterion, and the ell-free part of its lattice, come from moving
 ell-powers out of the deltas into the exponents, against the build rewrite
 of ``generators``, which moves them the other way.  The sparse division
@@ -509,6 +515,43 @@ def _eta_per_term(z: complex, terms: int = 200) -> complex:
     return total
 
 
+def _eta_full_sum(z: complex, terms: int = 200) -> complex:
+    """The running products of ``eta_numeric`` over every index |k| <= terms,
+    with no early stop."""
+    q = cmath.exp(2j * cmath.pi * z)
+    q3 = q * q * q
+    total = 1 + 0j
+    up, up_step = 1 + 0j, q * q
+    down, down_step = 1 + 0j, q
+    sign = -1
+    for _ in range(terms):
+        up *= up_step
+        down *= down_step
+        total += sign * (up + down)
+        up_step *= q3
+        down_step *= q3
+        sign = -sign
+    return cmath.exp(2j * cmath.pi * z / 24) * total
+
+
+def _scalar_mul_fractions(x, y) -> tuple[Fraction, int, Fraction]:
+    """(r, s, u) of x * y for normal-form x and y: with g = gcd(s, s') of
+    squarefree radicands, s s' = g^2 (s/g)(s'/g) and (s/g)(s'/g) is
+    squarefree."""
+    g = gcd(x.s, y.s)
+    return x.r * y.r * g, (x.s // g) * (y.s // g), (x.u + y.u) % 1
+
+
+def _scalar_pow_fractions(x, e: int) -> tuple[Fraction, int, Fraction]:
+    """(r, s, u) of x**e for normal-form x and any integer e:
+    (r sqrt(s))^e = r^e s^floor(e/2) sqrt(s)^(e mod 2)."""
+    return (
+        Fraction(x.r) ** e * Fraction(x.s) ** (e // 2),
+        x.s if e % 2 else 1,
+        (x.u * e) % 1,
+    )
+
+
 @pytest.fixture(scope="session")
 def multiplier_oracle():
     """Phase oracles by the name of the public multiplier they check."""
@@ -528,6 +571,16 @@ def cancellation_oracle():
 @pytest.fixture(scope="session")
 def eta_numeric_oracle():
     return _eta_per_term
+
+
+@pytest.fixture(scope="session")
+def eta_full_sum_oracle():
+    return _eta_full_sum
+
+
+@pytest.fixture(scope="session")
+def scalar_oracle():
+    return SimpleNamespace(mul=_scalar_mul_fractions, pow=_scalar_pow_fractions)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsift.arith import (
     _dedekind_12c,
@@ -292,6 +294,76 @@ def test_scalar_rejects_a_radicand_that_is_not_an_integer():
         with pytest.raises(ValueError):
             ExactScalar(1, s)
     assert ExactScalar(1, Fraction(8)) == ExactScalar(2, 2)
+
+
+# Unit phases e^(2 pi i n/d) with d up to 10^4, and scalars with r != 1 or
+# s != 1 (the constructor normalizes the drawn radicand).
+_units = st.builds(
+    lambda d, n: ExactScalar.unit_phase(Fraction(n % d, d)),
+    st.integers(1, 10**4),
+    st.integers(0, 10**4),
+)
+_mixed = st.builds(
+    lambda a, b, s, d, n: ExactScalar(Fraction(a, b), s, Fraction(n, d)),
+    st.integers(1, 50),
+    st.integers(1, 50),
+    st.integers(1, 60),
+    st.integers(1, 10**4),
+    st.integers(-(10**4), 10**4),
+).filter(lambda x: x.r != 1 or x.s != 1)
+_scalars = st.one_of(_units, _mixed)
+
+
+def _components(x: ExactScalar) -> tuple:
+    assert type(x.r) is Fraction and type(x.s) is int and type(x.u) is Fraction
+    return x.r, x.s, x.u
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_scalars, y=_scalars)
+@example(x=ExactScalar.one(), y=ExactScalar.one())
+@example(x=ExactScalar.unit_phase(Fraction(1, 2)), y=ExactScalar.unit_phase(Fraction(1, 2)))
+@example(x=ExactScalar.unit_phase(Fraction(1, 3)), y=ExactScalar(Fraction(1, 2), 2))
+def test_scalar_mul_matches_the_fraction_oracle(x, y, scalar_oracle):
+    assert _components(x * y) == scalar_oracle.mul(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_scalars, e=st.integers(-50, 50))
+@example(x=ExactScalar.unit_phase(Fraction(9999, 10**4)), e=0)
+@example(x=ExactScalar(Fraction(3, 2), 5, Fraction(1, 3)), e=0)
+@example(x=ExactScalar.unit_phase(Fraction(1, 24)), e=-50)
+def test_scalar_pow_matches_the_fraction_oracle(x, e, scalar_oracle):
+    assert _components(x**e) == scalar_oracle.pow(x, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.fractions(min_value=Fraction(1, 100), max_value=100),
+    u=st.fractions(min_value=0, max_value=Fraction(9999, 10**4)),
+    bad=st.sampled_from(
+        [
+            ("r", 0.5, TypeError),
+            ("r", 1j, TypeError),
+            ("u", 0.25, TypeError),
+            ("u", 0.5j, TypeError),
+            ("s", 1.0, TypeError),
+            ("r", Fraction(0), ValueError),
+            ("r", 0, ValueError),
+            ("s", 0, ValueError),
+            ("s", -3, ValueError),
+            ("s", Fraction(3, 2), ValueError),
+            ("s", Fraction(1, 7), ValueError),
+        ]
+    ),
+)
+def test_scalar_still_rejects_every_invalid_component(r, u, bad):
+    # valid normal-form components with one replaced by an invalid value
+    components = {"r": r, "s": 1, "u": u}
+    name, value, error = bad
+    components[name] = value
+    with pytest.raises(error):
+        ExactScalar(**components)
 
 
 def test_sqrt_of():

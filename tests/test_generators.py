@@ -271,6 +271,28 @@ def test_level_mod_ell_is_the_lcm_and_gcd_of_the_rewritten_deltas():
     assert level_mod_ell(EtaQuotientSpec(((3, 1), (6, -2))), 3) == (6, 3)
 
 
+def test_spec_values_are_computed_once_and_stay_out_of_equality_and_pickles(monkeypatch):
+    import copy
+    import pickle
+
+    calls = []
+    monkeypatch.setattr(
+        generators, "_ell_rewrite", lambda *a: calls.append(a) or _ell_rewrite(*a)
+    )
+    spec = EtaQuotientSpec(((2, 5), (1, -4), (4, -2)))  # cphi2
+    fresh = pickle.dumps(EtaQuotientSpec(((1, -4), (2, 5), (4, -2))))
+    for _ in range(3):
+        assert (spec.B, spec.weight_twice, spec.level, str(spec)) == (-2, -1, 4, "1^-4,2^5,4^-2")
+        assert level_mod_ell(spec, 2) == (8, 2) and level_mod_ell(spec, 5) == (20, 1)
+    assert calls == [(spec.factors, 2), (spec.factors, 5)]
+    twin = EtaQuotientSpec(spec.factors)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert pickle.dumps(spec) == fresh
+    for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert copied == spec and str(copied) == str(spec)
+        assert level_mod_ell(copied, 2) == (8, 2)
+
+
 # ------------------------------------------------- Jacobi cubes and plans
 
 JACOBI_RINGS = (INTEGER,) + tuple(integer_mod(m) for m in (2, 3, 5, 256, 257, 355))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -19,6 +20,7 @@ from qsift.transform import (
     NonInvertibleA,
     ParityMismatch,
     Progression,
+    SuiteResult,
     UnimodularMatrix,
     _cancellation_phase,
     constancy_check,
@@ -773,6 +775,33 @@ def test_eta_numeric_matches_the_per_term_sum(monkeypatch, eta_numeric_oracle):
         eta_numeric(1j, -1)
 
 
+def test_eta_numeric_rejects_points_off_the_upper_half_plane():
+    # eta is undefined there and the pentagonal sum diverges or is meaningless
+    for z in (0.25, 0.1 - 0.01j, 0j, -1j, 3 - 2j, complex("nan+nanj")):
+        with pytest.raises(ValueError, match="Im z > 0"):
+            eta_numeric(z)
+
+
+def test_eta_numeric_stops_within_4_ulp_of_the_full_sum(monkeypatch, eta_full_sum_oracle):
+    # every point the eta-transform-numeric suite evaluates over seeds 0-7,
+    # then 300 more with Im z from 1e-3 (about 60 terms needed) to e^3
+    points = []
+    real = qsift.transform.eta_numeric
+    monkeypatch.setattr(
+        qsift.transform, "eta_numeric", lambda z, terms=200: points.append(z) or real(z, terms)
+    )
+    for seed in range(8):
+        identity_suites(seed, 120)
+    monkeypatch.undo()
+    assert len(points) == 1920
+    rng = random.Random(28)
+    for _ in range(300):
+        points.append(complex(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(math.log(1e-3), 3))))
+    for z in points:
+        full = eta_full_sum_oracle(z, 200)
+        assert abs(eta_numeric(z, 200) - full) <= 4 * math.ulp(abs(full)), z
+
+
 def test_eta_transform_numeric():
     rng = random.Random(11)
     for _ in range(50):
@@ -797,6 +826,39 @@ def test_identity_suites_reproducible():
     a = identity_suites(seed=123, trials=10)
     b = identity_suites(seed=123, trials=10)
     assert [(r.name, r.failures) for r in a] == [(r.name, r.failures) for r in b]
+
+
+# At 120 trials every suite passes for seeds 0-7; the negative control's
+# (failures, first failure) for the same seeds.  Recorded with the full
+# 200-term eta sum and Fraction unit-phase arithmetic.
+RECORDED_NEGATIVE_CONTROL = {
+    0: (31, "m=7 lam=3 A=(23 64; 14 39) phase=1/2"),
+    1: (30, "m=11 lam=1 A=(25 -83; 22 -73) phase=1/2"),
+    2: (25, "m=11 lam=9 A=(1 -4; 22 -87) phase=1/2"),
+    3: (33, "m=11 lam=3 A=(43 84; 22 43) phase=1/2"),
+    4: (34, "m=11 lam=4 A=(1 3; 22 67) phase=1/2"),
+    5: (34, "m=7 lam=3 A=(1 -2; 14 -27) phase=1/2"),
+    6: (22, "m=11 lam=4 A=(31 -55; 22 -39) phase=1/2"),
+    7: (21, "m=7 lam=3 A=(5 -19; 14 -53) phase=1/2"),
+}
+
+
+def test_identity_suites_match_the_recorded_results():
+    names = [
+        "dedekind-integrality",
+        "mock-multiplier-order-24",
+        "dedekind-shift-parity",
+        "sign-cancellation",
+        "phase-constancy-f",
+        "phase-constancy-omega",
+        "orbit-coverage",
+        "good-progression-support",
+        "eta-transform-numeric",
+    ]
+    for seed, (failures, first) in RECORDED_NEGATIVE_CONTROL.items():
+        assert identity_suites(seed, 120) == [SuiteResult(n, 120, 0, None) for n in names]
+        control = identity_suites(seed, 120, negative_control=True)
+        assert control == [SuiteResult("corrupted-sign-cancellation", 120, failures, first)]
 
 
 def test_negative_control_detects():
