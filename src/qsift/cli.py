@@ -11,6 +11,17 @@ the request) 4, and ValueError (GrammarError among them) 2.  An option
 value out of its domain raises argparse.ArgumentError, which ``main``
 reports through the parser: the usage line and exit 2.  Stdout carries
 only the declared output format; diagnostics go to stderr.
+
+``scan`` first builds a probe of 16 slots per unit of m_max (of m for
+``--progression``), at most the budget, and searches it.  A witness is the
+least n with a nonzero slot, and a shorter build is an exact prefix of a
+longer one, so when every progression has a witness in the probe, the
+report read from it is the full budget's, byte for byte.  Otherwise the
+budget is built and the report, candidates and their ``checked`` among it,
+is read from that.  Either way the header's ``budget`` is the one asked
+for.  The cache stores only the build the report was read from, under that
+build's own limit: a scan whose probe leaves nothing open caches the
+probe, and the same scan again reads that entry and builds nothing.
 """
 
 from __future__ import annotations
@@ -42,8 +53,7 @@ from .scanner import (
     DEFAULT_BUDGET,
     InsufficientPrecision,
     criterion_report,
-    scan,
-    scan_progression,
+    scan_prefix,
 )
 from .transform import (
     CUSP_Q_PRIME_TO,
@@ -56,6 +66,13 @@ from .transform import (
 )
 
 CACHE_ENV = "QSIFT_CACHE_DIR"
+
+# A scan first builds a probe of this many slots per unit of m_max (of m,
+# for one progression), and builds its budget only when the probe leaves a
+# progression open.  The witnesses of f and omega mod 3 for every m <= m_max
+# lie below slot 5*m_max at m_max = 30, 10*m_max at 1000 and 14.6*m_max at
+# 3000.
+_PROBE_PER_M = 16
 
 # Part of every cache key: raise it whenever the entry layout or the way a
 # series is built changes, so entries written before are misses.
@@ -224,18 +241,31 @@ def _series_from_payload(payload: dict) -> QSeries:
     return QSeries(offset, tuple(coeffs), ring)
 
 
-def _get_series(
-    spec: EtaQuotientSpec | str, limit: int, modulus: int | None, cache_dir: str | None
-) -> QSeries:
-    key = _series_key(spec, limit, modulus)
+def _read_series(
+    spec: EtaQuotientSpec | str,
+    limits: list[int],
+    modulus: int | None,
+    cache_dir: str | None,
+    read,
+):
+    """``read(series)`` of the first build of ``limits`` coefficients, in
+    order, that ``read`` accepts (returns other than None); the last is
+    taken whatever it returns.  The cache entry of every limit is tried
+    before anything is built, and only the build taken is stored, so a call
+    leaves one entry, and the same call again reads it and builds nothing."""
+    keys = [_series_key(spec, limit, modulus) for limit in limits]
     if cache_dir:
-        cached = _load_cached(cache_dir, key)
-        if cached is not None:
-            return cached
-    series = build_series(spec, limit, modulus)
-    if cache_dir:
-        _store_cached(cache_dir, key, series)
-    return series
+        for key in keys:
+            series = _load_cached(cache_dir, key)
+            if series is not None and (result := read(series)) is not None:
+                return result
+    for key in keys:
+        series = build_series(spec, key["limit"], modulus)
+        result = read(series)
+        if result is not None or key is keys[-1]:
+            if cache_dir:
+                _store_cached(cache_dir, key, series)
+            return result
 
 
 # ---------------------------------------------------------------- commands
@@ -245,7 +275,7 @@ def _cmd_expand(args) -> int:
     spec = parse_series_spec(args.spec)
     if args.limit < 1:
         raise ValueError(f"--limit must be positive, got {args.limit}")
-    series = _get_series(spec, args.limit, args.mod, args.cache_dir)
+    series = _read_series(spec, [args.limit], args.mod, args.cache_dir, lambda s: s)
     payload = _series_payload(series, args.spec)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -275,11 +305,14 @@ def _cmd_scan(args) -> int:
         raise ValueError(f"m_max must be positive, got {m_max}")
     if args.budget < m_max:
         raise InsufficientPrecision(f"budget {args.budget} cannot cover m_max {m_max}")
-    series = _get_series(spec, args.budget, args.mod, args.cache_dir)
-    if single:
-        report = scan_progression(series, args.mod, single, args.spec)
-    else:
-        report = scan(series, args.mod, m_max, series_name=args.spec)
+    probe = min(args.budget, _PROBE_PER_M * m_max)
+    report = _read_series(
+        spec,
+        sorted({probe, args.budget}),
+        args.mod,
+        args.cache_dir,
+        lambda series: scan_prefix(series, args.mod, single or m_max, args.budget, args.spec),
+    )
     print(report.to_json() if args.format == "json" else report.to_csv(), end="")
     if args.format == "json":
         print()

@@ -7,19 +7,19 @@ not vanish identically (the coefficient is stored and re-checkable), while a
 Candidate verdict only records how far vanishing was observed -- it never
 claims a congruence.
 
-``scan``, ``scan_progression`` and ``witness`` run on one first-nonzero
-search, ``_first_nonzero``; ``_verdicts`` alone turns its list into
-verdicts, tuple records in CSV column order.  Row n of a modulus m is slots
-n*m to n*m + m - 1.  Every m reads its rows in blocks that end at rows 8,
-64, 512, ..., all m in step.  The slots a block reaches are mapped to 0 or
-1 (nonzero) once, by a ``translate`` of the residue bytes, or
-``bytes(map(bool, ...))`` for tuple slots.  Each residue t without a
-witness yet is searched in the block by one strided slice and one ``find``.
-So Python runs once per block and open residue, never once per slot: a true
-congruence costs a few C-level passes over its progression, and a scan
-whose witnesses come early maps only the slots its first blocks reach.
-``scan_progression`` and ``witness`` cut their progression out of the
-series first, so they read no other slot.
+``scan_prefix`` (behind ``scan`` and ``scan_progression``) and ``witness``
+run on one first-nonzero search, ``_first_nonzero``; ``_verdicts`` alone
+turns its list into verdicts, tuple records in CSV column order.  Row n of
+a modulus m is slots n*m to n*m + m - 1.  Every m reads its rows in blocks
+that end at rows 8, 64, 512, ..., all m in step.  The slots a block
+reaches are mapped to 0 or 1 (nonzero) once, by a ``translate`` of the
+residue bytes, or ``bytes(map(bool, ...))`` for tuple slots.  Each residue
+t without a witness yet is searched in the block by one strided slice and
+one ``find``.  So Python runs once per block and open residue, never once
+per slot: a true congruence costs a few C-level passes over its
+progression, and a scan whose witnesses come early maps only the slots its
+first blocks reach.  ``scan_progression`` and ``witness`` cut their
+progression out of the series first, so they read no other slot.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "Applicability",
     "scan",
     "scan_progression",
+    "scan_prefix",
     "witness",
     "theorem_applies",
     "criterion_report",
@@ -165,11 +166,12 @@ def _first_nonzero(slots, m_max: int) -> list:
     return first
 
 
-def _verdicts(slots, m_max: int) -> tuple[ScanVerdict, ...]:
-    """The verdict on every progression (m, t), m <= m_max, in scan order:
-    a witness at its first nonzero slot n, with that slot's residue, or a
-    candidate checked to the last n that ``slots`` holds."""
-    last, first = len(slots) - 1, iter(_first_nonzero(slots, m_max))
+def _verdicts(slots, m_max: int, first: list) -> tuple[ScanVerdict, ...]:
+    """The verdict on every progression (m, t), m <= m_max, in scan order,
+    from ``_first_nonzero(slots, m_max)``'s list ``first``: a witness at
+    its first nonzero slot n, with that slot's residue, or a candidate
+    checked to the last n that ``slots`` holds."""
+    last, first = len(slots) - 1, iter(first)
     return tuple(
         ScanVerdict(m, t, "candidate", None, None, (last - t) // m)
         if (n := next(first)) is None
@@ -216,9 +218,7 @@ def scan(series: QSeries, ell: int, m_max: int, series_name: str = "") -> ScanRe
     """One verdict per progression (m, t), m <= m_max, 0 <= t < m, scanning
     m ascending then t ascending.  Witness searches run to the edge of the
     series precision."""
-    _check_m_max(series, m_max)
-    verdicts = _verdicts(series.reduce_mod(ell).slots, m_max)
-    return ScanReport(series_name, ell, m_max, series.prec, verdicts)
+    return scan_prefix(series, ell, m_max, series.prec, series_name)
 
 
 def scan_progression(
@@ -227,11 +227,42 @@ def scan_progression(
     """The report ``scan`` with m_max = prog.m gives, kept to its verdict
     on ``prog`` alone: a witness search to the edge of the series
     precision.  Progression (1, 0) of the residues it cuts out is ``prog``."""
-    _check_m_max(series, prog.m)
-    n_max = (series.prec - 1 - prog.t) // prog.m
-    residues = _progression_residues(series, ell, prog.m, prog.t, n_max + 1)
-    verdict = _verdicts(residues, 1)[0]._replace(m=prog.m, t=prog.t)
-    return ScanReport(series_name, ell, prog.m, series.prec, (verdict,))
+    return scan_prefix(series, ell, prog, series.prec, series_name)
+
+
+def scan_prefix(
+    series: QSeries,
+    ell: int,
+    target: int | Progression,
+    budget: int,
+    series_name: str = "",
+) -> ScanReport | None:
+    """The report of ``scan`` (``target`` an m_max) or ``scan_progression``
+    (``target`` a progression) on a build of ``budget`` coefficients, read
+    from ``series``, which holds the first ``series.prec`` of them.  None
+    when ``series`` is shorter than the budget and some progression has no
+    witness in it, so that its verdict needs the rest of the build.
+
+    A witness is the least n with a nonzero slot, which any prefix holding
+    it finds, so a report read from a prefix is the full build's.  A
+    prefix that leaves a progression open builds no verdicts."""
+    prog = target if isinstance(target, Progression) else None
+    m_max = prog.m if prog else target
+    _check_m_max(series, m_max)
+    if series.prec > budget:
+        raise ValueError(f"a budget of {budget} cannot hold {series.prec} coefficients")
+    if prog is None:
+        slots, m = series.reduce_mod(ell).slots, m_max
+    else:
+        n_max = (series.prec - 1 - prog.t) // prog.m
+        slots, m = _progression_residues(series, ell, prog.m, prog.t, n_max + 1), 1
+    first = _first_nonzero(slots, m)
+    if series.prec < budget and None in first:
+        return None
+    verdicts = _verdicts(slots, m, first)
+    if prog is not None:
+        verdicts = (verdicts[0]._replace(m=prog.m, t=prog.t),)
+    return ScanReport(series_name, ell, m_max, budget, verdicts)
 
 
 def theorem_applies(spec: EtaQuotientSpec, ell: int, m: int) -> Applicability:

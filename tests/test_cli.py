@@ -24,7 +24,8 @@ from qsift.generators import (
     catalog,
     level_mod_ell,
 )
-from qsift.scanner import ScanReport, scan
+from qsift.scanner import ScanReport, scan, scan_progression
+from qsift.transform import Progression
 
 
 def run(capsys, *argv):
@@ -231,6 +232,79 @@ def test_scan_single_progression_matches_filtered_scan(
     filtered = ScanReport(spec, ell, m, full.coeff_budget, kept)
     expected = filtered.to_json() + "\n" if fmt == "json" else filtered.to_csv()
     assert out == expected
+
+
+# (spec, ell, m_max or m:t, budget, the builds the scan makes): the probe,
+# 16*m_max slots at most, and the budget when the probe leaves a progression
+# open.  f and omega mod 3 have a witness for every progression in the probe;
+# omega mod 2 and cphi2 mod 5 have candidates.
+PROBE_SCANS = [
+    ("mock_f", 3, 30, 2000, [480]),
+    ("mock_omega", 3, 30, 2000, [480]),
+    ("mock_omega", 2, 20, 2000, [320, 2000]),
+    ("cphi2", 5, 10, 1000, [160, 1000]),
+    ("mock_f", 3, 30, 30, [30]),  # a budget equal to m_max
+    ("mock_omega", 3, 30, 479, [479]),  # a budget below 16*m_max
+    ("partition", 5, "5:2", 600, [80]),
+    ("partition", 5, "5:4", 600, [80, 600]),
+]
+
+
+def _library_scan(spec, ell, target, budget):
+    series = build_series(spec, budget, ell)
+    if isinstance(target, str):
+        m, t = (int(x) for x in target.split(":"))
+        return scan_progression(series, ell, Progression(m, t), spec)
+    return scan(series, ell, target, series_name=spec)
+
+
+def _scan_argv(spec, ell, target, budget, fmt="json"):
+    where = ["--progression", target] if isinstance(target, str) else ["--m-max", str(target)]
+    return ["scan", spec, "--mod", str(ell), *where, "--budget", str(budget), "--format", fmt]
+
+
+def _spy_on_builds(monkeypatch):
+    builds = []
+
+    def spy(spec, prec, modulus=None):
+        builds.append(prec)
+        return build_series(spec, prec, modulus)
+
+    monkeypatch.setattr("qsift.cli.build_series", spy)
+    return builds
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("spec, ell, target, budget, limits", PROBE_SCANS)
+def test_scan_prints_the_library_report_on_the_full_budget(
+    capsys, monkeypatch, spec, ell, target, budget, limits, fmt
+):
+    builds = _spy_on_builds(monkeypatch)
+    code, out, _ = run(capsys, *_scan_argv(spec, ell, target, budget, fmt))
+    assert code == 0
+    assert builds == limits
+    report = _library_scan(spec, ell, target, budget)
+    assert out == (report.to_json() + "\n" if fmt == "json" else report.to_csv())
+
+
+@pytest.mark.parametrize("spec, ell, target, budget, limits", PROBE_SCANS)
+def test_a_scan_caches_the_build_it_read_and_a_warm_scan_builds_nothing(
+    tmp_path, capsys, monkeypatch, spec, ell, target, budget, limits
+):
+    cache_dir = str(tmp_path / "cache")
+    argv = ["--cache-dir", cache_dir, *_scan_argv(spec, ell, target, budget)]
+    builds = _spy_on_builds(monkeypatch)
+    code, cold, _ = run(capsys, *argv)
+    assert code == 0
+    assert builds == limits
+    entry = _cache_path(cache_dir, _series_key(spec, limits[-1], ell))
+    assert os.listdir(cache_dir) == [os.path.basename(entry)]
+    builds.clear()
+    code, warm, _ = run(capsys, *argv)
+    assert code == 0
+    assert warm == cold
+    assert builds == []
+    assert os.listdir(cache_dir) == [os.path.basename(entry)]
 
 
 def test_scan_csv_format(capsys):

@@ -671,6 +671,20 @@ def test_catalog_unknown():
         catalog_entry("nosuch")
 
 
+@pytest.mark.parametrize("ell", (2, 3, 5, 7))
+@pytest.mark.parametrize(  # a theta series takes no modulus
+    "name", [entry.name for entry in catalog() if entry.name not in THETA_SERIES]
+)
+def test_a_shorter_build_is_a_prefix_of_a_longer_one(name, ell):
+    # the CLI scan reads a 16*m_max-slot probe in place of its full budget
+    # whenever every progression has a witness there, which rests on this
+    full = build_series(name, 5000, ell)
+    for prec in (31, 240, 480, 4096):
+        part = build_series(name, prec, ell)
+        assert part.offset == full.offset
+        assert part.slots == full.slots[:prec]
+
+
 def test_build_series_dispatch():
     assert build_series("mock_f", 5).coeffs == mock_f(5).coeffs
     assert build_series("theta_g1", 4) == eta_quotient(THETA_SERIES["theta_g1"][0], 4)

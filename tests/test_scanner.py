@@ -30,6 +30,7 @@ from qsift.scanner import (
     ScanReport,
     ScanVerdict,
     scan,
+    scan_prefix,
     scan_progression,
     sturm_bound,
     theorem_applies,
@@ -210,6 +211,24 @@ def test_scans_match_the_slot_by_slot_oracle(case, scan_verdict_oracle):
     prog = Progression(m, t)
     assert scan_progression(series, ell, prog).verdicts == (oracle(m, t, (prec - 1 - t) // m),)
     assert witness(series, ell, prog, n_max) == oracle(m, t, n_max).n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_scan_cases(), cut=st.floats(0, 1))
+def test_a_prefix_gives_the_full_report_or_none(case, cut):
+    ell, over_z, coeffs, m_max, m, t, _ = case
+    ring = INTEGER if over_z else integer_mod(ell)
+    series, prec = QSeries(0, coeffs, ring), len(coeffs)
+    prefix = QSeries(0, coeffs[: m_max + round(cut * (prec - m_max))], ring)
+    for target, full in (
+        (m_max, scan(series, ell, m_max)),
+        (Progression(m, t), scan_progression(series, ell, Progression(m, t))),
+    ):
+        open_ = any(v.n is None or v.m * v.n + v.t >= prefix.prec for v in full.verdicts)
+        short = prefix.prec < prec
+        assert scan_prefix(prefix, ell, target, prec) == (None if open_ and short else full)
+    with pytest.raises(ValueError):  # a budget below the slots it would read
+        scan_prefix(series, ell, m_max, prec - 1)
 
 
 def omega_mod2_predicted(prec: int, m_max: int) -> tuple[ScanVerdict, ...]:
