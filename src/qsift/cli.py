@@ -9,8 +9,11 @@ maps the exception to an exit code and one ``error: ...`` line on stderr:
 UnknownSeries exits 3, InsufficientPrecision (a budget that cannot cover
 the request) 4, and ValueError (GrammarError among them) 2.  An option
 value out of its domain raises argparse.ArgumentError, which ``main``
-reports through the parser: the usage line and exit 2.  Stdout carries
-only the declared output format; diagnostics go to stderr.
+reports through the parser: the usage line and exit 2.  When the reader
+of stdout goes away (``qsift expand ... | head -1``), ``main`` prints
+nothing more and exits 141, as a shell reports a producer stopped by
+SIGPIPE.  Stdout carries only the declared output format; diagnostics go
+to stderr.
 
 ``scan`` first builds a probe of 16 slots per unit of m_max (of m for
 ``--progression``), at most the budget, and searches it.  A witness is the
@@ -337,6 +340,8 @@ def _cmd_identities(args) -> int:
 
 def _cmd_cusp_check(args) -> int:
     Q, kind = args.Q, args.kind
+    if Q < 1:
+        raise argparse.ArgumentError(None, f"--Q must be positive (got {Q})")
     if not cusp_q_ok(kind, Q):
         raise argparse.ArgumentError(
             None,
@@ -397,10 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="scan progressions for congruences")
     p_scan.add_argument("spec")
     p_scan.add_argument("--mod", type=int, required=True)
-    p_scan.add_argument("--m-max", type=int, default=None)
     p_scan.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
-    p_scan.add_argument(
+    p_scan_range = p_scan.add_mutually_exclusive_group()
+    p_scan_range.add_argument("--m-max", type=int, default=None)
+    p_scan_range.add_argument(
         "--progression",
         default=None,
         metavar="m:t",
@@ -437,7 +443,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader of stdout is gone
+        with open(os.devnull, "w") as devnull:  # so the exit flush cannot raise
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except argparse.ArgumentError as exc:  # an option value out of its domain
         parser.error(str(exc))
     except UnknownSeries as exc:

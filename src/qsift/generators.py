@@ -21,8 +21,8 @@ cheapest plan is built.  Over Z, Z/ell^k (k >= 2) and composite moduli the
 plan is the factors as given.
 
 The Euler products, Jacobi's cubes and the mock theta numerators are
-sparse sums: ``(start, step, value)`` fills that one routine,
-``qseries._sparse_sum``, turns into a series.  The mock theta functions come
+sparse sums over closed-form ranges of terms: ``(start, step, value)``
+fills that one routine, ``qseries._sparse_sum``, turns into a series.  The mock theta functions come
 from Watson's Appell-Lerch forms: each is a numerator of geometric fills,
 costing O(P log P), over one Euler product, and the single series division
 picks its kernel by predicted cost (see ``QSeries.__truediv__``).
@@ -49,7 +49,6 @@ from .qseries import (
     _division_cost,
     _residue_product_cost,
     _sparse_sum,
-    _spread,
     _square_and_multiply,
     integer_mod,
     monomial,
@@ -138,30 +137,11 @@ class SeriesCatalogEntry:
     description: str
 
 
-def _terms_over_z(exponent, limit: int) -> list[tuple[int, int]]:
-    """The (exponent(k), k) pairs with exponent(k) < limit, k over Z: the
-    terms of a sparse sum over k in Z whose exponent, a quadratic in k,
-    grows with |k| (k = 0, +-1, +-2, ... until both k and -k reach the
-    limit)."""
-    terms = []
-    k = 0
-    while True:
-        hit = False
-        for kk in {k, -k}:
-            e = exponent(kk)
-            if e < limit:
-                terms.append((e, kk))
-                hit = True
-        if not hit:
-            return terms
-        k += 1
-
-
 def _euler_product(prec: int, delta: int, ring: CoefficientRing, offset=0) -> QSeries:
     """q^offset * prod(1 - q^(delta*n)) = q^offset * sum (-1)^k q^(delta k(3k+1)/2)
     over k in Z, to ``prec`` slots: one single-slot fill per pentagonal term."""
-    terms = _terms_over_z(lambda k: delta * k * (3 * k + 1) // 2, prec)
-    fills = [(e, prec, -1 if k % 2 else 1) for e, k in terms]
+    ks = _pentagonal_ks(prec, delta)
+    fills = [(delta * k * (3 * k + 1) // 2, prec, -1 if k % 2 else 1) for k in ks]
     return _sparse_sum(prec, ring, fills, offset)
 
 
@@ -180,12 +160,12 @@ def _triangular_count(prec: int, delta: int) -> int:
     return (isqrt(8 * ((prec - 1) // delta) + 1) + 1) // 2
 
 
-def _pentagonal_count(prec: int, delta: int) -> int:
-    """The number of k in Z with delta k(3k+1)/2 < prec, the nonzero slots
-    of ``_euler_product``: (6k+1)^2 <= 24M + 1 for M = (prec - 1) // delta,
+def _pentagonal_ks(prec: int, delta: int) -> range:
+    """The k in Z with delta k(3k+1)/2 < prec, the nonzero slots of
+    ``_euler_product``: (6k+1)^2 <= 24M + 1 for M = (prec - 1) // delta,
     k >= 0 giving 6k + 1 and k < 0 giving 6|k| - 1."""
     root = isqrt(24 * ((prec - 1) // delta) + 1)
-    return (root - 1) // 6 + 1 + (root + 1) // 6
+    return range(-((root + 1) // 6), (root - 1) // 6 + 1)
 
 
 def eta_series(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
@@ -358,7 +338,7 @@ def _plan_cost(plan, prec: int, ring: CoefficientRing) -> float:
             if ell % 2:
                 nnz -= ((2 * nnz - 1) // ell + 1) // 2
         else:
-            nnz = _pentagonal_count(n, delta)
+            nnz = len(_pentagonal_ks(n, delta))
         return _square_and_multiply((delta, nnz), e, times)
 
     top = reduce(times, (power(*step) for step in numerator)) if numerator else (0, 1)
@@ -397,7 +377,7 @@ def _build_plan(plan, prec: int, ring: CoefficientRing):
         for delta, cube, e in denominator:
             for _ in range(e):
                 out = out / power(delta, cube, 1)
-    return _spread(out.slots, g, 0, prec, ring) if g > 1 else out.slots
+    return out.substitute_power(g).slots[:prec]
 
 
 def _pick_plan(spec: EtaQuotientSpec, prec: int, ring: CoefficientRing):
@@ -442,7 +422,7 @@ def mock_f(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    ks = range(1, isqrt(prec) + 1)  # covers every k with k(3k+1)/2 < prec
+    ks = range(1, _pentagonal_ks(prec, 1).stop)  # the k >= 1 with k(3k+1)/2 < prec
     heads = ((k * (3 * k + 1) // 2, 2 * k, 4 * (-1) ** k) for k in ks)
     tails = ((k * (3 * k + 3) // 2, 2 * k, -4 * (-1) ** k) for k in ks)
     numerator = _sparse_sum(prec, ring, chain([(0, prec, 1)], heads, tails))
@@ -460,7 +440,7 @@ def mock_omega(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    ns = range(isqrt(prec) + 1)  # covers every n with 3n(n+1) < prec
+    ns = range(_triangular_count(prec, 6))  # 3n(n+1) = 6 n(n+1)/2
     heads = ((3 * n * (n + 1), prec, (-1) ** n) for n in ns)
     tails = ((3 * n * (n + 1) + 2 * n + 1, 2 * n + 1, 2 * (-1) ** n) for n in ns)
     numerator = _sparse_sum(prec, ring, chain(heads, tails))

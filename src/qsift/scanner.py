@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .arith import prime_factors
@@ -349,11 +349,18 @@ _CONGRUENCE_CLAIMS = (
 )
 
 
+def _omega_parity_js(prec: int) -> range:
+    """The j in Z with 6j^2 + 4j < prec, omega's terms mod 2: (6j+2)^2 <=
+    6(prec - 1) + 4, j >= 0 giving 6j + 2 and j < 0 giving 6|j| - 2."""
+    root = isqrt(6 * (prec - 1) + 4)
+    return range(-((root + 2) // 6), (root - 2) // 6 + 1)
+
+
 def verify_known(bounds: dict[str, int] | None = None) -> list[tuple[str, bool]]:
     """Re-verify the hard-coded known congruences and parity facts, each up
     to its configured coefficient bound; returns (claim id, passed) pairs.
     A bound for an unknown claim id, or a negative bound, is a ValueError."""
-    from .generators import _terms_over_z, build_series, mock_f, mock_omega
+    from .generators import build_series, mock_f, mock_omega
 
     claims = [c[0] for c in _CONGRUENCE_CLAIMS] + ["mockf-parity-mod2", "omega-parity-mod2"]
     bounds = bounds or {}
@@ -375,8 +382,8 @@ def verify_known(bounds: dict[str, int] | None = None) -> list[tuple[str, bool]]
     bound = bounds.get("omega-parity-mod2", 2000)
     w2 = mock_omega(bound + 1, integer_mod(2))
     expected = bytearray(bound + 1)
-    for e, _ in _terms_over_z(lambda j: 6 * j * j + 4 * j, bound + 1):
-        expected[e] = 1
+    for j in _omega_parity_js(bound + 1):
+        expected[6 * j * j + 4 * j] = 1
     results.append(("omega-parity-mod2", w2.slots == expected))
 
     return results

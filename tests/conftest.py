@@ -33,7 +33,10 @@ through ``decompose_upper``, against the integer numerator over 8 of
 ``transform``.  The level of the non-congruence
 criterion, and the ell-free part of its lattice, come from moving
 ell-powers out of the deltas into the exponents, against the build rewrite
-of ``generators``, which moves them the other way.  The sparse division
+of ``generators``, which moves them the other way.  The terms of a sparse
+sum over k in Z come from trying k = 0, +-1, +-2, ... until both signs
+pass the limit, against the closed-form ranges of ``generators`` and
+``scanner``.  The sparse division
 recurrence comes from its per-term loop, one interpreted multiply-subtract
 per slot and term, against the grouped gathers of ``qseries._div_sparse``.
 Over Z/m with m <= 256, a packed product's slots come from its digit string
@@ -85,6 +88,25 @@ def _euler_product_prefix(prec: int) -> list[int]:
         for i in range(prec - 1, n - 1, -1):
             coeffs[i] -= coeffs[i - n]
     return coeffs
+
+
+def _terms_over_z(exponent, limit: int) -> list[tuple[int, int]]:
+    """The (exponent(k), k) pairs with exponent(k) < limit, k over Z: the
+    terms of a sparse sum over k in Z whose exponent, a quadratic in k,
+    grows with |k| (k = 0, +-1, +-2, ... until both k and -k reach the
+    limit)."""
+    terms = []
+    k = 0
+    while True:
+        hit = False
+        for kk in {k, -k}:
+            e = exponent(kk)
+            if e < limit:
+                terms.append((e, kk))
+                hit = True
+        if not hit:
+            return terms
+        k += 1
 
 
 def _divide_by_sparse(coeffs: list, tail, modulus: int | None) -> list:
@@ -707,6 +729,11 @@ def partition_oracle():
         return cache[n_max]
 
     return counts
+
+
+@pytest.fixture(scope="session")
+def sparse_terms_oracle():
+    return _terms_over_z
 
 
 @pytest.fixture(scope="session")

@@ -191,6 +191,19 @@ def test_scan_needs_range_or_progression(capsys):
     assert "--m-max" in err
 
 
+def test_scan_range_and_progression_together_are_a_usage_error(capsys):
+    # one of them would be ignored: --m-max 3 with 5:4 reported m_max 5
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "partition", "--mod", "5", "--m-max", "3", "--progression", "5:4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qsift scan [-h]")
+    assert captured.err.endswith(
+        "qsift scan: error: argument --progression: not allowed with argument --m-max\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -375,6 +388,17 @@ def test_cusp_check_usage_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: qsift [-h] [--cache-dir CACHE_DIR]")
     assert err.endswith("qsift: error: --Q must be coprime to 6 for kind f (got 6)\n")
+
+
+@pytest.mark.parametrize("kind, Q", [("f", "-5"), ("f", "0"), ("omega", "-7")])
+def test_cusp_check_q_below_one_is_a_usage_error(capsys, kind, Q):
+    # -5 is coprime to 6: what is wrong with it is its sign
+    with pytest.raises(SystemExit) as exc:
+        main(["cusp-check", kind, "--Q", Q])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qsift [-h] [--cache-dir CACHE_DIR]")
+    assert err.endswith(f"qsift: error: --Q must be positive (got {Q})\n")
 
 
 def test_cusp_check_explicit_t(capsys):
@@ -947,19 +971,47 @@ def test_stdout_is_pure_json(capsys):
     json.loads(out)  # must parse cleanly
 
 
-def test_python_dash_m_matches_main(capsys):
+def _python_dash_m_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     env.pop("QSIFT_CACHE_DIR", None)
+    return env
+
+
+def test_python_dash_m_matches_main(capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "qsift", "expand", "partition", "--limit", "6"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_python_dash_m_env(),
         timeout=60,
     )
     assert proc.returncode == 0
     code, out, _ = run(capsys, "expand", "partition", "--limit", "6")
     assert code == 0
     assert proc.stdout == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "expand partition --limit 200000 --mod 5",
+        "scan mock_f --mod 3 --m-max 300",
+    ],
+)
+def test_closed_pipe_exits_141_in_silence(argv):
+    # the reader takes one line and goes: far more than a pipe holds is
+    # left to write, so the writer meets the closed pipe
+    with subprocess.Popen(
+        [sys.executable, "-m", "qsift", *argv.split()],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_python_dash_m_env(),
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()  # to the writer's exit
+    assert first == b"{\n"
+    assert proc.returncode == 141
+    assert err == b""

@@ -29,12 +29,14 @@ from qsift.generators import (
     _euler_product,
     _frobenius_factors,
     _jacobi_cube,
+    _pentagonal_ks,
     _pick_plan,
     _plan_steps,
+    _triangular_count,
     level_mod_ell,
 )
 from qsift.qseries import INTEGER, QSeries, monomial, integer_mod
-from qsift.scanner import verify_known
+from qsift.scanner import _omega_parity_js, verify_known
 from test_scanner import _class_totals
 
 
@@ -291,6 +293,80 @@ def test_spec_values_are_computed_once_and_stay_out_of_equality_and_pickles(monk
     for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
         assert copied == spec and str(copied) == str(spec)
         assert level_mod_ell(copied, 2) == (8, 2)
+
+
+# ------------------------------------------------- closed-form term ranges
+
+
+def _edge_precs(exponent, ks) -> list[int]:
+    """Every positive prec equal to a term's exponent or one either side."""
+    return sorted({exponent(k) + d for k in ks for d in (-1, 0, 1)} - {-1, 0})
+
+
+def _ks_below(sparse_terms_oracle, exponent, prec: int, least: int | None = None):
+    """The k of the terms with exponent(k) < prec, k >= least, ascending."""
+    ks = (k for _, k in sparse_terms_oracle(exponent, prec))
+    return sorted(k for k in ks if least is None or k >= least)
+
+
+@pytest.mark.parametrize("delta", range(1, 13))
+def test_term_ranges_are_the_brute_force_terms(delta, sparse_terms_oracle):
+    def pentagonal(k):
+        return delta * k * (3 * k + 1) // 2
+
+    def triangular(k):
+        return delta * k * (k + 1) // 2
+
+    for prec in _edge_precs(pentagonal, range(-25, 26)):
+        ks = _ks_below(sparse_terms_oracle, pentagonal, prec)
+        assert list(_pentagonal_ks(prec, delta)) == ks
+    for prec in _edge_precs(triangular, range(50)):
+        ks = _ks_below(sparse_terms_oracle, triangular, prec, 0)
+        assert list(range(_triangular_count(prec, delta))) == ks
+
+
+def test_omega_parity_range_is_the_brute_force_terms(sparse_terms_oracle):
+    def parity(j):
+        return 6 * j * j + 4 * j
+
+    for prec in _edge_precs(parity, range(-30, 31)):
+        assert list(_omega_parity_js(prec)) == _ks_below(sparse_terms_oracle, parity, prec)
+
+
+def test_mock_numerators_fill_exactly_the_brute_force_terms(monkeypatch, sparse_terms_oracle):
+    # the first fill of a mock build is its numerator's: mock_f's is 1 then
+    # one head and one tail per k, steps 2k; mock_omega's one head and one
+    # tail per n, steps prec and 2n + 1
+    numerators = []
+    sparse_sum = generators._sparse_sum
+
+    def spy(prec, ring, fills, *args):
+        fills = list(fills)
+        numerators.append(fills)
+        return sparse_sum(prec, ring, fills, *args)
+
+    monkeypatch.setattr(generators, "_sparse_sum", spy)
+
+    def f_head(k):
+        return k * (3 * k + 1) // 2
+
+    def omega_head(n):
+        return 3 * n * (n + 1)
+
+    for prec in _edge_precs(f_head, range(1, 31)):
+        numerators.clear()
+        mock_f(prec)
+        fills = numerators[0]
+        heads = fills[1 : 1 + len(fills) // 2]
+        ks = _ks_below(sparse_terms_oracle, f_head, prec, 1)
+        assert [step // 2 for _, step, _ in heads] == ks
+    for prec in _edge_precs(omega_head, range(31)):
+        numerators.clear()
+        mock_omega(prec)
+        fills = numerators[0]
+        tails = fills[len(fills) // 2 :]
+        ns = _ks_below(sparse_terms_oracle, omega_head, prec, 0)
+        assert [step // 2 for _, step, _ in tails] == ns
 
 
 # ------------------------------------------------- Jacobi cubes and plans
