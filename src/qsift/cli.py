@@ -15,16 +15,23 @@ nothing more and exits 141, as a shell reports a producer stopped by
 SIGPIPE.  Stdout carries only the declared output format; diagnostics go
 to stderr.
 
-``scan`` first builds a probe of 16 slots per unit of m_max (of m for
+``scan`` first reads a probe of 16 slots per unit of m_max (of m for
 ``--progression``), at most the budget, and searches it.  A witness is the
 least n with a nonzero slot, and a shorter build is an exact prefix of a
 longer one, so when every progression has a witness in the probe, the
 report read from it is the full budget's, byte for byte.  Otherwise the
-budget is built and the report, candidates and their ``checked`` among it,
-is read from that.  Either way the header's ``budget`` is the one asked
-for.  The cache stores only the build the report was read from, under that
-build's own limit: a scan whose probe leaves nothing open caches the
-probe, and the same scan again reads that entry and builds nothing.
+search goes on from where it stands into the budget build, which is read
+only then, and the report, candidates and their ``checked`` among it, is
+read from that.  Either way the header's ``budget`` is the one asked for.
+
+The cache holds one entry per series and ring, whatever its length: the
+key names no limit.  A request reads the entry cut to its length when the
+entry holds enough; otherwise it builds, and the longer build replaces the
+entry.  A scan's probe takes as much of a longer entry as the budget
+holds, and reads no more when that is the budget.  So a scan whose probe
+leaves nothing open caches the probe, a scan that goes on to its budget
+caches the budget, and the same scan again reads that entry and builds
+nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .generators import (
     THETA_SERIES,
@@ -70,16 +78,16 @@ from .transform import (
 
 CACHE_ENV = "QSIFT_CACHE_DIR"
 
-# A scan first builds a probe of this many slots per unit of m_max (of m,
-# for one progression), and builds its budget only when the probe leaves a
-# progression open.  The witnesses of f and omega mod 3 for every m <= m_max
-# lie below slot 5*m_max at m_max = 30, 10*m_max at 1000 and 14.6*m_max at
-# 3000.
+# A scan first reads a probe of this many slots per unit of m_max (of m,
+# for one progression), and reads its budget only when the probe leaves a
+# progression open, for its search to go on into.  The witnesses of f and
+# omega mod 3 for every m <= m_max lie below slot 5*m_max at m_max = 30,
+# 10*m_max at 1000 and 14.6*m_max at 3000.
 _PROBE_PER_M = 16
 
 # Part of every cache key: raise it whenever the entry layout or the way a
 # series is built changes, so entries written before are misses.
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 
 _GRAMMAR = re.compile(r"^\d+\^-?\d+(,\d+\^-?\d+)*$")
 
@@ -121,18 +129,18 @@ def _cache_path(cache_dir: str, key: dict) -> str:
     return os.path.join(cache_dir, f"qsift-{digest}.bin")
 
 
-def _series_key(spec: EtaQuotientSpec | str, limit: int, modulus: int | None) -> dict:
-    """The cache key of a build: the canonical spec and the ring that
+def _series_key(spec: EtaQuotientSpec | str, modulus: int | None) -> dict:
+    """The cache key of a series: the canonical spec and the ring that
     ``generators.resolve_series`` gives (ValueError where it refuses the
     modulus).  So an eta-quotient is named by its sorted factors however it
     was spelled, a theta series by its eta-quotient, and ``mock_f`` and
-    ``mock_omega`` by their names."""
+    ``mock_omega`` by their names.  The key names no length: one entry
+    serves every shorter request (see ``_read_series``)."""
     spec, ring = resolve_series(spec, modulus)
     return {
         "version": _CACHE_VERSION,
         "series": str(spec),
         "ring": str(ring),
-        "limit": limit,
         "modulus": modulus,
     }
 
@@ -246,29 +254,24 @@ def _series_from_payload(payload: dict) -> QSeries:
 
 def _read_series(
     spec: EtaQuotientSpec | str,
-    limits: list[int],
+    limit: int,
     modulus: int | None,
     cache_dir: str | None,
-    read,
-):
-    """``read(series)`` of the first build of ``limits`` coefficients, in
-    order, that ``read`` accepts (returns other than None); the last is
-    taken whatever it returns.  The cache entry of every limit is tried
-    before anything is built, and only the build taken is stored, so a call
-    leaves one entry, and the same call again reads it and builds nothing."""
-    keys = [_series_key(spec, limit, modulus) for limit in limits]
-    if cache_dir:
-        for key in keys:
-            series = _load_cached(cache_dir, key)
-            if series is not None and (result := read(series)) is not None:
-                return result
-    for key in keys:
-        series = build_series(spec, key["limit"], modulus)
-        result = read(series)
-        if result is not None or key is keys[-1]:
-            if cache_dir:
-                _store_cached(cache_dir, key, series)
-            return result
+    most: int | None = None,
+) -> QSeries:
+    """The cache entry of the series, cut to its first ``most`` coefficients
+    (``limit`` by default), when it holds at least ``limit``; otherwise a
+    build of ``limit`` coefficients, which replaces the entry.  A shorter
+    build is an exact prefix of a longer one, so the cut entry is the build
+    of its length, and the one entry of a series serves every request up to
+    its length."""
+    key = _series_key(spec, modulus)
+    series = _load_cached(cache_dir, key) if cache_dir else None
+    if series is None or series.prec < limit:
+        series = build_series(spec, limit, modulus)
+        if cache_dir:
+            _store_cached(cache_dir, key, series)
+    return QSeries._trusted(series.offset, series.slots[: most or limit], series.ring)
 
 
 # ---------------------------------------------------------------- commands
@@ -278,7 +281,7 @@ def _cmd_expand(args) -> int:
     spec = parse_series_spec(args.spec)
     if args.limit < 1:
         raise ValueError(f"--limit must be positive, got {args.limit}")
-    series = _read_series(spec, [args.limit], args.mod, args.cache_dir, lambda s: s)
+    series = _read_series(spec, args.limit, args.mod, args.cache_dir)
     payload = _series_payload(series, args.spec)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -308,14 +311,10 @@ def _cmd_scan(args) -> int:
         raise ValueError(f"m_max must be positive, got {m_max}")
     if args.budget < m_max:
         raise InsufficientPrecision(f"budget {args.budget} cannot cover m_max {m_max}")
-    probe = min(args.budget, _PROBE_PER_M * m_max)
-    report = _read_series(
-        spec,
-        sorted({probe, args.budget}),
-        args.mod,
-        args.cache_dir,
-        lambda series: scan_prefix(series, args.mod, single or m_max, args.budget, args.spec),
-    )
+    read = partial(_read_series, spec, modulus=args.mod, cache_dir=args.cache_dir)
+    probe = read(min(args.budget, _PROBE_PER_M * m_max), most=args.budget)
+    rest = partial(read, args.budget) if probe.prec < args.budget else None
+    report = scan_prefix(probe, args.mod, single or m_max, args.budget, args.spec, rest)
     print(report.to_json() if args.format == "json" else report.to_csv(), end="")
     if args.format == "json":
         print()

@@ -20,6 +20,13 @@ per slot: a true congruence costs a few C-level passes over its
 progression, and a scan whose witnesses come early maps only the slots its
 first blocks reach.  ``scan_progression`` and ``witness`` cut their
 progression out of the series first, so they read no other slot.
+
+``scan_prefix`` may start on a prefix of the build it reports on.  When a
+block reaches the end of the prefix with a progression still open, the
+search fetches the whole build once, through the ``rest`` it was given, and
+goes on in that block for the open residues only: no slot is mapped twice
+and no search starts again from slot 0.  A witness is the least n, and a
+prefix is exact, so the report is the one a search of the whole build gives.
 """
 
 from __future__ import annotations
@@ -136,41 +143,53 @@ _NONZERO = bytes([0]) + bytes([1]) * 255  # residue byte -> 1 if nonzero
 _FIRST_ROWS = 8  # rows in the first block; each next block ends 8 times further on
 
 
-def _first_nonzero(slots, m_max: int) -> list:
+def _first_nonzero(slots, m_max: int, rest=None) -> tuple[list, object]:
     """For every progression (m, t) with m <= m_max and 0 <= t < m, in
     scan order (m ascending, then t): the least n with ``slots[m*n + t]``
-    nonzero, or None when every such slot is 0.  ``slots`` holds residues
-    as a series stores them, ``bytes`` or a tuple.  See the module
-    docstring for how the blocks are read."""
+    nonzero, or None when every such slot is 0; and the slots searched.
+    ``slots`` holds residues as a series stores them, ``bytes`` or a tuple.
+
+    ``rest()``, when given, returns the residues of a longer build, of
+    which ``slots`` is an exact prefix.  It is called at most once, when a
+    block has read the last slot of ``slots`` of a progression still
+    without a witness.  The search then goes on in that block, on the
+    longer slots, for the residues still open, and returns those slots.
+    See the module docstring for how the blocks are read."""
     first = [None] * (m_max * (m_max + 1) // 2)
     open_ts = {m: range(m) for m in range(1, m_max + 1)}
-    prec, nonzero = len(slots), bytearray()
+    nonzero, ms = bytearray(), list(open_ts)
     lo, hi = 0, _FIRST_ROWS
-    while open_ts:
-        part = slots[len(nonzero) : hi * max(open_ts)]
+    while ms:
+        part = slots[len(nonzero) : hi * ms[-1]]
         nonzero += part.translate(_NONZERO) if type(part) is bytes else bytes(map(bool, part))
-        for m, ts in list(open_ts.items()):
+        short = []  # the m with residues open to the end of ``slots``
+        for m in ms:
             base, start, stop = m * (m - 1) // 2, lo * m, hi * m
             still = []
-            for t in ts:
+            for t in open_ts[m]:
                 i = nonzero[start + t : stop : m].find(1)
                 if i < 0:
                     still.append(t)
                 else:
                     first[base + t] = lo + i
-            if still and stop < prec:
-                open_ts[m] = still
-            else:
+            if not still or (stop >= len(slots) and not rest):
                 del open_ts[m]
-        lo, hi = hi, hi * 8
-    return first
+            else:
+                open_ts[m] = still
+                if stop >= len(slots):
+                    short.append(m)
+        if short:  # the same block again, for these m only
+            slots, rest, ms = rest(), None, short
+        else:
+            lo, hi, ms = hi, hi * 8, list(open_ts)
+    return first, slots
 
 
 def _verdicts(slots, m_max: int, first: list) -> tuple[ScanVerdict, ...]:
     """The verdict on every progression (m, t), m <= m_max, in scan order,
-    from ``_first_nonzero(slots, m_max)``'s list ``first``: a witness at
-    its first nonzero slot n, with that slot's residue, or a candidate
-    checked to the last n that ``slots`` holds."""
+    from the list ``first`` that ``_first_nonzero`` returns with ``slots``:
+    a witness at its first nonzero slot n, with that slot's residue, or a
+    candidate checked to the last n that ``slots`` holds."""
     last, first = len(slots) - 1, iter(first)
     return tuple(
         ScanVerdict(m, t, "candidate", None, None, (last - t) // m)
@@ -179,14 +198,6 @@ def _verdicts(slots, m_max: int, first: list) -> tuple[ScanVerdict, ...]:
         for m in range(1, m_max + 1)
         for t in range(m)
     )
-
-
-def _progression_residues(series: QSeries, ell: int, m: int, t: int, count: int):
-    """Residues mod ell of slots m*n + t, n < count, stored as a series over
-    Z/ell stores them.  The progression is cut out first, so only its slots
-    are read and reduced."""
-    part = series.slots[t : t + m * (count - 1) + 1 : m]
-    return QSeries._trusted(Fraction(0), part, series.ring).reduce_mod(ell).slots
 
 
 def witness(series: QSeries, ell: int, prog: Progression, n_max: int) -> int | None:
@@ -202,7 +213,9 @@ def witness(series: QSeries, ell: int, prog: Progression, n_max: int) -> int | N
         raise InsufficientPrecision(
             f"need {m * n_max + t + 1} coefficients, have {series.prec}"
         )
-    return _first_nonzero(_progression_residues(series, ell, m, t, n_max + 1), 1)[0]
+    part = series.slots[t : t + m * n_max + 1 : m]  # only the progression is reduced
+    residues = QSeries._trusted(Fraction(0), part, series.ring).reduce_mod(ell).slots
+    return _first_nonzero(residues, 1)[0][0]
 
 
 def _check_m_max(series: QSeries, m_max: int) -> None:
@@ -236,29 +249,34 @@ def scan_prefix(
     target: int | Progression,
     budget: int,
     series_name: str = "",
-) -> ScanReport | None:
+    rest=None,
+) -> ScanReport:
     """The report of ``scan`` (``target`` an m_max) or ``scan_progression``
     (``target`` a progression) on a build of ``budget`` coefficients, read
-    from ``series``, which holds the first ``series.prec`` of them.  None
-    when ``series`` is shorter than the budget and some progression has no
-    witness in it, so that its verdict needs the rest of the build.
+    from ``series``, which holds the first ``series.prec`` of them.
+    ``rest()``, when given, returns the whole build.  It is called only
+    when some progression has no witness in ``series``, and the search goes
+    on into it from the block where it stands.  Without ``rest``, a
+    ``series`` shorter than the budget that leaves a progression open
+    raises InsufficientPrecision, since that verdict needs the rest.
 
     A witness is the least n with a nonzero slot, which any prefix holding
-    it finds, so a report read from a prefix is the full build's.  A
-    prefix that leaves a progression open builds no verdicts."""
+    it finds, so a report read from a prefix is the full build's."""
     prog = target if isinstance(target, Progression) else None
     m_max = prog.m if prog else target
     _check_m_max(series, m_max)
     if series.prec > budget:
         raise ValueError(f"a budget of {budget} cannot hold {series.prec} coefficients")
-    if prog is None:
-        slots, m = series.reduce_mod(ell).slots, m_max
-    else:
-        n_max = (series.prec - 1 - prog.t) // prog.m
-        slots, m = _progression_residues(series, ell, prog.m, prog.t, n_max + 1), 1
-    first = _first_nonzero(slots, m)
-    if series.prec < budget and None in first:
-        return None
+
+    def residues(build: QSeries):  # mod ell; for one progression, of its slots alone
+        return (build.extract_progression(prog.m, prog.t) if prog else build).reduce_mod(ell).slots
+
+    m = 1 if prog else m_max
+    first, slots = _first_nonzero(residues(series), m, rest and (lambda: residues(rest())))
+    if rest is None and series.prec < budget and None in first:
+        raise InsufficientPrecision(
+            f"{series.prec} of {budget} coefficients leave a progression open"
+        )
     verdicts = _verdicts(slots, m, first)
     if prog is not None:
         verdicts = (verdicts[0]._replace(m=prog.m, t=prog.t),)

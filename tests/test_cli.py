@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import qsift.scanner
 from qsift.cli import (
     _cache_path,
     _series_from_payload,
@@ -310,7 +311,7 @@ def test_a_scan_caches_the_build_it_read_and_a_warm_scan_builds_nothing(
     code, cold, _ = run(capsys, *argv)
     assert code == 0
     assert builds == limits
-    entry = _cache_path(cache_dir, _series_key(spec, limits[-1], ell))
+    entry = _cache_path(cache_dir, _series_key(spec, ell))
     assert os.listdir(cache_dir) == [os.path.basename(entry)]
     builds.clear()
     code, warm, _ = run(capsys, *argv)
@@ -318,6 +319,42 @@ def test_a_scan_caches_the_build_it_read_and_a_warm_scan_builds_nothing(
     assert warm == cold
     assert builds == []
     assert os.listdir(cache_dir) == [os.path.basename(entry)]
+
+
+class _MappedSlots(bytes):
+    """Residue bytes that log the index of every slot a slice of them
+    covers: ``scanner._first_nonzero`` reads its slots by single index
+    only for verdicts, and maps them to 0 or 1 slice by slice."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.log.extend(range(*key.indices(len(self))))
+        return super().__getitem__(key)
+
+
+def test_a_failed_probe_search_goes_on_into_the_budget(capsys, monkeypatch):
+    # omega mod 2 at m <= 40 leaves progressions open in its 640-slot probe,
+    # some of them true congruences, so the one search maps every slot of
+    # the 5000-slot budget once, and none twice
+    mapped, searches = [], []
+    search = qsift.scanner._first_nonzero
+
+    def logged(slots):
+        slots = _MappedSlots(slots)
+        slots.log = mapped
+        return slots
+
+    def spy(slots, m_max, rest=None):
+        searches.append(m_max)
+        return search(logged(slots), m_max, rest and (lambda: logged(rest())))
+
+    monkeypatch.setattr("qsift.scanner._first_nonzero", spy)
+    builds = _spy_on_builds(monkeypatch)
+    code, out, _ = run(capsys, *_scan_argv("mock_omega", 2, 40, 5000))
+    assert code == 0
+    assert (builds, searches) == ([640, 5000], [40])
+    assert sorted(mapped) == list(range(5000))
+    assert out == _library_scan("mock_omega", 2, 40, 5000).to_json() + "\n"
 
 
 def test_scan_csv_format(capsys):
@@ -641,15 +678,107 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert os.listdir(cache_dir) == files
 
 
-def test_cache_mismatched_key_recomputes(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
-    run(capsys, "--cache-dir", cache_dir, "expand", "partition", "--limit", "10")
+def test_a_longer_limit_replaces_the_entry_which_serves_a_shorter_one(
+    tmp_path, capsys, monkeypatch
+):
+    cache_dir = tmp_path / "cache"
+    run(capsys, "--cache-dir", str(cache_dir), "expand", "partition", "--limit", "10")
     code, out, _ = run(
-        capsys, "--cache-dir", cache_dir, "expand", "partition", "--limit", "12"
+        capsys, "--cache-dir", str(cache_dir), "expand", "partition", "--limit", "12"
     )
     assert code == 0
     assert len(json.loads(out)["coefficients"]) == 12
-    assert len(os.listdir(cache_dir)) == 2
+    (entry,) = cache_dir.iterdir()  # one entry per series and ring, now of 12 slots
+    assert len(json.loads(_read_entry(entry)[1])) == 12
+    builds = _spy_on_builds(monkeypatch)
+    code, out, _ = run(
+        capsys, "--cache-dir", str(cache_dir), "expand", "partition", "--limit", "10"
+    )
+    assert code == 0
+    assert builds == []
+    assert json.loads(out)["coefficients"] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+
+
+def _entry_length(cache_dir):
+    """The slots of the one entry in ``cache_dir``, a series over Z/m, m <= 256."""
+    (entry,) = Path(cache_dir).iterdir()
+    return len(_read_entry(entry)[1])
+
+
+@pytest.mark.parametrize(
+    "budget, m, t, slot",
+    [
+        (200, 19, 12, 240),  # the probe is the budget: 200 < 16 * 40
+        (1000, 27, 13, 1066),  # the probe takes 1000 of the entry's slots
+    ],
+)
+def test_a_scan_reads_no_slot_past_its_budget_from_a_longer_entry(
+    tmp_path, capsys, monkeypatch, budget, m, t, slot
+):
+    # omega = sum q^(6j^2+4j) (mod 2): (m, t) has no exponent below the
+    # budget and one, `slot`, in the 5000-slot entry, so it is a candidate
+    # whose `checked` comes from the budget
+    assert slot == min(e for j in range(-40, 41) if (e := 6 * j * j + 4 * j) % m == t)
+    cache_dir = str(tmp_path / "cache")
+    code, _, _ = run(capsys, "--cache-dir", cache_dir, *_scan_argv("mock_omega", 2, 40, 5000))
+    assert code == 0 and _entry_length(cache_dir) == 5000
+    argvs = [_scan_argv("mock_omega", 2, 40, budget, fmt) for fmt in ("json", "csv")]
+    uncached = [run(capsys, *argv)[1] for argv in argvs]
+    builds = _spy_on_builds(monkeypatch)
+    for argv, expected in zip(argvs, uncached):
+        assert run(capsys, "--cache-dir", cache_dir, *argv) == (0, expected, "")
+    assert builds == []
+    verdicts = json.loads(uncached[0])["verdicts"]
+    (verdict,) = (v for v in verdicts if (v["m"], v["t"]) == (m, t))
+    assert verdict == {"m": m, "t": t, "status": "candidate", "checked": (budget - 1 - t) // m}
+    assert _entry_length(cache_dir) == 5000
+
+
+@pytest.mark.parametrize("mod", [None, 5])  # a JSON entry over Z, a byte entry over Z/5
+def test_an_expand_shorter_than_the_entry_builds_nothing(tmp_path, capsys, monkeypatch, mod):
+    cache_dir = str(tmp_path / "cache")
+    ring = [] if mod is None else ["--mod", str(mod)]
+    run(capsys, "--cache-dir", cache_dir, "expand", "partition", "--limit", "40", *ring)
+    for fmt in ("json", "csv"):
+        argv = ["expand", "partition", "--limit", "12", *ring, "--format", fmt]
+        _, uncached, _ = run(capsys, *argv)
+        builds = _spy_on_builds(monkeypatch)
+        code, out, _ = run(capsys, "--cache-dir", cache_dir, *argv)
+        assert code == 0
+        assert builds == []
+        assert out == uncached
+    (entry,) = Path(cache_dir).iterdir()
+    assert _read_entry(entry)[0]["length"] == len(_read_entry(entry)[1])
+
+
+def test_an_entry_shorter_than_the_probe_is_rebuilt_and_replaced(tmp_path, capsys, monkeypatch):
+    cache_dir = str(tmp_path / "cache")
+    run(capsys, "--cache-dir", cache_dir, "expand", "mock_f", "--limit", "100", "--mod", "3")
+    assert _entry_length(cache_dir) == 100
+    argv = _scan_argv("mock_f", 3, 30, 2000)
+    _, uncached, _ = run(capsys, *argv)
+    builds = _spy_on_builds(monkeypatch)
+    code, out, _ = run(capsys, "--cache-dir", cache_dir, *argv)
+    assert code == 0
+    assert out == uncached
+    assert builds == [480]
+    assert _entry_length(cache_dir) == 480
+
+
+def test_a_torn_long_entry_is_a_miss(tmp_path, capsys, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    run(capsys, "--cache-dir", str(cache_dir), "expand", "mock_f", "--limit", "400", "--mod", "3")
+    (entry,) = cache_dir.iterdir()
+    data = entry.read_bytes()
+    entry.write_bytes(data[: len(data) - 200])  # the header and 200 of the 400 slots
+    argv = ["expand", "mock_f", "--limit", "10", "--mod", "3"]
+    _, uncached, _ = run(capsys, *argv)
+    builds = _spy_on_builds(monkeypatch)
+    code, out, _ = run(capsys, "--cache-dir", str(cache_dir), *argv)
+    assert code == 0
+    assert out == uncached
+    assert builds == [10]
+    assert _entry_length(cache_dir) == 10  # the build replaced the torn entry
 
 
 def test_cache_key_names_the_series_not_its_spelling(tmp_path, capsys, monkeypatch):
@@ -762,7 +891,7 @@ def test_cache_entry_under_old_key_shape_is_a_miss(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["coefficients"] == [1, 1, 2, 3, 5, 7]
     # an old-shape key inside an entry at the current path is refused too
-    new_key = _series_key("partition", 6, None)
+    new_key = _series_key("partition", None)
     assert new_key != old_key and new_key["version"] >= 2
     new_path = Path(_cache_path(str(cache_dir), new_key))
     assert new_path.exists()
@@ -945,14 +1074,14 @@ def test_cache_entry_over_q_is_rebuilt(tmp_path, capsys, key_ring):
 
 
 def test_cache_key_ring_comes_from_the_catalog_entry():
-    theta = _series_key("theta_g1", 5, None)  # named by its eta-quotient
-    assert theta == _series_key(parse_series_spec("1^5,2^-2"), 5, None)
+    theta = _series_key("theta_g1", None)  # named by its eta-quotient
+    assert theta == _series_key(parse_series_spec("1^5,2^-2"), None)
     assert (theta["series"], theta["ring"]) == ("1^5,2^-2", "Z")
-    assert _series_key("mock_f", 5, 3)["ring"] == "Z/3"
+    assert _series_key("mock_f", 3)["ring"] == "Z/3"
     spec = parse_series_spec("1^-1")
-    assert _series_key(spec, 5, None)["ring"] == "Z"
+    assert _series_key(spec, None)["ring"] == "Z"
     with pytest.raises(ValueError):
-        _series_key("theta_g0", 5, 3)
+        _series_key("theta_g0", 3)
 
 
 # ---------------------------------------------------------------- parser

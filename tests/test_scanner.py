@@ -215,18 +215,37 @@ def test_scans_match_the_slot_by_slot_oracle(case, scan_verdict_oracle):
 
 @settings(max_examples=200, deadline=None)
 @given(case=_scan_cases(), cut=st.floats(0, 1))
-def test_a_prefix_gives_the_full_report_or_none(case, cut):
+# (3, 2) is open at the end of a 100-slot prefix, and its witness, slot 122,
+# lies in the block of rows 8 to 63 that straddles that end
+@example(case=(3, False, [0 if k % 3 == 2 and k < 122 else 1 for k in range(300)], 3, 3, 2, 45),
+         cut=97 / 297)
+# the prefix ends on a block boundary, 8 * m_max slots, with (4, 3) open there
+@example(case=(5, False, [0 if k % 4 == 3 and k < 43 else 1 for k in range(200)], 4, 4, 3, 20),
+         cut=1 / 7)
+def test_a_prefix_and_its_rest_give_the_full_report(case, cut):
     ell, over_z, coeffs, m_max, m, t, _ = case
     ring = INTEGER if over_z else integer_mod(ell)
     series, prec = QSeries(0, coeffs, ring), len(coeffs)
     prefix = QSeries(0, coeffs[: m_max + round(cut * (prec - m_max))], ring)
+    short = prefix.prec < prec
     for target, full in (
         (m_max, scan(series, ell, m_max)),
         (Progression(m, t), scan_progression(series, ell, Progression(m, t))),
     ):
         open_ = any(v.n is None or v.m * v.n + v.t >= prefix.prec for v in full.verdicts)
-        short = prefix.prec < prec
-        assert scan_prefix(prefix, ell, target, prec) == (None if open_ and short else full)
+        calls = []
+
+        def rest():
+            calls.append(prec)
+            return series
+
+        assert scan_prefix(prefix, ell, target, prec, rest=rest if short else None) == full
+        assert calls == [prec] * (open_ and short)  # once, exactly when needed
+        if open_ and short:  # without the rest, that verdict is unknown
+            with pytest.raises(InsufficientPrecision):
+                scan_prefix(prefix, ell, target, prec)
+        else:
+            assert scan_prefix(prefix, ell, target, prec) == full
     with pytest.raises(ValueError):  # a budget below the slots it would read
         scan_prefix(series, ell, m_max, prec - 1)
 
