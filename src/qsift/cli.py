@@ -30,8 +30,8 @@ entry holds enough; otherwise it builds, and the longer build replaces the
 entry.  A scan's probe takes as much of a longer entry as the budget
 holds, and reads no more when that is the budget.  So a scan whose probe
 leaves nothing open caches the probe, a scan that goes on to its budget
-caches the budget, and the same scan again reads that entry and builds
-nothing.
+caches only the budget (the entry is loaded once, and written once, after
+the search), and the same scan again reads that entry and builds nothing.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _series_key(spec: EtaQuotientSpec | str, modulus: int | None) -> dict:
     modulus).  So an eta-quotient is named by its sorted factors however it
     was spelled, a theta series by its eta-quotient, and ``mock_f`` and
     ``mock_omega`` by their names.  The key names no length: one entry
-    serves every shorter request (see ``_read_series``)."""
+    serves every shorter request (see ``_series_reader``)."""
     spec, ring = resolve_series(spec, modulus)
     return {
         "version": _CACHE_VERSION,
@@ -252,26 +252,32 @@ def _series_from_payload(payload: dict) -> QSeries:
     return QSeries(offset, tuple(coeffs), ring)
 
 
-def _read_series(
-    spec: EtaQuotientSpec | str,
-    limit: int,
-    modulus: int | None,
-    cache_dir: str | None,
-    most: int | None = None,
-) -> QSeries:
-    """The cache entry of the series, cut to its first ``most`` coefficients
-    (``limit`` by default), when it holds at least ``limit``; otherwise a
-    build of ``limit`` coefficients, which replaces the entry.  A shorter
-    build is an exact prefix of a longer one, so the cut entry is the build
-    of its length, and the one entry of a series serves every request up to
-    its length."""
+def _series_reader(spec: EtaQuotientSpec | str, modulus: int | None, cache_dir: str | None):
+    """(read, store) for the series and ring.  ``read(limit, most=None)``
+    is the cache entry cut to its first ``most`` coefficients (``limit`` by
+    default) when it holds at least ``limit``; otherwise a build of
+    ``limit`` coefficients.  ``store()`` writes the last build, if any, over
+    the entry, so a caller that may read a longer build stores only that.
+    The entry is loaded once, when the reader is made.  A shorter build is
+    an exact prefix of a longer one, so the cut entry is the build of its
+    length, and the one entry of a series serves every request up to its
+    length."""
     key = _series_key(spec, modulus)
-    series = _load_cached(cache_dir, key) if cache_dir else None
-    if series is None or series.prec < limit:
-        series = build_series(spec, limit, modulus)
-        if cache_dir:
-            _store_cached(cache_dir, key, series)
-    return QSeries._trusted(series.offset, series.slots[: most or limit], series.ring)
+    entry = _load_cached(cache_dir, key) if cache_dir else None
+    builds = []
+
+    def read(limit: int, most: int | None = None) -> QSeries:
+        series = entry
+        if series is None or series.prec < limit:
+            series = build_series(spec, limit, modulus)
+            builds.append(series)
+        return QSeries._trusted(series.offset, series.slots[: most or limit], series.ring)
+
+    def store() -> None:
+        if cache_dir and builds:
+            _store_cached(cache_dir, key, builds[-1])
+
+    return read, store
 
 
 # ---------------------------------------------------------------- commands
@@ -281,7 +287,9 @@ def _cmd_expand(args) -> int:
     spec = parse_series_spec(args.spec)
     if args.limit < 1:
         raise ValueError(f"--limit must be positive, got {args.limit}")
-    series = _read_series(spec, args.limit, args.mod, args.cache_dir)
+    read, store = _series_reader(spec, args.mod, args.cache_dir)
+    series = read(args.limit)
+    store()
     payload = _series_payload(series, args.spec)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -311,10 +319,11 @@ def _cmd_scan(args) -> int:
         raise ValueError(f"m_max must be positive, got {m_max}")
     if args.budget < m_max:
         raise InsufficientPrecision(f"budget {args.budget} cannot cover m_max {m_max}")
-    read = partial(_read_series, spec, modulus=args.mod, cache_dir=args.cache_dir)
+    read, store = _series_reader(spec, args.mod, args.cache_dir)
     probe = read(min(args.budget, _PROBE_PER_M * m_max), most=args.budget)
     rest = partial(read, args.budget) if probe.prec < args.budget else None
     report = scan_prefix(probe, args.mod, single or m_max, args.budget, args.spec, rest)
+    store()  # the budget where the search went on into it, else the probe
     print(report.to_json() if args.format == "json" else report.to_csv(), end="")
     if args.format == "json":
         print()

@@ -19,6 +19,7 @@ may be shared freely between threads.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,12 +118,15 @@ def integer_mod(m: int) -> CoefficientRing:
 
 # ------------------------------------------------------------------ kernels
 #
-# Three product kernels: schoolbook (cheapest for sparse or short factors),
-# Kronecker substitution into one big-integer product, and a decimal
-# packing into one libmpdec product, whose number-theoretic transform wins
-# on long dense factors over Z/m and Z alike.  ``_convolve`` runs the one
-# that ``_product_kernel`` prices cheapest, and computes the slot bound
-# that sizes the packed slots once for both the price and the kernel.  The
+# Three product kernels: schoolbook, one multiply-add per pair of nonzero
+# slots (cheapest for short factors, and for two sparse ones such as the
+# Euler products and Jacobi cubes of an eta-quotient, whose product is
+# dense), Kronecker substitution into one big-integer product, and a
+# decimal packing into one libmpdec product, whose number-theoretic
+# transform wins on long dense factors over Z/m and Z alike.  ``_convolve``
+# runs the one that ``_product_kernel`` prices cheapest, from both factors'
+# counts of nonzero slots, and computes the slot bound that sizes the
+# packed slots once for both the price and the kernel.  The
 # kernels share one signature, work on plain coefficient sequences and
 # read only the first ``n_out`` entries of each operand: longer inputs are
 # neither sliced nor copied, except that the decimal kernel writes its
@@ -222,19 +226,26 @@ def _decimal_digits(bound: int, ring: CoefficientRing) -> int | None:
 # residue-byte overheads and the schoolbook price are fitted to timings at
 # 16 to 131072 slots over Z/2, Z/3, Z/5 and Z/205 (CPython 3.11.7,
 # libmpdec 2.5.1, x86-64), where each pick among the three product kernels
-# was the fastest.
+# was the fastest.  The schoolbook's unit per pair of nonzero slots was
+# checked on E_1 J_1, E_1 E_2 and J_1^2 at 64 to 131072 slots over Z, Z/2,
+# Z/3, Z/5, Z/205 and Z/355: scaled by any of 0.5 to 3, it left at least as
+# many picks over 1.25 times the fastest kernel's time.
 
 
-def _product_kernel(n_out: int, nnz: int, bound: int, ring: CoefficientRing):
+def _product_kernel(
+    n_out: int, nnz: int, bound: int, ring: CoefficientRing, pairs: int | None = None
+):
     """(predicted cost, kernel) of the cheapest product to n_out slots whose
-    sparser factor has ``nnz`` nonzero slots and whose slots are at most
-    ``bound``: schoolbook on a tie, and the decimal kernel only where
-    libmpdec is present.  Slots of ``width`` bytes (``_kronecker_width``)
-    and ``digits`` decimal digits (``_decimal_digits``) cost:
+    sparser factor has ``nnz`` nonzero slots, whose factors have ``pairs``
+    pairs of nonzero slots (n_out * nnz by default, as for a dense other
+    factor) and whose slots are at most ``bound``: schoolbook on a tie, and
+    the decimal kernel only where libmpdec is present.  Slots of ``width``
+    bytes (``_kronecker_width``) and ``digits`` decimal digits
+    (``_decimal_digits``) cost:
 
     - schoolbook: about 150 for the call, 4 per slot to allocate and reduce
-      the slots, and one multiply-add per slot and nonzero slot of the
-      sparser factor, dearer on big integers: 1 + width/4;
+      the slots, and one multiply-add per pair of nonzero slots, dearer on
+      big integers: 1 + width/4;
     - Kronecker: the calls, packing and reading back, about 170 and 0.65
       per byte of a slot over residue bytes, 500 and 3 per slot otherwise;
       and a Karatsuba product of two n_out * width-byte integers;
@@ -250,7 +261,8 @@ def _product_kernel(n_out: int, nnz: int, bound: int, ring: CoefficientRing):
 
     The kernels are read as module globals at each call."""
     width = _kronecker_width(bound, ring)
-    school = 150 + n_out * (4 + nnz * (1 + width / 4))
+    pairs = n_out * nnz if pairs is None else pairs
+    school = 150 + 4 * n_out + pairs * (1 + width / 4)
     if ring.stores_bytes:
         overhead = 170 + 0.65 * width * n_out
     else:
@@ -587,23 +599,24 @@ def _conv_schoolbook(
     xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0, bound: int | None = None
 ) -> list:
     """Slots lo..n_out-1 of the product, as a list, by schoolbook
-    convolution; iterates the factor with fewer nonzero slots, so sparse
-    factors cost O(prec * nnz).  It takes the packing kernels' arguments,
-    but needs no ``bound``."""
-    if _prefix_nonzeros(xs, n_out) > _prefix_nonzeros(ys, n_out):
-        xs, ys = ys, xs
-    out = [0] * n_out
-    len_y = len(ys)
-    for i, x in enumerate(xs):
-        if i >= n_out:
-            break
-        if not x:
-            continue
-        lim = min(len_y, n_out - i)
-        for j in range(lim):
-            y = ys[j]
-            if y:
-                out[i + j] += x * y
+    convolution over the nonzero slots of both factors: one multiply-add
+    per pair of nonzero slots x_i, y_j with i + j < n_out.  For each x_i
+    the y_j are cut at j < n_out - i by ``bisect``, so no zero is tested,
+    and a square walks each unordered pair once.  It takes the packing
+    kernels' arguments, but needs no ``bound``."""
+    ix = list(_support(xs, n_out, 0))
+    iy = ix if ys is xs else list(_support(ys, n_out, 0))
+    if len(ix) > len(iy):  # the outer loop over the sparser factor
+        xs, ys, ix, iy = ys, xs, iy, ix
+    out, start = [0] * n_out, 0
+    for a, i in enumerate(ix):
+        x, stop = xs[i], bisect_left(iy, n_out - i)
+        if ys is xs:  # x_i x_j and x_j x_i, j > i, as one term; and x_i^2
+            if a < stop:
+                out[2 * i] += x * x
+            x, start = 2 * x, a + 1
+        for j in iy[start:stop]:
+            out[i + j] += x * ys[j]
     if ring.kind == "mod":
         out = list(map(ring.modulus.__rmod__, out))  # each v % m, in C
     return out[lo:] if lo else out
@@ -632,7 +645,8 @@ def _convolve(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0):
         ys = xs if square else ys[:n_out:d]
         n_out, lo = -(-n_out // d), -(-lo // d)
     bound = _slot_bound(xs, ys, n_out, ring, nnz)
-    out = _product_kernel(n_out, nnz, bound, ring)[1](xs, ys, n_out, ring, lo, bound)
+    pairs = min(nnz_x * nnz_y, n_out * nnz)
+    out = _product_kernel(n_out, nnz, bound, ring, pairs)[1](xs, ys, n_out, ring, lo, bound)
     if ring.stores_bytes:
         out = bytes(out)  # schoolbook's list; the packing kernels' bytes as they are
     if d > 1:  # the q^d product's slot lo is slot lo*d, out[lo*d - out_lo]
@@ -772,15 +786,16 @@ def _divide_newton(num, den, n_out: int, ring: CoefficientRing):
     return y
 
 
-def _support(den, n: int):
-    """The k in 1..n-1 with den[k] nonzero, ascending, found in C: over
-    residue bytes by a regular expression, otherwise by ``compress``."""
-    if isinstance(den, bytes):
+def _support(values, n: int, start: int = 1):
+    """The k in start..n-1 with values[k] nonzero, ascending, found in C:
+    over residue bytes by a regular expression, otherwise by
+    ``compress``."""
+    if isinstance(values, bytes):
         import re  # deferred: re is loaded anyway, by dataclasses
 
         nonzero = re.compile(rb"[^\x00]")
-        return (match.start() for match in nonzero.finditer(den, 1, n))
-    return compress(count(1), islice(den, 1, n))
+        return (match.start() for match in nonzero.finditer(values, start, n))
+    return compress(count(start), islice(values, start, n))
 
 
 def _lattice(values, n: int, d: int = 0) -> int:
@@ -816,7 +831,9 @@ def _division_cost(
     numerator is folded into the first step: one more product to h slots,
     for its ``num_nnz`` nonzero slots.  For d > 1 each residue class of the
     numerator is one product with 1/b, priced for its share of them.
-    Without ``num_nnz`` the numerator is dense.  The measured time per
+    Without ``num_nnz`` the numerator is dense; with ``num_nnz`` 0 (the
+    numerator 0 or 1, as ``_divide`` passes it) there is no numerator
+    product.  The measured time per
     predicted unit, inverting E_1 and dense series at 2000 to 10^5 slots
     over Z/2, Z/3, Z/5 and Z/7, is 17 to 30 ns, as for dense products
     (2-core x86-64 guest, CPython 3.11.7)."""
@@ -833,10 +850,10 @@ def _division_cost(
             + _residue_product_cost(size - h, size - h, ring)
             + 800
         )
-        if d == 1 and size == n:
+        if d == 1 and size == n and num_nnz:
             newton += _residue_product_cost(h, num_nnz, ring)
         size = h
-    if d > 1:
+    if d > 1 and num_nnz:
         newton += d * _residue_product_cost(n, -(-num_nnz // d), ring)
     return (newton, True) if newton < recurrence else (recurrence, False)
 
@@ -916,17 +933,23 @@ def _divide(num, den, n_out: int, ring: CoefficientRing):
     For a divisor b(q^d), d > 1, Newton's side uses 1/b(q^d) = (1/b)(q^d):
     one inverse of b to ceil(n_out/d) slots, then one product of it with
     each residue class of num mod d.  The recurrence runs on den as it is.
+    Newton multiplies by no numerator 1 (its one nonzero slot below n_out
+    a 1 at slot 0): it computes 1 / den, and its price has no such product.
     """
     terms = _prefix_nonzeros(den, n_out) - 1  # nonzero slots past den[0]
     d = _lattice(den, n_out) or 1  # 0: a constant divisor
-    _, newton = _division_cost(terms, n_out, ring, d, _prefix_nonzeros(num, n_out))
+    num_nnz = _prefix_nonzeros(num, n_out)
+    one = num_nnz == 1 and num[0] == 1  # the numerator 1: Newton's 1 / den
+    _, newton = _division_cost(terms, n_out, ring, d, 0 if one else num_nnz)
     if not newton:
         support = [(k, den[k]) for k in _support(den, n_out)]
         return _div_sparse(num, support, ring.inverse(den[0]), n_out, ring)
     if d == 1:
-        return _divide_newton(num, den, n_out, ring)
+        return _divide_newton(None if one else num, den, n_out, ring)
     b = den[:n_out:d]
     g = _divide_newton(None, b, len(b), ring)
+    if one:
+        return _spread(g, d, 0, n_out, ring)
     # classes first: the n_out-slot list stays out of the products' peak
     classes = [
         _convolve(num[r:n_out:d], g, len(range(r, n_out, d)), ring) for r in range(d)
@@ -1082,7 +1105,7 @@ class QSeries:
     def invert(self) -> "QSeries":
         """Multiplicative inverse up to precision, ``1 / self``; the offset
         negates.  Requires a unit constant slot.  The same division as
-        ``/``, with the constant numerator 1."""
+        ``/``, with the constant numerator 1, by which it does not multiply."""
         return monomial(0, self.ring, self.prec) / self
 
     def __pow__(self, e: int) -> "QSeries":

@@ -39,6 +39,9 @@ pass the limit, against the closed-form ranges of ``generators`` and
 ``scanner``.  The sparse division
 recurrence comes from its per-term loop, one interpreted multiply-subtract
 per slot and term, against the grouped gathers of ``qseries._div_sparse``.
+A product comes from a dict of each factor's nonzero slots, every pair
+with i + j < n_out summed into a dict keyed by i + j, against the bisected
+support lists of ``qseries._conv_schoolbook``.
 Over Z/m with m <= 256, a packed product's slots come from its digit string
 one slot at a time, each reduced by ``v % m``, and a Newton step's
 num - den*y from one subtraction per slot, against the column tables and
@@ -144,6 +147,20 @@ def _div_sparse_per_term(num, support, inv0, n_out: int, ring) -> list:
                 v -= bk * h
         out[i] = v % mod if mod is not None else v
     return out
+
+
+def _product_by_pairs(xs, ys, n_out: int, lo: int, ring) -> list:
+    """Slots lo..n_out-1 of the product: the nonzero slots of each factor
+    as a dict, and every pair of them with i + j < n_out added into a dict
+    keyed by i + j, reduced into the ring at the end."""
+    x_terms = {i: v for i, v in enumerate(xs) if v}
+    y_terms = {j: v for j, v in enumerate(ys) if v}
+    sums: dict[int, int] = {}
+    for i, x in x_terms.items():
+        for j, y in y_terms.items():
+            if i + j < n_out:
+                sums[i + j] = sums.get(i + j, 0) + x * y
+    return [ring.normalize(sums.get(k, 0)) for k in range(lo, n_out)]
 
 
 def _slot_digits(data, width: int, radix: int, lo: int, hi: int) -> list[int]:
@@ -677,6 +694,11 @@ def dedekind_oracle():
 @pytest.fixture(scope="session")
 def div_sparse_oracle():
     return _div_sparse_per_term
+
+
+@pytest.fixture(scope="session")
+def product_by_pairs_oracle():
+    return _product_by_pairs
 
 
 @pytest.fixture(scope="session")

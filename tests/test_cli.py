@@ -288,6 +288,26 @@ def _spy_on_builds(monkeypatch):
     return builds
 
 
+def _spy_on_cache(monkeypatch):
+    """(loads, stores): the length of each entry the cache loads (None for
+    a miss) and stores."""
+    loads, stores = [], []
+    load, store = qsift.cli._load_cached, qsift.cli._store_cached
+
+    def load_spy(cache_dir, key):
+        series = load(cache_dir, key)
+        loads.append(series and series.prec)
+        return series
+
+    def store_spy(cache_dir, key, series):
+        stores.append(series.prec)
+        store(cache_dir, key, series)
+
+    monkeypatch.setattr("qsift.cli._load_cached", load_spy)
+    monkeypatch.setattr("qsift.cli._store_cached", store_spy)
+    return loads, stores
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("spec, ell, target, budget, limits", PROBE_SCANS)
 def test_scan_prints_the_library_report_on_the_full_budget(
@@ -305,19 +325,25 @@ def test_scan_prints_the_library_report_on_the_full_budget(
 def test_a_scan_caches_the_build_it_read_and_a_warm_scan_builds_nothing(
     tmp_path, capsys, monkeypatch, spec, ell, target, budget, limits
 ):
+    # a probe that leaves a progression open is not stored: the entry is
+    # loaded once, and only the last build is written
     cache_dir = str(tmp_path / "cache")
     argv = ["--cache-dir", cache_dir, *_scan_argv(spec, ell, target, budget)]
     builds = _spy_on_builds(monkeypatch)
+    loads, stores = _spy_on_cache(monkeypatch)
     code, cold, _ = run(capsys, *argv)
     assert code == 0
     assert builds == limits
+    assert (loads, stores) == ([None], limits[-1:])
     entry = _cache_path(cache_dir, _series_key(spec, ell))
     assert os.listdir(cache_dir) == [os.path.basename(entry)]
     builds.clear()
+    loads.clear()
+    stores.clear()
     code, warm, _ = run(capsys, *argv)
     assert code == 0
     assert warm == cold
-    assert builds == []
+    assert (builds, loads, stores) == ([], limits[-1:], [])
     assert os.listdir(cache_dir) == [os.path.basename(entry)]
 
 

@@ -21,20 +21,28 @@ pytest.importorskip("_decimal", reason="the prices assume the decimal kernel")
 RINGS = {str(ring): ring for ring in (INTEGER, *map(integer_mod, (3, 205, 355)))}
 
 # (ring, the second factor): the kernel ``_convolve`` runs for a dense
-# factor times it at 2^4 .. 2^14 slots (s schoolbook, k Kronecker, d decimal)
+# factor times it at 2^4 .. 2^14 slots (s schoolbook, k Kronecker, d
+# decimal); for "both sparse", E_1 times J_1.  The "dense" factor has zero
+# slots (where 7k^2 + 3k + 1 is 8 mod 17), so its square has fewer pairs of
+# nonzero slots than n_out times its nonzero count: over Z/355 at 16 slots
+# that moves the pick from Kronecker to schoolbook.
 KERNEL_PICKS = {
     ("Z", "dense"): "skkkkkkdddd",
     ("Z", "sparse"): "skkkkkkkddd",
     ("Z", "one"): "sssssssssss",
+    ("Z", "both sparse"): "sssskssssss",
     ("Z/3", "dense"): "kkkkkkkkddd",
     ("Z/3", "sparse"): "kkkkkkkdddd",
     ("Z/3", "one"): "kkkkkkkdddd",
+    ("Z/3", "both sparse"): "kkkkkkkkkss",
     ("Z/205", "dense"): "kkkkkkkdddd",
     ("Z/205", "sparse"): "kkkkkkkkddd",
     ("Z/205", "one"): "kkkkkssssss",
-    ("Z/355", "dense"): "kkkkkkkdddd",
+    ("Z/205", "both sparse"): "kkkkkssssss",
+    ("Z/355", "dense"): "skkkkkkdddd",
     ("Z/355", "sparse"): "skkkkkkkddd",
     ("Z/355", "one"): "sssssssssss",
+    ("Z/355", "both sparse"): "sssssssssss",
 }
 
 
@@ -60,6 +68,9 @@ def test_product_kernel_picks(monkeypatch):
                 other = dense
             elif shape == "sparse":
                 other = generators._euler_product(n, 1, ring).slots
+            elif shape == "both sparse":
+                dense = generators._euler_product(n, 1, ring).slots
+                other = generators._jacobi_cube(n, 1, ring).slots
             else:
                 other = [2] + [0] * (n - 1)
             with pytest.raises(Picked) as picked:

@@ -379,6 +379,65 @@ def test_div_sparse_matches_the_per_term_recurrence_at_the_edges(
 
 
 @st.composite
+def sparse_factor(draw, ring, n_out):
+    """Slots of a factor with at most 12 nonzero slots, as the ring's series
+    store them, up to 8 slots longer than n_out: nonzero slots only from a
+    drawn first slot on (so slot 0 and a whole prefix may be zero), only at
+    slot n_out - 1, or none."""
+    values = [0] * draw(st.integers(1, n_out + 8))
+    shape = draw(st.sampled_from(("from a first slot", "last slot", "zero")))
+    if shape == "last slot":
+        ks = {n_out - 1} & set(range(len(values)))
+    elif shape == "from a first slot":
+        first = draw(st.integers(0, len(values) - 1))
+        ks = draw(st.sets(st.integers(first, len(values) - 1), max_size=12))
+    else:
+        ks = set()
+    for k in ks:
+        values[k] = draw(ring_values(ring).filter(bool))
+    return stored(ring, values)
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_schoolbook_on_sparse_factors_matches_the_pairs_oracle(
+    ring, data, product_by_pairs_oracle
+):
+    # signed integers up to 2^200 over Z, residue bytes, and tuple rings;
+    # a square passes one object twice, so that it walks each pair once
+    n_out = data.draw(st.integers(1, 60))
+    xs = data.draw(sparse_factor(ring, n_out))
+    ys = xs if data.draw(st.booleans()) else data.draw(sparse_factor(ring, n_out))
+    lo = data.draw(st.integers(0, n_out))
+    expected = product_by_pairs_oracle(xs, ys, n_out, lo, ring)
+    assert _conv_schoolbook(xs, ys, n_out, ring, lo) == expected
+    assert list(qseries._convolve(xs, ys, n_out, ring, lo)) == expected
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
+@pytest.mark.parametrize(
+    "xs, ys, n_out, lo",
+    [
+        ([0, 0, 0, 5], [0, 0, 0, 0, 7], 8, 0),  # zero prefixes: slot 6 only
+        ([0] * 9 + [3], [1], 10, 0),  # a nonzero only at slot n_out - 1
+        ([0] * 9 + [3], [0, 1], 10, 0),  # ... and its pair lands on n_out
+        ([2, 0, -3, 0, 0, 0, 9, 9], [-1, 4, 0, 0, 0, 0, 0, 0, 8], 6, 2),  # longer, lo
+        ([0, 0, 4], None, 5, 1),  # a square: x_2^2 at slot 4
+        ([1, -1, -1, 0, 0, 1, 0, 1], None, 8, 0),  # a square: eta to 8 slots
+    ],
+    ids=["zero-prefixes", "last-slot", "past-n_out", "longer-lo", "square-one", "square-eta"],
+)
+def test_schoolbook_matches_the_pairs_oracle_at_the_edges(
+    ring, xs, ys, n_out, lo, product_by_pairs_oracle
+):
+    xs = stored(ring, [ring.normalize(v) for v in xs])
+    ys = xs if ys is None else stored(ring, [ring.normalize(v) for v in ys])
+    expected = product_by_pairs_oracle(xs, ys, n_out, lo, ring)
+    assert _conv_schoolbook(xs, ys, n_out, ring, lo) == expected
+
+
+@st.composite
 def lattice_factor(draw, ring, d):
     """Slots of a series in q^d over ring, as the ring's series store them:
     up to 200 slots, every slot off the multiples of d zero, slot 0 maybe
@@ -467,6 +526,41 @@ def test_newton_division_makes_two_products_per_halving_then_three(
     support = [(k, c) for k, c in enumerate(den) if c and k]
     assert list(quotient) == _div_sparse(num, support, 1, n, ring)
     assert list(scaled_inverse) == _div_sparse(constant, support, 1, n, ring)
+
+
+@pytest.mark.parametrize(
+    "ring, n", [(integer_mod(3), 4096), (integer_mod(205), 1024), (integer_mod(355), 1024)], ids=str
+)
+@pytest.mark.parametrize("d", [1, 2])
+def test_the_numerator_one_is_neither_priced_nor_multiplied(monkeypatch, ring, n, d):
+    # 1 / E_d by Newton: the division is priced with no numerator product,
+    # and no product has the monomial 1 (or its class mod d) as a factor;
+    # only the one-slot inverse that Newton's recursion starts from is 1
+    from qsift.generators import _euler_product
+
+    def is_one(values):
+        return len(values) > 1 and values[0] == 1 and not any(values[1:])
+
+    den = _euler_product(n, d, ring)
+    priced, factors = [], []
+    division_cost, convolve = qseries._division_cost, qseries._convolve
+
+    def price_spy(*args):
+        priced.append(args)
+        return division_cost(*args)
+
+    def product_spy(xs, ys, n_out, ring, lo=0):
+        factors.extend((xs, ys))
+        return convolve(xs, ys, n_out, ring, lo)
+
+    monkeypatch.setattr(qseries, "_division_cost", price_spy)
+    monkeypatch.setattr(qseries, "_convolve", product_spy)
+    inverse = den.invert()
+    assert [args[4] for args in priced] == [0]
+    assert division_cost(*priced[0])[1]  # Newton
+    assert factors and not any(map(is_one, factors))
+    support = [(k, c) for k, c in enumerate(den.slots) if c and k]
+    assert list(inverse.slots) == _div_sparse([1] + [0] * (n - 1), support, 1, n, ring)
 
 
 @given(st.data())
