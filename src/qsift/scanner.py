@@ -8,9 +8,10 @@ Candidate verdict only records how far vanishing was observed -- it never
 claims a congruence.
 
 ``scan_prefix`` (behind ``scan`` and ``scan_progression``) and ``witness``
-run on one first-nonzero search, ``_first_nonzero``; ``_verdicts`` alone
-turns its list into verdicts, tuple records in CSV column order.  Row n of
-a modulus m is slots n*m to n*m + m - 1.  Every m reads its rows in blocks
+run on one first-nonzero search, ``_first_nonzero``.  A report writes
+JSON and CSV from its list and slots, and builds the verdicts as tuple
+records only when they are read.  Row n of a modulus m is slots n*m to
+n*m + m - 1.  Every m reads its rows in blocks
 that end at rows 8, 64, 512, ..., all m in step.  The slots a block
 reaches are mapped to 0 or 1 (nonzero) once, by a ``translate`` of the
 residue bytes, or ``bytes(map(bool, ...))`` for tuple slots.  Each residue
@@ -31,12 +32,11 @@ prefix is exact, so the report is the one a search of the whole build gives.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_str
+from functools import cached_property
+from itertools import chain, repeat
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -81,53 +81,103 @@ class ScanVerdict(NamedTuple):
     checked: int | None = None
 
 
-def _json_int(x: int | None) -> str:
-    return "null" if x is None else str(x)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanReport:
+    """A scan's header and its search's columns, from which both formats
+    are written: ``_first_nonzero``'s list ``first`` and the ``slots`` it
+    searched; for one progression ``prog``, its own slots, read as (1, 0).
+    The ``ScanVerdict`` records are built only when ``verdicts`` is read;
+    ``==`` and ``hash`` take the header and the records."""
+
     series_name: str
     modulus: int
     m_max: int
     coeff_budget: int
-    verdicts: tuple[ScanVerdict, ...]
+    first: list = field(repr=False)
+    slots: bytes | tuple = field(repr=False)
+    prog: Progression | None = None
+
+    def _by_m(self):
+        """(m, the m and t's its verdicts are named by, their n) per m."""
+        if self.prog:
+            return [(1, self.prog.m, [self.prog.t], self.first)]
+        first, width = self.first, (isqrt(8 * len(self.first) + 1) - 1) // 2
+        return ((m, m, range(m), first[m * (m - 1) // 2 : m * (m + 1) // 2])
+                for m in range(1, width + 1))
+
+    def _records(self, candidates_only: bool = False):
+        """The records in scan order, or the candidates' alone."""
+        slots, last = self.slots, len(self.slots) - 1
+        for m, name_m, name_ts, ns in self._by_m():
+            for name_t, t, n in zip(name_ts, range(m), ns):
+                if n is None:
+                    yield ScanVerdict(name_m, name_t, "candidate", None, None, (last - t) // m)
+                elif not candidates_only:
+                    yield ScanVerdict(name_m, name_t, "witness", n, slots[m * n + t])
+
+    @cached_property
+    def verdicts(self) -> tuple[ScanVerdict, ...]:
+        return tuple(self._records())
 
     def candidates(self) -> list[ScanVerdict]:
-        return [v for v in self.verdicts if v.status == "candidate"]
+        return list(self._records(candidates_only=True))
+
+    def _key(self):
+        return self.series_name, self.modulus, self.m_max, self.coeff_budget, self.verdicts
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, ScanReport) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _write(self, head: str, witness: str, candidate: str, sep: str, tail: str) -> str:
+        """``head``, the verdicts joined by ``sep``, then ``tail``: each as
+        ``witness % m % (t, n, value)`` or ``candidate % m % (t, checked)``,
+        and an m without a candidate as one ``%`` over its repeated
+        witness template.  The text is joined once, with no copy after."""
+        slots, last, blocks = self.slots, len(self.slots) - 1, []
+        for m, name_m, name_ts, ns in self._by_m():
+            witness_m = witness % name_m
+            if None in ns:
+                candidate_m = candidate % name_m
+                blocks += (
+                    candidate_m % (name_t, (last - t) // m)
+                    if n is None
+                    else witness_m % (name_t, n, slots[m * n + t])
+                    for name_t, t, n in zip(name_ts, range(m), ns)
+                )
+            else:
+                values = [slots[m * n + t] for t, n in enumerate(ns)]
+                row = chain.from_iterable(zip(name_ts, ns, values))
+                blocks.append(sep.join(repeat(witness_m, m)) % tuple(row))
+        blocks[0] = head + blocks[0]  # one block may be both
+        blocks[-1] += tail
+        return sep.join(blocks)
 
     def to_json(self) -> str:
-        """The report as ``json.dumps(..., indent=2)`` writes it, byte for
-        byte.  The header goes through ``json.dumps``; the verdict
-        lines, which hold only integers and the status, are written
-        directly, since the indenting encoder is pure Python."""
-        header = {
-            "series": self.series_name,
-            "modulus": self.modulus,
-            "m_max": self.m_max,
-            "budget": self.coeff_budget,
-        }
+        """``json.dumps(..., indent=2)``'s text, without its slow encoder."""
+        header = {"series": self.series_name, "modulus": self.modulus,
+                  "m_max": self.m_max, "budget": self.coeff_budget}
         head = json.dumps(header, indent=2)[:-2]  # without the closing "\n}"
-        if not self.verdicts:
-            return head + ',\n  "verdicts": []\n}'
-        blocks = []
-        for v in self.verdicts:
-            if v.status == "witness":
-                tail = f'"n": {_json_int(v.n)},\n      "value": {_json_int(v.value)}'
-            else:
-                tail = f'"checked": {_json_int(v.checked)}'
-            blocks.append(
-                f'\n    {{\n      "m": {v.m},\n      "t": {v.t},\n'
-                f'      "status": {_json_str(v.status)},\n      {tail}\n    }}'
-            )
-        return head + ',\n  "verdicts": [' + ",".join(blocks) + "\n  ]\n}"
+        verdict = '\n    {\n      "m": %d,\n      "t": %%d,\n      "status": '
+        return self._write(
+            head + ',\n  "verdicts": [',
+            verdict + '"witness",\n      "n": %%d,\n      "value": %%d\n    }',
+            verdict + '"candidate",\n      "checked": %%d\n    }',
+            ",",
+            "\n  ]\n}",
+        )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(ScanVerdict._fields)
-        writer.writerows(self.verdicts)  # csv writes None as the empty string
-        return buf.getvalue()
+        """The rows ``csv.writer`` writes for the records, None as ''."""
+        return self._write(
+            "m,t,status,n,value,checked\n",
+            "%d,%%d,witness,%%d,%%d,\n",
+            "%d,%%d,candidate,,,%%d\n",
+            "",
+            "",
+        )
 
 
 @dataclass(frozen=True)
@@ -185,21 +235,6 @@ def _first_nonzero(slots, m_max: int, rest=None) -> tuple[list, object]:
     return first, slots
 
 
-def _verdicts(slots, m_max: int, first: list) -> tuple[ScanVerdict, ...]:
-    """The verdict on every progression (m, t), m <= m_max, in scan order,
-    from the list ``first`` that ``_first_nonzero`` returns with ``slots``:
-    a witness at its first nonzero slot n, with that slot's residue, or a
-    candidate checked to the last n that ``slots`` holds."""
-    last, first = len(slots) - 1, iter(first)
-    return tuple(
-        ScanVerdict(m, t, "candidate", None, None, (last - t) // m)
-        if (n := next(first)) is None
-        else ScanVerdict(m, t, "witness", n, slots[m * n + t])
-        for m in range(1, m_max + 1)
-        for t in range(m)
-    )
-
-
 def witness(series: QSeries, ell: int, prog: Progression, n_max: int) -> int | None:
     """Smallest n <= n_max with slot m*n + t nonzero mod ell, or None.
 
@@ -216,15 +251,6 @@ def witness(series: QSeries, ell: int, prog: Progression, n_max: int) -> int | N
     part = series.slots[t : t + m * n_max + 1 : m]  # only the progression is reduced
     residues = QSeries._trusted(Fraction(0), part, series.ring).reduce_mod(ell).slots
     return _first_nonzero(residues, 1)[0][0]
-
-
-def _check_m_max(series: QSeries, m_max: int) -> None:
-    if m_max < 1:
-        raise ValueError("m_max must be positive")
-    if series.prec < m_max:
-        raise InsufficientPrecision(
-            f"need at least m_max={m_max} coefficients, have {series.prec}"
-        )
 
 
 def scan(series: QSeries, ell: int, m_max: int, series_name: str = "") -> ScanReport:
@@ -258,13 +284,15 @@ def scan_prefix(
     when some progression has no witness in ``series``, and the search goes
     on into it from the block where it stands.  Without ``rest``, a
     ``series`` shorter than the budget that leaves a progression open
-    raises InsufficientPrecision, since that verdict needs the rest.
-
-    A witness is the least n with a nonzero slot, which any prefix holding
-    it finds, so a report read from a prefix is the full build's."""
+    raises InsufficientPrecision, since that verdict needs the rest."""
     prog = target if isinstance(target, Progression) else None
     m_max = prog.m if prog else target
-    _check_m_max(series, m_max)
+    if m_max < 1:
+        raise ValueError("m_max must be positive")
+    if series.prec < m_max:
+        raise InsufficientPrecision(
+            f"need at least m_max={m_max} coefficients, have {series.prec}"
+        )
     if series.prec > budget:
         raise ValueError(f"a budget of {budget} cannot hold {series.prec} coefficients")
 
@@ -277,10 +305,7 @@ def scan_prefix(
         raise InsufficientPrecision(
             f"{series.prec} of {budget} coefficients leave a progression open"
         )
-    verdicts = _verdicts(slots, m, first)
-    if prog is not None:
-        verdicts = (verdicts[0]._replace(m=prog.m, t=prog.t),)
-    return ScanReport(series_name, ell, m_max, budget, verdicts)
+    return ScanReport(series_name, ell, m_max, budget, first, slots, prog)
 
 
 def theorem_applies(spec: EtaQuotientSpec, ell: int, m: int) -> Applicability:

@@ -46,8 +46,10 @@ Over Z/m with m <= 256, a packed product's slots come from its digit string
 one slot at a time, each reduced by ``v % m``, and a Newton step's
 num - den*y from one subtraction per slot, against the column tables and
 lane sums of ``qseries._read_slots`` and ``qseries._divide_newton``.
-A scan report's JSON comes from the dict the standard library's indenting
-encoder writes, against the line by line writer of ``ScanReport.to_json``.
+A scan report's records come from its columns one entry at a time, its
+JSON from the dict of those records that the standard library's indenting
+encoder writes, and its CSV from ``csv.writer`` over them, against the
+writers of ``ScanReport``, which build no record.
 A progression's verdict comes from reading its residues one slot at a time
 until the first nonzero one, against the block search of
 ``scanner._first_nonzero``.
@@ -56,6 +58,8 @@ until the first nonzero one, against the block search of
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, isqrt, lcm
@@ -635,24 +639,53 @@ def transform_oracle():
     )
 
 
-def _report_json_dict(report) -> dict:
-    """The content of ``report.to_json()`` as a dict, keys in output order."""
-    verdicts = []
-    for v in report.verdicts:
+def _report_json_dict(report, verdicts=None) -> dict:
+    """The content of ``report.to_json()`` as a dict, keys in output order,
+    with ``verdicts`` (``report.verdicts`` by default) as its records."""
+    entries = []
+    for v in report.verdicts if verdicts is None else verdicts:
         entry: dict = {"m": v.m, "t": v.t, "status": v.status}
         if v.status == "witness":
             entry["n"] = v.n
             entry["value"] = v.value
         else:
             entry["checked"] = v.checked
-        verdicts.append(entry)
+        entries.append(entry)
     return {
         "series": report.series_name,
         "modulus": report.modulus,
         "m_max": report.m_max,
         "budget": report.coeff_budget,
-        "verdicts": verdicts,
+        "verdicts": entries,
     }
+
+
+def _report_csv(verdicts) -> str:
+    """The CSV of a report with these records, as ``csv.writer`` writes
+    them: a header of the record fields, then one row per record, None as
+    the empty string."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(ScanVerdict._fields)
+    writer.writerows(verdicts)
+    return buf.getvalue()
+
+
+def _records_from_columns(first, slots, prog=None) -> list[ScanVerdict]:
+    """The records of a report's columns, one entry of ``first`` at a time,
+    with (m, t) counted up beside them: a witness reads its value at slot
+    m*n + t, a candidate is checked to the last n with m*n + t in
+    ``slots``; a single progression's one entry is named (prog.m, prog.t)."""
+    records, m, t = [], 1, 0
+    for n in first:
+        name = (prog.m, prog.t) if prog else (m, t)
+        if n is None:
+            n_max = max(k for k in range(len(slots)) if m * k + t < len(slots))
+            records.append(ScanVerdict(*name, "candidate", checked=n_max))
+        else:
+            records.append(ScanVerdict(*name, "witness", n=n, value=slots[m * n + t]))
+        m, t = (m, t + 1) if t + 1 < m else (m + 1, 0)
+    return records
 
 
 def _verdict_per_slot(slots, m: int, t: int, n_max: int) -> ScanVerdict:
@@ -674,6 +707,16 @@ def scan_verdict_oracle():
 @pytest.fixture(scope="session")
 def report_json_oracle():
     return _report_json_dict
+
+
+@pytest.fixture(scope="session")
+def report_csv_oracle():
+    return _report_csv
+
+
+@pytest.fixture(scope="session")
+def report_records_oracle():
+    return _records_from_columns
 
 
 @pytest.fixture(scope="session")

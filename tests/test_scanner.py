@@ -596,25 +596,77 @@ def test_report_json_contract():
 NAMES = st.text() | st.sampled_from(
     ['a"b', "back\\slash", "tab\tline\n", "\x00\x1f\x7f", "ω/π", "\U0001d4bb", "\u2028"]
 )
-# values and bounds far beyond any residue, of either sign
+# a header's modulus and bounds, far beyond any scan's, of either sign
 BIG = st.integers() | st.integers(min_value=-(10**80), max_value=10**80)
-WITNESSES = st.builds(
-    lambda m, t, n, value: ScanVerdict(m, t, "witness", n=n, value=value),
-    BIG, BIG, st.none() | BIG, st.none() | BIG,
-)
-CANDIDATES = st.builds(
-    lambda m, t, checked: ScanVerdict(m, t, "candidate", checked=checked),
-    BIG, BIG, st.none() | BIG,
-)
+
+
+@st.composite
+def report_columns(draw):
+    """(first, slots, prog), columns as ``scan_prefix`` gives a report:
+    residue bytes, or tuple slots as for ell > 256, and for each (m, t) of
+    the search a witness n within the slots or None, a candidate; with
+    ``prog``, one entry, for the progression's own slots."""
+    prog = draw(st.none() | st.builds(Progression, st.integers(1, 40), st.integers(0, 39)))
+    width = 1 if prog else draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        slots = draw(st.binary(min_size=width, max_size=40))
+    else:
+        ell = draw(st.integers(257, 10**12))
+        slots = tuple(draw(st.lists(st.integers(0, ell - 1), min_size=width, max_size=40)))
+    first = [
+        draw(st.none() | st.integers(0, (len(slots) - 1 - t) // m))
+        for m in range(1, width + 1)
+        for t in range(m)
+    ]
+    return first, slots, prog
 
 
 @settings(max_examples=100, deadline=None)
-@given(NAMES, BIG, BIG, BIG, st.lists(WITNESSES | CANDIDATES, max_size=6))
+@given(NAMES, BIG, BIG, BIG, report_columns())
+@example("", 3, 1, 1, ([0], b"\x01", None))  # m_max = 1
+@example("p", 257, 5, 9, ([None], (0, 0, 0), Progression(5, 4)))  # one candidate progression
 def test_report_json_is_the_indenting_encoder_byte_for_byte(
-    report_json_oracle, name, ell, m_max, budget, verdicts
+    report_json_oracle, report_records_oracle, name, ell, m_max, budget, columns
 ):
-    report = ScanReport(name, ell, m_max, budget, tuple(verdicts))
-    assert report.to_json() == json.dumps(report_json_oracle(report), indent=2)
+    report = ScanReport(name, ell, m_max, budget, *columns)
+    records = report_records_oracle(*columns)
+    assert report.to_json() == json.dumps(report_json_oracle(report, records), indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(NAMES, BIG, BIG, BIG, report_columns())
+def test_report_csv_is_the_csv_writer_byte_for_byte(
+    report_csv_oracle, report_records_oracle, name, ell, m_max, budget, columns
+):
+    report = ScanReport(name, ell, m_max, budget, *columns)
+    assert report.to_csv() == report_csv_oracle(report_records_oracle(*columns))
+
+
+@settings(max_examples=100, deadline=None)
+@given(NAMES, BIG, BIG, BIG, report_columns())
+def test_a_report_compares_hashes_and_copies_as_its_records(
+    report_records_oracle, name, ell, m_max, budget, columns
+):
+    import copy
+    import pickle
+
+    header, (first, slots, prog) = (name, ell, m_max, budget), columns
+    report = ScanReport(*header, *columns)
+    records = tuple(report_records_oracle(*columns))
+    assert report.candidates() == [v for v in records if v.status == "candidate"]
+    assert "verdicts" not in vars(report)  # candidates() built no other record
+    assert report.verdicts == records
+    # the hash of a frozen dataclass of the header and the records
+    assert hash(report) == hash((*header, records))
+    assert report == ScanReport(*header, list(first), slots, prog)
+    assert report != ScanReport(name + "x", ell, m_max, budget, *columns)
+    assert report != records
+    if None not in first:  # more slots change no witness, so no record
+        assert report == ScanReport(*header, first, slots + slots, prog)
+    for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert copied == report and hash(copied) == hash(report)
+        assert copied.verdicts == records
+        assert [type(v) for v in copied.verdicts] == [ScanVerdict] * len(records)
 
 
 @settings(max_examples=40, deadline=None)
