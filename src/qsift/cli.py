@@ -25,13 +25,15 @@ only then, and the report, candidates and their ``checked`` among it, is
 read from that.  Either way the header's ``budget`` is the one asked for.
 
 The cache holds one entry per series and ring, whatever its length: the
-key names no limit.  A request reads the entry cut to its length when the
-entry holds enough; otherwise it builds, and the longer build replaces the
-entry.  A scan's probe takes as much of a longer entry as the budget
-holds, and reads no more when that is the budget.  So a scan whose probe
-leaves nothing open caches the probe, a scan that goes on to its budget
-caches only the budget (the entry is loaded once, and written once, after
-the search), and the same scan again reads that entry and builds nothing.
+key is the layout's version, the canonical series and the ring, and names
+no limit.  An entry stores no offset, which the series determines.  A
+request reads the entry cut to its length when the entry holds enough;
+otherwise it builds, and the longer build replaces the entry.  A scan's
+probe takes as much of a longer entry as the budget holds, and reads no
+more when that is the budget.  So a scan whose probe leaves nothing open
+caches the probe, a scan that goes on to its budget caches only the budget
+(the entry is loaded once, and written once, after the search), and the
+same scan again reads that entry and builds nothing.
 """
 
 from __future__ import annotations
@@ -50,16 +52,12 @@ from .generators import (
     THETA_SERIES,
     EtaQuotientSpec,
     UnknownSeries,
+    _series_offset,
     build_series,
     catalog_entry,
     resolve_series,
 )
-from .qseries import (
-    INTEGER,
-    CoefficientRing,
-    QSeries,
-    integer_mod,
-)
+from .qseries import INTEGER, CoefficientRing, QSeries, integer_mod
 from .scanner import (
     DEFAULT_BUDGET,
     InsufficientPrecision,
@@ -87,7 +85,7 @@ _PROBE_PER_M = 16
 
 # Part of every cache key: raise it whenever the entry layout or the way a
 # series is built changes, so entries written before are misses.
-_CACHE_VERSION = 4
+_CACHE_VERSION = 5
 
 _GRAMMAR = re.compile(r"^\d+\^-?\d+(,\d+\^-?\d+)*$")
 
@@ -117,15 +115,16 @@ def parse_series_spec(text: str) -> EtaQuotientSpec | str:
 # ----------------------------------------------------------------- caching
 #
 # An entry is one line of JSON, the header, followed by the payload.  The
-# header holds the key, the ring, the offset, and the payload's length and
-# sha256 digest.  Over Z/m with m <= 256 the payload is the raw residue
-# bytes; over Z and larger moduli it is the JSON list of coefficients.
+# header holds the key, the ring, and the payload's length and sha256
+# digest, all of which a load compares; any other header field is ignored.
+# No offset is stored: a load takes it from the series
+# (``generators._series_offset``).  Over Z/m with m <= 256 the payload is
+# the raw residue bytes; over Z and larger moduli it is the JSON list of
+# coefficients.
 
 
 def _cache_path(cache_dir: str, key: dict) -> str:
-    digest = hashlib.sha256(
-        json.dumps(key, sort_keys=True).encode()
-    ).hexdigest()[:24]
+    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:24]
     return os.path.join(cache_dir, f"qsift-{digest}.bin")
 
 
@@ -137,18 +136,14 @@ def _series_key(spec: EtaQuotientSpec | str, modulus: int | None) -> dict:
     ``mock_omega`` by their names.  The key names no length: one entry
     serves every shorter request (see ``_series_reader``)."""
     spec, ring = resolve_series(spec, modulus)
-    return {
-        "version": _CACHE_VERSION,
-        "series": str(spec),
-        "ring": str(ring),
-        "modulus": modulus,
-    }
+    return {"version": _CACHE_VERSION, "series": str(spec), "ring": str(ring)}
 
 
 def _load_cached(cache_dir: str, key: dict) -> QSeries | None:
     """The entry's series, or None unless its header carries the key and
     the key's ring, and the payload has the header's length and digest (and
-    passes the checks of ``_series_from_payload``)."""
+    passes the checks of ``_checked_series``).  The offset is the one the
+    key's series has (``generators._series_offset``)."""
     path = _cache_path(cache_dir, key)
     try:
         with open(path, "rb") as fh:
@@ -162,11 +157,13 @@ def _load_cached(cache_dir: str, key: dict) -> QSeries | None:
             return None
         if header.get("sha256") != hashlib.sha256(payload).hexdigest():
             return None
-        if not _parse_ring(header["ring"]).stores_bytes:
+        ring = _parse_ring(key["ring"])
+        if not ring.stores_bytes:
             payload = json.loads(payload)
-        return _series_from_payload({**header, "coefficients": payload})
-    except (OSError, ValueError, KeyError, ZeroDivisionError, RecursionError):
-        return None  # e.g. an offset "1/0", or JSON nested too deep to read
+        offset = _series_offset(parse_series_spec(key["series"]))
+        return _checked_series(ring, offset, payload)
+    except (OSError, ValueError, RecursionError):
+        return None  # e.g. JSON nested too deep to read
 
 
 def _store_cached(cache_dir: str, key: dict, series: QSeries) -> None:
@@ -181,7 +178,6 @@ def _store_cached(cache_dir: str, key: dict, series: QSeries) -> None:
     header = {
         "key": key,
         "ring": str(series.ring),
-        "offset": str(series.offset),
         "length": len(payload),
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
@@ -227,29 +223,33 @@ def _series_from_payload(payload: dict) -> QSeries:
     """The series of a payload written by ``_series_payload`` over Z or
     Z/m (a theta series's Q is printed, never read back).  Raises
     ValueError unless the ring and the offset are strings as that writes
-    them, the ring is Z or Z/m, and every coefficient is what it writes: a
-    JSON integer over Z (not a bool, a float or a string), and over Z/m an
-    integer in [0, m).  Over Z/m with m <= 256 the coefficients may instead
-    be the residue bytes of a cache entry, each of which must be below m."""
-    ring_text, offset = payload["ring"], payload["offset"]
-    if type(ring_text) is not str or type(offset) is not str:
+    them, the ring is Z or Z/m, and the coefficients pass
+    ``_checked_series``."""
+    ring, offset = payload["ring"], payload["offset"]
+    if type(ring) is not str or type(offset) is not str:
         raise ValueError("the ring or the offset is not a string")
-    ring = _parse_ring(ring_text)
-    offset = Fraction(offset)
-    coeffs = payload["coefficients"]
+    return _checked_series(_parse_ring(ring), Fraction(offset), payload["coefficients"])
+
+
+def _checked_series(ring: CoefficientRing, offset: Fraction, coeffs) -> QSeries:
+    """The series of ``coeffs`` over ``ring``.  Raises ValueError unless
+    every coefficient is what ``_series_payload`` writes: a JSON integer
+    over Z (not a bool, a float or a string), and over Z/m an integer in
+    [0, m).  Over Z/m with m <= 256 the coefficients may instead be the
+    residue bytes of a cache entry, each of which must be below m.  Checked
+    coefficients are stored as they are, not normalized again."""
     if type(coeffs) is bytes and ring.stores_bytes:
         if coeffs.translate(None, bytes(range(ring.modulus))):  # a byte >= m
             raise ValueError(f"a residue is not below {ring.modulus}")
-        return QSeries._trusted(offset, coeffs, ring)
-    if type(coeffs) is not list:
+    elif type(coeffs) is not list:
         raise ValueError("coefficients are not a list")
-    if ring.kind == "mod":
+    elif ring.modulus:
         m = ring.modulus
         if not all(type(c) is int and 0 <= c < m for c in coeffs):
             raise ValueError(f"a coefficient is not an integer in [0, {m})")
     elif not all(type(c) is int for c in coeffs):
         raise ValueError("a coefficient is not an integer")
-    return QSeries(offset, tuple(coeffs), ring)
+    return QSeries._trusted(offset, coeffs, ring)
 
 
 def _series_reader(spec: EtaQuotientSpec | str, modulus: int | None, cache_dir: str | None):

@@ -179,7 +179,7 @@ def _frobenius_prime(ring: CoefficientRing) -> int | None:
     """ell where ``ring`` is Z/ell, ell prime, so that f(q)^ell = f(q^ell)
     holds; None in every other ring, as the identity fails mod ell^k for
     k >= 2 and mod composite numbers."""
-    if ring.kind == "mod" and is_prime(ring.modulus):
+    if ring.modulus and is_prime(ring.modulus):
         return ring.modulus
     return None
 
@@ -370,7 +370,7 @@ def _build_plan(plan, prec: int, ring: CoefficientRing):
         out = reduce(mul, (power(*step) for step in numerator))
     else:
         out = monomial(0, ring, n)
-    if ring.kind == "mod":
+    if ring.modulus:
         if denominator:
             out = out / reduce(mul, (power(*step) for step in denominator))
     else:
@@ -408,7 +408,7 @@ def eta_quotient(
     if prec < 1:
         raise ValueError("prec must be >= 1")
     slots = _build_plan(_pick_plan(spec, prec, ring), prec, ring)
-    return QSeries._trusted(Fraction(spec.B, 24), slots, ring)
+    return QSeries._trusted(_series_offset(spec), slots, ring)
 
 
 def mock_f(prec: int, ring: CoefficientRing = INTEGER) -> QSeries:
@@ -526,6 +526,13 @@ def resolve_series(
                 raise ValueError("theta series have rational coefficients; no reduction")
             spec = THETA_SERIES[name][0]
     return spec, INTEGER if modulus is None else integer_mod(modulus)
+
+
+def _series_offset(spec: EtaQuotientSpec | str) -> Fraction:
+    """The offset of the series that ``build_series`` builds for the
+    canonical ``spec`` that ``resolve_series`` gives: B/24 for an
+    eta-quotient, 0 for the mock theta functions f and omega."""
+    return Fraction(spec.B, 24) if isinstance(spec, EtaQuotientSpec) else Fraction(0)
 
 
 def build_series(

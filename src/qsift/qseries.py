@@ -2,9 +2,10 @@
 
 A :class:`QSeries` stores ``q**offset * (c[0] + c[1]*q + ... + c[P-1]*q**(P-1))``
 with an exact rational ``offset`` and coefficients in one of two rings:
-arbitrary-precision integers or integers modulo m.  The series is exact
-for every exponent below ``offset + prec``; operations track precision
-explicitly and never extend a series with assumed zeros.
+arbitrary-precision integers or integers modulo m; a
+:class:`CoefficientRing` is its modulus alone, None for Z.  The series is
+exact for every exponent below ``offset + prec``; operations track
+precision explicitly and never extend a series with assumed zeros.
 
 Exponent steps above the offset are always integral; the offset itself may be
 any rational (series such as the partition generating function carry offset
@@ -69,31 +70,24 @@ class BeyondPrecision(QSeriesError):
 
 @dataclass(frozen=True)
 class CoefficientRing:
-    """Coefficient domain: integers (``int``) or integers modulo m
-    (``mod``)."""
+    """Coefficient domain: integers modulo ``modulus``, or the integers Z
+    where ``modulus`` is None."""
 
-    kind: str
     modulus: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("int", "mod"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "mod":
-            if self.modulus is None or self.modulus < 2:
-                raise ValueError("modulus must be an integer >= 2")
-        elif self.modulus is not None:
-            raise ValueError("modulus only applies to the 'mod' ring")
+        if self.modulus is not None and self.modulus < 2:
+            raise ValueError("modulus must be an integer >= 2")
 
     def normalize(self, value):
-        if self.kind == "mod":
-            return int(value) % self.modulus
-        return int(value)
+        return int(value) % self.modulus if self.modulus else int(value)
 
     def inverse(self, value):
         """Multiplicative inverse of a unit; raises NonUnitLeadingCoefficient."""
-        if self.kind == "mod" and gcd(int(value), self.modulus) == 1:
-            return pow(int(value) % self.modulus, -1, self.modulus)
-        if self.kind == "int" and value in (1, -1):
+        m = self.modulus
+        if m and gcd(int(value), m) == 1:
+            return pow(int(value) % m, -1, m)
+        if not m and value in (1, -1):
             return value
         raise NonUnitLeadingCoefficient(f"{value!r} is not a unit in {self}")
 
@@ -101,19 +95,17 @@ class CoefficientRing:
     def stores_bytes(self) -> bool:
         """Whether a series over this ring stores its residues as one
         ``bytes``: over Z/m with m <= 256, where every residue fits a byte."""
-        return self.kind == "mod" and self.modulus <= 256
+        return self.modulus is not None and self.modulus <= 256
 
     def __str__(self) -> str:
-        if self.kind == "mod":
-            return f"Z/{self.modulus}"
-        return "Z"
+        return f"Z/{self.modulus}" if self.modulus else "Z"
 
 
-INTEGER = CoefficientRing("int")
+INTEGER = CoefficientRing()
 
 
 def integer_mod(m: int) -> CoefficientRing:
-    return CoefficientRing("mod", m)
+    return CoefficientRing(m)
 
 
 # ------------------------------------------------------------------ kernels
@@ -177,7 +169,7 @@ def _slot_bound(
     also covers max |x| and max |y|.  0 when a factor vanishes."""
     nx, ny = min(len(xs), n_out), min(len(ys), n_out)
     n_min = min(nx, ny)
-    if ring.kind == "mod":
+    if ring.modulus:
         return _residue_bound(n_min if nnz is None else nnz, ring)
     if not n_min:
         return 0
@@ -201,7 +193,7 @@ def _kronecker_width(bound: int, ring: CoefficientRing) -> int:
     """Bytes per packed slot: room for every product slot up to ``bound``
     (and a sign bit over Z), so no carry can bleed between slots.  0 over Z
     when a factor vanishes."""
-    if ring.kind == "mod":
+    if ring.modulus:
         return (bound.bit_length() + 7) // 8
     return bound.bit_length() // 8 + 1 if bound else 0
 
@@ -212,7 +204,7 @@ def _decimal_digits(bound: int, ring: CoefficientRing) -> int | None:
     the interpreter's int/str conversion limit refuses a number that long
     (the decimal kernel reads slots back from strings)."""
     try:
-        return len(str(bound if ring.kind == "mod" else 2 * bound))
+        return len(str(bound if ring.modulus else 2 * bound))
     except ValueError:
         return None
 
@@ -424,8 +416,8 @@ def _read_slots(
     if ring.stores_bytes:
         return _residues(data, width, radix, lo, hi, ring.modulus) + bytes(n_out - hi)
     read = _unpack if radix == 256 else _decimal_slots
-    if ring.kind == "mod":
-        m = ring.modulus
+    m = ring.modulus
+    if m:
         out = [v % m for v in read(data, width, lo, hi)]
     else:
         half, out, borrow = radix**width // 2, [], 0
@@ -468,7 +460,7 @@ def _conv_kronecker(
     width = _kronecker_width(bound, ring)
 
     def pack(values, count):
-        if ring.kind == "mod":
+        if ring.modulus:
             return _pack(values, count, width)
         pos = _pack((v if v > 0 else 0 for v in values), count, width)
         neg = _pack((-v if v < 0 else 0 for v in values), count, width)
@@ -617,7 +609,7 @@ def _conv_schoolbook(
             x, start = 2 * x, a + 1
         for j in iy[start:stop]:
             out[i + j] += x * ys[j]
-    if ring.kind == "mod":
+    if ring.modulus:
         out = list(map(ring.modulus.__rmod__, out))  # each v % m, in C
     return out[lo:] if lo else out
 
@@ -630,8 +622,6 @@ def _convolve(xs, ys, n_out: int, ring: CoefficientRing, lo: int = 0):
     slices at ceil(n_out/d) slots, from slot ceil(lo/d), and the product's
     nonzero slots are every d-th from there; the lattice of the factor with
     fewer nonzero slots is read first."""
-    if n_out == 0:
-        return []
     nnz_x, nnz_y = _prefix_nonzeros(xs, n_out), _prefix_nonzeros(ys, n_out)
     nnz = min(nnz_x, nnz_y)
     if not nnz:
@@ -702,7 +692,7 @@ def _div_sparse(num, support, inv0, n_out: int, ring: CoefficientRing) -> list:
     sum_b b * sum(out[i-k] over the k <= i with b_k = b), with no multiply
     for b = 1, and the values that occur once in one weighted sum.
     """
-    mod = ring.modulus if ring.kind == "mod" else None
+    mod = ring.modulus
     if inv0 == 1:
         head = num
     else:
@@ -838,7 +828,7 @@ def _division_cost(
     over Z/2, Z/3, Z/5 and Z/7, is 17 to 30 ns, as for dense products
     (2-core x86-64 guest, CPython 3.11.7)."""
     recurrence = _recurrence_cost(n_out, terms)
-    if ring.kind != "mod":
+    if not ring.modulus:
         return recurrence, False
     n = -(-n_out // d)
     num_nnz = n_out if num_nnz is None else num_nnz
@@ -974,11 +964,11 @@ class QSeries:
     __slots__ = ("offset", "ring", "slots", "_coeffs")
 
     def __init__(self, offset, coeffs, ring: CoefficientRing) -> None:
-        if isinstance(coeffs, (bytes, bytearray)) and ring.kind == "mod":
+        m = ring.modulus
+        if isinstance(coeffs, (bytes, bytearray)) and m:
             # residues of another byte series: reduced by one table lookup each
-            values = coeffs.translate(_weight_table(ring.modulus, 1))
-        elif ring.kind == "mod":
-            m = ring.modulus
+            values = coeffs.translate(_weight_table(m, 1))
+        elif m:
             values = [int(c) % m for c in coeffs]
         else:
             values = [int(c) for c in coeffs]
@@ -1130,7 +1120,7 @@ class QSeries:
             part = QSeries._trusted(Fraction(0), slots[::d], ring) ** e
             out = _spread(part.slots, d, 0, n, ring)
             return QSeries._trusted(self.offset * e, out, ring)
-        if ring.kind == "int" and abs(e) > 1 and slots[0] in (1, -1):
+        if ring.modulus is None and abs(e) > 1 and slots[0] in (1, -1):
             support = [(k, slots[k]) for k in _support(slots, n)]
             if _miller_is_cheaper(slots, support, e):
                 out = _pow_sparse(support, slots[0], e, n)
@@ -1143,10 +1133,8 @@ class QSeries:
         over Z/m is returned as it is."""
         if m < 2:
             raise ValueError("modulus must be >= 2")
-        if self.ring.kind == "mod" and self.ring.modulus % m != 0:
-            raise IncompatibleModulus(
-                f"cannot reduce Z/{self.ring.modulus} to Z/{m}"
-            )
+        if self.ring.modulus and self.ring.modulus % m:
+            raise IncompatibleModulus(f"cannot reduce {self.ring} to Z/{m}")
         if self.ring.modulus == m:
             return self
         return QSeries(self.offset, self.slots, integer_mod(m))
@@ -1161,9 +1149,7 @@ class QSeries:
             raise ValueError("need 0 <= t < m")
         if self.prec <= t:
             raise ValueError("precision does not reach the first selected slot")
-        n_out = (self.prec - t + m - 1) // m
-        slots = self.slots[t::m][:n_out]
-        return QSeries._trusted((self.offset + t) / m, slots, self.ring)
+        return QSeries._trusted((self.offset + t) / m, self.slots[t::m], self.ring)
 
     def substitute_power(self, k: int) -> "QSeries":
         """Replace q by q**k: all exponents multiply by k."""

@@ -5,7 +5,9 @@ hypothesis checks for the eta-quotient non-congruence criterion.
 A scan is one-sided: a Witness verdict certifies that the progression does
 not vanish identically (the coefficient is stored and re-checkable), while a
 Candidate verdict only records how far vanishing was observed -- it never
-claims a congruence.
+claims a congruence.  The criterion's reading of an eta-quotient,
+``Applicability``, is its list of failed hypotheses alone: it applies
+exactly when that list is empty.
 
 ``scan_prefix`` (behind ``scan`` and ``scan_progression``) and ``witness``
 run on one first-nonzero search, ``_first_nonzero``.  A report writes
@@ -182,11 +184,15 @@ class ScanReport:
 
 @dataclass(frozen=True)
 class Applicability:
-    """Whether the non-congruence criterion covers (spec, ell, m); when it
-    does not, ``reasons`` lists every failed hypothesis."""
+    """Whether the non-congruence criterion covers (spec, ell, m):
+    ``reasons`` lists every failed hypothesis, and it applies when there is
+    none."""
 
-    applies: bool
     reasons: tuple[str, ...]
+
+    @property
+    def applies(self) -> bool:
+        return not self.reasons
 
 
 _NONZERO = bytes([0]) + bytes([1]) * 255  # residue byte -> 1 if nonzero
@@ -331,7 +337,7 @@ def theorem_applies(spec: EtaQuotientSpec, ell: int, m: int) -> Applicability:
     if B % ell != 0 and (divisor := q_divisor(m, B)) > 1:
         if gcd(divisor, level_mod_ell(spec, ell)[0]) != 1:
             reasons.append("q-divisor-shares-level")
-    return Applicability(not reasons, tuple(reasons))
+    return Applicability(tuple(reasons))
 
 
 def criterion_report(spec: EtaQuotientSpec, ell: int, m: int) -> dict:

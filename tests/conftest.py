@@ -135,7 +135,7 @@ def _div_sparse_per_term(num, support, inv0, n_out: int, ring) -> list:
     other nonzero slots are the ascending (k, b_k) pairs of ``support``:
     out[i] = num[i] - sum b_k out[i-k], one term at a time, after scaling
     both sides by inv0."""
-    mod = ring.modulus if ring.kind == "mod" else None
+    mod = ring.modulus
     if inv0 == 1:
         out = list(islice(num, n_out))
     else:

@@ -379,3 +379,34 @@ def test_epsilon_d():
     assert epsilon_d(5) == ExactScalar.one()
     with pytest.raises(EvenInput):
         epsilon_d(4)
+
+
+# ----------------------------------------------------------- input checks
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda: dedekind_sum(1, 0), ValueError),
+        (lambda: dedekind_sum(1, -3), ValueError),
+        (lambda: crt([(0, 3), (1, 0)]), ValueError),
+        (lambda: prime_factors(0), ValueError),
+        (lambda: ExactScalar.sqrt_of(0), ValueError),
+        (lambda: ExactScalar.sqrt_of(Fraction(-1, 4)), ValueError),
+        (lambda: ExactScalar(2) * 2, TypeError),
+        (lambda: ExactScalar(2) ** Fraction(1, 2), TypeError),
+        (lambda: str(ExactScalar(2, 3, Fraction(1, 4))), "2*sqrt(3)*e(2*pi*i*1/4)"),
+    ],
+    ids=[
+        "dedekind-c-0", "dedekind-c-negative", "crt-modulus-0", "prime-factors-0",
+        "sqrt-of-0", "sqrt-of-negative", "times-int", "power-fraction", "str-radicand-phase",
+    ],
+)
+def test_input_checks(call, outcome):
+    # each check that the other tests never reach: a refused input raises,
+    # and a scalar with a radicand and a phase prints both
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert call() == outcome

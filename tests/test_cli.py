@@ -974,14 +974,10 @@ def _set(field, value):
         _set("ring", "foo"),
         lambda header: [header],
         _set("ring", 7),
-        _set("offset", [1]),
         _set("ring", "Z/6"),  # every stored residue is below 6 too
-        _set("offset", "1/0"),
         lambda header: "[" * 10**5 + "]" * 10**5,  # too deep for json.loads
     ],
-    ids=[
-        "ring-foo", "list", "ring-7", "offset-list", "ring-Z/6", "offset-1/0", "deep",
-    ],
+    ids=["ring-foo", "list", "ring-7", "ring-Z/6", "deep"],
 )
 def test_cache_entry_of_the_wrong_shape_is_rebuilt(tmp_path, capsys, corrupt):
     cache_dir = tmp_path / "cache"
@@ -998,6 +994,34 @@ def test_cache_entry_of_the_wrong_shape_is_rebuilt(tmp_path, capsys, corrupt):
     assert code == 0
     assert out == whole
     assert _read_entry(entry)[0]["ring"] == "Z/7"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_set("offset", "1/7"), _set("offset", "1/0"), _set("offset", [1]), _set("extra", "1/7")],
+    ids=["offset-1/7", "offset-1/0", "offset-list", "extra-key"],
+)
+@pytest.mark.parametrize("mod", [7, None, 355], ids=["Z/7", "Z", "Z/355"])
+def test_a_cache_load_takes_the_offset_from_the_series(tmp_path, capsys, monkeypatch, mod, edit):
+    # residue bytes, and JSON lists over Z and over Z/m, m > 256: the header
+    # stores no offset, and one written there, like any other extra field,
+    # is not read
+    cache_dir = tmp_path / "cache"
+    ring = [] if mod is None else ["--mod", str(mod)]
+    args = ["--cache-dir", str(cache_dir), "expand", "partition", "--limit", "5", *ring]
+    code, whole, _ = run(capsys, *args)
+    assert code == 0
+    assert json.loads(whole)["offset"] == "-1/24"
+    (entry,) = cache_dir.iterdir()
+    header, payload = _read_entry(entry)
+    assert set(header) == {"key", "ring", "length", "sha256"}
+    assert set(header["key"]) == {"version", "series", "ring"}
+    entry.write_bytes(json.dumps(edit(header)).encode() + b"\n" + payload)
+    builds = _spy_on_builds(monkeypatch)
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert builds == []  # the entry was loaded, not rebuilt
+    assert out == whole
 
 
 def _flip_a_byte(entry):  # a valid residue, so only the digest tells
@@ -1058,6 +1082,19 @@ def test_cache_entry_with_a_bad_payload_is_rebuilt(tmp_path, capsys, corrupt):
 def test_payload_rejects_what_the_writer_never_stores(ring, coefficients):
     payload = {"offset": "0", "ring": ring, "coefficients": coefficients}
     with pytest.raises(ValueError):
+        _series_from_payload(payload)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("ring", 7), ("offset", [1]), ("offset", 0)],
+    ids=["ring-7", "offset-list", "offset-0"],
+)
+def test_payload_rejects_a_ring_or_offset_that_is_not_a_string(field, value):
+    # expand writes both as strings; a cache entry stores neither, so only
+    # this reader checks them
+    payload = {"offset": "-1/24", "ring": "Z/7", "coefficients": [1, 1, 2, 3, 5], field: value}
+    with pytest.raises(ValueError, match="is not a string"):
         _series_from_payload(payload)
 
 

@@ -32,8 +32,10 @@ from qsift.generators import (
     _pentagonal_ks,
     _pick_plan,
     _plan_steps,
+    _series_offset,
     _triangular_count,
     level_mod_ell,
+    resolve_series,
 )
 from qsift.qseries import INTEGER, QSeries, monomial, integer_mod
 from qsift.scanner import _omega_parity_js, verify_known
@@ -742,6 +744,25 @@ def test_catalog_offsets_are_b_over_24():
             assert series.coeffs[0] == 1
 
 
+def test_build_series_offset_is_the_derived_offset():
+    # the one rule the cache reads the offset by: B/24 for an eta-quotient
+    # (a theta series's own among them), 0 for f and omega
+    rng = random.Random(35)
+    specs = [entry.name for entry in catalog()]
+    for _ in range(24):
+        deltas = rng.sample(range(1, 13), rng.randint(1, 3))
+        specs.append(EtaQuotientSpec(tuple((d, rng.choice((-3, -2, -1, 1, 2, 4))) for d in deltas)))
+    for spec in specs:
+        for modulus in (None,) if spec in THETA_SERIES else (None, 2, 3, 355):
+            canonical = resolve_series(spec, modulus)[0]
+            if isinstance(canonical, EtaQuotientSpec):
+                expected = Fraction(canonical.B, 24)
+            else:
+                expected = 0
+            assert _series_offset(canonical) == expected
+            assert build_series(spec, 40, modulus).offset == expected, (spec, modulus)
+
+
 def test_catalog_unknown():
     with pytest.raises(UnknownSeries):
         catalog_entry("nosuch")
@@ -853,3 +874,22 @@ def test_series_builds_mod_ell_divide_by_newton(monkeypatch):
     assert all(passed for _, passed in verify_known())
     assert recurrences == []
     assert len(newton) == len(divisions)
+
+
+# ----------------------------------------------------------- input checks
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        eta_series,
+        lambda prec: eta_quotient(EtaQuotientSpec(((1, -1),)), prec),
+        mock_f,
+        mock_omega,
+    ],
+    ids=["eta_series", "eta_quotient", "mock_f", "mock_omega"],
+)
+@pytest.mark.parametrize("prec", [0, -1])
+def test_a_generator_refuses_a_precision_below_1(build, prec):
+    with pytest.raises(ValueError, match="prec must be >= 1"):
+        build(prec)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -189,9 +190,11 @@ def test_dispatched_product_matches_schoolbook(data):
 
 @pytest.mark.parametrize("ring", [INTEGER, integer_mod(3), integer_mod(1000)], ids=str)
 def test_zero_length_product_is_empty(ring):
+    # of the type every product over the ring has: bytes over Z/m, m <= 256
     xs = [ring.normalize(c) for c in (1, 2, 3, 4)]
-    assert qseries._convolve(xs, xs, 0, ring) == []
-    assert qseries._convolve([], [], 0, ring) == []
+    for out in (qseries._convolve(xs, xs, 0, ring), qseries._convolve([], [], 0, ring)):
+        assert len(out) == 0
+        assert type(out) is (bytes if ring.stores_bytes else list)
 
 
 # ------------------------------------------------------------------ invert
@@ -265,7 +268,7 @@ def coefficients(ring, n):
 
 
 def unit(ring):
-    if ring.kind == "int":
+    if ring.modulus is None:
         return st.sampled_from((1, -1))
     return st.integers(1, ring.modulus - 1).filter(lambda u: gcd(u, ring.modulus) == 1)
 
@@ -280,7 +283,7 @@ def test_division_kernels_agree(ring, n, data):
     den[0] = data.draw(unit(ring))
     support = [(k, c) for k, c in enumerate(den) if c and k]
     by_recurrence = _div_sparse(num, support, ring.inverse(den[0]), n, ring)
-    if ring.kind == "mod":  # Newton runs over Z/m only
+    if ring.modulus:  # Newton runs over Z/m only
         assert by_recurrence == list(_divide_newton(num, den, n, ring))
         constant = [num[0]] + [0] * (n - 1)  # runs the same Newton steps as num
         assert list(_divide_newton(constant, den, n, ring)) == _div_sparse(
@@ -309,7 +312,7 @@ ORACLE_RINGS = (
 def ring_values(ring):
     """Values as the ring's series store them: integers up to 2^200 in
     magnitude, or residues."""
-    if ring.kind == "int":
+    if ring.modulus is None:
         return st.integers(-(2**200), 2**200)
     return st.integers(0, ring.modulus - 1)
 
@@ -334,7 +337,7 @@ def sparse_divisions(draw, ring):
     if shape == "equal":
         values = [draw(nonzero)] * len(ks)
     else:
-        if shape == "distinct" and ring.kind == "mod":
+        if shape == "distinct" and ring.modulus:
             ks = ks[: ring.modulus - 1]
         size = len(ks)
         values = draw(
@@ -634,7 +637,7 @@ def test_division_by_dense_series_in_q_power_matches_recurrence(ring, d, n):
     den[::d] = b
     num = [ring.normalize(rng.randint(-9, 9)) for _ in range(n)]
     support = [(k, c) for k, c in enumerate(den) if c and k]
-    if ring.kind == "mod":
+    if ring.modulus:
         _, newton = _division_cost(len(support), n, ring, d)
         assert newton == (n > 1000)
     expected = _div_sparse(num, support, ring.inverse(den[0]), n, ring)
@@ -873,7 +876,7 @@ def test_packed_kernels_convert_slot_by_slot(monkeypatch, ring, kernel):
     rng = random.Random(355)
 
     def operand(n, fill):
-        if ring.kind == "int":
+        if ring.modulus is None:
             return signed_slots(10**6, n, rng, fill)
         values = residues(ring.modulus, n, rng, "random" if fill == "growing" else fill)
         return bytes(values) if ring.stores_bytes else values
@@ -1557,8 +1560,52 @@ def test_ring_inverse_of_units_and_non_units():
 
 
 def test_the_rings_are_z_and_z_mod_m():
-    # Q went with the theta series' fills: they are eta-quotients over Z
+    # Q went with the theta series' fills: they are eta-quotients over Z.
+    # A ring is its modulus alone, None for Z.
     assert not hasattr(qseries, "RATIONAL")
-    for kind in ("rat", "Q"):
-        with pytest.raises(ValueError, match="unknown ring kind"):
-            CoefficientRing(kind)
+    assert [f.name for f in dataclasses.fields(CoefficientRing)] == ["modulus"]
+    assert INTEGER == CoefficientRing() and INTEGER.modulus is None
+    assert integer_mod(7) == CoefficientRing(7) and str(integer_mod(7)) == "Z/7"
+    for m in (1, 0, -3):
+        with pytest.raises(ValueError, match="modulus must be an integer >= 2"):
+            CoefficientRing(m)
+
+
+# ----------------------------------------------------------- input checks
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda: _slot_bound((), (1, 2), 2, INTEGER), 0),
+        (lambda: delattr(QSeries(0, [1], INTEGER), "offset"), AttributeError),
+        (
+            lambda: repr(QSeries(Fraction(1, 24), [1, 4], integer_mod(3))),
+            "QSeries(offset=Fraction(1, 24), coeffs=(1, 1), ring=CoefficientRing(modulus=3))",
+        ),
+        (lambda: QSeries(0, [1, 2], integer_mod(5)) == 2.5, False),
+        (lambda: QSeries(0, [1, 2], integer_mod(5)) + 2.5, TypeError),
+        (lambda: QSeries(0, [1, 2], integer_mod(5)) - 2.5, TypeError),
+        (lambda: QSeries(0, [1, 2], integer_mod(5)) * 2.5, TypeError),
+        (lambda: QSeries(0, [1, 2], integer_mod(5)) / 2.5, TypeError),
+        (lambda: QSeries(0, [1, 2], integer_mod(5)) ** 2.5, TypeError),
+        (lambda: QSeries(0, [1, 2], INTEGER).reduce_mod(1), ValueError),
+        (lambda: QSeries(0, [1, 2], INTEGER).extract_progression(3, 3), ValueError),
+        (lambda: QSeries(0, [1, 2], INTEGER).extract_progression(3, -1), ValueError),
+        (lambda: QSeries(0, [1, 2], INTEGER).extract_progression(5, 2), ValueError),
+        (lambda: QSeries(0, [1, 2], INTEGER).substitute_power(0), ValueError),
+    ],
+    ids=[
+        "slot-bound-empty", "del", "repr", "eq", "add", "sub", "mul", "truediv", "pow",
+        "reduce-mod-1", "progression-t-m", "progression-t-negative", "progression-past-prec",
+        "substitute-power-0",
+    ],
+)
+def test_input_checks(call, outcome):
+    # each check that the other tests never reach: a refused input raises,
+    # and an operation with a non-series gives way to the other operand
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert call() == outcome

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -26,6 +27,7 @@ from qsift.generators import (
 )
 from qsift.qseries import INTEGER, QSeries, integer_mod
 from qsift.scanner import (
+    Applicability,
     InsufficientPrecision,
     ScanReport,
     ScanVerdict,
@@ -283,6 +285,15 @@ def test_omega_mod2_verdicts_follow_its_sparse_form():
 
 
 # ----------------------------------------------------------- theorem gate
+
+
+def test_applicability_is_its_reasons():
+    # applies is derived, so an answer and its reasons cannot disagree
+    assert [f.name for f in dataclasses.fields(Applicability)] == ["reasons"]
+    assert Applicability(()).applies
+    assert not Applicability(("no-pole",)).applies
+    with pytest.raises(TypeError):
+        Applicability(True, ("no-pole",))
 
 
 def test_applicability_cubic():
@@ -705,3 +716,20 @@ def test_reports_survive_pickle_and_deepcopy():
         for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
             assert copied == report
             assert [type(v) for v in copied.verdicts] == [ScanVerdict] * len(report.verdicts)
+
+
+# ----------------------------------------------------------- input checks
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: scan_prefix(build_series("partition", 8, 5), 5, 0, 8), "m_max must be positive"),
+        (lambda: theorem_applies(EtaQuotientSpec(((1, -1),)), 5, 5), "ell must be 2 or 3"),
+        (lambda: sturm_bound(2, 0), "N must be positive"),
+    ],
+    ids=["scan-prefix-m-max-0", "theorem-applies-ell-5", "sturm-bound-level-0"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

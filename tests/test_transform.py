@@ -910,3 +910,27 @@ def test_random_unimodular_keeps_a_prime_to():
         for _ in range(100):
             A = random_unimodular(rng, rng.randint(1, 30), 3, prime_to=prime_to)
             assert A.c > 0 and gcd(A.a, prime_to) == 1
+
+
+# ----------------------------------------------------------- input checks
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: level_constant(0), ValueError),
+        (lambda: level_constant_eta(0), ValueError),
+        (lambda: q_divisor(0, 1), ValueError),
+        (lambda: phase_cancellation_check(UnimodularMatrix(1, 0, 0, 1), 1, 0), BadMatrix),
+        (lambda: phase_cancellation_check(UnimodularMatrix(3, 1, 2, 1), 1, 0), BadUnit),
+        (lambda: cusp_decompose(0, 0, 1), ValueError),
+        (lambda: cusp_decompose(0, 5, 0), ValueError),
+    ],
+    ids=[
+        "level-constant-0", "level-constant-eta-0", "q-divisor-0", "phase-c-0",
+        "phase-a-3", "cusp-q-0", "cusp-c-0",
+    ],
+)
+def test_input_checks(call, error):
+    with pytest.raises(error):
+        call()
