@@ -219,18 +219,6 @@ def _parse_ring(text: str) -> CoefficientRing:
     raise ValueError(f"unknown ring {text!r}")
 
 
-def _series_from_payload(payload: dict) -> QSeries:
-    """The series of a payload written by ``_series_payload`` over Z or
-    Z/m (a theta series's Q is printed, never read back).  Raises
-    ValueError unless the ring and the offset are strings as that writes
-    them, the ring is Z or Z/m, and the coefficients pass
-    ``_checked_series``."""
-    ring, offset = payload["ring"], payload["offset"]
-    if type(ring) is not str or type(offset) is not str:
-        raise ValueError("the ring or the offset is not a string")
-    return _checked_series(_parse_ring(ring), Fraction(offset), payload["coefficients"])
-
-
 def _checked_series(ring: CoefficientRing, offset: Fraction, coeffs) -> QSeries:
     """The series of ``coeffs`` over ``ring``.  Raises ValueError unless
     every coefficient is what ``_series_payload`` writes: a JSON integer

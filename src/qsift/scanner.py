@@ -195,6 +195,17 @@ class Applicability:
         return not self.reasons
 
 
+# theorem_applies's six possible answers, by their reasons
+_APPLICABILITY = {
+    reasons: Applicability(reasons)
+    for no_pole in ((), ("no-pole",))
+    for reasons in (
+        ("ell-divides-B", *no_pole),
+        (*no_pole, "q-divisor-shares-level"),
+        no_pole,
+    )
+}
+
 _NONZERO = bytes([0]) + bytes([1]) * 255  # residue byte -> 1 if nonzero
 _FIRST_ROWS = 8  # rows in the first block; each next block ends 8 times further on
 
@@ -323,21 +334,21 @@ def theorem_applies(spec: EtaQuotientSpec, ell: int, m: int) -> Applicability:
       part of the level ``generators.level_mod_ell`` gives
       ("q-divisor-shares-level").  With ell not dividing B that divisor is
       prime to ell, so the level itself can stand in for its ell-free part.
+
+    The reasons keep that order, and the third is only asked when ell does
+    not divide B, so six lists can come out; each is one shared value.
     """
     if ell not in (2, 3):
         raise ValueError("ell must be 2 or 3")
     if m < 1:
         raise ValueError("m must be positive")
-    reasons = []
     B = spec.B
+    no_pole = ("no-pole",) if B >= 0 else ()
     if B % ell == 0:
-        reasons.append("ell-divides-B")
-    if B >= 0:
-        reasons.append("no-pole")
-    if B % ell != 0 and (divisor := q_divisor(m, B)) > 1:
-        if gcd(divisor, level_mod_ell(spec, ell)[0]) != 1:
-            reasons.append("q-divisor-shares-level")
-    return Applicability(tuple(reasons))
+        return _APPLICABILITY[("ell-divides-B", *no_pole)]
+    if (divisor := q_divisor(m, B)) > 1 and gcd(divisor, level_mod_ell(spec, ell)[0]) != 1:
+        return _APPLICABILITY[(*no_pole, "q-divisor-shares-level")]
+    return _APPLICABILITY[no_pole]
 
 
 def criterion_report(spec: EtaQuotientSpec, ell: int, m: int) -> dict:

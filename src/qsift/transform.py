@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -188,7 +189,7 @@ def q_divisor(m: int, B: int) -> int:
     according to gcd(B, 6) = 1 / 2 / 3.  Requires 6 not dividing B."""
     if m < 1:
         raise ValueError("m must be positive")
-    return _surviving_divisor(m, *_linear_form("eta", B))
+    return _surviving_divisor(m, *_eta_form(B))
 
 
 # ------------------------------------------------------- good progressions
@@ -204,8 +205,13 @@ def _linear_form(kind: str, B: int | None = None) -> tuple[int, int]:
     if kind == "eta":
         if B is None:
             raise ValueError("kind 'eta' needs B")
-        return -B, -24
+        return _eta_form(B)
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def _eta_form(B: int) -> tuple[int, int]:
+    """(alpha, beta) of kind "eta" for weight data B."""
+    return -B, -24
 
 
 def _surviving_divisor(m: int, alpha: int, beta: int) -> int:
@@ -710,6 +716,9 @@ def eta_transform_defect(A: UnimodularMatrix, z: complex, terms: int = 200) -> f
 
 
 # ------------------------------------------------------ randomized suites
+# A trial draws one instance from its rng and returns whether the identity
+# held, with the instance's description as a callable: only a suite's first
+# failure is ever described.
 
 
 def random_unimodular(
@@ -760,16 +769,16 @@ def _good_choices(m: int, kind: str) -> tuple[int, ...]:
     return tuple(good_residues(m, kind))
 
 
-def _trial_dedekind_integrality(rng: random.Random) -> tuple[bool, str]:
+def _trial_dedekind_integrality(rng: random.Random) -> tuple[bool, Callable[[], str]]:
     A = random_unimodular(rng, 1, 40)
     value = 12 * dedekind_sum(-A.d, A.c) + Fraction(A.a + A.d, A.c)
-    return value.denominator == 1, f"A={A} value={value}"
+    return value.denominator == 1, lambda: f"A={A} value={value}"
 
-def _trial_mock_multiplier_order(rng: random.Random) -> tuple[bool, str]:
+def _trial_mock_multiplier_order(rng: random.Random) -> tuple[bool, Callable[[], str]]:
     A = random_unimodular(rng, 2, 12)
-    return mock_multiplier(A) ** 24 == ExactScalar.one(), f"A={A}"
+    return mock_multiplier(A) ** 24 == ExactScalar.one(), lambda: f"A={A}"
 
-def _trial_shift_parity(rng: random.Random) -> tuple[bool, str]:
+def _trial_shift_parity(rng: random.Random) -> tuple[bool, Callable[[], str]]:
     m = rng.randint(1, 8)
     A = random_unimodular(rng, level_constant(m), 2, prime_to=3)
     residual = (
@@ -778,20 +787,20 @@ def _trial_shift_parity(rng: random.Random) -> tuple[bool, str]:
         - Fraction(1 - A.a * A.a, 12 * m)
     )
     ok = residual.denominator == 1 and residual.numerator % 2 == 0
-    return ok, f"m={m} A={A} residual={residual}"
+    return ok, lambda: f"m={m} A={A} residual={residual}"
 
-def _trial_sign_cancellation(rng: random.Random) -> tuple[bool, str]:
+def _trial_sign_cancellation(rng: random.Random) -> tuple[bool, Callable[[], str]]:
     m = rng.randint(1, 8)
     A = random_unimodular(rng, level_constant(m), 2, prime_to=6)
     lam = rng.randrange(m)
-    return phase_cancellation_check(A, m, lam), f"m={m} lam={lam} A={A}"
+    return phase_cancellation_check(A, m, lam), lambda: f"m={m} lam={lam} A={A}"
 
-def _trial_corrupted_cancellation(rng: random.Random) -> tuple[bool, str]:
+def _trial_corrupted_cancellation(rng: random.Random) -> tuple[bool, Callable[[], str]]:
     m = rng.choice((5, 7, 11, 13))
     A = random_unimodular(rng, level_constant(m), 2, prime_to=6)
     lam = rng.randrange(m)
     phase = _cancellation_phase(A, m, lam, include_curvature=False)
-    return phase == 0, f"m={m} lam={lam} A={A} phase={phase}"
+    return phase == 0, lambda: f"m={m} lam={lam} A={A} phase={phase}"
 
 def _constancy_trial(kind: str):
     """The phase-constancy trial of kind "f" or "omega": a good progression
@@ -799,36 +808,36 @@ def _constancy_trial(kind: str):
     prime_to = abs(_linear_form(kind)[1])
     factor = _CONSTANCY_MULTIPLIER[kind][0]
 
-    def trial(rng: random.Random) -> tuple[bool, str]:
+    def trial(rng: random.Random) -> tuple[bool, Callable[[], str]]:
         m = rng.choice(_GOOD_CAPABLE_M)
         p = Progression(m, rng.choice(_good_choices(m, kind)))
         A = random_unimodular(rng, factor * level_constant(m), 1, prime_to=prime_to)
         values = constancy_check(A, p, kind)
         ok = len(values) == 1 and next(iter(values)) ** (24 * m) == ExactScalar.one()
-        return ok, f"p={p} A={A} values={len(values)}"
+        return ok, lambda: f"p={p} A={A} values={len(values)}"
 
     return trial
 
-def _trial_orbit_coverage(rng: random.Random) -> tuple[bool, str]:
+def _trial_orbit_coverage(rng: random.Random) -> tuple[bool, Callable[[], str]]:
     kind = rng.choice(("f", "omega", "eta"))
     m = rng.randint(1, 40)
     p = Progression(m, rng.randrange(m))
     B = rng.choice((-5, -3, -2, -1, 1, 2, 3, 15)) if kind == "eta" else None
     ok = coverage_target(p, kind, B) <= orbit(p, kind, B)
-    return ok, f"kind={kind} p={p} B={B}"
+    return ok, lambda: f"kind={kind} p={p} B={B}"
 
-def _trial_good_support(rng: random.Random) -> tuple[bool, str]:
+def _trial_good_support(rng: random.Random) -> tuple[bool, Callable[[], str]]:
     kind = rng.choice(("f", "omega"))
     m = rng.choice(_GOOD_CAPABLE_M)
     p = Progression(m, rng.choice(_good_choices(m, kind)))
-    return good_progression_support_vanishes(p, kind), f"kind={kind} p={p}"
+    return good_progression_support_vanishes(p, kind), lambda: f"kind={kind} p={p}"
 
-def _trial_eta_numeric(rng: random.Random) -> tuple[bool, str]:
+def _trial_eta_numeric(rng: random.Random) -> tuple[bool, Callable[[], str]]:
     A = random_unimodular(rng, 1, 20)
     x = -A.d / A.c + rng.uniform(-0.3, 0.3)
     z = complex(x, rng.uniform(0.3, 0.5))
     defect = eta_transform_defect(A, z)
-    return defect < 1e-9, f"A={A} z={z} defect={defect:.3e}"
+    return defect < 1e-9, lambda: f"A={A} z={z} defect={defect:.3e}"
 
 
 _SUITES = (
@@ -869,6 +878,6 @@ def identity_suites(
             if not ok:
                 failures += 1
                 if first is None:
-                    first = detail
+                    first = detail()
         results.append(SuiteResult(name, trials, failures, first))
     return results

@@ -53,6 +53,12 @@ writers of ``ScanReport``, which build no record.
 A progression's verdict comes from reading its residues one slot at a time
 until the first nonzero one, against the block search of
 ``scanner._first_nonzero``.
+The criterion's reading of an eta-quotient comes from its hypotheses
+checked in turn into a list, one new ``Applicability`` a call, with the
+surviving divisor from the public ``q_divisor``, against the shared answers
+of ``scanner.theorem_applies``.  A series is read back from the JSON that
+``qsift expand`` prints, its ring and offset parsed from their strings and
+its coefficients passed through the cache's own checks.
 """
 
 from __future__ import annotations
@@ -68,12 +74,15 @@ from types import SimpleNamespace
 import pytest
 
 from qsift.arith import dedekind_sum
-from qsift.scanner import ScanVerdict
+from qsift.cli import _checked_series, _parse_ring
+from qsift.generators import level_mod_ell
+from qsift.scanner import Applicability, ScanVerdict
 from qsift.transform import (
     BadMatrix,
     ParityMismatch,
     UnimodularMatrix,
     decompose_upper,
+    q_divisor,
 )
 
 
@@ -697,6 +706,47 @@ def _verdict_per_slot(slots, m: int, t: int, n_max: int) -> ScanVerdict:
         if value:
             return ScanVerdict(m, t, "witness", n=n, value=value)
     return ScanVerdict(m, t, "candidate", checked=n_max)
+
+
+def _theorem_applies_listed(spec, ell: int, m: int) -> Applicability:
+    """The criterion's hypotheses on (spec, ell, m), each failed one
+    appended to a list in turn, as one new ``Applicability``."""
+    if ell not in (2, 3):
+        raise ValueError("ell must be 2 or 3")
+    if m < 1:
+        raise ValueError("m must be positive")
+    reasons = []
+    B = spec.B
+    if B % ell == 0:
+        reasons.append("ell-divides-B")
+    if B >= 0:
+        reasons.append("no-pole")
+    if B % ell != 0 and (divisor := q_divisor(m, B)) > 1:
+        if gcd(divisor, level_mod_ell(spec, ell)[0]) != 1:
+            reasons.append("q-divisor-shares-level")
+    return Applicability(tuple(reasons))
+
+
+def _series_from_payload(payload: dict):
+    """The series of a payload that ``qsift expand`` prints as JSON, over Z
+    or Z/m (a theta series's Q is printed, never read back).  Raises
+    ValueError unless the ring and the offset are strings as the writer
+    prints them, the ring is Z or Z/m, and the coefficients pass the checks
+    of ``cli._checked_series`` that guard the cache."""
+    ring, offset = payload["ring"], payload["offset"]
+    if type(ring) is not str or type(offset) is not str:
+        raise ValueError("the ring or the offset is not a string")
+    return _checked_series(_parse_ring(ring), Fraction(offset), payload["coefficients"])
+
+
+@pytest.fixture(scope="session")
+def theorem_applies_oracle():
+    return _theorem_applies_listed
+
+
+@pytest.fixture(scope="session")
+def payload_oracle():
+    return _series_from_payload
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ import pytest
 import qsift.scanner
 from qsift.cli import (
     _cache_path,
-    _series_from_payload,
     _series_key,
     main,
     parse_series_spec,
@@ -66,10 +65,10 @@ def test_expand_bad_grammar(capsys):
         assert err
 
 
-def test_expand_roundtrip(capsys):
+def test_expand_roundtrip(capsys, payload_oracle):
     code, out, _ = run(capsys, "expand", "crank_diff", "--limit", "12")
     assert code == 0
-    series = _series_from_payload(json.loads(out))
+    series = payload_oracle(json.loads(out))
     assert series == build_series("crank_diff", 12)
 
 
@@ -1079,10 +1078,10 @@ def test_cache_entry_with_a_bad_payload_is_rebuilt(tmp_path, capsys, corrupt):
         ("Z/7", b""),  # no slot
     ],
 )
-def test_payload_rejects_what_the_writer_never_stores(ring, coefficients):
+def test_payload_rejects_what_the_writer_never_stores(ring, coefficients, payload_oracle):
     payload = {"offset": "0", "ring": ring, "coefficients": coefficients}
     with pytest.raises(ValueError):
-        _series_from_payload(payload)
+        payload_oracle(payload)
 
 
 @pytest.mark.parametrize(
@@ -1090,12 +1089,12 @@ def test_payload_rejects_what_the_writer_never_stores(ring, coefficients):
     [("ring", 7), ("offset", [1]), ("offset", 0)],
     ids=["ring-7", "offset-list", "offset-0"],
 )
-def test_payload_rejects_a_ring_or_offset_that_is_not_a_string(field, value):
+def test_payload_rejects_a_ring_or_offset_that_is_not_a_string(field, value, payload_oracle):
     # expand writes both as strings; a cache entry stores neither, so only
     # this reader checks them
     payload = {"offset": "-1/24", "ring": "Z/7", "coefficients": [1, 1, 2, 3, 5], field: value}
     with pytest.raises(ValueError, match="is not a string"):
-        _series_from_payload(payload)
+        payload_oracle(payload)
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import io
 import json
+import pickle
 import random
 from itertools import combinations, product
 from math import gcd, isqrt, lcm
@@ -436,6 +438,54 @@ def test_theorem_applies_rewrites_only_when_a_divisor_survives(monkeypatch):
                 theorem_applies(spec, ell, m)
                 rewrites = spec.B % ell != 0 and q_divisor(m, spec.B) > 1
                 assert calls == ([(spec, ell)] if rewrites else []), (name, ell, m)
+
+
+def test_theorem_applies_matches_the_listed_hypotheses(theorem_applies_oracle):
+    # the benchmark's sweep domain: every two-factor eta-quotient of level
+    # <= 12 with exponents +-1..+-4, ell in (2, 3), m <= 12; then specs
+    # with 6 | B, where q_divisor is undefined, to m = 60
+    exponents = (-4, -3, -2, -1, 1, 2, 3, 4)
+    sweep = list(eta_quotient_specs(2, range(1, 13), exponents, 12))
+    six = [
+        EtaQuotientSpec(factors)
+        for factors in (
+            ((1, 6),),
+            ((1, -6),),
+            ((2, -3),),
+            ((1, -12), (2, 3)),
+            ((3, -2), (6, 2)),
+            ((1, 2), (5, -3), (7, 1)),
+        )
+    ]
+    assert len(sweep) == 1728 and all(spec.B % 6 == 0 for spec in six)
+    cases = [(spec, ell, m) for spec in sweep for ell in (2, 3) for m in range(1, 13)]
+    cases += [(spec, ell, m) for spec in six for ell in (2, 3) for m in range(1, 61)]
+    answers = {}
+    for case in cases:
+        got = theorem_applies(*case)
+        assert got == theorem_applies_oracle(*case), case
+        assert answers.setdefault(got.reasons, got) is got, case
+    assert set(answers) == {
+        (),
+        ("ell-divides-B",),
+        ("no-pole",),
+        ("ell-divides-B", "no-pole"),
+        ("q-divisor-shares-level",),
+        ("no-pole", "q-divisor-shares-level"),
+    }
+
+
+def test_shared_applicabilities_survive_copies():
+    # one value per reasons tuple, shared by every call: it cannot be
+    # changed in place, and a copy of it is an equal, separate value
+    spec = EtaQuotientSpec(((1, -1),))
+    shared = theorem_applies(spec, 2, 5)
+    assert theorem_applies(spec, 3, 7) is shared and shared == Applicability(())
+    for copied in (pickle.loads(pickle.dumps(shared)), copy.deepcopy(shared)):
+        assert copied == shared and copied.applies
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shared.reasons = ("no-pole",)
+    assert theorem_applies(spec, 2, 5).reasons == ()
 
 
 def eta_quotient_specs(factors: int, deltas, exponents, max_level: int):

@@ -861,6 +861,52 @@ def test_identity_suites_match_the_recorded_results():
         assert control == [SuiteResult("corrupted-sign-cancellation", 120, failures, first)]
 
 
+# Each suite's trial's description of its instance at random.Random(0).
+TRIAL_DETAILS_AT_SEED_0 = {
+    "dedekind-integrality": "A=(4 15; 25 94) value=2",
+    "mock-multiplier-order-24": "A=(13 38; 14 41)",
+    "dedekind-shift-parity": "m=7 A=(31 -10; 28 -9) residual=14",
+    "sign-cancellation": "m=7 lam=6 A=(31 -10; 28 -9)",
+    "corrupted-sign-cancellation": "m=13 lam=7 A=(1 1; 52 53) phase=0",
+    "phase-constancy-f": "p=Progression(m=35, t=17) A=(41 -140; 70 -239) values=1",
+    "phase-constancy-omega": "p=Progression(m=35, t=20) A=(23 80; 140 487) values=1",
+    "orbit-coverage": "kind=omega p=Progression(m=27, t=1) B=None",
+    "good-progression-support": "kind=omega p=Progression(m=35, t=21)",
+    "eta-transform-numeric": (
+        "A=(11 38; 13 45) z=(-3.2273921090361832+0.3080968756361555j) defect=1.221e-14"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TRIAL_DETAILS_AT_SEED_0))
+def test_trial_details_are_unchanged(name):
+    trials = dict(qsift.transform._SUITES)
+    trials["corrupted-sign-cancellation"] = qsift.transform._trial_corrupted_cancellation
+    ok, detail = trials[name](random.Random(0))
+    assert ok is True
+    assert detail() == TRIAL_DETAILS_AT_SEED_0[name]
+
+
+def test_only_a_first_failure_is_described(monkeypatch):
+    # trial k fails when k % 3 == 1; its description is asked for once per
+    # suite, for trial 1
+    described = []
+
+    def suite(name):
+        count = iter(range(10**6))
+
+        def trial(rng):
+            k = next(count)
+            return k % 3 != 1, lambda: described.append((name, k)) or f"{name} k={k}"
+
+        return name, trial
+
+    monkeypatch.setattr(qsift.transform, "_SUITES", (suite("a"), suite("b")))
+    results = identity_suites(trials=30)
+    assert results == [SuiteResult("a", 30, 10, "a k=1"), SuiteResult("b", 30, 10, "b k=1")]
+    assert described == [("a", 1), ("b", 1)]
+
+
 def test_negative_control_detects():
     results = identity_suites(trials=40, negative_control=True)
     assert len(results) == 1
